@@ -1,6 +1,6 @@
-.PHONY: all test bench bench-smoke bench-scaling bench-delta bench-fuzz \
-	bench-json chaos-smoke chaos-smoke-4 telemetry-smoke trace-smoke \
-	fuzz-smoke clean
+.PHONY: all test bench bench-smoke bench-scaling bench-gates bench-delta \
+	bench-fuzz bench-json bench-e2e bench-e2e-smoke chaos-smoke \
+	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke clean
 
 all:
 	dune build @all
@@ -19,9 +19,28 @@ bench-smoke:
 
 # The domain-pool speedup gate: smoke-budget wall/CPU timing of the
 # pooled kernels on the 256-switch torus, exiting nonzero on a slowdown
-# (also attached to `dune runtest`; see bench/exp_scaling.ml).
+# (see bench/exp_scaling.ml).
 bench-scaling:
 	dune build @bench-scaling
+
+# The wall-clock gates kept out of `dune runtest` because their verdict
+# depends on the machine's load: today the domain-pool speedup gate.
+bench-gates: bench-scaling
+
+# The end-to-end benchmark's determinism smoke: every workload at a size
+# that runs in seconds, byte-compared at 1 and 2 domains (also attached
+# to `dune runtest`; see bench/e2e/README.md).
+bench-e2e-smoke:
+	dune build @bench-e2e-smoke
+
+# One untraced 10-second end-to-end run of every benchmark workload,
+# seed 1; each prints its JSON result as the last line.  For one run
+# with other settings call the script directly, e.g.
+#   bash bench/e2e/run.sh --workload torus256_flap --seed 2 --trace 1
+bench-e2e:
+	for w in torus256_flap src_faults src_chaos fuzz_random; do \
+	  bash bench/e2e/run.sh --workload $$w || exit 1; \
+	done
 
 # The incremental-reconfiguration speedup gate: the delta fast path must
 # beat the full epoch recompute by at least 5x on the 256-switch torus

@@ -139,7 +139,9 @@ val live_components : t -> Graph.switch list list
     each component ascends, components ordered by smallest member. *)
 
 val loaded_spec : t -> Graph.switch -> Tables.spec
-(** The forwarding table currently loaded in the switch hardware,
-    re-expressed as a table spec — what {!Deadlock.check_tables} and
-    {!Verify} can analyze.  Reflects the real dataplane state, including
-    host ports enabled after the last reconfiguration. *)
+(** A copy of the forwarding table currently loaded in the switch
+    hardware, which stores the table spec format, tagged with the given
+    switch index — what
+    {!Deadlock.check_tables} and {!Verify} can analyze.  Reflects the real
+    dataplane state, including host ports enabled or disabled after the
+    last reconfiguration. *)

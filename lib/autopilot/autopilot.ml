@@ -354,30 +354,12 @@ let make_callbacks t =
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_constant t.table));
     cb_load_tables =
-      (fun spec assignment ->
+      (fun spec ~parent ~children ->
         record_event t (Event.Table_loading { constant = false });
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_spec t.table spec;
             (* Remember the flood structure for late host-port enables. *)
-            (match complete_report t with
-            | Some report -> begin
-              let g = Topology_report.to_graph report in
-              match Graph.switch_of_uid g t.sw_uid with
-              | Some me ->
-                let tree = Spanning_tree.compute g ~member:me in
-                let fi_parent =
-                  match Spanning_tree.parent tree me with
-                  | Some p -> Some p.Spanning_tree.my_port
-                  | None -> None
-                in
-                let fi_children =
-                  List.map (fun (p, _, _) -> p) (Spanning_tree.children tree me)
-                in
-                t.flood <- Some { fi_parent; fi_children }
-              | None -> ()
-            end
-            | None -> ());
-            ignore assignment;
+            t.flood <- Some { fi_parent = parent; fi_children = children };
             (match t.causal with
             | Some c ->
               Causal.tables_loaded c ~sw:t.sw ~epoch:(causal_epoch t)

@@ -23,7 +23,7 @@ let key ~in_port ~addr = (Short_address.to_int addr lsl 4) lor in_port
    (the four 0xFFFC+ special addresses, or arbitrary addresses fed to
    [of_entries]) in a small hashtable.  The [discard] record doubles as
    the dense array's "absent" sentinel by physical equality: [add_entry]
-   never stores an empty-port entry, so no live entry can alias it. *)
+   and [set] never store an empty-port entry, so no entry can alias it. *)
 type spec = {
   spec_switch : Graph.switch;
   dense : entry array;
@@ -46,6 +46,15 @@ let dense_size_for assignment =
 
 let switch t = t.spec_switch
 
+(* 256 dense keys hold the constant and one-hop rows (addresses 0..15). *)
+let empty ~switch = make_spec ~switch ~dense_size:256
+
+let copy ~switch t =
+  { spec_switch = switch;
+    dense = Array.copy t.dense;
+    sparse = Hashtbl.copy t.sparse;
+    count = t.count }
+
 let lookup t ~in_port ~dst =
   let k = key ~in_port ~addr:dst in
   if k < Array.length t.dense then t.dense.(k)
@@ -55,22 +64,6 @@ let lookup t ~in_port ~dst =
     | None -> discard
 
 let entry_count t = t.count
-
-let fold t ~init ~f =
-  (* Deterministic iteration order for printing and comparison. *)
-  let items = ref [] in
-  Hashtbl.iter
-    (fun k e -> items := ((k land 0xF, k lsr 4), e) :: !items)
-    t.sparse;
-  for k = Array.length t.dense - 1 downto 0 do
-    let e = t.dense.(k) in
-    if e != discard then items := ((k land 0xF, k lsr 4), e) :: !items
-  done;
-  let items = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) !items in
-  List.fold_left
-    (fun acc ((p, a), e) ->
-      f acc ~in_port:p ~dst:(Short_address.of_int a) e)
-    init items
 
 let iter t ~f =
   let dense = t.dense in
@@ -118,6 +111,44 @@ let add_entry t ~in_port ~addr e =
       Hashtbl.replace t.sparse k e
     end
   end
+
+let remove_key t k =
+  if k < Array.length t.dense then begin
+    if t.dense.(k) != discard then begin
+      t.dense.(k) <- discard;
+      t.count <- t.count - 1
+    end
+  end
+  else if Hashtbl.mem t.sparse k then begin
+    Hashtbl.remove t.sparse k;
+    t.count <- t.count - 1
+  end
+
+let remove t ~in_port ~dst = remove_key t (key ~in_port ~addr:dst)
+
+let set t ~in_port ~dst e =
+  if e.ports = [] then remove t ~in_port ~dst
+  else add_entry t ~in_port ~addr:dst e
+
+let row t ~in_port =
+  let acc = ref [] in
+  Hashtbl.iter
+    (fun k e -> if k land 0xF = in_port then acc := (k lsr 4, e) :: !acc)
+    t.sparse;
+  for a = (Array.length t.dense - 1 - in_port) asr 4 downto 0 do
+    let e = t.dense.((a lsl 4) lor in_port) in
+    if e != discard then acc := (a, e) :: !acc
+  done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+  |> List.map (fun (a, e) -> (Short_address.of_int a, e))
+
+(* Ascending by (in-port, address), for printing and comparison. *)
+let fold t ~init ~f =
+  let acc = ref init in
+  for in_port = 0 to 15 do
+    List.iter (fun (dst, e) -> acc := f !acc ~in_port ~dst e) (row t ~in_port)
+  done;
+  !acc
 
 (* The constant (0x0000, one-hop, loopback) and broadcast rows, shared by
    the fast and reference builders: they are a few dozen entries and were
@@ -293,33 +324,15 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
      shifted.  The copied table content is keyed by switch number, which
      the delta classifier proved stable, so only the identity needs
      remapping. *)
-  let spec =
-    { spec_switch = s;
-      dense = Array.copy prev.dense;
-      sparse = Hashtbl.copy prev.sparse;
-      count = prev.count }
-  in
+  let spec = copy ~switch:s prev in
   (* Strip every entry of a departed switch number: a fresh build of this
      switch writes nothing at those addresses.  Assigned numbers are >= 1,
      so their 256-key blocks never overlap the constant and one-hop rows
      below key 256, nor the sparse 0xFFFC+ specials. *)
   List.iter
     (fun number ->
-      for q = 0 to 15 do
-        let base_k = ((number lsl 4) lor q) lsl 4 in
-        for p = 0 to 15 do
-          let k = base_k lor p in
-          if k < Array.length spec.dense then begin
-            if spec.dense.(k) != discard then begin
-              spec.dense.(k) <- discard;
-              spec.count <- spec.count - 1
-            end
-          end
-          else if Hashtbl.mem spec.sparse k then begin
-            Hashtbl.remove spec.sparse k;
-            spec.count <- spec.count - 1
-          end
-        done
+      for k = number lsl 8 to (number lsl 8) lor 0xFF do
+        remove_key spec k
       done)
     removed_numbers;
   (* Add the address blocks of brand-new destinations, exactly as [build]

@@ -14,7 +14,12 @@
     and the constant entries (local switch 0x0000, one-hop addresses,
     loopback 0xFFFC) of the paper's address table.  Entries that would
     forward from a "down" in-link to an "up" out-link are never generated,
-    so a corrupted address cannot produce an illegal route. *)
+    so a corrupted address cannot produce an illegal route.
+
+    A {!spec} is keyed by the hardware index [(address lsl 4) lor in_port],
+    and it is also the switch's storage format: the switch's forwarding
+    table loads a spec by {!copy} and edits it in place with {!set} and
+    {!remove}. *)
 
 open Autonet_net
 
@@ -32,8 +37,22 @@ type spec
 
 val switch : spec -> Graph.switch
 
+val empty : switch:Graph.switch -> spec
+
+val copy : switch:Graph.switch -> spec -> spec
+(** An independent copy tagged with [switch]. *)
+
 val lookup : spec -> in_port:Graph.port -> dst:Short_address.t -> entry
 (** Missing entries come back as {!discard}. *)
+
+val set : spec -> in_port:Graph.port -> dst:Short_address.t -> entry -> unit
+(** Replace one entry in place; an entry with empty [ports] removes it.
+    [in_port] must be in 0..15. *)
+
+val remove : spec -> in_port:Graph.port -> dst:Short_address.t -> unit
+
+val row : spec -> in_port:Graph.port -> (Short_address.t * entry) list
+(** The entries of one receiving port, ascending by address. *)
 
 val entry_count : spec -> int
 

@@ -1,54 +1,72 @@
 open Autonet_net
+module Tables = Autonet_core.Tables
 
 type entry = { vector : Port_vector.t; broadcast : bool }
 
 let discard_entry = { vector = Port_vector.empty; broadcast = true }
 
-type t = {
-  ports : int;
-  entries : (int * int, entry) Hashtbl.t;
-  mutable gen : int;
-}
+(* The table is held in the synthesis format itself, so a load is a copy.
+   The holder does not know its switch index: the spec keeps the index of
+   the last one loaded. *)
+type t = { ports : int; mutable spec : Tables.spec; mutable gen : int }
 
-let create ~max_ports = { ports = max_ports; entries = Hashtbl.create 512; gen = 0 }
+let create ~max_ports =
+  if max_ports < 1 || max_ports > 15 then
+    invalid_arg "Forwarding_table.create: max_ports must be in 1..15";
+  { ports = max_ports; spec = Tables.empty ~switch:0; gen = 0 }
 
 let max_ports t = t.ports
 
 let generation t = t.gen
 
-let set t ~in_port ~dst entry =
+let spec t = t.spec
+
+(* The index packs [in_port] into 4 bits: an out-of-range port would read
+   or write another port's row. *)
+let check_port t fn in_port =
   if in_port < 0 || in_port > t.ports then
-    invalid_arg "Forwarding_table.set: in_port out of range";
-  Hashtbl.replace t.entries (in_port, Short_address.to_int dst) entry
+    invalid_arg ("Forwarding_table." ^ fn ^ ": in_port out of range")
+
+let of_tables (e : Tables.entry) =
+  { vector = Port_vector.of_list e.Tables.ports; broadcast = e.Tables.broadcast }
+
+let set t ~in_port ~dst e =
+  check_port t "set" in_port;
+  Tables.set t.spec ~in_port ~dst
+    { Tables.broadcast = e.broadcast; ports = Port_vector.to_list e.vector }
 
 let lookup t ~in_port ~dst =
-  match Hashtbl.find_opt t.entries (in_port, Short_address.to_int dst) with
-  | Some e -> e
-  | None -> discard_entry
+  check_port t "lookup" in_port;
+  of_tables (Tables.lookup t.spec ~in_port ~dst)
 
 let unset t ~in_port ~dst =
-  Hashtbl.remove t.entries (in_port, Short_address.to_int dst)
+  check_port t "unset" in_port;
+  Tables.remove t.spec ~in_port ~dst
 
 let has_row t ~in_port =
-  Hashtbl.fold (fun (p, _) _ acc -> acc || p = in_port) t.entries false
+  check_port t "has_row" in_port;
+  Tables.row t.spec ~in_port <> []
 
 let rows_of t ~in_port =
-  Hashtbl.fold
-    (fun (p, a) e acc -> if p = in_port then (a, e) :: acc else acc)
-    t.entries []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map (fun (a, e) -> (Short_address.of_int a, e))
+  check_port t "rows_of" in_port;
+  List.map (fun (a, e) -> (a, of_tables e)) (Tables.row t.spec ~in_port)
 
-let clear t =
-  Hashtbl.reset t.entries;
+let replace t spec =
+  t.spec <- spec;
   t.gen <- t.gen + 1
 
+let clear t = replace t (Tables.empty ~switch:(Tables.switch t.spec))
+
+(* The constant one-hop rows, wherever no computed entry holds the index. *)
 let install_one_hop t =
+  let to_cp = { Tables.broadcast = false; ports = [ 0 ] } in
   for k = 1 to t.ports do
     let dst = Short_address.one_hop ~port:k in
-    set t ~in_port:0 ~dst { vector = Port_vector.singleton k; broadcast = false };
-    for p = 1 to t.ports do
-      set t ~in_port:p ~dst { vector = Port_vector.singleton 0; broadcast = false }
+    for in_port = 0 to t.ports do
+      if (Tables.lookup t.spec ~in_port ~dst).Tables.ports = [] then
+        Tables.set t.spec ~in_port ~dst
+          (if in_port = 0 then { Tables.broadcast = false; ports = [ k ] }
+           else to_cp)
     done
   done
 
@@ -57,11 +75,7 @@ let load_constant t =
   install_one_hop t
 
 let load_spec t spec =
-  clear t;
-  install_one_hop t;
-  Autonet_core.Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
-      set t ~in_port ~dst
-        { vector = Port_vector.of_list e.Autonet_core.Tables.ports;
-          broadcast = e.Autonet_core.Tables.broadcast })
+  replace t (Tables.copy ~switch:(Tables.switch spec) spec);
+  install_one_hop t
 
-let entry_count t = Hashtbl.length t.entries
+let entry_count t = Tables.entry_count t.spec

@@ -10,7 +10,12 @@
     control processor), and at step 5 it loads the complete table computed
     from the topology.  As in the real switch, a (re)load resets the
     data path — the dataplane simulator destroys in-flight packets when it
-    happens, reproducing the cost discussed in section 7. *)
+    happens, reproducing the cost discussed in section 7.
+
+    The switch stores its table in the synthesis format,
+    {!Autonet_core.Tables.spec}, whose key is exactly the hardware index
+    [(address lsl 4) lor in_port]; loading a computed table is a copy of
+    the spec, and row reads and edits work on it in place. *)
 
 open Autonet_net
 
@@ -21,6 +26,9 @@ val discard_entry : entry
 type t
 
 val create : max_ports:int -> t
+(** [max_ports] must be in 1..15, the range {!Autonet_core.Graph.create}
+    accepts.  Every function taking [~in_port] rejects ports outside
+    0..[max_ports] with [Invalid_argument]. *)
 
 val max_ports : t -> int
 
@@ -28,7 +36,14 @@ val generation : t -> int
 (** Bumped by every {!clear}, {!load_constant} and {!load_spec}; the
     dataplane watches it to detect resets. *)
 
+val spec : t -> Autonet_core.Tables.spec
+(** The live table storage, tagged with the switch index of the last
+    loaded spec.  Later edits mutate it: take a
+    {!Autonet_core.Tables.copy} to keep it. *)
+
 val set : t -> in_port:int -> dst:Short_address.t -> entry -> unit
+(** An empty vector removes the entry: it reads as discard and does not
+    count in {!entry_count}. *)
 
 val lookup : t -> in_port:int -> dst:Short_address.t -> entry
 
@@ -50,6 +65,8 @@ val load_constant : t -> unit
     goes to the control processor. *)
 
 val load_spec : t -> Autonet_core.Tables.spec -> unit
-(** Clear, then install the computed table. *)
+(** Replace the table with a copy of the computed spec, then add the
+    constant one-hop entries wherever the spec has none (computed entries
+    take precedence). *)
 
 val entry_count : t -> int

@@ -256,6 +256,58 @@ let test_host_ports_classified () =
         (st = Autonet_autopilot.Port_state.Host))
     (Graph.hosts g)
 
+(* [loaded_spec] copies the switch's table; the reference rebuilds it entry
+   by entry from [rows_of], the conversion it replaced.  A host powered on
+   after convergence and a host port forced dead exercise the in-place
+   edits. *)
+let test_loaded_spec_matches_rows () =
+  let module FT = Autonet_switch.Forwarding_table in
+  let module PV = Autonet_switch.Port_vector in
+  let module Fabric = Autonet_autopilot.Fabric in
+  let module PS = Autonet_autopilot.Port_state in
+  let t =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L
+      (B.attach_hosts ~dual_homed:false (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2)
+  in
+  let late, gone =
+    match Graph.hosts (N.graph t) with
+    | a :: b :: _ -> ((a.switch, a.switch_port), (b.switch, b.switch_port))
+    | _ -> Alcotest.fail "two hosts expected"
+  in
+  Fabric.power_off_host (N.fabric t) late;
+  N.start t;
+  ignore (converge t);
+  Fabric.power_on_host (N.fabric t) late;
+  Fabric.set_host_active (N.fabric t) late true;
+  N.run_for t (Time.s 3);
+  AP.force_port_dead (N.autopilot t (fst gone)) ~port:(snd gone);
+  let state (s, p) = AP.port_state (N.autopilot t s) ~port:p in
+  check_bool "late host enabled" true (state late = PS.Host);
+  check_bool "gone host disabled" true (state gone <> PS.Host);
+  let has_row (s, p) = FT.has_row (AP.forwarding_table (N.autopilot t s)) ~in_port:p in
+  check_bool "late row installed" true (has_row late);
+  check_bool "gone row removed" false (has_row gone);
+  List.iter
+    (fun s ->
+      let ft = AP.forwarding_table (N.autopilot t s) in
+      let entries =
+        List.concat_map
+          (fun in_port ->
+            List.map
+              (fun (addr, (e : FT.entry)) ->
+                ( (in_port, addr),
+                  { Tables.broadcast = e.FT.broadcast;
+                    ports = PV.to_list e.FT.vector } ))
+              (FT.rows_of ft ~in_port))
+          (List.init (FT.max_ports ft + 1) Fun.id)
+      in
+      check_bool
+        (Printf.sprintf "switch %d" s)
+        true
+        (Tables.equal_spec (N.loaded_spec t s)
+           (Tables.of_entries ~switch:s entries)))
+    (Graph.switches (N.graph t))
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -395,6 +447,8 @@ let () =
           Alcotest.test_case "loop links excluded" `Quick test_loop_link_excluded;
           Alcotest.test_case "host ports classified" `Quick
             test_host_ports_classified;
+          Alcotest.test_case "loaded spec matches rows" `Quick
+            test_loaded_spec_matches_rows;
           Alcotest.test_case "merged log chronological" `Quick
             test_merged_log_is_chronological;
           Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder ] );

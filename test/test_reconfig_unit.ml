@@ -54,7 +54,7 @@ let make_net topo =
                        Queue.add (peer_port, msg) (node_of peer).inbox));
                cb_load_constant = (fun () -> ());
                cb_load_tables =
-                 (fun _spec _assignment ->
+                 (fun _spec ~parent:_ ~children:_ ->
                    let n = Lazy.force node in
                    Reconfig.note_configured n.rc);
                cb_configured =

@@ -94,6 +94,77 @@ let test_ft_unset_and_rows () =
   check_int "one left" 1 (List.length (FT.rows_of t ~in_port:1));
   check_bool "no row elsewhere" false (FT.has_row t ~in_port:2)
 
+let test_ft_rejects_bad_ports () =
+  let raises what f =
+    check_bool what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "create 0" (fun () -> ignore (FT.create ~max_ports:0));
+  raises "create 16" (fun () -> ignore (FT.create ~max_ports:16));
+  let t = FT.create ~max_ports:12 in
+  let e = { FT.vector = PV.singleton 2; broadcast = false } in
+  List.iter
+    (fun in_port ->
+      let at = Printf.sprintf " in_port %d" in_port in
+      raises ("set" ^ at) (fun () -> FT.set t ~in_port ~dst:(addr 0x10) e);
+      raises ("lookup" ^ at) (fun () -> ignore (FT.lookup t ~in_port ~dst:(addr 0x10)));
+      raises ("unset" ^ at) (fun () -> FT.unset t ~in_port ~dst:(addr 0x10));
+      raises ("has_row" ^ at) (fun () -> ignore (FT.has_row t ~in_port));
+      raises ("rows_of" ^ at) (fun () -> ignore (FT.rows_of t ~in_port)))
+    [ -1; 13; 16 ]
+
+let test_ft_set_empty_is_discard () =
+  let t = FT.create ~max_ports:12 in
+  FT.load_constant t;
+  let n = FT.entry_count t in
+  FT.set t ~in_port:2 ~dst:(addr 0x30) { FT.vector = PV.empty; broadcast = false };
+  let e = FT.lookup t ~in_port:2 ~dst:(addr 0x30) in
+  check_bool "discard" true (e = FT.discard_entry);
+  check_int "entry_count unchanged" n (FT.entry_count t);
+  check_bool "no row" false
+    (List.exists (fun (a, _) -> a = addr 0x30) (FT.rows_of t ~in_port:2))
+
+(* After [load_spec] the table reads back exactly what the old
+   insert-everything load produced: the constant one-hop rows for every
+   (in-port, port) pair, overridden by every entry the spec folds over. *)
+let ft_load_spec_equivalent =
+  QCheck.Test.make ~name:"load_spec reads back the spec over the one-hop rows"
+    ~count:40 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int seed) in
+      let c = Testlib.configure (Testlib.random_topology rng ~max_n:8) in
+      let max_ports = Autonet_core.Graph.max_ports c.Testlib.graph in
+      List.for_all
+        (fun spec ->
+          let expected = Hashtbl.create 256 in
+          for k = 1 to max_ports do
+            let dst = Short_address.one_hop ~port:k in
+            for in_port = 0 to max_ports do
+              Hashtbl.replace expected (in_port, dst)
+                { FT.vector = PV.singleton (if in_port = 0 then k else 0);
+                  broadcast = false }
+            done
+          done;
+          Autonet_core.Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
+              Hashtbl.replace expected (in_port, dst)
+                { FT.vector = PV.of_list e.Autonet_core.Tables.ports;
+                  broadcast = e.Autonet_core.Tables.broadcast });
+          let t = FT.create ~max_ports in
+          FT.load_spec t spec;
+          let rows =
+            List.concat_map
+              (fun in_port ->
+                List.map (fun (a, e) -> ((in_port, a), e)) (FT.rows_of t ~in_port))
+              (List.init (max_ports + 1) Fun.id)
+          in
+          let sorted l = List.sort compare l in
+          FT.entry_count t = Hashtbl.length expected
+          && sorted rows = sorted (List.of_seq (Hashtbl.to_seq expected))
+          && Hashtbl.fold
+               (fun (in_port, dst) e ok -> ok && FT.lookup t ~in_port ~dst = e)
+               expected true)
+        c.Testlib.specs)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
@@ -265,7 +336,11 @@ let () =
           Alcotest.test_case "set/lookup" `Quick test_ft_set_lookup;
           Alcotest.test_case "one-hop constant" `Quick test_ft_one_hop_constant;
           Alcotest.test_case "generation" `Quick test_ft_generation_bumps;
-          Alcotest.test_case "unset and rows" `Quick test_ft_unset_and_rows ] );
+          Alcotest.test_case "unset and rows" `Quick test_ft_unset_and_rows;
+          Alcotest.test_case "rejects bad ports" `Quick test_ft_rejects_bad_ports;
+          Alcotest.test_case "set empty is discard" `Quick
+            test_ft_set_empty_is_discard;
+          QCheck_alcotest.to_alcotest ft_load_spec_equivalent ] );
       ( "scheduler",
         [ Alcotest.test_case "alternative lowest" `Quick test_sched_alternative_lowest;
           Alcotest.test_case "head of line" `Quick test_sched_head_of_line;
