@@ -1,18 +1,20 @@
 (* E17: what the telemetry subsystem itself costs.
 
    The instrumentation is designed to be left compiled into the hot
-   paths: a disabled counter bump is one load and one branch, a disabled
-   timeline mark likewise, and a disabled causal-trace milestone the
-   same again.  This experiment prices that claim with wall-clock runs
-   of a full boot plus one link-failure reconfiguration, in the three
-   modes {!Autonet.Network.telemetry_mode} offers:
+   paths: a disabled counter bump is one load and one branch, and so is
+   a disabled timeline mark.  This experiment prices that claim with
+   wall-clock runs of a full boot plus one link-failure
+   reconfiguration, in the three modes {!Autonet.Network.telemetry_mode}
+   offers:
 
-   - [`Off]: no registry, timeline or causal store exist — the pilots
-     hold no instruments at all (the compiled-out baseline);
+   - [`Off]: no registry or timeline exists — the pilots hold no
+     instruments at all (the compiled-out baseline);
    - [`Disabled]: every instrument exists but counts nothing (the
      default shipping configuration);
-   - [`On]: everything counts, including the per-switch causal spans,
-     propagation parentage and flight recorders.
+   - [`On]: everything counts, including the per-switch epoch-start,
+     position and skeptic marks the causal view replays.  Flight
+     recorders are the event logs' tails, rendered only when dumped, so
+     no mode pays for them during a run.
 
    The runs are seeded identically, so all three modes execute the same
    simulation event for event; any wall-clock difference is the

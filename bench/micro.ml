@@ -277,9 +277,9 @@ let json_of_topology buf (name, g, dia, rows) =
    compiled out, present but disabled, and counting.
    [disabled_overhead_pct] is clamped at zero (a measured cost cannot be
    negative); [raw_pct] keeps the signed delta so the noise floor is
-   still on record.  Since v6 the measured modes also carry the causal
-   tracing store (per-switch milestones, propagation parentage, flight
-   recorders), flagged by [includes_causal_tracing]. *)
+   still on record.  Since v6 the measured modes also carry causal
+   tracing (the per-switch milestone and parentage marks the causal view
+   replays), flagged by [includes_causal_tracing]. *)
 let json_of_overhead buf (o : Exp_telemetry.overhead) =
   Printf.bprintf buf
     "  \"telemetry_overhead\": {\n\

@@ -47,13 +47,16 @@ let build_topo spec seed hosts =
   in
   if hosts > 0 then B.attach_hosts base ~per_switch:hosts else base
 
+let preset name =
+  match Params.preset name with
+  | Some p -> p
+  | None -> invalid_arg (name ^ ": expected naive | tuned | fast")
+
 let make_net spec seed hosts params_name =
-  let params =
-    match Params.preset params_name with
-    | Some p -> p
-    | None -> invalid_arg (params_name ^ ": expected naive | tuned | fast")
+  let net =
+    N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
+      (build_topo spec seed hosts)
   in
-  let net = N.create ~params ~seed:(Int64.of_int seed) (build_topo spec seed hosts) in
   N.start net;
   net
 
@@ -179,8 +182,8 @@ let tick_clock () =
     incr c;
     float_of_int !c *. 1e-6
 
-let write_trace_json tl path =
-  let s = Json.to_string (Timeline.to_trace_json tl) in
+let write_json path json =
+  let s = Json.to_string json in
   if path = "-" then print_endline s
   else begin
     let oc = open_out path in
@@ -202,16 +205,12 @@ let parse_fault net spec =
   | [ "switch"; n ] -> Some (F.Switch_down (int_of_string n))
   | _ -> invalid_arg (spec ^ ": expected none | link:N | switch:N")
 
-let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
-    check =
-  let params =
-    match Params.preset params_name with
-    | Some p -> p
-    | None -> invalid_arg (params_name ^ ": expected naive | tuned | fast")
-  in
+(* Boot with telemetry on and the tick span clock, trigger [fault] and
+   measure the reconfiguration; exits 1 if either does not converge. *)
+let traced_run spec seed hosts params_name fault =
   let net =
-    N.create ~params ~seed:(Int64.of_int seed) ~telemetry:`On
-      ~span_clock:(tick_clock ())
+    N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
+      ~telemetry:`On ~span_clock:(tick_clock ())
       (build_topo spec seed hosts)
   in
   N.start net;
@@ -228,9 +227,11 @@ let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
     | None ->
       Format.printf "did not reconverge@.";
       exit 1));
-  let tl =
-    match N.timeline net with Some tl -> tl | None -> assert false
-  in
+  (net, Option.get (N.timeline net))
+
+let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
+    check =
+  let net, tl = traced_run spec seed hosts params_name fault in
   Report.print (Timeline.phase_report tl);
   if Timeline.spans tl <> [] then Report.print (Timeline.span_report tl);
   if show_metrics then print_string (Metrics.render (N.telemetry_snapshot net));
@@ -240,7 +241,7 @@ let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
          (Json.Obj
             [ ("metrics", Metrics.to_json (N.telemetry_snapshot net));
               ("trace", Timeline.to_trace_json tl) ]));
-  (match spans with None -> () | Some path -> write_trace_json tl path);
+  Option.iter (fun path -> write_json path (Timeline.to_trace_json tl)) spans;
   if check then begin
     (* The smoke contract: what we emit must re-parse, and the phase spans
        must nest inside their epoch and sum to its duration. *)
@@ -271,54 +272,15 @@ let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
 
 (* --- Causal tracing --- *)
 
-let write_causal_trace_json cz path =
-  let s = Json.to_string (Causal.to_trace_json cz) in
-  if path = "-" then print_endline s
-  else begin
-    let oc = open_out path in
-    output_string oc s;
-    output_char oc '\n';
-    close_out oc;
-    (* stderr, like write_trace_json: stdout must stay byte-comparable
-       across domain counts even when the file name encodes one. *)
-    Format.eprintf "wrote %s@." path
-  end
-
 let cmd_trace spec seed hosts params_name fault json spans check =
-  let params =
-    match Params.preset params_name with
-    | Some p -> p
-    | None -> invalid_arg (params_name ^ ": expected naive | tuned | fast")
-  in
-  let net =
-    N.create ~params ~seed:(Int64.of_int seed) ~telemetry:`On
-      ~span_clock:(tick_clock ())
-      (build_topo spec seed hosts)
-  in
-  N.start net;
-  if not (boot_and_report net) then exit 1;
-  (match parse_fault net fault with
-  | None -> ()
-  | Some ev ->
-    Format.printf "triggering %s...@." fault;
-    (match
-       N.measure_reconfiguration ~timeout:(Time.s 300) net
-         ~trigger:(fun net -> N.apply_fault net ev)
-     with
-    | Some m -> Format.printf "%a@." N.pp_measure m
-    | None ->
-      Format.printf "did not reconverge@.";
-      exit 1));
-  let cz = match N.causal net with Some c -> c | None -> assert false in
-  if json then
-    print_endline (Json.to_string (Causal.to_json cz))
+  let net, tl = traced_run spec seed hosts params_name fault in
+  let causal_json () = Causal.to_json ~recorders:(N.recorders net) tl in
+  if json then print_endline (Json.to_string (causal_json ()))
   else
     List.iter
       (fun w -> Format.printf "%a@." Causal.pp_wave w)
-      (Causal.waves cz);
-  (match spans with
-  | None -> ()
-  | Some path -> write_causal_trace_json cz path);
+      (Causal.waves tl);
+  Option.iter (fun path -> write_json path (Causal.to_trace_json tl)) spans;
   if check then begin
     (* The smoke contract: what we emit must re-parse, and the last
        healed wave must be a complete, well-formed propagation forest —
@@ -328,10 +290,10 @@ let cmd_trace spec seed hosts params_name fault json spans check =
       Format.printf "trace check: %s@." msg;
       exit 1
     in
-    (match Json.parse (Json.to_string (Causal.to_json cz)) with
+    (match Json.parse (Json.to_string (causal_json ())) with
     | Error e -> fail ("causal JSON does not parse: " ^ e)
     | Ok _ -> ());
-    match Causal.last_complete cz with
+    match Causal.last_complete tl with
     | None -> fail "no complete wave"
     | Some w ->
       (match Causal.validate_wave w with
@@ -466,11 +428,7 @@ let fuzz_sharded config ~topo ~params_name ~hosts ~actions ~horizon_ms ~budget
 
 let cmd_chaos topos schedules seed hosts params_name actions horizon_ms replay
     spans fuzz blind shards corpus_out churn =
-  let params =
-    match Params.preset params_name with
-    | Some p -> p
-    | None -> invalid_arg (params_name ^ ": expected naive | tuned | fast")
-  in
+  let params = preset params_name in
   let topos = if topos = [] then [ "src" ] else topos in
   let config topo =
     { Chaos.topo;
@@ -503,9 +461,10 @@ let cmd_chaos topos schedules seed hosts params_name actions horizon_ms replay
     let topo = List.hd topos in
     let art = Chaos.investigate (config topo) ~seed:seed64 ~index in
     Format.printf "%a@." Chaos.pp_artifact art;
-    (match spans with
-    | None -> ()
-    | Some path -> write_trace_json art.Chaos.a_timeline path);
+    Option.iter
+      (fun path ->
+        write_json path (Timeline.to_trace_json art.Chaos.a_timeline))
+      spans;
     if art.Chaos.a_violations <> [] then exit 1
   | None ->
     let failures = ref [] in

@@ -19,7 +19,6 @@ type t = {
   pilots : Autopilot.t array;
   net_metrics : Metrics.t option;
   net_timeline : Timeline.t option;
-  net_causal : Causal.t option;
 }
 
 let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
@@ -32,16 +31,13 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
   in
   let g = topo.Autonet_topo.Builders.graph in
   let switches = Graph.switch_count g in
-  let net_metrics, net_timeline, net_causal =
+  let net_metrics, net_timeline =
     match telemetry with
-    | `Off -> (None, None, None)
-    | `Disabled ->
-      (Some (Metrics.create ()), Some (Timeline.create ()),
-       Some (Causal.create ~switches ()))
+    | `Off -> (None, None)
+    | `Disabled -> (Some (Metrics.create ()), Some (Timeline.create ()))
     | `On ->
       (Some (Metrics.create ~enabled:true ()),
-       Some (Timeline.create ~enabled:true ()),
-       Some (Causal.create ~enabled:true ~switches ()))
+       Some (Timeline.create ~enabled:true ()))
   in
   (* Register the snapshot-time gauges up front so a disabled snapshot
      lists the same instruments (at zero) as an enabled one. *)
@@ -61,10 +57,10 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
            meaningful. *)
         let clock_skew = Time.us (Rng.int net_rng 200) - Time.us 100 in
         Autopilot.create ~fabric ~switch:s ~clock_skew ?metrics:net_metrics
-          ?timeline:net_timeline ?causal:net_causal ?span_clock ())
+          ?timeline:net_timeline ?span_clock ())
   in
   { engine; fabric; net_graph = g; net_params = params; net_rng; pilots;
-    net_metrics; net_timeline; net_causal }
+    net_metrics; net_timeline }
 
 let engine t = t.engine
 let fabric t = t.fabric
@@ -78,11 +74,9 @@ let now t = Engine.now t.engine
 
 let metrics t = t.net_metrics
 let timeline t = t.net_timeline
-let causal t = t.net_causal
 
 let set_telemetry_enabled t v =
   (match t.net_metrics with Some m -> Metrics.set_enabled m v | None -> ());
-  (match t.net_causal with Some c -> Causal.set_enabled c v | None -> ());
   match t.net_timeline with Some tl -> Timeline.set_enabled tl v | None -> ()
 
 let telemetry_snapshot t =
@@ -101,7 +95,7 @@ let telemetry_snapshot t =
       fs.Fabric.packets_sent;
     Metrics.set_gauge (Metrics.gauge m "fabric.bytes_sent") fs.Fabric.bytes_sent;
     (* Wave-shape gauges from the most recent fully-healed epoch. *)
-    (match Option.bind t.net_causal Causal.last_complete with
+    (match Option.bind t.net_timeline Causal.last_complete with
     | Some w ->
       Metrics.set_gauge (Metrics.gauge m "causal.wave_depth") w.Causal.w_depth;
       Metrics.set_gauge (Metrics.gauge m "causal.wave_fanout") w.Causal.w_fanout;
@@ -111,11 +105,10 @@ let telemetry_snapshot t =
     | None -> ());
     Metrics.snapshot m
 
-let mark_detection t =
+let mark_network t kind =
   match t.net_timeline with
   | None -> ()
-  | Some tl ->
-    Timeline.mark tl ~time:(now t) ~epoch:(-1L) ~tid:(-1) Timeline.Detection
+  | Some tl -> Timeline.mark tl ~time:(now t) ~epoch:(-1L) ~tid:(-1) kind
 
 let start t = Array.iter Autopilot.start t.pilots
 
@@ -219,23 +212,17 @@ let run_until_converged ?(timeout = Time.s 60) t =
 (* --- Faults --- *)
 
 let apply_fault t event =
-  (* The injection instant anchors the timeline's detection phase: the
+  (* The injection instant anchors the timeline's detection phase — the
      interval from here to the first epoch start is what the monitors and
-     skeptics took to notice. *)
-  mark_detection t;
-  (* It also seeds a causal wave origin: epochs the fault provokes trace
-     their heal latency back to this instant. *)
-  (match t.net_causal with
-  | Some c ->
-    let label =
-      match event with
-      | Autonet_topo.Faults.Link_down l -> Printf.sprintf "link_down:%d" l
-      | Autonet_topo.Faults.Link_up l -> Printf.sprintf "link_up:%d" l
-      | Autonet_topo.Faults.Switch_down s -> Printf.sprintf "switch_down:%d" s
-      | Autonet_topo.Faults.Switch_up s -> Printf.sprintf "switch_up:%d" s
-    in
-    Causal.note_fault c ~time:(now t) ~label
-  | None -> ());
+     skeptics took to notice — and numbers a causal wave origin: epochs
+     the fault provokes trace their heal latency back to this instant. *)
+  mark_network t
+    (Timeline.Fault
+       (match event with
+       | Autonet_topo.Faults.Link_down l -> Printf.sprintf "link_down:%d" l
+       | Autonet_topo.Faults.Link_up l -> Printf.sprintf "link_up:%d" l
+       | Autonet_topo.Faults.Switch_down s -> Printf.sprintf "switch_down:%d" s
+       | Autonet_topo.Faults.Switch_up s -> Printf.sprintf "switch_up:%d" s));
   match event with
   | Autonet_topo.Faults.Link_down l -> Fabric.fail_link t.fabric l
   | Autonet_topo.Faults.Link_up l -> Fabric.repair_link t.fabric l
@@ -275,7 +262,7 @@ let measure_reconfiguration ?(timeout = Time.s 60) t ~trigger =
   let before = Array.map Autopilot.stats t.pilots in
   let fabric_before = Fabric.stats t.fabric in
   let t0 = now t in
-  mark_detection t;
+  mark_network t Timeline.Detection;
   trigger t;
   match run_until_converged ~timeout t with
   | None -> None
@@ -327,6 +314,30 @@ let pp_measure ppf m =
     m.control_packets m.control_bytes
 
 (* --- Inspection --- *)
+
+(* A flight recorder is the tail of a switch's circular log.
+   [Root_verified] is rendered without the pool's domain count: the
+   recorder dumps are byte-compared across {1,2,4} domains. *)
+let recorder_capacity = 64
+
+let recorder_string = function
+  | Event.Root_verified { tables; _ } ->
+    Printf.sprintf "root verify: %d tables deadlock-free" tables
+  | e -> Event.to_string e
+
+let recorder log =
+  let entries = Event_log.entries log in
+  let drop = List.length entries - recorder_capacity in
+  List.filteri (fun i _ -> i >= drop) entries
+  |> List.map (fun (e : Event_log.entry) ->
+         { Causal.fr_time = Time.sub e.local_time (Event_log.skew log);
+           fr_epoch = Epoch.to_int64 e.epoch;
+           fr_msg = recorder_string e.event })
+
+let recorders t =
+  Array.to_list t.pilots
+  |> List.mapi (fun s pilot -> (s, recorder (Autopilot.event_log pilot)))
+  |> List.filter (fun (_, entries) -> entries <> [])
 
 let merged_log t =
   Event_log.merge

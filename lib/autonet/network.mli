@@ -102,24 +102,29 @@ val metrics : t -> Autonet_telemetry.Metrics.t option
 (** The registry shared by every pilot; [None] in [`Off] mode. *)
 
 val timeline : t -> Autonet_telemetry.Timeline.t option
-(** The reconfiguration phase timeline; [None] in [`Off] mode. *)
-
-val causal : t -> Autonet_telemetry.Causal.t option
-(** The causal trace store shared by every pilot — per-switch epoch
-    milestones, propagation parentage and flight recorders; [None] in
-    [`Off] mode. *)
+(** The timeline shared by every pilot; [None] in [`Off] mode.  Besides
+    the phase marks it holds one [Fault] mark per {!apply_fault} and the
+    per-switch epoch milestones {!Autonet_telemetry.Causal.waves}
+    replays. *)
 
 val set_telemetry_enabled : t -> bool -> unit
-(** Flip the registry, the timeline and the causal store (no-op in
-    [`Off] mode). *)
+(** Flip the registry and the timeline (no-op in [`Off] mode). *)
 
 val telemetry_snapshot : t -> Autonet_telemetry.Metrics.snapshot
 (** The registry's snapshot, with the engine and fabric gauges
     ([engine.events_executed], [engine.max_queue_length],
     [fabric.packets_sent], [fabric.bytes_sent]) refreshed first, plus
     the wave-shape gauges ([causal.wave_depth], [causal.wave_fanout],
-    [causal.wave_critical_hops]) from the most recent fully-healed
-    epoch.  Empty in [`Off] mode. *)
+    [causal.wave_critical_hops]) from the timeline's most recent
+    fully-healed epoch.  Empty in [`Off] mode. *)
+
+val recorders : t -> (int * Autonet_telemetry.Causal.recorder_entry list) list
+(** The flight recorders: for each switch with a non-empty log, ascending,
+    its newest 64 {!Event_log} entries, oldest first, at sim time (the
+    local timestamp minus the switch's skew) and rendered as the log
+    renders them, except that [Root_verified] omits the domain count so
+    the dumps compare equal across domain counts.  Rendered on each
+    call; independent of the telemetry mode. *)
 
 (** {1 Inspection} *)
 

@@ -6,7 +6,6 @@ module Forwarding_table = Autonet_switch.Forwarding_table
 module Port_vector = Autonet_switch.Port_vector
 module Metrics = Autonet_telemetry.Metrics
 module Timeline = Autonet_telemetry.Timeline
-module Causal = Autonet_telemetry.Causal
 
 type flood_info = { fi_parent : int option; fi_children : int list }
 
@@ -35,14 +34,12 @@ type t = {
   log : Event_log.t;
   counters : tel_counters option;
   timeline : Timeline.t option;
-  causal : Causal.t option;
   span_clock : (unit -> float) option;
       (* when set, compute spans read this instead of the wall clock *)
-  mutable tr_hop : int;
-      (* our hop count from the current epoch's initiator; rides outgoing
-         reconfiguration messages as the sideband trace context *)
-  mutable tr_origin : int;
-      (* the fault id the current epoch traces back to (0: boot) *)
+  mutable heard : Timeline.heard;
+      (* how we entered the current epoch; its hop count and origin fault
+         ride outgoing reconfiguration messages as the sideband trace
+         context *)
   mutable monitor : Port_monitor.t option;
   mutable reconfig : Reconfig.t option;
   mutable is_powered : bool;
@@ -50,7 +47,6 @@ type t = {
   mutable reload_seq : int;
       (* current table reload; stale finish closures must not fire *)
   mutable retransmit_timer : Engine.handle option;
-  mutable on_configured : (t -> unit) option;
   mutable host_enabled : bool array;
   mutable flood : flood_info option;
   mutable version : int;
@@ -110,59 +106,53 @@ let stats t =
     last_epoch_started_at = t.st_epoch_started;
     last_configured_at = t.st_configured_at }
 
-let set_on_configured t f = t.on_configured <- Some f
+let current_epoch t =
+  match t.reconfig with Some r -> Reconfig.epoch r | None -> Epoch.zero
 
-let causal_epoch t =
-  match t.reconfig with
-  | Some r -> Epoch.to_int64 (Reconfig.epoch r)
-  | None -> 0L
+let is_root t = Uid.equal (position t).Spanning_tree.Position.root t.sw_uid
 
-(* The flight-recorder rendering of an event.  [Root_verified] reports
-   the pool's domain count, which the causal dumps must not: they are
-   byte-compared across {1,2,4} domains. *)
-let recorder_string = function
-  | Event.Root_verified { tables; _ } ->
-    Printf.sprintf "root verify: %d tables deadlock-free" tables
-  | e -> Event.to_string e
+(* The phase-timeline mark an event stands for, if any. *)
+let mark_of_event t = function
+  | Event.Epoch_started _ -> Some (Timeline.Epoch_start t.heard)
+  | Event.Position_adopted _ -> Some Timeline.Position
+  | Event.Skeptic_backoff { hold; _ } -> Some (Timeline.Skeptic_wait hold)
+  | Event.Subtree_stable -> Some Timeline.Tree_stable
+  | Event.Tables_computed _ when is_root t -> Some Timeline.Reports_closed
+  | Event.Table_loading { constant = false } -> Some Timeline.Load_begin
+  | Event.Configured _ -> Some Timeline.Configured
+  | _ -> None
 
-(* Every event — typed or freeform, from the monitor, the reconfig
-   instance or the pilot itself — funnels through here, so the metrics
-   registry can count the interesting kinds in one place. *)
+(* The one recorder: every event — from the monitor, the reconfig
+   instance or the pilot itself — funnels through here into the circular
+   log, the metrics registry and the phase timeline.  [Subtree_stable]
+   is a timeline milestone only. *)
 let record_event t e =
-  Event_log.log t.log ~now:(now t) e;
-  (match t.causal with
-  | Some cz when Causal.enabled cz ->
-    let time = now t in
-    let epoch = causal_epoch t in
-    (match e with
-    | Event.Position_adopted _ ->
-      Causal.position_known cz ~sw:t.sw ~epoch ~time
-    | Event.Skeptic_backoff { hold; _ } ->
-      Causal.skeptic_wait cz ~sw:t.sw ~time ~hold
-    | _ -> ());
-    Causal.record cz ~sw:t.sw ~time ~epoch (recorder_string e)
-  | _ -> ());
-  match t.counters with
-  | None -> ()
-  | Some c ->
-    Metrics.incr c.ct_events;
-    (match e with
-    | Event.Port_transition _ -> Metrics.incr c.ct_transitions
-    | Event.Skeptic_backoff _ -> Metrics.incr c.ct_backoffs
-    | Event.Malformed_packet _ -> Metrics.incr c.ct_malformed
-    | Event.Delta_applied { rebuilt; patched; _ } ->
-      Metrics.incr c.ct_delta_hits;
-      Metrics.add c.ct_delta_rebuilt (rebuilt + patched)
-    | Event.Delta_fallback _ -> Metrics.incr c.ct_delta_fallbacks
-    | _ -> ())
-
-let mark t kind =
+  (match e with
+  | Event.Subtree_stable -> ()
+  | _ -> (
+    Event_log.log t.log ~now:(now t) ~epoch:(current_epoch t) e;
+    match t.counters with
+    | None -> ()
+    | Some c ->
+      Metrics.incr c.ct_events;
+      (match e with
+      | Event.Port_transition _ -> Metrics.incr c.ct_transitions
+      | Event.Skeptic_backoff _ -> Metrics.incr c.ct_backoffs
+      | Event.Malformed_packet _ -> Metrics.incr c.ct_malformed
+      | Event.Delta_applied { rebuilt; patched; _ } ->
+        Metrics.incr c.ct_delta_hits;
+        Metrics.add c.ct_delta_rebuilt (rebuilt + patched)
+      | Event.Delta_fallback _ -> Metrics.incr c.ct_delta_fallbacks
+      | _ -> ())));
   match t.timeline with
-  | None -> ()
-  | Some tl ->
-    Timeline.mark tl ~time:(now t)
-      ~epoch:(Epoch.to_int64 (Reconfig.epoch (reconfig_exn t)))
-      ~tid:t.sw kind
+  | Some tl when Timeline.enabled tl -> (
+    match mark_of_event t e with
+    | Some kind ->
+      Timeline.mark tl ~time:(now t)
+        ~epoch:(Epoch.to_int64 (current_epoch t))
+        ~tid:t.sw kind
+    | None -> ())
+  | _ -> ()
 
 let send t ~port msg =
   (* Reconfiguration messages carry the sideband causal context — who is
@@ -174,7 +164,9 @@ let send t ~port msg =
     match Messages.epoch_of msg with
     | Some _ ->
       Some
-        { Packet.tr_origin = t.tr_origin; tr_parent = t.sw; tr_hop = t.tr_hop }
+        { Packet.tr_origin = t.heard.Timeline.origin;
+          tr_parent = t.sw;
+          tr_hop = t.heard.Timeline.hop }
     | None -> None
   in
   Fabric.switch_send t.fabric ~from:t.sw ~port (Messages.to_packet ?trace msg)
@@ -288,36 +280,28 @@ let snapshot_and_start t ?join ?via reason =
     | None -> ());
     (* Causal context for the new epoch: an initiator starts a fresh wave
        at hop 0 traced to the latest fault; a joiner inherits origin and
-       hop from the message that carried the larger epoch. The fields
-       must be set before [start_epoch] — its position announcements
-       already carry them. *)
-    let parent, via_port =
-      match via with
-      | Some (port, Some tr) ->
-        t.tr_hop <- tr.Packet.tr_hop + 1;
-        t.tr_origin <- tr.Packet.tr_origin;
-        (tr.Packet.tr_parent, port)
-      | Some (port, None) ->
-        t.tr_hop <- 0;
-        t.tr_origin <-
-          (match t.causal with Some c -> Causal.origin_id c | None -> 0);
-        (-1, port)
-      | None ->
-        t.tr_hop <- 0;
-        t.tr_origin <-
-          (match t.causal with Some c -> Causal.origin_id c | None -> 0);
-        (-1, -1)
+       hop from the message that carried the larger epoch.  It must be
+       set before [start_epoch]: the [Epoch_started] mark and the
+       position announcements already carry it. *)
+    let latest_fault () =
+      match t.timeline with Some tl -> Timeline.faults tl | None -> 0
     in
+    t.heard <-
+      (match via with
+      | Some (port, Some tr) ->
+        { Timeline.parent = tr.Packet.tr_parent; via_port = port;
+          hop = tr.Packet.tr_hop + 1; origin = tr.Packet.tr_origin }
+      | Some (port, None) ->
+        { Timeline.parent = -1; via_port = port; hop = 0;
+          origin = latest_fault () }
+      | None ->
+        { Timeline.parent = -1; via_port = -1; hop = 0;
+          origin = latest_fault () });
     record_event t (Event.Reconfig_started { reason });
     Array.fill t.host_enabled 0 (Array.length t.host_enabled) false;
     t.flood <- None;
     Reconfig.start_epoch (reconfig_exn t) ?join ~usable
-      ~host_ports:(host_ports_now t) ();
-    match t.causal with
-    | Some c ->
-      Causal.epoch_heard c ~sw:t.sw ~epoch:(causal_epoch t) ~time:(now t)
-        ~parent ~via_port ~hop:t.tr_hop ~origin:t.tr_origin
-    | None -> ()
+      ~host_ports:(host_ports_now t) ()
   end
 
 let initiate_reconfiguration t ~reason = snapshot_and_start t reason
@@ -360,19 +344,9 @@ let make_callbacks t =
             Forwarding_table.load_spec t.table spec;
             (* Remember the flood structure for late host-port enables. *)
             t.flood <- Some { fi_parent = parent; fi_children = children };
-            (match t.causal with
-            | Some c ->
-              Causal.tables_loaded c ~sw:t.sw ~epoch:(causal_epoch t)
-                ~time:(now t)
-            | None -> ());
             Reconfig.note_configured (reconfig_exn t);
             (* Hosts that appeared after the epoch snapshot. *)
-            List.iter (fun q -> enable_host_port t q) (host_ports_now t);
-            (match t.causal with
-            | Some c ->
-              Causal.ports_enabled c ~sw:t.sw ~epoch:(causal_epoch t)
-                ~time:(now t)
-            | None -> ())));
+            List.iter (fun q -> enable_host_port t q) (host_ports_now t)));
     cb_configured =
       (fun () ->
         t.st_configs <- t.st_configs + 1;
@@ -382,10 +356,8 @@ let make_callbacks t =
         | None -> ());
         record_event t
           (Event.Configured
-             { number = Option.value ~default:(-1) (switch_number t) });
-        match t.on_configured with Some f -> f t | None -> ());
+             { number = Option.value ~default:(-1) (switch_number t) }));
     cb_log = (fun e -> record_event t e);
-    cb_mark = (fun kind -> mark t kind);
     cb_span =
       (fun ~name ~dur_s ->
         match t.timeline with
@@ -612,7 +584,7 @@ let on_transition t (tr : Port_monitor.transition) =
 
 (* --- Lifecycle --- *)
 
-let create ~fabric ~switch ?(clock_skew = Time.zero) ?metrics ?timeline ?causal
+let create ~fabric ~switch ?(clock_skew = Time.zero) ?metrics ?timeline
     ?span_clock () =
   let g = Fabric.graph fabric in
   let counters =
@@ -640,17 +612,14 @@ let create ~fabric ~switch ?(clock_skew = Time.zero) ?metrics ?timeline ?causal
       log = Event_log.create ~clock_skew ();
       counters;
       timeline;
-      causal;
       span_clock;
-      tr_hop = 0;
-      tr_origin = 0;
+      heard = { Timeline.parent = -1; via_port = -1; hop = 0; origin = 0 };
       monitor = None;
       reconfig = None;
       is_powered = false;
       loading_until = Time.zero;
       reload_seq = 0;
       retransmit_timer = None;
-      on_configured = None;
       host_enabled = Array.make (Graph.max_ports g + 1) false;
       flood = None;
       version = 1;

@@ -6,6 +6,16 @@
     address service and the circular event log, and drives them from the
     control-plane {!Fabric}.
 
+    Every event the instance sees — from the monitor, the
+    reconfiguration protocol or the pilot itself — passes through one
+    recorder.  It appends the event to the circular log, counts it in
+    the metrics registry and, when the event marks a milestone
+    ([Epoch_started], [Position_adopted], [Skeptic_backoff],
+    [Subtree_stable], the root's [Tables_computed], the step-5
+    [Table_loading] and [Configured]), records the matching
+    {!Autonet_telemetry.Timeline} mark.  [Subtree_stable] reaches only
+    the timeline.
+
     Forwarding-table reloads are destructive: while a reload is in
     progress, packets arriving at this switch are lost, reproducing the
     cost the paper attributes to the reset-coupled reload. *)
@@ -21,19 +31,19 @@ val create :
   ?clock_skew:Autonet_sim.Time.t ->
   ?metrics:Autonet_telemetry.Metrics.t ->
   ?timeline:Autonet_telemetry.Timeline.t ->
-  ?causal:Autonet_telemetry.Causal.t ->
   ?span_clock:(unit -> float) ->
   unit ->
   t
 (** Builds the instance and registers its receive handler with the fabric;
     call {!start} to boot it.  [metrics] (shared by all of a network's
     pilots) adds counters to the receive and event paths; [timeline]
-    records reconfiguration phase marks; [causal] (also shared) records
-    per-switch sim-time milestones, the epoch propagation parentage and
-    the flight recorder.  Omitting them compiles the instrumentation out
-    of this pilot entirely.  [span_clock] replaces the wall clock the
-    delta compute spans are measured on — inject a deterministic tick
-    and the span durations become byte-identical across runs. *)
+    (also shared) receives the milestone marks — phase boundaries plus
+    the per-switch epoch parentage and sim-time milestones that
+    {!Autonet_telemetry.Causal} replays.  Omitting them compiles the
+    instrumentation out of this pilot entirely.  [span_clock] replaces
+    the wall clock the delta compute spans are measured on — inject a
+    deterministic tick and the span durations become byte-identical
+    across runs. *)
 
 val start : t -> unit
 (** Power-on: all ports in s.dead, epoch zero, begin monitoring. *)
@@ -73,6 +83,7 @@ val root_verdict : t -> Deadlock.result option
     epoch, whichever path produced it; [None] off-root or mid-epoch. *)
 
 val event_log : t -> Event_log.t
+(** The circular log; each entry carries the epoch it was logged in. *)
 
 type stats = {
   reconfigurations_started : int;   (** epochs entered *)
@@ -83,10 +94,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val set_on_configured : t -> (t -> unit) -> unit
-(** Callback fired each time this switch finishes loading its step-5
-    table. *)
 
 (** {1 Control} *)
 

@@ -19,6 +19,7 @@ type t =
   | Reconfig_started of { reason : string }
   | Epoch_started of { epoch : Epoch.t; usable_links : int }
   | Position_adopted of { position : Spanning_tree.Position.t }
+  | Subtree_stable
   | Root_stable of { switches : int }
   | Report_waiting of { switches : int }
   | Tables_computed of { switches : int; number : int }
@@ -59,6 +60,7 @@ let to_string = function
     Format.asprintf "start %a with %d usable links" Epoch.pp epoch usable_links
   | Position_adopted { position } ->
     Format.asprintf "position %a" Spanning_tree.Position.pp position
+  | Subtree_stable -> "subtree stable"
   | Root_stable { switches } ->
     Printf.sprintf "stable as root: %d switches known" switches
   | Report_waiting { switches } ->

@@ -28,6 +28,10 @@ type t =
   | Epoch_started of { epoch : Epoch.t; usable_links : int }
   | Position_adopted of { position : Spanning_tree.Position.t }
       (** a tree-build round: this switch moved in the spanning tree *)
+  | Subtree_stable
+      (** every neighbour acknowledged this switch's position and every
+          claiming child reported: a timeline milestone only — the
+          Autopilot does not keep it in the event log or count it *)
   | Root_stable of { switches : int }
       (** the root's definitive unstable-to-stable transition *)
   | Report_waiting of { switches : int }

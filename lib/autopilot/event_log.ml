@@ -1,6 +1,7 @@
 module Time = Autonet_sim.Time
+module Epoch = Autonet_core.Epoch
 
-type entry = { local_time : int; event : Event.t }
+type entry = { local_time : int; epoch : Epoch.t; event : Event.t }
 
 let message e = Event.to_string e.event
 
@@ -20,13 +21,14 @@ let capacity t = t.capacity
 
 let skew t = t.clock_skew
 
-let log t ~now event =
-  t.ring.(t.next) <- Some { local_time = Time.add now t.clock_skew; event };
+let log t ~now ~epoch event =
+  t.ring.(t.next) <-
+    Some { local_time = Time.add now t.clock_skew; epoch; event };
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
-let logf t ~now fmt =
-  Format.kasprintf (fun m -> log t ~now (Event.Generic m)) fmt
+let logf t ~now ~epoch fmt =
+  Format.kasprintf (fun m -> log t ~now ~epoch (Event.Generic m)) fmt
 
 let entries t =
   (* [t.next] is the oldest slot once the ring has wrapped; walking from

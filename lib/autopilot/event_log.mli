@@ -12,7 +12,11 @@
 
 type t
 
-type entry = { local_time : int; event : Event.t }
+type entry = {
+  local_time : int;
+  epoch : Autonet_core.Epoch.t;  (** the switch's epoch when it logged *)
+  event : Event.t;
+}
 
 val message : entry -> string
 (** [Event.to_string entry.event]. *)
@@ -24,11 +28,16 @@ val capacity : t -> int
 
 val skew : t -> Autonet_sim.Time.t
 
-val log : t -> now:Autonet_sim.Time.t -> Event.t -> unit
+val log :
+  t -> now:Autonet_sim.Time.t -> epoch:Autonet_core.Epoch.t -> Event.t -> unit
 (** Record an event; the stored timestamp is [now + skew]. *)
 
 val logf :
-  t -> now:Autonet_sim.Time.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+  t ->
+  now:Autonet_sim.Time.t ->
+  epoch:Autonet_core.Epoch.t ->
+  ('a, Format.formatter, unit, unit) format4 ->
+  'a
 (** Record an {!Event.Generic} built from a format string. *)
 
 val entries : t -> entry list

@@ -8,7 +8,6 @@ type callbacks = {
   cb_load_tables : Tables.spec -> parent:int option -> children:int list -> unit;
   cb_configured : unit -> unit;
   cb_log : Event.t -> unit;
-  cb_mark : Autonet_telemetry.Timeline.kind -> unit;
   cb_span : name:string -> dur_s:float -> unit;
   cb_clock : unit -> float;
       (* the clock the compute spans are measured on: wall clock for the
@@ -104,7 +103,6 @@ let log t fmt =
   Format.kasprintf (fun m -> t.callbacks.cb_log (Event.Generic m)) fmt
 
 let event t e = t.callbacks.cb_log e
-let mark t k = t.callbacks.cb_mark k
 
 let announce_position t =
   t.pos_seq <- fresh_seq t;
@@ -232,7 +230,6 @@ let finish_configuration t report =
         | None -> ());
         t.committed <- Some committed';
         t.delta_spec <- Some committed'.Delta.c_own;
-        mark t Autonet_telemetry.Timeline.Load_begin;
         t.callbacks.cb_load_tables committed'.Delta.c_own ~parent ~children
       | None ->
         let updown = Updown.orient g tree in
@@ -270,7 +267,6 @@ let finish_configuration t report =
             (Delta.commit_full ~graph:g ~tree ~updown ~routes ~assignment
                ~own:spec ~all);
         t.delta_spec <- None;
-        mark t Autonet_telemetry.Timeline.Load_begin;
         t.callbacks.cb_load_tables spec ~parent ~children)
   end;
   (* Flood the complete topology to every claiming child that has not
@@ -310,8 +306,7 @@ let evaluate t =
   let now_stable = acked && children_ready in
   let was_stable = t.stable in
   t.stable <- now_stable;
-  if now_stable && not was_stable then
-    mark t Autonet_telemetry.Timeline.Tree_stable;
+  if now_stable && not was_stable then event t Event.Subtree_stable;
   if now_stable then begin
     let report = merged_report t in
     if t.complete_done then begin
@@ -328,8 +323,6 @@ let evaluate t =
       if Topology_report.closed report then begin
         if not was_stable then
           event t (Event.Root_stable { switches = Topology_report.size report });
-        if not t.complete_done then
-          mark t Autonet_telemetry.Timeline.Reports_closed;
         finish_configuration t report
       end
       else
@@ -393,7 +386,6 @@ let start_epoch t ?join ~usable ~host_ports () =
   (* t.committed survives: it is exactly what the delta path reuses. *)
   event t
     (Event.Epoch_started { epoch = e; usable_links = List.length t.peers });
-  mark t Autonet_telemetry.Timeline.Epoch_start;
   t.callbacks.cb_load_constant ();
   announce_position t;
   (* A lone switch with no usable links is immediately stable root. *)
@@ -503,7 +495,6 @@ let handle_message t ~port msg =
 
 let note_configured t =
   t.configured <- true;
-  mark t Autonet_telemetry.Timeline.Configured;
   t.callbacks.cb_configured ()
 
 let on_retransmit_timer t =

@@ -36,10 +36,9 @@ type callbacks = {
   cb_configured : unit -> unit;
       (** the step-5 reload finished; open for business *)
   cb_log : Event.t -> unit;
-  cb_mark : Autonet_telemetry.Timeline.kind -> unit;
-      (** phase-timeline milestones ([Epoch_start], [Tree_stable],
-          [Reports_closed], [Load_begin], [Configured]); the owner stamps
-          time, epoch and switch id *)
+      (** everything the instance reports; the owner stamps time, epoch
+          and switch id, and derives its phase-timeline marks from these
+          events *)
   cb_span : name:string -> dur_s:float -> unit;
       (** compute sub-phases of the delta fast path ([delta_classify],
           [delta_routes], [delta_tables], [delta_deadlock]), measured on

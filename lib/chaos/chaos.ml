@@ -219,10 +219,7 @@ let investigate ?hook ?(log_tail = 200) config ~seed ~index =
       (match N.timeline net with
       | Some tl -> tl
       | None -> Timeline.create ());
-    a_recorders =
-      (match N.causal net with
-      | Some cz -> Causal.recorders cz
-      | None -> []) }
+    a_recorders = N.recorders net }
 
 let pp_artifact ppf a =
   Format.fprintf ppf "@[<v>reproducer: topo=%s seed=0x%016Lx (campaign index %d)@,"

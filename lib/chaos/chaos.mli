@@ -122,8 +122,9 @@ type artifact = {
           {!Autonet_telemetry.Timeline.to_trace_json} *)
   a_recorders : (int * Autonet_telemetry.Causal.recorder_entry list) list;
       (** per-switch flight recorders of the same run — each switch's
-          last autopilot events, oldest first ({!pp_artifact} prints
-          them only when the shrunk replay still violates the oracle) *)
+          last autopilot events, oldest first, from
+          {!Autonet.Network.recorders} ({!pp_artifact} prints them only
+          when the shrunk replay still violates the oracle) *)
 }
 
 val investigate :

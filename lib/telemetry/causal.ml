@@ -1,121 +1,57 @@
 module Time = Autonet_sim.Time
 
-(* One per-switch-per-epoch record.  Mutable: milestones land one at a
-   time as the simulation runs; a reboot that re-enters the epoch
-   replaces the whole record (last writer wins). *)
+(* One per-switch-per-epoch record, filled in as the replay walks the
+   timeline.  A reboot that re-enters the epoch replaces the whole record
+   (last writer wins). *)
 type entry = {
   e_sw : int;
-  e_epoch : int64;
-  mutable e_parent : int;
-  mutable e_via_port : int;
-  mutable e_hop : int;
-  mutable e_origin : int;
-  mutable e_heard : Time.t;
+  e_heard : Time.t;
+  e_how : Timeline.heard;
   mutable e_position : Time.t;
-  mutable e_loaded : Time.t option;
-  mutable e_enabled : Time.t option;
+  mutable e_configured : Time.t option;
 }
 
 type recorder_entry = { fr_time : Time.t; fr_epoch : int64; fr_msg : string }
 
-(* Bounded flight recorder: a classic circular buffer. *)
-type ring = {
-  r_buf : recorder_entry option array;
-  mutable r_next : int;
-  mutable r_count : int;
-}
+type origin_rec = { o_time : Time.t; o_label : string }
 
-type origin_rec = { o_id : int; o_time : Time.t; o_label : string }
-
-type t = {
-  mutable on : bool;
+(* What one pass over the timeline's marks yields. *)
+type store = {
   entries : (int * int64, entry) Hashtbl.t;
-  rings : ring array;
-  mutable skeptic : (int * Time.t * int) list;  (* (sw, start, hold ns), newest first *)
-  mutable origins : origin_rec list;  (* newest first *)
-  mutable n_origins : int;
+  skeptic : (int * Time.t * int) list;  (* (sw, start, hold ns) *)
+  origins : origin_rec array;  (* origin id i at index i - 1 *)
 }
 
-let create ?(enabled = false) ?(recorder_capacity = 64) ~switches () =
-  if recorder_capacity < 1 then invalid_arg "Causal.create: recorder_capacity";
-  { on = enabled;
-    entries = Hashtbl.create 64;
-    rings =
-      Array.init (Stdlib.max switches 1) (fun _ ->
-          { r_buf = Array.make recorder_capacity None; r_next = 0; r_count = 0 });
-    skeptic = [];
-    origins = [];
-    n_origins = 0 }
+let replay tl =
+  let entries = Hashtbl.create 64 in
+  let skeptic = ref [] and origins = ref [] in
+  List.iter
+    (fun (m : Timeline.mark) ->
+      let key = (m.m_tid, m.m_epoch) in
+      let update f =
+        match Hashtbl.find_opt entries key with Some e -> f e | None -> ()
+      in
+      match m.m_kind with
+      | Timeline.Fault label ->
+        origins := { o_time = m.m_time; o_label = label } :: !origins
+      | Timeline.Epoch_start how ->
+        Hashtbl.replace entries key
+          { e_sw = m.m_tid; e_heard = m.m_time; e_how = how;
+            e_position = m.m_time; e_configured = None }
+      | Timeline.Position -> update (fun e -> e.e_position <- m.m_time)
+      | Timeline.Configured ->
+        update (fun e -> e.e_configured <- Some m.m_time)
+      | Timeline.Skeptic_wait hold ->
+        skeptic := (m.m_tid, m.m_time, hold) :: !skeptic
+      | Timeline.Detection | Timeline.Tree_stable | Timeline.Reports_closed
+      | Timeline.Load_begin ->
+        ())
+    (Timeline.marks tl);
+  { entries; skeptic = !skeptic; origins = Array.of_list (List.rev !origins) }
 
-let enabled t = t.on
-let set_enabled t on = t.on <- on
-
-let note_fault t ~time ~label =
-  if t.on then begin
-    t.n_origins <- t.n_origins + 1;
-    t.origins <- { o_id = t.n_origins; o_time = time; o_label = label } :: t.origins
-  end
-
-let origin_id t = t.n_origins
-
-let find_origin t id = List.find_opt (fun o -> o.o_id = id) t.origins
-
-let epoch_heard t ~sw ~epoch ~time ~parent ~via_port ~hop ~origin =
-  if t.on then
-    Hashtbl.replace t.entries (sw, epoch)
-      { e_sw = sw;
-        e_epoch = epoch;
-        e_parent = parent;
-        e_via_port = via_port;
-        e_hop = hop;
-        e_origin = origin;
-        e_heard = time;
-        e_position = time;
-        e_loaded = None;
-        e_enabled = None }
-
-let with_entry t ~sw ~epoch f =
-  if t.on then
-    match Hashtbl.find_opt t.entries (sw, epoch) with
-    | Some e -> f e
-    | None -> ()
-
-let position_known t ~sw ~epoch ~time =
-  with_entry t ~sw ~epoch (fun e -> e.e_position <- time)
-
-let tables_loaded t ~sw ~epoch ~time =
-  with_entry t ~sw ~epoch (fun e -> e.e_loaded <- Some time)
-
-let ports_enabled t ~sw ~epoch ~time =
-  with_entry t ~sw ~epoch (fun e -> e.e_enabled <- Some time)
-
-let skeptic_wait t ~sw ~time ~hold =
-  if t.on then t.skeptic <- (sw, time, hold) :: t.skeptic
-
-(* --- Flight recorders --- *)
-
-let record t ~sw ~time ~epoch msg =
-  if t.on && sw >= 0 && sw < Array.length t.rings then begin
-    let r = t.rings.(sw) in
-    r.r_buf.(r.r_next) <- Some { fr_time = time; fr_epoch = epoch; fr_msg = msg };
-    r.r_next <- (r.r_next + 1) mod Array.length r.r_buf;
-    if r.r_count < Array.length r.r_buf then r.r_count <- r.r_count + 1
-  end
-
-let ring_entries r =
-  let cap = Array.length r.r_buf in
-  let first = (r.r_next - r.r_count + cap) mod cap in
-  List.init r.r_count (fun i ->
-      match r.r_buf.((first + i) mod cap) with
-      | Some e -> e
-      | None -> assert false)
-
-let recorders t =
-  let out = ref [] in
-  for sw = Array.length t.rings - 1 downto 0 do
-    if t.rings.(sw).r_count > 0 then out := (sw, ring_entries t.rings.(sw)) :: !out
-  done;
-  !out
+let find_origin st id =
+  if id >= 1 && id <= Array.length st.origins then Some st.origins.(id - 1)
+  else None
 
 (* --- Reconstruction --- *)
 
@@ -127,8 +63,7 @@ type node = {
   n_origin : int;
   n_heard : Time.t;
   n_position : Time.t;
-  n_loaded : Time.t option;
-  n_enabled : Time.t option;
+  n_configured : Time.t option;
   n_hop_ns : int option;
   n_heal_ns : int option;
   n_skeptic_ns : int;
@@ -163,7 +98,7 @@ let dist_of = function
     let rank p = a.(Stdlib.max 0 (((p * n) + 99) / 100 - 1)) in
     Some { d_count = n; d_p50 = rank 50; d_p90 = rank 90; d_max = a.(n - 1) }
 
-let wave_of t ~epoch entries =
+let wave_of st ~epoch entries =
   let entries = List.sort (fun a b -> Int.compare a.e_sw b.e_sw) entries in
   let by_sw = Hashtbl.create (List.length entries) in
   List.iter (fun e -> Hashtbl.replace by_sw e.e_sw e) entries;
@@ -173,7 +108,7 @@ let wave_of t ~epoch entries =
   let w_end =
     List.fold_left
       (fun acc e ->
-        let m = Option.value ~default:e.e_heard e.e_enabled in
+        let m = Option.value ~default:e.e_heard e.e_configured in
         Time.max acc (Time.max m e.e_position))
       Time.zero entries
   in
@@ -185,40 +120,39 @@ let wave_of t ~epoch entries =
         (fun a b -> compare (a.e_heard, a.e_sw) (b.e_heard, b.e_sw))
         entries
     with
-    | first :: _ -> first.e_origin
+    | first :: _ -> first.e_how.origin
     | [] -> 0
   in
   let origin_time id =
-    match find_origin t id with Some o -> o.o_time | None -> w_start
+    match find_origin st id with Some o -> o.o_time | None -> w_start
   in
   let nodes =
     List.map
       (fun e ->
         let hop_ns =
-          match Hashtbl.find_opt by_sw e.e_parent with
-          | Some p when e.e_parent >= 0 -> Some Time.(e.e_heard - p.e_heard)
+          match Hashtbl.find_opt by_sw e.e_how.parent with
+          | Some p when e.e_how.parent >= 0 -> Some Time.(e.e_heard - p.e_heard)
           | _ -> None
         in
-        let o_time = origin_time e.e_origin in
+        let o_time = origin_time e.e_how.origin in
         let heal_ns =
-          Option.map (fun en -> Time.(en - o_time)) e.e_enabled
+          Option.map (fun en -> Time.(en - o_time)) e.e_configured
         in
         let skeptic_ns =
           List.fold_left
             (fun acc (sw, at, hold) ->
               if sw = e.e_sw && at >= o_time && at <= e.e_heard then acc + hold
               else acc)
-            0 t.skeptic
+            0 st.skeptic
         in
         { n_switch = e.e_sw;
-          n_parent = e.e_parent;
-          n_via_port = e.e_via_port;
-          n_hop = e.e_hop;
-          n_origin = e.e_origin;
+          n_parent = e.e_how.parent;
+          n_via_port = e.e_how.via_port;
+          n_hop = e.e_how.hop;
+          n_origin = e.e_how.origin;
           n_heard = e.e_heard;
           n_position = e.e_position;
-          n_loaded = e.e_loaded;
-          n_enabled = e.e_enabled;
+          n_configured = e.e_configured;
           n_hop_ns = hop_ns;
           n_heal_ns = heal_ns;
           n_skeptic_ns = skeptic_ns })
@@ -239,7 +173,9 @@ let wave_of t ~epoch entries =
   let slowest =
     List.fold_left
       (fun acc n ->
-        let key n = (Option.value ~default:n.n_heard n.n_enabled, -n.n_switch) in
+        let key n =
+          (Option.value ~default:n.n_heard n.n_configured, -n.n_switch)
+        in
         match acc with
         | None -> Some n
         | Some m -> if key n > key m then Some n else acc)
@@ -255,8 +191,8 @@ let wave_of t ~epoch entries =
           match Hashtbl.find_opt by_sw sw with
           | None -> acc
           | Some e ->
-            if e.e_parent < 0 then e.e_sw :: acc
-            else up (e.e_sw :: acc) e.e_parent (fuel - 1)
+            if e.e_how.parent < 0 then e.e_sw :: acc
+            else up (e.e_sw :: acc) e.e_how.parent (fuel - 1)
       in
       up [] n.n_switch (List.length nodes + 1)
   in
@@ -273,11 +209,12 @@ let wave_of t ~epoch entries =
   { w_epoch = epoch;
     w_origin;
     w_origin_label =
-      (match find_origin t w_origin with Some o -> o.o_label | None -> "boot");
+      (match find_origin st w_origin with Some o -> o.o_label | None -> "boot");
     w_origin_time = origin_time w_origin;
     w_start;
     w_end;
-    w_complete = nodes <> [] && List.for_all (fun n -> n.n_enabled <> None) nodes;
+    w_complete =
+      nodes <> [] && List.for_all (fun n -> n.n_configured <> None) nodes;
     w_nodes = nodes;
     w_depth;
     w_fanout;
@@ -286,21 +223,22 @@ let wave_of t ~epoch entries =
     w_heal;
     w_front }
 
-let waves t =
+let waves tl =
+  let st = replay tl in
   let by_epoch = Hashtbl.create 16 in
   Hashtbl.iter
     (fun (_, epoch) e ->
       Hashtbl.replace by_epoch epoch
         (e :: Option.value ~default:[] (Hashtbl.find_opt by_epoch epoch)))
-    t.entries;
+    st.entries;
   Hashtbl.fold (fun epoch es acc -> (epoch, es) :: acc) by_epoch []
   |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  |> List.map (fun (epoch, es) -> wave_of t ~epoch es)
+  |> List.map (fun (epoch, es) -> wave_of st ~epoch es)
 
-let last_complete t =
+let last_complete tl =
   List.fold_left
     (fun acc w -> if w.w_complete then Some w else acc)
-    None (waves t)
+    None (waves tl)
 
 let validate_wave w =
   let by_sw = Hashtbl.create (List.length w.w_nodes) in
@@ -401,8 +339,8 @@ let json_node n =
       ("origin", Json.Int n.n_origin);
       ("heard_ns", Json.Int n.n_heard);
       ("position_ns", Json.Int n.n_position);
-      ("loaded_ns", json_opt_time n.n_loaded);
-      ("enabled_ns", json_opt_time n.n_enabled);
+      ("loaded_ns", json_opt_time n.n_configured);
+      ("enabled_ns", json_opt_time n.n_configured);
       ("hop_ns", json_opt_time n.n_hop_ns);
       ("heal_ns", json_opt_time n.n_heal_ns);
       ("skeptic_ns", Json.Int n.n_skeptic_ns) ]
@@ -429,9 +367,9 @@ let json_wave w =
             w.w_front));
       ("nodes", Json.List (List.map json_node w.w_nodes)) ]
 
-let to_json t =
+let to_json ~recorders tl =
   Json.Obj
-    [ ("waves", Json.List (List.map json_wave (waves t)));
+    [ ("waves", Json.List (List.map json_wave (waves tl)));
       ("recorders",
        Json.List
          (List.map
@@ -447,13 +385,13 @@ let to_json t =
                               ("epoch", Json.Int (Int64.to_int fr.fr_epoch));
                               ("msg", Json.String fr.fr_msg) ])
                         entries)) ])
-            (recorders t))) ]
+            recorders)) ]
 
 (* --- Chrome trace export: one track per switch --- *)
 
 let us_of_ns ns = Json.Float (float_of_int ns /. 1000.)
 
-let to_trace_json t =
+let to_trace_json tl =
   let events = ref [] in
   let emit e = events := e :: !events in
   emit
@@ -485,18 +423,17 @@ let to_trace_json t =
           let tag = Printf.sprintf "e%Ld" w.w_epoch in
           span ~name:(tag ^ "/tree") ~tid:n.n_switch ~epoch:w.w_epoch
             ~hop:n.n_hop ~parent:n.n_parent ~start:n.n_heard ~stop:n.n_position;
-          (match n.n_loaded with
-          | Some l ->
+          match n.n_configured with
+          | Some c ->
             span ~name:(tag ^ "/tables") ~tid:n.n_switch ~epoch:w.w_epoch
-              ~hop:n.n_hop ~parent:n.n_parent ~start:n.n_position ~stop:l
-          | None -> ());
-          match (n.n_loaded, n.n_enabled) with
-          | Some l, Some e ->
+              ~hop:n.n_hop ~parent:n.n_parent ~start:n.n_position ~stop:c;
+            (* Tables loaded and ports enabled are one instant, so this
+               span has zero width; it keeps one row per milestone. *)
             span ~name:(tag ^ "/enable") ~tid:n.n_switch ~epoch:w.w_epoch
-              ~hop:n.n_hop ~parent:n.n_parent ~start:l ~stop:e
-          | _ -> ())
+              ~hop:n.n_hop ~parent:n.n_parent ~start:c ~stop:c
+          | None -> ())
         w.w_nodes)
-    (waves t);
+    (waves tl);
   Json.Obj
     [ ("traceEvents", Json.List (List.rev !events));
       ("displayTimeUnit", Json.String "ms") ]

@@ -1,88 +1,33 @@
-(** Causal reconfiguration tracing.
+(** Causal reconfiguration tracing: a view over a {!Timeline}.
 
-    Where {!Timeline} observes an epoch as one global pipeline, this
-    store answers the per-switch questions: which switch learned the
-    epoch from which neighbour, at what simulated time, and where the
-    heal latency went.  Autopilot reconfiguration messages carry a
-    sideband trace context (origin fault, sending switch, hop count —
-    see {!Autonet_net.Packet.trace}); every switch records four
-    sim-time milestones per epoch (epoch heard, tree position known,
-    tables loaded, host ports enabled) plus the skeptic hold-downs that
-    delayed it, and the store reconstructs the epoch propagation forest
-    — wave-front depth over time, per-hop latency percentiles, the
-    slowest-path critical chain and per-switch heal latency.
+    Where the phase derivation of {!Timeline} observes an epoch as one
+    global pipeline, this view answers the per-switch questions: which
+    switch learned the epoch from which neighbour, at what simulated
+    time, and where the heal latency went.  Autopilot reconfiguration
+    messages carry a sideband trace context (origin fault, sending
+    switch, hop count — see {!Autonet_net.Packet.trace}), and every
+    switch's timeline marks record how it heard each epoch
+    ([Epoch_start]), when its tree position settled ([Position]), when
+    it was configured ([Configured]: tables loaded and host ports
+    enabled at one sim instant) and the skeptic hold-downs that delayed
+    it ([Skeptic_wait]).  The injected faults ([Fault]) number the wave
+    origins.  Replaying those marks reconstructs the epoch propagation
+    forest — wave-front depth over time, per-hop latency percentiles,
+    the slowest-path critical chain and per-switch heal latency.
 
     Every timestamp is simulated time, so all derived output is
     byte-identical however many domains the table-synthesis pool uses.
 
-    The store also keeps one bounded flight recorder per switch — a
-    ring buffer of recently logged events, pre-rendered to strings (the
-    telemetry layer sits below the autopilot and cannot see its event
-    type) — dumped into chaos reproducer artifacts on oracle
-    violations. *)
+    The chaos reproducers and the [trace] command also dump per-switch
+    flight recorders: each switch's newest logged events, rendered by
+    the network harness (the telemetry layer sits below the autopilot
+    and cannot see its event type). *)
 
 module Time = Autonet_sim.Time
 
-type t
-
-val create : ?enabled:bool -> ?recorder_capacity:int -> switches:int -> unit -> t
-(** [create ~switches ()] sizes the per-switch tables for switch ids
-    [0 .. switches-1].  Disabled by default, like {!Metrics.create}: a
-    disabled store accepts every call as a cheap no-op so the enabled
-    and disabled simulations stay event-identical.
-    [recorder_capacity] bounds each flight recorder (default 64). *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
-(** {1 Recording} *)
-
-val note_fault : t -> time:Time.t -> label:string -> unit
-(** Register an injected fault as a wave origin.  Origins are numbered
-    from 1 in injection order; epochs started before any fault (boot
-    waves) carry origin 0. *)
-
-val origin_id : t -> int
-(** The id of the most recent fault, or 0 if none was recorded. *)
-
-val epoch_heard :
-  t ->
-  sw:int ->
-  epoch:int64 ->
-  time:Time.t ->
-  parent:int ->
-  via_port:int ->
-  hop:int ->
-  origin:int ->
-  unit
-(** [sw] entered [epoch] at sim time [time]: as an initiator
-    ([parent = -1], [hop = 0]) or by joining via the message that
-    arrived on [via_port] from [parent] ([hop] = sender's hop + 1).
-    Re-entering the same epoch (a reboot) replaces the record. *)
-
-val position_known : t -> sw:int -> epoch:int64 -> time:Time.t -> unit
-(** The switch adopted a (new) tree position; the last call per epoch
-    wins — the milestone is the {e final} position.  A switch that
-    stays root never calls this; its position time is its heard time. *)
-
-val tables_loaded : t -> sw:int -> epoch:int64 -> time:Time.t -> unit
-val ports_enabled : t -> sw:int -> epoch:int64 -> time:Time.t -> unit
-
-val skeptic_wait : t -> sw:int -> time:Time.t -> hold:Time.t -> unit
-(** A skeptic hold-down of [hold] began on [sw] at [time].
-    Reconstruction attributes to each wave node the holds that started
-    between the wave's origin fault and the node hearing the epoch. *)
-
-(** {1 Flight recorders} *)
-
-val record : t -> sw:int -> time:Time.t -> epoch:int64 -> string -> unit
-(** Append a pre-rendered event to [sw]'s ring; check {!enabled} first
-    if rendering the string is not free. *)
-
 type recorder_entry = { fr_time : Time.t; fr_epoch : int64; fr_msg : string }
-
-val recorders : t -> (int * recorder_entry list) list
-(** Non-empty recorders, ascending by switch; entries oldest-first. *)
+(** One flight-recorder line: sim time, the switch's epoch then, and the
+    rendered event. *)
 
 (** {1 Reconstruction} *)
 
@@ -94,10 +39,12 @@ type node = {
   n_origin : int;  (** origin fault id, 0 for boot *)
   n_heard : Time.t;
   n_position : Time.t;  (** final tree position; heard time if never adopted *)
-  n_loaded : Time.t option;
-  n_enabled : Time.t option;
+  n_configured : Time.t option;
+      (** tables loaded and host ports enabled (one sim instant); the
+          JSON repeats it as [loaded_ns] and [enabled_ns] *)
   n_hop_ns : int option;  (** heard - parent's heard, when the parent is in the wave *)
-  n_heal_ns : int option;  (** enabled - origin fault time (wave start for boot) *)
+  n_heal_ns : int option;
+      (** configured - origin fault time (wave start for boot) *)
   n_skeptic_ns : int;  (** attributed skeptic hold-down total *)
 }
 
@@ -111,7 +58,7 @@ type wave = {
   w_origin_time : Time.t;  (** fault injection time; wave start for boot *)
   w_start : Time.t;  (** earliest heard *)
   w_end : Time.t;  (** latest milestone *)
-  w_complete : bool;  (** every node reached ports-enabled *)
+  w_complete : bool;  (** every node reached [Configured] *)
   w_nodes : node list;  (** ascending by switch; one entry per switch *)
   w_depth : int;  (** max hop *)
   w_fanout : int;  (** max direct children of any node *)
@@ -123,10 +70,10 @@ type wave = {
           one entry per node in heard order *)
 }
 
-val waves : t -> wave list
-(** Ascending by epoch. *)
+val waves : Timeline.t -> wave list
+(** Replays the timeline's marks; ascending by epoch. *)
 
-val last_complete : t -> wave option
+val last_complete : Timeline.t -> wave option
 
 val validate_wave : wave -> (unit, string) result
 (** Structural soundness: roots have hop 0; every non-root's parent is
@@ -137,11 +84,13 @@ val validate_wave : wave -> (unit, string) result
 val pp_wave : Format.formatter -> wave -> unit
 (** Wave summary plus the propagation forest as an indented tree. *)
 
-val to_json : t -> Json.t
-(** Waves and flight recorders, deterministically ordered. *)
+val to_json : recorders:(int * recorder_entry list) list -> Timeline.t -> Json.t
+(** The timeline's waves and the given flight recorders (per switch,
+    entries oldest first), deterministically ordered. *)
 
-val to_trace_json : t -> Json.t
+val to_trace_json : Timeline.t -> Json.t
 (** Chrome [trace_event] export with one track per switch: each wave
     node becomes [tree]/[tables]/[enable] spans on the switch's own
-    tid, complementing the global per-epoch track of
+    tid ([enable] is zero-width: configured is one instant),
+    complementing the global per-epoch track of
     {!Timeline.to_trace_json}. *)

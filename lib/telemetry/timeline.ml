@@ -1,20 +1,29 @@
 module Time = Autonet_sim.Time
 
+type heard = { parent : int; via_port : int; hop : int; origin : int }
+
 type kind =
   | Detection
-  | Epoch_start
+  | Fault of string
+  | Epoch_start of heard
+  | Position
+  | Skeptic_wait of Time.t
   | Tree_stable
   | Reports_closed
   | Load_begin
   | Configured
 
 let kind_to_string = function
-  | Detection -> "detection"
-  | Epoch_start -> "epoch_start"
+  | Detection | Fault _ -> "detection"
+  | Epoch_start _ -> "epoch_start"
+  | Position -> "position"
+  | Skeptic_wait _ -> "skeptic_wait"
   | Tree_stable -> "tree_stable"
   | Reports_closed -> "reports_closed"
   | Load_begin -> "load_begin"
   | Configured -> "configured"
+
+let is_detection = function Detection | Fault _ -> true | _ -> false
 
 type mark = {
   m_time : Time.t;
@@ -36,21 +45,32 @@ type t = {
   on : bool ref;
   mutable rev_marks : mark list;
   mutable rev_spans : span list;
+  mutable n_faults : int;
 }
 
 let create ?(enabled = false) () =
-  { on = ref enabled; rev_marks = []; rev_spans = [] }
+  { on = ref enabled; rev_marks = []; rev_spans = []; n_faults = 0 }
 
 let enabled t = !(t.on)
 let set_enabled t v = t.on := v
 
 let mark t ~time ~epoch ~tid kind =
-  if !(t.on) then
+  if !(t.on) then begin
+    (match kind with Fault _ -> t.n_faults <- t.n_faults + 1 | _ -> ());
     t.rev_marks <-
       { m_time = time; m_epoch = epoch; m_tid = tid; m_kind = kind }
       :: t.rev_marks
+  end
 
 let marks t = List.rev t.rev_marks
+let faults t = t.n_faults
+
+(* The marks the phase derivation and the Chrome export read: [Position]
+   and [Skeptic_wait] are for the causal view only. *)
+let phase_marks t =
+  List.filter
+    (fun m -> match m.m_kind with Position | Skeptic_wait _ -> false | _ -> true)
+    (marks t)
 
 let span t ?(wall = true) ~time ~epoch ~tid ~name ~dur_ns () =
   if !(t.on) then
@@ -78,10 +98,10 @@ type epoch_spans = {
 }
 
 let epochs t =
-  let ms = marks t in
-  let detections = List.filter (fun m -> m.m_kind = Detection) ms in
+  let ms = phase_marks t in
+  let detections = List.filter (fun m -> is_detection m.m_kind) ms in
   let numbered =
-    List.filter (fun m -> m.m_kind <> Detection && m.m_epoch >= 0L) ms
+    List.filter (fun m -> not (is_detection m.m_kind) && m.m_epoch >= 0L) ms
   in
   let epoch_ids =
     List.sort_uniq Int64.compare (List.map (fun m -> m.m_epoch) numbered)
@@ -92,14 +112,16 @@ let epochs t =
     | [] -> []
     | e :: rest ->
       let of_e = List.filter (fun m -> m.m_epoch = e) numbered in
-      let times k =
+      let times p =
         List.filter_map
-          (fun m -> if m.m_kind = k then Some m.m_time else None)
+          (fun m -> if p m.m_kind then Some m.m_time else None)
           of_e
       in
       let fold_min = function [] -> None | l -> Some (List.fold_left Time.min max_int l) in
       let fold_max = function [] -> None | l -> Some (List.fold_left Time.max min_int l) in
-      let t0 = fold_min (times Epoch_start) in
+      let t0 =
+        fold_min (times (function Epoch_start _ -> true | _ -> false))
+      in
       (match t0 with
       | None -> build prev_stop rest (* marks without a start: skip *)
       | Some t0 ->
@@ -108,8 +130,8 @@ let epochs t =
             (fun m -> if m.m_kind = Reports_closed then Some m.m_tid else None)
             of_e
         in
-        let t_closed = fold_min (times Reports_closed) in
-        let t_configured = fold_max (times Configured) in
+        let t_closed = fold_min (times (( = ) Reports_closed)) in
+        let t_configured = fold_max (times (( = ) Configured)) in
         let complete = t_closed <> None && t_configured <> None in
         let det =
           (* Latest Detection at or before t0 and after the previous epoch. *)
@@ -154,7 +176,7 @@ let epochs t =
           let flood_end =
             fold_max
               (List.filter (fun x -> Time.compare x t_configured <= 0)
-                 (times Load_begin))
+                 (times (( = ) Load_begin)))
           in
           (* Contiguous boundaries, clamped monotone so phases always nest
              and sum even when a mark is missing (its phase collapses to
@@ -344,7 +366,7 @@ let to_trace_json t =
               Json.Obj
                 [ ("epoch", Json.Int (Int64.to_int m.m_epoch));
                   ("ns", Json.Int m.m_time) ]) ]))
-    (marks t);
+    (phase_marks t);
   Json.Obj
     [ ("traceEvents", Json.List (List.rev !events));
       ("displayTimeUnit", Json.String "ms") ]

@@ -1,37 +1,60 @@
 (** Reconfiguration phase timelines.
 
     A timeline collects {!mark}s — timestamped milestones of an epoch's
-    progress, emitted from `Reconfig` and the network harness — and
-    derives from them a per-epoch breakdown of the paper's
-    reconfiguration pipeline: monitor detection, spanning-tree
-    construction, termination detection, report accumulation, address
-    assignment, table flood and table load.  The derived phases are
-    contiguous, so they nest inside the epoch span and their durations
-    sum exactly to the epoch duration.
+    progress.  Each switch's Autopilot derives its marks from the typed
+    events it logs, and the network harness adds the fault-injection
+    instants.  From them the timeline derives a per-epoch breakdown of
+    the paper's reconfiguration pipeline: monitor detection,
+    spanning-tree construction, termination detection, report
+    accumulation, address assignment, table flood and table load.  The
+    derived phases are contiguous, so they nest inside the epoch span and
+    their durations sum exactly to the epoch duration.
+
+    The same marks also carry what {!Causal} needs to rebuild each
+    epoch's propagation wave: how every switch heard the epoch, when its
+    tree position settled, and the skeptic hold-downs that delayed it.
 
     The breakdown exports as a Chrome [trace_event] JSON file (open in
     chrome://tracing or Perfetto) and as an {!Autonet_analysis.Report}
     table. *)
 
+type heard = {
+  parent : int;  (** the sending switch, or [-1] for an initiator *)
+  via_port : int;  (** arrival port of the joining message, or [-1] *)
+  hop : int;  (** 0 for an initiator, else the sender's hop + 1 *)
+  origin : int;  (** the {!Fault} the epoch traces back to, 0 for boot *)
+}
+(** How a switch entered an epoch: the sideband trace context of the
+    message that carried it (see {!Autonet_net.Packet.trace}). *)
+
 type kind =
-  | Detection  (** the harness noticed/injected the triggering fault;
+  | Detection  (** the harness started measuring a reconfiguration;
                    recorded before the new epoch number exists, so the
                    mark's epoch is ignored and it is attributed to the
                    next epoch to start *)
-  | Epoch_start  (** a switch entered the epoch (`Reconfig.start_epoch`) *)
+  | Fault of string  (** the harness injected the labelled fault; a
+                         detection mark that also numbers a causal wave
+                         origin (from 1, in recording order) *)
+  | Epoch_start of heard  (** a switch entered the epoch *)
+  | Position  (** a switch adopted a new tree position; causal only *)
+  | Skeptic_wait of Autonet_sim.Time.t
+      (** a skeptic hold-down of the given length began; causal only *)
   | Tree_stable  (** a switch's subtree became stable (may repeat if the
                      tree is perturbed mid-epoch; derivation uses the
                      last occurrence) *)
-  | Reports_closed  (** the root saw a reference-closed topology report —
-                        the report accumulation endpoint *)
-  | Load_begin  (** a switch received its table spec (`cb_load_tables`) *)
-  | Configured  (** a switch finished the destructive reload *)
+  | Reports_closed  (** the root saw a reference-closed topology report
+                        and computed its tables — the report accumulation
+                        endpoint *)
+  | Load_begin  (** a switch began its step-5 table reload *)
+  | Configured  (** a switch finished the destructive reload and enabled
+                    its host ports (one closure, one sim instant) *)
 
 val kind_to_string : kind -> string
+(** [Fault _] renders as ["detection"]. *)
 
 type mark = {
   m_time : Autonet_sim.Time.t;
-  m_epoch : int64;  (** [-1L] when unknown at mark time (Detection) *)
+  m_epoch : int64;  (** [-1L] when unknown at mark time (detection) *)
   m_tid : int;  (** switch number, or [-1] for network-level marks *)
   m_kind : kind;
 }
@@ -48,6 +71,10 @@ val mark : t -> time:Autonet_sim.Time.t -> epoch:int64 -> tid:int -> kind -> uni
 
 val marks : t -> mark list
 (** In the order recorded (chronological: sim time never runs backward). *)
+
+val faults : t -> int
+(** How many {!Fault} marks were recorded: the id of the latest wave
+    origin, or 0 if none. *)
 
 (** {1 Compute spans}
 
@@ -79,7 +106,10 @@ val span :
 val spans : t -> span list
 (** In the order recorded. *)
 
-(** {1 Phase derivation} *)
+(** {1 Phase derivation}
+
+    The derivation and the Chrome export read only the phase kinds:
+    [Position] and [Skeptic_wait] marks leave them unchanged. *)
 
 val phase_names : string list
 (** In pipeline order: [detection; spanning_tree; termination;
@@ -126,8 +156,9 @@ val span_report : t -> Autonet_analysis.Report.t
 
 val to_trace_json : t -> Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}].  Epoch and phase
-    spans are complete ("ph":"X") events on tid 0; per-switch marks are
-    instants on tid [switch+1]; compute spans are "X" events with cat
+    spans are complete ("ph":"X") events on tid 0; marks other than
+    [Position] and [Skeptic_wait] are instants on tid [switch+1]
+    (detection marks on tid 0); compute spans are "X" events with cat
     ["compute"] on tid [switch+1] whose [dur] is wall-clock (flagged
     [wall_clock] in [args]); [ts]/[dur] are microseconds (floats) and
     every span's [args] carries the exact nanosecond values. *)

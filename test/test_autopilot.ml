@@ -285,20 +285,23 @@ let test_report_size_grows_message () =
 
 let test_event_log_basic () =
   let l = Event_log.create ~clock_skew:(Time.us 50) () in
-  Event_log.log l ~now:(Time.ms 1) (Event.Generic "one");
-  Event_log.logf l ~now:(Time.ms 2) "two %d" 2;
+  Event_log.log l ~epoch:(Epoch.next Epoch.zero) ~now:(Time.ms 1)
+    (Event.Generic "one");
+  Event_log.logf l ~epoch:Epoch.zero ~now:(Time.ms 2) "two %d" 2;
   check_int "length" 2 (Event_log.length l);
   check_int "capacity" 512 (Event_log.capacity l);
   match Event_log.entries l with
   | [ e1; e2 ] ->
     check_int "skewed timestamp" (Time.ms 1 + Time.us 50) e1.Event_log.local_time;
+    check_bool "epoch stored" true
+      (Epoch.equal e1.Event_log.epoch (Epoch.next Epoch.zero));
     Alcotest.(check string) "fmt" "two 2" (Event_log.message e2)
   | _ -> Alcotest.fail "expected 2 entries"
 
 let test_event_log_wraps () =
   let l = Event_log.create ~capacity:4 ~clock_skew:Time.zero () in
   for i = 1 to 10 do
-    Event_log.logf l ~now:(Time.ms i) "%d" i
+    Event_log.logf l ~epoch:Epoch.zero ~now:(Time.ms i) "%d" i
   done;
   check_int "capacity" 4 (Event_log.capacity l);
   check_int "length" 4 (Event_log.length l);
@@ -316,7 +319,7 @@ let test_event_log_boundaries () =
   let filled n =
     let l = Event_log.create ~capacity:cap ~clock_skew:Time.zero () in
     for i = 1 to n do
-      Event_log.logf l ~now:(Time.ms i) "%d" i
+      Event_log.logf l ~epoch:Epoch.zero ~now:(Time.ms i) "%d" i
     done;
     l
   in
@@ -344,9 +347,9 @@ let test_event_log_merge_normalizes () =
      log must interleave by true time. *)
   let a = Event_log.create ~clock_skew:(Time.ms 5) () in
   let b = Event_log.create ~clock_skew:(Time.ms (-3)) () in
-  Event_log.log a ~now:(Time.ms 10) (Event.Generic "a1");
-  Event_log.log b ~now:(Time.ms 11) (Event.Generic "b1");
-  Event_log.log a ~now:(Time.ms 12) (Event.Generic "a2");
+  Event_log.log a ~epoch:Epoch.zero ~now:(Time.ms 10) (Event.Generic "a1");
+  Event_log.log b ~epoch:Epoch.zero ~now:(Time.ms 11) (Event.Generic "b1");
+  Event_log.log a ~epoch:Epoch.zero ~now:(Time.ms 12) (Event.Generic "a2");
   let merged = Event_log.merge [ ("a", a); ("b", b) ] in
   Alcotest.(check (list string)) "order" [ "a1"; "b1"; "a2" ]
     (List.map (fun (_, _, m) -> m) merged);
@@ -362,8 +365,8 @@ let test_event_log_merge_skew_reorders () =
      fix. *)
   let a = Event_log.create ~clock_skew:(Time.ms 50) () in
   let b = Event_log.create ~clock_skew:(Time.ms (-50)) () in
-  Event_log.log a ~now:(Time.ms 10) (Event.Generic "early");
-  Event_log.log b ~now:(Time.ms 30) (Event.Generic "late");
+  Event_log.log a ~epoch:Epoch.zero ~now:(Time.ms 10) (Event.Generic "early");
+  Event_log.log b ~epoch:Epoch.zero ~now:(Time.ms 30) (Event.Generic "late");
   (match Event_log.entries a, Event_log.entries b with
   | [ ea ], [ eb ] ->
     check_bool "raw order inverted" true
@@ -378,9 +381,9 @@ let test_event_log_merge_ties_stable () =
   let a = Event_log.create ~clock_skew:(Time.ms 7) () in
   let b = Event_log.create ~clock_skew:(Time.ms (-2)) () in
   let c = Event_log.create ~clock_skew:Time.zero () in
-  Event_log.log a ~now:(Time.ms 10) (Event.Generic "a");
-  Event_log.log b ~now:(Time.ms 10) (Event.Generic "b");
-  Event_log.log c ~now:(Time.ms 10) (Event.Generic "c");
+  Event_log.log a ~epoch:Epoch.zero ~now:(Time.ms 10) (Event.Generic "a");
+  Event_log.log b ~epoch:Epoch.zero ~now:(Time.ms 10) (Event.Generic "b");
+  Event_log.log c ~epoch:Epoch.zero ~now:(Time.ms 10) (Event.Generic "c");
   let names logs = List.map (fun (_, n, _) -> n) (Event_log.merge logs) in
   Alcotest.(check (list string)) "list order" [ "a"; "b"; "c" ]
     (names [ ("a", a); ("b", b); ("c", c) ]);

@@ -62,7 +62,6 @@ let make_net topo =
                    let n = Lazy.force node in
                    n.configured_count <- n.configured_count + 1);
                cb_log = (fun _ -> ());
-               cb_mark = (fun _ -> ());
                cb_span = (fun ~name:_ ~dur_s:_ -> ());
                cb_clock = (fun () -> 0.) }
            in

@@ -1,7 +1,10 @@
 (* Telemetry subsystem tests: the metrics registry (counting, snapshots,
    merge), the JSON codec, the phase-timeline derivation and trace
-   export, and the determinism contract — pool metric snapshots after a
-   pooled table build must be byte-identical for any domain count. *)
+   export, the causal view over the timeline, the Autopilot's single
+   recording stream on a live network (flight recorders, timeline-only
+   milestones), and the determinism contract — pool metric snapshots
+   after a pooled table build must be byte-identical for any domain
+   count. *)
 
 open Autonet_core
 module B = Autonet_topo.Builders
@@ -11,6 +14,10 @@ module Timeline = Autonet_telemetry.Timeline
 module Causal = Autonet_telemetry.Causal
 module Json = Autonet_telemetry.Json
 module Time = Autonet_sim.Time
+module N = Autonet.Network
+module AP = Autonet_autopilot.Autopilot
+module Event = Autonet_autopilot.Event
+module Event_log = Autonet_autopilot.Event_log
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -292,11 +299,15 @@ let mk_timeline marks =
     marks;
   tl
 
+(* How a switch heard an epoch: [parent = -1] for an initiator. *)
+let heard ?(parent = -1) ?(via_port = -1) ?(hop = 0) ?(origin = 0) () =
+  Timeline.Epoch_start { parent; via_port; hop; origin }
+
 let full_epoch_marks =
   [ (Time.us 100, -1L, -1, Timeline.Detection);
-    (Time.us 200, 3L, 0, Timeline.Epoch_start);
-    (Time.us 210, 3L, 1, Timeline.Epoch_start);
-    (Time.us 220, 3L, 2, Timeline.Epoch_start);
+    (Time.us 200, 3L, 0, heard ());
+    (Time.us 210, 3L, 1, heard ~parent:0 ~via_port:1 ~hop:1 ());
+    (Time.us 220, 3L, 2, heard ~parent:0 ~via_port:2 ~hop:1 ());
     (Time.us 300, 3L, 1, Timeline.Tree_stable);
     (Time.us 310, 3L, 2, Timeline.Tree_stable);
     (Time.us 350, 3L, 0, Timeline.Tree_stable);
@@ -310,7 +321,7 @@ let full_epoch_marks =
 
 let test_timeline_disabled_records_nothing () =
   let tl = Timeline.create () in
-  Timeline.mark tl ~time:Time.zero ~epoch:1L ~tid:0 Timeline.Epoch_start;
+  Timeline.mark tl ~time:Time.zero ~epoch:1L ~tid:0 (heard ());
   check_int "no marks" 0 (List.length (Timeline.marks tl))
 
 let test_timeline_phases () =
@@ -342,8 +353,8 @@ let test_timeline_incomplete_epoch () =
   let tl =
     mk_timeline
       (full_epoch_marks
-      @ [ (Time.us 600, 4L, 0, Timeline.Epoch_start);
-          (Time.us 610, 4L, 1, Timeline.Epoch_start) ])
+      @ [ (Time.us 600, 4L, 0, heard ());
+          (Time.us 610, 4L, 1, heard ~parent:0 ~via_port:1 ~hop:1 ()) ])
   in
   match Timeline.epochs tl with
   | [ e3; e4 ] ->
@@ -388,36 +399,60 @@ let test_timeline_validate_rejects_tampering () =
     | Ok () -> Alcotest.fail "validated a trace with a missing phase")
   | _ -> Alcotest.fail "trace is not an object"
 
+let test_timeline_causal_kinds_ignored () =
+  (* Position and Skeptic_wait marks feed only the causal view: threading
+     them through an epoch leaves its phases, shape and export alone. *)
+  let plain = mk_timeline full_epoch_marks in
+  let causal_marks =
+    [ (Time.us 150, 0L, 1, Timeline.Skeptic_wait (Time.us 40));
+      (Time.us 230, 3L, 1, Timeline.Position);
+      (Time.us 240, 3L, 2, Timeline.Position);
+      (Time.us 520, 3L, 0, Timeline.Skeptic_wait (Time.us 10));
+      (Time.us 700, 4L, 1, Timeline.Position) ]
+  in
+  let mixed =
+    mk_timeline
+      (List.stable_sort
+         (fun (a, _, _, _) (b, _, _, _) -> Time.compare a b)
+         (full_epoch_marks @ causal_marks))
+  in
+  check_bool "epochs unchanged" true
+    (Timeline.epochs plain = Timeline.epochs mixed);
+  Alcotest.(check (list (pair string int)))
+    "shape unchanged" (Timeline.shape plain) (Timeline.shape mixed);
+  check_string "trace export unchanged"
+    (Json.to_string (Timeline.to_trace_json plain))
+    (Json.to_string (Timeline.to_trace_json mixed))
+
 (* ------------------------------------------------------------------ *)
-(* Causal trace store: milestones -> wave reconstruction *)
+(* Causal view: timeline marks -> wave reconstruction *)
 
 let test_causal_disabled_records_nothing () =
-  let cz = Causal.create ~switches:4 () in
-  Causal.epoch_heard cz ~sw:0 ~epoch:1L ~time:Time.zero ~parent:(-1)
-    ~via_port:(-1) ~hop:0 ~origin:0;
-  Causal.record cz ~sw:0 ~time:Time.zero ~epoch:1L "ev";
-  check_int "no waves" 0 (List.length (Causal.waves cz));
-  check_int "no recorders" 0 (List.length (Causal.recorders cz))
+  let tl = Timeline.create () in
+  Timeline.mark tl ~time:Time.zero ~epoch:1L ~tid:0 (heard ());
+  Timeline.mark tl ~time:Time.zero ~epoch:(-1L) ~tid:(-1)
+    (Timeline.Fault "link_down:0");
+  check_int "no waves" 0 (List.length (Causal.waves tl));
+  check_int "no fault numbered" 0 (Timeline.faults tl)
 
 let test_causal_wave_reconstruction () =
-  let cz = Causal.create ~enabled:true ~switches:3 () in
-  Causal.note_fault cz ~time:(Time.us 50) ~label:"link_down:0";
-  check_int "origin numbered from 1" 1 (Causal.origin_id cz);
-  (* A three-switch chain: 0 initiates, 1 joins via 0, 2 joins via 1. *)
-  Causal.epoch_heard cz ~sw:0 ~epoch:5L ~time:(Time.us 100) ~parent:(-1)
-    ~via_port:(-1) ~hop:0 ~origin:1;
-  Causal.epoch_heard cz ~sw:1 ~epoch:5L ~time:(Time.us 120) ~parent:0
-    ~via_port:2 ~hop:1 ~origin:1;
-  Causal.epoch_heard cz ~sw:2 ~epoch:5L ~time:(Time.us 150) ~parent:1
-    ~via_port:3 ~hop:2 ~origin:1;
-  Causal.skeptic_wait cz ~sw:1 ~time:(Time.us 110) ~hold:(Time.us 30);
-  List.iter
-    (fun sw ->
-      Causal.position_known cz ~sw ~epoch:5L ~time:(Time.us 200);
-      Causal.tables_loaded cz ~sw ~epoch:5L ~time:(Time.us 300);
-      Causal.ports_enabled cz ~sw ~epoch:5L ~time:(Time.us (300 + (10 * sw))))
-    [ 0; 1; 2 ];
-  match Causal.waves cz with
+  let tl =
+    mk_timeline
+      ([ (Time.us 50, -1L, -1, Timeline.Fault "link_down:0");
+         (* A three-switch chain: 0 initiates, 1 joins via 0, 2 via 1. *)
+         (Time.us 100, 5L, 0, heard ~origin:1 ());
+         (Time.us 110, 5L, 1, Timeline.Skeptic_wait (Time.us 30));
+         (Time.us 120, 5L, 1, heard ~parent:0 ~via_port:2 ~hop:1 ~origin:1 ());
+         (Time.us 150, 5L, 2, heard ~parent:1 ~via_port:3 ~hop:2 ~origin:1 ()) ]
+      @ List.map
+          (fun sw -> (Time.us 200, 5L, sw, Timeline.Position))
+          [ 0; 1; 2 ]
+      @ List.map
+          (fun sw -> (Time.us (300 + (10 * sw)), 5L, sw, Timeline.Configured))
+          [ 0; 1; 2 ])
+  in
+  check_int "origin numbered from 1" 1 (Timeline.faults tl);
+  match Causal.waves tl with
   | [ w ] ->
     check_bool "complete" true w.Causal.w_complete;
     check_bool "validates" true (Causal.validate_wave w = Ok ());
@@ -425,14 +460,14 @@ let test_causal_wave_reconstruction () =
     check_int "depth" 2 w.Causal.w_depth;
     check_int "fanout" 1 w.Causal.w_fanout;
     check_int "starts at first heard" (Time.us 100) w.Causal.w_start;
-    check_int "ends at last enabled" (Time.us 320) w.Causal.w_end;
+    check_int "ends at last configured" (Time.us 320) w.Causal.w_end;
     check_string "origin label" "link_down:0" w.Causal.w_origin_label;
     Alcotest.(check (list int))
       "critical chain root-first to the slowest node" [ 0; 1; 2 ]
       w.Causal.w_critical;
     let n1 = List.nth w.Causal.w_nodes 1 in
     check_int "hop latency" (Time.us 20) (Option.get n1.Causal.n_hop_ns);
-    check_int "heal latency = enabled - fault" (Time.us 260)
+    check_int "heal latency = configured - fault" (Time.us 260)
       (Option.get n1.Causal.n_heal_ns);
     check_int "skeptic hold attributed" (Time.us 30) n1.Causal.n_skeptic_ns;
     check_int "no hold elsewhere" 0
@@ -448,67 +483,166 @@ let test_causal_wave_reconstruction () =
 let test_causal_reboot_overwrites () =
   (* Re-hearing the same epoch (a reboot mid-wave) replaces the node
      record: last wins. *)
-  let cz = Causal.create ~enabled:true ~switches:2 () in
-  Causal.epoch_heard cz ~sw:0 ~epoch:1L ~time:(Time.us 10) ~parent:(-1)
-    ~via_port:(-1) ~hop:0 ~origin:0;
-  Causal.epoch_heard cz ~sw:1 ~epoch:1L ~time:(Time.us 20) ~parent:0
-    ~via_port:1 ~hop:1 ~origin:0;
-  Causal.epoch_heard cz ~sw:1 ~epoch:1L ~time:(Time.us 40) ~parent:0
-    ~via_port:2 ~hop:1 ~origin:0;
-  match Causal.waves cz with
+  let tl =
+    mk_timeline
+      [ (Time.us 10, 1L, 0, heard ());
+        (Time.us 20, 1L, 1, heard ~parent:0 ~via_port:1 ~hop:1 ());
+        (Time.us 30, 1L, 1, Timeline.Configured);
+        (Time.us 40, 1L, 1, heard ~parent:0 ~via_port:2 ~hop:1 ()) ]
+  in
+  match Causal.waves tl with
   | [ w ] ->
     check_int "still one node per switch" 2 (List.length w.Causal.w_nodes);
     let n1 = List.nth w.Causal.w_nodes 1 in
     check_int "latest heard wins" (Time.us 40) n1.Causal.n_heard;
-    check_int "latest port wins" 2 n1.Causal.n_via_port
+    check_int "latest port wins" 2 n1.Causal.n_via_port;
+    check_bool "earlier configuration forgotten" true
+      (n1.Causal.n_configured = None)
   | _ -> Alcotest.fail "expected one wave"
 
 let test_causal_validate_rejects_broken_parent () =
-  let cz = Causal.create ~enabled:true ~switches:4 () in
-  Causal.epoch_heard cz ~sw:0 ~epoch:1L ~time:(Time.us 10) ~parent:(-1)
-    ~via_port:(-1) ~hop:0 ~origin:0;
-  Causal.epoch_heard cz ~sw:1 ~epoch:1L ~time:(Time.us 20) ~parent:3
-    ~via_port:1 ~hop:1 ~origin:0;
-  match Causal.waves cz with
+  let tl =
+    mk_timeline
+      [ (Time.us 10, 1L, 0, heard ());
+        (Time.us 20, 1L, 1, heard ~parent:3 ~via_port:1 ~hop:1 ()) ]
+  in
+  match Causal.waves tl with
   | [ w ] -> (
     match Causal.validate_wave w with
     | Error _ -> ()
     | Ok () -> Alcotest.fail "validated a node whose parent is not in the wave")
   | _ -> Alcotest.fail "expected one wave"
 
-let test_causal_recorder_ring () =
-  let cz = Causal.create ~enabled:true ~recorder_capacity:4 ~switches:2 () in
-  for i = 1 to 10 do
-    Causal.record cz ~sw:1 ~time:(Time.us i) ~epoch:1L
-      (Printf.sprintf "ev%d" i)
-  done;
-  match Causal.recorders cz with
-  | [ (1, entries) ] ->
-    check_int "ring bounded at capacity" 4 (List.length entries);
-    Alcotest.(check (list string))
-      "keeps the newest, oldest first"
-      [ "ev7"; "ev8"; "ev9"; "ev10" ]
-      (List.map (fun e -> e.Causal.fr_msg) entries)
-  | _ -> Alcotest.fail "expected exactly one non-empty recorder"
-
 let test_causal_json_parses () =
-  let cz = Causal.create ~enabled:true ~switches:2 () in
-  Causal.epoch_heard cz ~sw:0 ~epoch:1L ~time:(Time.us 10) ~parent:(-1)
-    ~via_port:(-1) ~hop:0 ~origin:0;
-  Causal.epoch_heard cz ~sw:1 ~epoch:1L ~time:(Time.us 20) ~parent:0
-    ~via_port:1 ~hop:1 ~origin:0;
-  List.iter
-    (fun sw ->
-      Causal.tables_loaded cz ~sw ~epoch:1L ~time:(Time.us 30);
-      Causal.ports_enabled cz ~sw ~epoch:1L ~time:(Time.us 40))
-    [ 0; 1 ];
-  Causal.record cz ~sw:0 ~time:(Time.us 5) ~epoch:1L "boot";
+  let tl =
+    mk_timeline
+      [ (Time.us 10, 1L, 0, heard ());
+        (Time.us 20, 1L, 1, heard ~parent:0 ~via_port:1 ~hop:1 ());
+        (Time.us 30, 1L, 0, Timeline.Configured);
+        (Time.us 40, 1L, 1, Timeline.Configured) ]
+  in
+  let recorders =
+    [ (0, [ { Causal.fr_time = Time.us 5; fr_epoch = 1L; fr_msg = "boot" } ]) ]
+  in
   List.iter
     (fun j ->
       match Json.parse (Json.to_string j) with
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("causal JSON does not parse: " ^ e))
-    [ Causal.to_json cz; Causal.to_trace_json cz ]
+    [ Causal.to_json ~recorders tl; Causal.to_trace_json tl ]
+
+(* ------------------------------------------------------------------ *)
+(* One instrumentation stream: the Autopilot's event fold on a live run *)
+
+(* An SRC boot plus one link failure, with telemetry on; also returns
+   the fault's injection time. *)
+let src_run_with_fault () =
+  let net =
+    N.create ~params:Autonet_autopilot.Params.fast ~telemetry:`On
+      (B.src_service_lan ())
+  in
+  N.start net;
+  let converge () =
+    match N.run_until_converged net with
+    | Some _ -> ()
+    | None -> Alcotest.fail "network did not converge"
+  in
+  converge ();
+  let fault_at = N.now net in
+  N.apply_fault net
+    (Autonet_topo.Faults.Link_down
+       (List.hd (Graph.links (N.graph net))).Graph.id);
+  converge ();
+  (net, fault_at)
+
+let test_recorders_are_log_tail () =
+  let net, _ = src_run_with_fault () in
+  let recorders = N.recorders net in
+  check_int "one recorder per switch"
+    (Graph.switch_count (N.graph net))
+    (List.length recorders);
+  let wrapped = ref false and root_verified = ref 0 in
+  List.iter
+    (fun (s, entries) ->
+      let log = AP.event_log (N.autopilot net s) in
+      let all = Event_log.entries log in
+      let n = List.length all in
+      if n > 64 then wrapped := true;
+      let tail = List.filteri (fun i _ -> i >= n - 64) all in
+      check_int "newest 64 entries" (List.length tail) (List.length entries);
+      List.iter2
+        (fun (fr : Causal.recorder_entry) (e : Event_log.entry) ->
+          check_int "sim time" (Time.sub e.local_time (Event_log.skew log))
+            fr.fr_time;
+          check_int "epoch" (Int64.to_int (Epoch.to_int64 e.epoch))
+            (Int64.to_int fr.fr_epoch);
+          match e.event with
+          | Event.Root_verified { tables; _ } ->
+            incr root_verified;
+            check_string "root verify without the domain count"
+              (Printf.sprintf "root verify: %d tables deadlock-free" tables)
+              fr.fr_msg
+          | ev ->
+            check_string "rendered as logged" (Event.to_string ev) fr.fr_msg)
+        entries tail)
+    recorders;
+  check_bool "some log outgrew its recorder" true !wrapped;
+  check_bool "a root verification was recorded" true (!root_verified > 0)
+
+let test_one_stream () =
+  let net, fault_at = src_run_with_fault () in
+  let g = N.graph net in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (e : Event_log.entry) ->
+          if e.event = Event.Subtree_stable then
+            Alcotest.failf "s%d logged Subtree_stable" s)
+        (Event_log.entries (AP.event_log (N.autopilot net s))))
+    (Graph.switches g);
+  let tl = Option.get (N.timeline net) in
+  let marks = Timeline.marks tl in
+  let tids kind epoch =
+    List.filter_map
+      (fun (m : Timeline.mark) ->
+        if m.m_kind = kind && m.m_epoch = epoch then Some m.m_tid else None)
+      marks
+  in
+  check_bool "subtree stability reaches the timeline" true
+    (List.exists (fun (m : Timeline.mark) -> m.m_kind = Timeline.Tree_stable)
+       marks);
+  let root =
+    Option.get
+      (Graph.switch_of_uid g
+         (AP.position (N.autopilot net 0)).Spanning_tree.Position.root)
+  in
+  let healed = ref 0 in
+  List.iter
+    (fun (es : Timeline.epoch_spans) ->
+      if es.es_complete then begin
+        (* At boot every isolated switch closes epoch 1 for itself: one
+           mark per component, each on a switch that stayed root. *)
+        let closers = tids Timeline.Reports_closed es.es_epoch in
+        let moved = tids Timeline.Position es.es_epoch in
+        check_int
+          (Printf.sprintf "epoch %Ld: each root closes once" es.es_epoch)
+          (List.length (List.sort_uniq compare closers))
+          (List.length closers);
+        List.iter
+          (fun s ->
+            if List.mem s moved then
+              Alcotest.failf "epoch %Ld closed on s%d, which left the root"
+                es.es_epoch s)
+          closers;
+        if es.es_start >= fault_at then begin
+          incr healed;
+          Alcotest.(check (list int))
+            (Printf.sprintf "epoch %Ld closed once, on the root" es.es_epoch)
+            [ root ] closers
+        end
+      end)
+    (Timeline.epochs tl);
+  check_bool "the fault's reconfiguration completed" true (!healed > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool metric determinism across domain counts *)
@@ -614,9 +748,12 @@ let () =
             test_causal_reboot_overwrites;
           Alcotest.test_case "validation rejects broken parent" `Quick
             test_causal_validate_rejects_broken_parent;
-          Alcotest.test_case "recorder ring wraps" `Quick
-            test_causal_recorder_ring;
-          Alcotest.test_case "JSON parses" `Quick test_causal_json_parses ] );
+          Alcotest.test_case "JSON parses" `Quick test_causal_json_parses;
+          Alcotest.test_case "recorders are the event-log tail" `Quick
+            test_recorders_are_log_tail ] );
+      ( "stream",
+        [ Alcotest.test_case "subtree stability is timeline-only" `Quick
+            test_one_stream ] );
       ( "timeline",
         [ Alcotest.test_case "disabled records nothing" `Quick
             test_timeline_disabled_records_nothing;
@@ -626,7 +763,9 @@ let () =
           Alcotest.test_case "trace validates" `Quick
             test_timeline_trace_validates;
           Alcotest.test_case "validation rejects tampering" `Quick
-            test_timeline_validate_rejects_tampering ] );
+            test_timeline_validate_rejects_tampering;
+          Alcotest.test_case "causal-only marks ignored" `Quick
+            test_timeline_causal_kinds_ignored ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest pool_snapshot_qcheck;
           Alcotest.test_case "counts consistent" `Quick
