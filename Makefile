@@ -1,5 +1,5 @@
 .PHONY: all test bench bench-smoke bench-scaling bench-gates bench-delta \
-	bench-fuzz bench-json bench-e2e bench-e2e-smoke chaos-smoke \
+	bench-fuzz bench-json bench-e2e bench-e2e-smoke bench-e2e-pairs chaos-smoke \
 	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke clean
 
 all:
@@ -43,6 +43,15 @@ bench-e2e:
 	for w in torus256_flap src_faults src_chaos fuzz_random; do \
 	  bash bench/e2e/run.sh --workload $$w || exit 1; \
 	done
+
+# A change against another checkout (e.g. its parent, cloned elsewhere):
+# PAIRS alternating pairs of untraced runs of one workload, each side's
+# medians and quartiles and the change's win count (bin/e2e_pairs.sh), e.g.
+#   make bench-e2e-pairs PARENT=../parent WORKLOAD=torus256_flap PAIRS=10
+PAIRS ?= 10
+RUN_SECONDS ?= 18
+bench-e2e-pairs:
+	bash bin/e2e_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # The incremental-reconfiguration gate's deterministic half: after a
 # non-tree link fault on the 256-switch torus the delta fast path must

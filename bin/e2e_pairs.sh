@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# e2e_pairs.sh PARENT_CHECKOUT WORKLOAD PAIRS [SECONDS]
+#
+# Judges a change with the end-to-end benchmark (bench/e2e) the way a
+# claimed gain is judged: PAIRS pairs of untraced runs of WORKLOAD, pair
+# k on seed k, each run SECONDS long (default 18, the benchmark's run
+# length), alternating which side runs first.  Run it from the root of
+# the changed checkout; PARENT_CHECKOUT is another checkout of the
+# project (make it with `git clone` or `git archive`, not `git worktree`).
+# Each side builds and runs its own bench/e2e/run.sh.
+#
+# Prints every run's end-to-end metrics, then for each end-to-end metric
+# of BENCHMARK.json each side's median and quartiles and the number of
+# pairs the change won (ties count for neither), plus each side's total
+# failed operations.  Reads bench/e2e in both checkouts and edits
+# nothing; the runs' JSON lines go to a temporary directory.
+#
+#   bash bin/e2e_pairs.sh ../parent torus256_flap 10
+set -euo pipefail
+
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+  echo "usage: $0 PARENT_CHECKOUT WORKLOAD PAIRS [SECONDS]" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+workload=$2
+pairs=$3
+seconds=${4:-18}
+change=$PWD
+for dir in "$parent" "$change"; do
+  if [ ! -f "$dir/bench/e2e/run.sh" ]; then
+    echo "e2e_pairs: $dir is not an autonet checkout" >&2
+    exit 2
+  fi
+done
+
+# name:better for each end-to-end metric, in BENCHMARK.json's order.
+metrics=$(awk '
+  /"end_to_end"/ { on = 1 }
+  on && /"per_layer"/ { on = 0 }
+  on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+  on && /"better"/ { gsub(/[",]/, "", $2); print name ":" $2 }
+' "$change/BENCHMARK.json")
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+run() { # run SIDE DIR SEED
+  (cd "$2" && bash bench/e2e/run.sh --workload "$workload" --seed "$3" \
+     --seconds "$seconds" --trace 0 2>/dev/null) | tail -n 1 > "$out/$1-$3.json"
+}
+
+# value FILE METRIC: the metric's value in a result line.
+value() {
+  sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$1"
+}
+
+for seed in $(seq 1 "$pairs"); do
+  if [ $((seed % 2)) -eq 1 ]; then
+    run parent "$parent" "$seed"
+    run change "$change" "$seed"
+  else
+    run change "$change" "$seed"
+    run parent "$parent" "$seed"
+  fi
+  line="seed $seed"
+  for m in $metrics; do
+    name=${m%%:*}
+    line="$line  $name $(value "$out/parent-$seed.json" "$name") -> $(value "$out/change-$seed.json" "$name")"
+  done
+  echo "$line"
+done
+
+printf '\n%-14s %-7s %-32s %-32s %s\n' metric better \
+  "parent median [q1, q3]" "change median [q1, q3]" "change wins"
+for m in $metrics; do
+  name=${m%%:*}
+  better=${m##*:}
+  for seed in $(seq 1 "$pairs"); do
+    echo "$(value "$out/parent-$seed.json" "$name") $(value "$out/change-$seed.json" "$name")"
+  done | awk -v name="$name" -v better="$better" -v n="$pairs" '
+    function q(a, k, p,   x, i) { # linear-interpolated quantile of sorted a
+      x = 1 + (k - 1) * p; i = int(x)
+      return i >= k ? a[k] : a[i] + (x - i) * (a[i + 1] - a[i])
+    }
+    function sorted(src, dst, k,   i, j, t) {
+      for (i = 1; i <= k; i++) dst[i] = src[i]
+      for (i = 2; i <= k; i++)
+        for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) {
+          t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
+        }
+    }
+    { p[NR] = $1 + 0; c[NR] = $2 + 0
+      if (better == "lower" ? c[NR] < p[NR] : c[NR] > p[NR]) wins++ }
+    END {
+      sorted(p, ps, NR); sorted(c, cs, NR)
+      printf "%-14s %-7s %-32s %-32s %d/%d\n", name, better,
+        sprintf("%.4g [%.4g, %.4g]", q(ps, NR, .5), q(ps, NR, .25), q(ps, NR, .75)),
+        sprintf("%.4g [%.4g, %.4g]", q(cs, NR, .5), q(cs, NR, .25), q(cs, NR, .75)),
+        wins, n
+    }'
+done
+
+failed() { # failed SIDE: the failed operations over all runs of a side
+  cat "$out/$1"-*.json | sed -n 's/.*"failed":\([0-9]*\).*/\1/p' \
+    | awk '{ s += $1 } END { print s + 0 }'
+}
+echo
+echo "failed operations: parent $(failed parent), change $(failed change)"

@@ -17,6 +17,7 @@ type t = {
   net_params : Params.t;
   net_rng : Rng.t;
   pilots : Autopilot.t array;
+  epochs : Epoch_cache.t;
   net_metrics : Metrics.t option;
   net_timeline : Timeline.t option;
 }
@@ -51,16 +52,17 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
     ignore (Metrics.gauge m "causal.wave_fanout");
     ignore (Metrics.gauge m "causal.wave_critical_hops")
   | None -> ());
+  let epochs = Epoch_cache.create () in
   let pilots =
     Array.init switches (fun s ->
         (* Real switch clocks drift; skews make the merged-log tooling
            meaningful. *)
         let clock_skew = Time.us (Rng.int net_rng 200) - Time.us 100 in
-        Autopilot.create ~fabric ~switch:s ~clock_skew ?metrics:net_metrics
-          ?timeline:net_timeline ?span_clock ())
+        Autopilot.create ~fabric ~epochs ~switch:s ~clock_skew
+          ?metrics:net_metrics ?timeline:net_timeline ?span_clock ())
   in
   { engine; fabric; net_graph = g; net_params = params; net_rng; pilots;
-    net_metrics; net_timeline }
+    epochs; net_metrics; net_timeline }
 
 let engine t = t.engine
 let fabric t = t.fabric
@@ -68,6 +70,7 @@ let graph t = t.net_graph
 let params t = t.net_params
 let rng t = t.net_rng
 let autopilot t s = t.pilots.(s)
+let epoch_cache t = t.epochs
 let now t = Engine.now t.engine
 
 (* --- Telemetry --- *)
@@ -131,12 +134,17 @@ let live_graph t =
 
 (* --- Convergence --- *)
 
-let live_components t =
+let live t =
   let g = live_graph t in
-  Graph.components g
-  |> List.filter_map (fun comp ->
-         let powered = List.filter (fun s -> Autopilot.powered t.pilots.(s)) comp in
-         if powered = [] then None else Some powered)
+  ( g,
+    Graph.components g
+    |> List.filter_map (fun comp ->
+           let powered =
+             List.filter (fun s -> Autopilot.powered t.pilots.(s)) comp
+           in
+           if powered = [] then None else Some powered) )
+
+let live_components t = snd (live t)
 
 (* The configured report must reflect the live switch-to-switch topology of
    the component — a network still running on a pre-fault configuration is
@@ -191,10 +199,9 @@ let component_converged t live comp =
            rest)
 
 let converged t =
-  let live = live_graph t in
-  match live_components t with
-  | [] -> false
-  | comps -> List.for_all (component_converged t live) comps
+  match live t with
+  | _, [] -> false
+  | live, comps -> List.for_all (component_converged t live) comps
 
 let run_until_converged ?(timeout = Time.s 60) t =
   let deadline = Time.add (now t) timeout in
@@ -348,7 +355,7 @@ let merged_log t =
           t.pilots))
 
 let verify_against_reference t =
-  let g = live_graph t in
+  let g, comps = live t in
   List.for_all
     (fun comp ->
       match comp with
@@ -367,4 +374,4 @@ let verify_against_reference t =
               Topology_report.size r = List.length (Spanning_tree.members tree)
             | None -> false)
           comp)
-    (live_components t)
+    comps

@@ -45,6 +45,9 @@ val rng : t -> Autonet_sim.Rng.t
 
 val autopilot : t -> Graph.switch -> Autopilot.t
 
+val epoch_cache : t -> Epoch_cache.t
+(** The step-5 cache all of this network's pilots share. *)
+
 val start : t -> unit
 (** Boot every switch. *)
 
@@ -136,12 +139,14 @@ val verify_against_reference : t -> bool
     pure reference computation on the live physical topology?  (Spanning
     tree, addresses; the cornerstone correctness check.) *)
 
-val live_graph : t -> Graph.t
-(** The physical graph minus failed links and powered-off switches. *)
+val live : t -> Graph.t * Graph.switch list list
+(** The live graph — the physical graph minus failed links and
+    powered-off switches — and its connected components restricted to
+    powered switches; each component ascends, components ordered by
+    smallest member.  One graph build serves both. *)
 
 val live_components : t -> Graph.switch list list
-(** Connected components of the live graph restricted to powered switches;
-    each component ascends, components ordered by smallest member. *)
+(** The components of {!live}. *)
 
 val loaded_spec : t -> Graph.switch -> Tables.spec
 (** A copy of the forwarding table currently loaded in the switch

@@ -584,8 +584,8 @@ let on_transition t (tr : Port_monitor.transition) =
 
 (* --- Lifecycle --- *)
 
-let create ~fabric ~switch ?(clock_skew = Time.zero) ?metrics ?timeline
-    ?span_clock () =
+let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
+    ?timeline ?span_clock () =
   let g = Fabric.graph fabric in
   let counters =
     Option.map
@@ -639,8 +639,8 @@ let create ~fabric ~switch ?(clock_skew = Time.zero) ?metrics ?timeline
       ()
   in
   let reconfig =
-    Reconfig.create ~fabric ~switch ~uid:t.sw_uid ~callbacks:(make_callbacks t)
-      ()
+    Reconfig.create ~fabric ~epochs ~switch ~uid:t.sw_uid
+      ~callbacks:(make_callbacks t) ()
   in
   t.monitor <- Some monitor;
   t.reconfig <- Some reconfig;

@@ -27,6 +27,7 @@ type t
 
 val create :
   fabric:Fabric.t ->
+  epochs:Epoch_cache.t ->
   switch:Graph.switch ->
   ?clock_skew:Autonet_sim.Time.t ->
   ?metrics:Autonet_telemetry.Metrics.t ->
@@ -35,7 +36,8 @@ val create :
   unit ->
   t
 (** Builds the instance and registers its receive handler with the fabric;
-    call {!start} to boot it.  [metrics] (shared by all of a network's
+    call {!start} to boot it.  [epochs] is the network's step-5 cache,
+    shared by all its pilots.  [metrics] (shared by all of a network's
     pilots) adds counters to the receive and event paths; [timeline]
     (also shared) receives the milestone marks — phase boundaries plus
     the per-switch epoch parentage and sim-time milestones that

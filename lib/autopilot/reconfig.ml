@@ -51,7 +51,8 @@ type t = {
   mutable last_assignment : Address_assign.t option;
   mutable complete : Topology_report.t option;
   mutable complete_done : bool; (* tables computed and handed off this epoch *)
-  mutable committed : Delta.committed option;
+  epochs : Epoch_cache.t;  (* the network's, shared by all its switches *)
+  mutable committed : Epoch_cache.commit option;
       (* last committed epoch's reusable state; survives start_epoch so the
          next epoch can try the delta fast path, dies with [stop] *)
   mutable delta_spec : Tables.spec option;
@@ -60,7 +61,7 @@ type t = {
       (* the root's deadlock verdict for this epoch, whichever path ran *)
 }
 
-let create ~fabric ~switch ~uid ~callbacks () =
+let create ~fabric ~epochs ~switch ~uid ~callbacks () =
   { switch;
     uid;
     max_ports = Graph.max_ports (Fabric.graph fabric);
@@ -78,6 +79,7 @@ let create ~fabric ~switch ~uid ~callbacks () =
     last_assignment = None;
     complete = None;
     complete_done = false;
+    epochs;
     committed = None;
     delta_spec = None;
     root_verdict = None }
@@ -141,133 +143,60 @@ let is_root t = Uid.equal t.position.Position.root t.uid
 
 let claiming_children t = List.filter (fun p -> p.p_child_claim) t.peers
 
-(* Step 5: recompute everything from the complete topology and hand the
-   table to the owner for the destructive reload. *)
+(* Step 5: the network's epoch cache computes the tree, routes and
+   tables from the complete topology (once per report, for all switches);
+   we report our share and hand our table to the owner for the
+   destructive reload. *)
 let finish_configuration t report =
   if not t.complete_done then begin
     t.complete_done <- true;
     t.complete <- Some report;
-    let g = Topology_report.to_graph report in
-    match Graph.switch_of_uid g t.uid with
+    match
+      Epoch_cache.finish t.epochs report ~uid:t.uid ~root:(is_root t)
+        ~prev:t.committed ~clock:t.callbacks.cb_clock
+        ~on_span:(fun name dur_s -> t.callbacks.cb_span ~name ~dur_s)
+    with
     | None -> log t "complete report does not mention us!"
-    | Some me ->
-      let tree = Spanning_tree.compute g ~member:me in
-      let assignment =
-        Address_assign.make g
-          (List.filter_map
-             (fun d ->
-               match Graph.switch_of_uid g d.Topology_report.uid with
-               | Some s -> Some (s, d.Topology_report.proposed_number)
-               | None -> None)
-             (Topology_report.switches report))
-      in
-      t.my_number <- Address_assign.number assignment me;
-      t.last_assignment <- Some assignment;
-      let parent =
-        Option.map (fun p -> p.Spanning_tree.my_port) (Spanning_tree.parent tree me)
-      and children = List.map (fun (p, _, _) -> p) (Spanning_tree.children tree me) in
-      let span name dur_s = t.callbacks.cb_span ~name ~dur_s in
-      let pool =
-        if is_root t then Some (Autonet_parallel.Pool.default ()) else None
-      in
-      let domains =
-        match pool with
-        | Some p -> Autonet_parallel.Pool.domains p
-        | None -> 1
-      in
-      (* The delta fast path: when the previous epoch's committed state is
-         on hand and the freshly computed tree and assignment prove the
-         fault tree-preserving, reuse everything the proof covers and
-         recompute only the affected routes and tables.  Any mismatch at
-         all falls back to the unchanged full recompute below. *)
-      let delta =
-        if not (Delta.enabled ()) then None
-        else
-          match t.committed with
-          | None -> None
-          | Some prev ->
-            let clock = t.callbacks.cb_clock in
-            let c0 = clock () in
-            let cls = Delta.classify ~prev ~graph:g ~tree ~assignment ~me in
-            span "delta_classify" (clock () -. c0);
-            (match cls with
-            | Delta.Structural reason ->
-              event t (Event.Delta_fallback { reason });
-              None
-            | Delta.Tree_preserving ch ->
-              Some
-                (Delta.apply ?pool ~clock ~on_span:span ~prev ~graph:g ~tree
-                   ~assignment ~me ch))
-      in
-      (match delta with
-      | Some (committed', stats) ->
-        event t
-          (Event.Tables_computed
-             { switches = Topology_report.size report;
-               number = Option.value ~default:(-1) t.my_number });
-        event t
-          (Event.Delta_applied
-             { rebuilt = stats.Delta.st_rebuilt;
-               patched = stats.Delta.st_patched;
-               reused = stats.Delta.st_reused;
-               dests = stats.Delta.st_dests;
-               deadlock_full = stats.Delta.st_deadlock_full });
-        (match stats.Delta.st_verdict with
-        | Some Deadlock.Acyclic ->
-          t.root_verdict <- Some Deadlock.Acyclic;
+    | Some (o, committed) ->
+      t.committed <- committed;
+      t.my_number <- o.Epoch_cache.number;
+      t.last_assignment <- Some o.Epoch_cache.assignment;
+      Option.iter
+        (fun reason -> event t (Event.Delta_fallback { reason }))
+        o.Epoch_cache.fallback;
+      event t
+        (Event.Tables_computed
+           { switches = Topology_report.size report;
+             number = Option.value ~default:(-1) t.my_number });
+      Option.iter
+        (fun (stats : Delta.stats) ->
           event t
-            (Event.Root_verified
-               { tables =
-                   (match committed'.Delta.c_all with
-                   | Some a -> Array.length a
-                   | None -> 0);
-                 domains })
-        | Some (Deadlock.Cycle _ as r) ->
-          t.root_verdict <- Some r;
-          event t
-            (Event.Root_deadlock
-               { detail = Format.asprintf "%a" Deadlock.pp_result r })
-        | None -> ());
-        t.committed <- Some committed';
-        t.delta_spec <- Some committed'.Delta.c_own;
-        t.callbacks.cb_load_tables committed'.Delta.c_own ~parent ~children
-      | None ->
-        let updown = Updown.orient g tree in
-        let routes = Routes.compute g tree updown in
-        let spec = Tables.build g tree updown routes assignment me in
+            (Event.Delta_applied
+               { rebuilt = stats.st_rebuilt;
+                 patched = stats.st_patched;
+                 reused = stats.st_reused;
+                 dests = stats.st_dests;
+                 deadlock_full = stats.st_deadlock_full }))
+        o.Epoch_cache.delta;
+      (match o.Epoch_cache.verdict with
+      | Some (Deadlock.Acyclic, tables) ->
+        t.root_verdict <- Some Deadlock.Acyclic;
         event t
-          (Event.Tables_computed
-             { switches = Topology_report.size report;
-               number = Option.value ~default:(-1) t.my_number });
-        (* The root already holds the complete topology, so it can afford
-           the global safety check the other switches cannot: synthesize
-           every member's table across the domain pool and verify the
-           channel-dependency graph is acyclic before this epoch's tables
-           go live.  Results are bit-identical for any domain count, so
-           the simulator stays deterministic. *)
-        let all =
-          match pool with
-          | None -> None
-          | Some pool ->
-            let all = Tables.build_all ~pool g tree updown routes assignment in
-            (match Deadlock.check_tables ~pool g all with
-            | Deadlock.Acyclic ->
-              t.root_verdict <- Some Deadlock.Acyclic;
-              event t
-                (Event.Root_verified { tables = List.length all; domains })
-            | Deadlock.Cycle _ as r ->
-              t.root_verdict <- Some r;
-              event t
-                (Event.Root_deadlock
-                   { detail = Format.asprintf "%a" Deadlock.pp_result r }));
-            Some all
-        in
-        t.committed <-
-          Some
-            (Delta.commit_full ~graph:g ~tree ~updown ~routes ~assignment
-               ~own:spec ~all);
-        t.delta_spec <- None;
-        t.callbacks.cb_load_tables spec ~parent ~children)
+          (Event.Root_verified
+             { tables;
+               domains =
+                 Autonet_parallel.Pool.domains
+                   (Autonet_parallel.Pool.default ()) })
+      | Some ((Deadlock.Cycle _ as r), _) ->
+        t.root_verdict <- Some r;
+        event t
+          (Event.Root_deadlock
+             { detail = Format.asprintf "%a" Deadlock.pp_result r })
+      | None -> ());
+      t.delta_spec <-
+        Option.map (fun _ -> o.Epoch_cache.table) o.Epoch_cache.delta;
+      t.callbacks.cb_load_tables o.Epoch_cache.table
+        ~parent:o.Epoch_cache.parent ~children:o.Epoch_cache.children
   end;
   (* Flood the complete topology to every claiming child that has not
      acknowledged it yet — including children whose claim arrived after we
@@ -537,6 +466,7 @@ let stop t =
   t.last_assignment <- None;
   t.complete <- None;
   t.complete_done <- false;
+  Epoch_cache.release t.epochs t.committed;
   t.committed <- None;
   t.delta_spec <- None;
   t.root_verdict <- None

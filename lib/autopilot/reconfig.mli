@@ -15,10 +15,14 @@
     3-4. the root — the one switch whose unstable-to-stable transition is
        definitive — resolves switch-number proposals and floods the
        complete topology down the tree;
-    5. every switch independently recomputes spanning tree, up*/down*
-       orientation, routes and forwarding table from the complete report
-       (all pure functions of it, so all switches agree), loads the table,
-       and reopens for host traffic.
+    5. every switch derives spanning tree, up*/down* orientation, routes
+       and forwarding table from the complete report, loads the table,
+       and reopens for host traffic.  In the paper each switch computes
+       them itself; they are pure functions of the report (and, on the
+       delta path, of the previous commit), so here the network's
+       {!Epoch_cache} computes them once for all its switches and each
+       switch reports the events, statistics and compute spans its own
+       computation would have produced.
 
     The instance reports progress through the [callbacks]. *)
 
@@ -54,6 +58,7 @@ type t
 
 val create :
   fabric:Fabric.t ->
+  epochs:Epoch_cache.t ->
   switch:Graph.switch ->
   uid:Uid.t ->
   callbacks:callbacks ->

@@ -252,8 +252,7 @@ let check ?pool net =
     let reference =
       if N.verify_against_reference net then [] else [ Reference_mismatch ]
     in
-    let live = N.live_graph net in
-    let comps = N.live_components net in
+    let live, comps = N.live net in
     let specs =
       List.concat_map (List.map (fun s -> N.loaded_spec net s)) comps
     in

@@ -179,7 +179,10 @@ type stats = {
   st_dests : int;
   st_deadlock_full : bool;
   st_verdict : Deadlock.result option;
+  st_dirty : bool array;
 }
+
+let member_change ch = ch.added_switches <> [] || ch.removed_numbers <> []
 
 let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
   let time () = match clock with Some f -> f () | None -> 0. in
@@ -198,7 +201,7 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
   emit "delta_routes" t0;
   let t0 = time () in
   let n = Graph.switch_count g in
-  let member_change = ch.added_switches <> [] || ch.removed_numbers <> [] in
+  let member_change = member_change ch in
   let dirty = Array.make n false in
   for s = 0 to n - 1 do
     dirty.(s) <-
@@ -270,13 +273,16 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
          that changed.  With an unchanged member set the certificate is
          identical to the previous epoch's, under which every reused spec
          already certified; with a changed member set there are no reused
-         specs, so the check below covers every table.  Any failure falls
-         back to the full checker — the certificate is one-sided. *)
+         specs, so the check below covers every table.  A previous epoch
+         without a certificate vouches for none of its tables, so then
+         every table is checked.  Any failure falls back to the full
+         checker — the certificate is one-sided. *)
       let cert = Deadlock.certificate g tree in
       let certifies sp = Deadlock.certifies cert g updown sp in
+      let check_all = member_change || prev.c_cert = None in
       let to_check = ref [] in
       for s = n - 1 downto 0 do
-        if dirty.(s) || member_change then to_check := all.(s) :: !to_check
+        if dirty.(s) || check_all then to_check := all.(s) :: !to_check
       done;
       let result =
         if List.for_all certifies !to_check then
@@ -312,7 +318,18 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
       st_reused = !reused;
       st_dests = dests;
       st_deadlock_full = deadlock_full;
-      st_verdict = verdict } )
+      st_verdict = verdict;
+      st_dirty = dirty } )
+
+let non_root_stats ch st me =
+  let rebuilt = st.st_dirty.(me) in
+  let patched = (not rebuilt) && member_change ch in
+  { st with
+    st_rebuilt = Bool.to_int rebuilt;
+    st_patched = Bool.to_int patched;
+    st_reused = Bool.to_int (not (rebuilt || patched));
+    st_deadlock_full = false;
+    st_verdict = None }
 
 let commit_full ~graph ~tree ~updown ~routes ~assignment ~own ~all =
   let n = Graph.switch_count graph in

@@ -28,7 +28,14 @@
     the new graph (they are microseconds against the hundreds of
     milliseconds of table synthesis), any mismatch at all is declared
     structural, and a structural verdict sends the caller down the
-    unchanged full-epoch path. *)
+    unchanged full-epoch path.
+
+    In the paper every switch runs this step on its own copy of the
+    complete report.  Its answers are pure functions of the report and
+    the previous commit, so the simulator asks once:
+    [Autonet_autopilot.Epoch_cache] runs one non-root {!classify} and
+    one root-shaped {!apply} per previous commit, and derives each
+    non-root switch's own answer with {!non_root_stats}. *)
 
 type committed = {
   c_graph : Graph.t;          (** the epoch's report graph *)
@@ -89,6 +96,9 @@ type stats = {
       (** the incremental certificate failed and the full
           {!Deadlock.check_tables} ran instead *)
   st_verdict : Deadlock.result option;  (** root only *)
+  st_dirty : bool array;
+      (** per switch of the new graph: its table was rebuilt from scratch
+          (not patched or reused) *)
 }
 
 val apply :
@@ -108,7 +118,20 @@ val apply :
     (and a fallback deadlock check) across domains at the root.  [clock]
     and [on_span] report wall-clock sub-phase durations
     ([delta_routes], [delta_tables], [delta_deadlock]) without making
-    this library depend on [unix]. *)
+    this library depend on [unix].
+
+    With a [prev] that holds every table ([c_all]) the run is
+    {e root-shaped}: it rebuilds, patches or reuses every member's table
+    and verifies the set.  A [prev] without a certificate ([c_cert]) is
+    accepted there too; then every table is re-certified before the
+    result claims one. *)
+
+val non_root_stats : change -> stats -> Graph.switch -> stats
+(** [non_root_stats ch st me]: what {!apply} of [ch] reports for switch
+    [me] when its [prev] holds only its own table, read off the stats
+    [st] of a root-shaped {!apply} of the same change: one table,
+    rebuilt, patched or reused as [st.st_dirty] and the membership change
+    decide, the same [st_dests], and no deadlock verdict. *)
 
 val commit_full :
   graph:Graph.t -> tree:Spanning_tree.t -> updown:Updown.t ->

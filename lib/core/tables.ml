@@ -142,6 +142,14 @@ let row t ~in_port =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
   |> List.map (fun (a, e) -> (Short_address.of_int a, e))
 
+let has_row t ~in_port =
+  let dense = t.dense in
+  let rec scan k =
+    k < Array.length dense && (dense.(k) != discard || scan (k + 16))
+  in
+  scan in_port
+  || Seq.exists (fun k -> k land 0xF = in_port) (Hashtbl.to_seq_keys t.sparse)
+
 (* Ascending by (in-port, address), for printing and comparison. *)
 let fold t ~init ~f =
   let acc = ref init in

@@ -54,6 +54,9 @@ val remove : spec -> in_port:Graph.port -> dst:Short_address.t -> unit
 val row : spec -> in_port:Graph.port -> (Short_address.t * entry) list
 (** The entries of one receiving port, ascending by address. *)
 
+val has_row : spec -> in_port:Graph.port -> bool
+(** [row spec ~in_port <> []], stopping at the first entry found. *)
+
 val entry_count : spec -> int
 
 val fold : spec -> init:'a -> f:('a -> in_port:Graph.port -> dst:Short_address.t -> entry -> 'a) -> 'a

@@ -45,7 +45,7 @@ let unset t ~in_port ~dst =
 
 let has_row t ~in_port =
   check_port t "has_row" in_port;
-  Tables.row t.spec ~in_port <> []
+  Tables.has_row t.spec ~in_port
 
 let rows_of t ~in_port =
   check_port t "rows_of" in_port;

@@ -370,6 +370,7 @@ let check_delta_matches_full ~seed ~what ~expect_hit full1 full2 =
       fail "expected tree-preserving, classified structural: %s" reason;
     false
   | Delta.Tree_preserving ch ->
+    let root_stats = ref None in
     let pools =
       [ None;
         Some (Autonet_parallel.Pool.create ~domains:2 ());
@@ -392,6 +393,7 @@ let check_delta_matches_full ~seed ~what ~expect_hit full1 full2 =
               Delta.apply ?pool ~prev:prev_root ~graph:g2 ~tree:full2.f_tree
                 ~assignment:full2.f_asg ~me:me2 ch
             in
+            root_stats := Some stats;
             if
               spec_to_list committed.Delta.c_own
               <> spec_to_list (spec_for full2 me2)
@@ -442,8 +444,64 @@ let check_delta_matches_full ~seed ~what ~expect_hit full1 full2 =
           <> spec_to_list (spec_for full2 s2)
         then fail "non-root delta own table differs";
         if stats.Delta.st_verdict <> None then
-          fail "non-root delta produced a verdict"));
+          fail "non-root delta produced a verdict";
+        (* The root-shaped run tells every non-root switch what its own
+           run would have reported. *)
+        let derived = Delta.non_root_stats ch (Option.get !root_stats) s2 in
+        if
+          ( derived.st_rebuilt, derived.st_patched, derived.st_reused,
+            derived.st_dests, derived.st_deadlock_full, derived.st_verdict )
+          <> ( stats.st_rebuilt, stats.st_patched, stats.st_reused,
+               stats.st_dests, stats.st_deadlock_full, stats.st_verdict )
+        then fail "non_root_stats differs from the non-root apply"));
     true
+
+(* A root-shaped apply from a previous commit without a certificate may
+   not take the reused tables on trust: one of them here carries a
+   down-to-up U-turn, which no certificate admits.  The result may claim
+   a certificate only if every one of its tables certifies under it, and
+   its verdict must be the full checker's. *)
+let test_uncertified_prev_recertifies () =
+  let check_bool = Alcotest.(check bool) in
+  let g = rebuild_graph (Autonet_topo.Builders.torus ~rows:3 ~cols:3 ()).graph in
+  let full =
+    full_epoch g ~proposals:(List.map (fun s -> (s, 1)) (Graph.switches g))
+  in
+  let root = Spanning_tree.root full.f_tree in
+  let prev = commit_of full ~me:root ~root:true in
+  let all = Option.get prev.Delta.c_all in
+  let s = if root = 0 then 1 else 0 in
+  let pp = (Option.get (Spanning_tree.parent full.f_tree s)).Spanning_tree.my_port in
+  let poisoned = Tables.copy ~switch:s all.(s) in
+  Tables.set poisoned ~in_port:pp
+    ~dst:(Address_assign.address full.f_asg s 0)
+    { Tables.broadcast = false; ports = [ pp ] };
+  let cert = Deadlock.certificate g full.f_tree in
+  check_bool "the U-turn does not certify" false
+    (Deadlock.certifies cert g full.f_updown poisoned);
+  let all' = Array.copy all in
+  all'.(s) <- poisoned;
+  let prev = { prev with Delta.c_all = Some all'; c_cert = None } in
+  match
+    Delta.classify ~prev ~graph:g ~tree:full.f_tree ~assignment:full.f_asg
+      ~me:s
+  with
+  | Delta.Structural reason -> Alcotest.failf "same topology structural: %s" reason
+  | Delta.Tree_preserving ch ->
+    let c, st =
+      Delta.apply ~prev ~graph:g ~tree:full.f_tree ~assignment:full.f_asg
+        ~me:root ch
+    in
+    let tables = Option.get c.Delta.c_all in
+    check_bool "the poisoned table was reused" true (tables.(s) == poisoned);
+    (match c.Delta.c_cert with
+    | None -> ()
+    | Some cert ->
+      check_bool "a claimed certificate covers every table" true
+        (Array.for_all (Deadlock.certifies cert g full.f_updown) tables));
+    check_bool "the verdict is the full checker's" true
+      (same_verdict (Option.get st.Delta.st_verdict)
+         (Deadlock.check_tables g (Array.to_list tables)))
 
 let tree_link_ids full =
   List.filter_map
@@ -671,4 +729,6 @@ let () =
             test_delta_structural;
           Alcotest.test_case "address-stable rotation is structural" `Quick
             test_delta_rotation_structural;
-          Alcotest.test_case "AUTONET_DELTA knob" `Quick test_delta_knob ] ) ]
+          Alcotest.test_case "AUTONET_DELTA knob" `Quick test_delta_knob;
+          Alcotest.test_case "uncertified predecessor is re-certified" `Quick
+            test_uncertified_prev_recertifies ] ) ]

@@ -10,6 +10,7 @@ module B = Autonet_topo.Builders
 module F = Autonet_topo.Faults
 module N = Autonet.Network
 module AP = Autonet_autopilot.Autopilot
+module EC = Autonet_autopilot.Epoch_cache
 module Time = Autonet_sim.Time
 
 let check_bool = Alcotest.(check bool)
@@ -83,43 +84,38 @@ let test_link_repair_reincorporates () =
   | Some r -> check_int "all switches back" 6 (Topology_report.size r)
   | None -> Alcotest.fail "no complete report"
 
-let test_partition_and_heal () =
-  (* Failing both cut links of a 6-ring partitions it into two lines of 3;
-     each side must configure itself independently. *)
-  let t = make (B.ring ~n:6 ()) in
+(* Failing the links that cross [side] partitions the network; each side
+   must configure itself independently, on its own epoch-cache entry. *)
+let test_partition_and_heal topo ~side ~cut_links () =
+  let t = make topo in
   ignore (converge t);
-  (* Find the two links whose removal splits {0,1,2} from {3,4,5}. *)
   let cut =
     List.filter
       (fun (l : Graph.link) ->
         let sa, _ = l.a and sb, _ = l.b in
-        let side s = s <= 2 in
         side sa <> side sb)
       (Graph.links (N.graph t))
   in
-  check_int "two cut links" 2 (List.length cut);
+  check_int "cut links" cut_links (List.length cut);
+  let roots () =
+    List.length
+      (List.sort_uniq compare
+         (List.map
+            (fun s -> (AP.position (N.autopilot t s)).Spanning_tree.Position.root)
+            (Graph.switches (N.graph t))))
+  in
+  let live () = (EC.stats (N.epoch_cache t)).EC.live in
+  check_int "one live entry" 1 (live ());
   List.iter (fun (l : Graph.link) -> N.apply_fault t (F.Link_down l.Graph.id)) cut;
   ignore (converge t);
   check_bool "both partitions configured" true (N.verify_against_reference t);
-  (* Two distinct components, two roots. *)
-  let roots =
-    List.sort_uniq compare
-      (List.map
-         (fun s -> (AP.position (N.autopilot t s)).Spanning_tree.Position.root)
-         (Graph.switches (N.graph t)))
-  in
-  check_int "two roots" 2 (List.length roots);
-  (* Heal. *)
+  check_int "two roots" 2 (roots ());
+  check_int "an entry per side" 2 (live ());
   List.iter (fun (l : Graph.link) -> N.apply_fault t (F.Link_up l.Graph.id)) cut;
   ignore (converge t);
   check_bool "healed" true (N.verify_against_reference t);
-  let roots =
-    List.sort_uniq compare
-      (List.map
-         (fun s -> (AP.position (N.autopilot t s)).Spanning_tree.Position.root)
-         (Graph.switches (N.graph t)))
-  in
-  check_int "one root" 1 (List.length roots)
+  check_int "one root" 1 (roots ());
+  check_int "one entry again" 1 (live ())
 
 let test_switch_crash () =
   let t = make (B.torus ~rows:3 ~cols:3 ()) in
@@ -308,6 +304,261 @@ let test_loaded_spec_matches_rows () =
            (Tables.of_entries ~switch:s entries)))
     (Graph.switches (N.graph t))
 
+(* --- The epoch cache ---------------------------------------------------
+
+   The network computes each epoch once, yet every switch must end up
+   exactly where its own per-switch chain ([Old_chain], from that switch's
+   own previous commit) would have taken it.  [replay] steps the engine
+   one event at a time; every switch that finished an epoch in that event
+   is replayed, and the step-5 events it logged in that event must equal
+   the replay's. *)
+
+module Event_log = Autonet_autopilot.Event_log
+module FT = Autonet_switch.Forwarding_table
+
+type replay = {
+  net : N.t;
+  prevs : Delta.committed option array;  (* each switch's own lineage *)
+  tables : Tables.spec option array;
+  seen : Topology_report.t option array;
+  logged : int array;
+  mutable finishes : (Epoch.t * Topology_report.t * bool) list;
+      (* newest first: epoch, report, took the delta path *)
+}
+
+let replay net =
+  let n = Graph.switch_count (N.graph net) in
+  { net;
+    prevs = Array.make n None;
+    tables = Array.make n None;
+    seen = Array.make n None;
+    logged = Array.make n 0;
+    finishes = [] }
+
+let observe r =
+  Array.iteri
+    (fun s _ ->
+      let ap = N.autopilot r.net s in
+      let log = AP.event_log ap in
+      let fresh = Event_log.total_logged log - r.logged.(s) in
+      r.logged.(s) <- Event_log.total_logged log;
+      let logged =
+        if fresh = 0 then []
+        else
+          let entries = Event_log.entries log in
+          List.filteri (fun i _ -> i >= List.length entries - fresh) entries
+          |> List.map (fun (e : Event_log.entry) -> e.event)
+          |> List.filter Old_chain.step5
+      in
+      (* A powered-off switch forgets its commit. *)
+      if not (AP.powered ap) then r.prevs.(s) <- None;
+      let expected =
+        match AP.complete_report ap with
+        | Some report as cur when cur != r.seen.(s) -> (
+          r.seen.(s) <- cur;
+          let root =
+            Autonet_net.Uid.equal
+              (AP.position ap).Spanning_tree.Position.root (AP.uid ap)
+          in
+          match Old_chain.run ~prev:r.prevs.(s) ~root report (AP.uid ap) with
+          | None -> Alcotest.failf "s%d: report without it" s
+          | Some res ->
+            r.prevs.(s) <- Some res.committed;
+            r.tables.(s) <- Some res.table;
+            r.finishes <-
+              ( AP.epoch ap,
+                report,
+                List.exists
+                  (function Autonet_autopilot.Event.Delta_applied _ -> true | _ -> false)
+                  res.events )
+              :: r.finishes;
+            res.events)
+        | cur ->
+          r.seen.(s) <- cur;
+          []
+      in
+      if logged <> expected then
+        Alcotest.failf "s%d at %a: logged [%s], its own chain [%s]" s Time.pp
+          (N.now r.net)
+          (String.concat "; " (List.map Autonet_autopilot.Event.to_string logged))
+          (String.concat "; "
+             (List.map Autonet_autopilot.Event.to_string expected)))
+    r.prevs
+
+(* [run_until_converged], one observed event at a time; then every
+   powered switch must have been handed its own chain's table: its delta
+   spec, or its row of the entry's shared tables.  (What it loaded is
+   that table plus its own host-port edits, as before.) *)
+let replay_converge r =
+  let engine = N.engine r.net in
+  let deadline = Time.add (N.now r.net) (Time.s 60) in
+  let rec step limit =
+    let before = Autonet_sim.Engine.events_executed engine in
+    Autonet_sim.Engine.run engine ~until:limit ~max_events:1;
+    if Autonet_sim.Engine.events_executed engine > before then begin
+      observe r;
+      step limit
+    end
+  in
+  let rec loop () =
+    if not (N.converged r.net) then begin
+      if N.now r.net >= deadline then Alcotest.fail "network did not converge";
+      step (Time.min deadline (Time.add (N.now r.net) (Time.ms 2)));
+      loop ()
+    end
+  in
+  loop ();
+  Array.iteri
+    (fun s own ->
+      let ap = N.autopilot r.net s in
+      match (AP.powered ap, own, AP.complete_report ap) with
+      | false, _, _ -> ()
+      | true, Some own, Some report ->
+        let handed =
+          match AP.delta_spec ap with
+          | Some spec -> Some spec
+          | None ->
+            Option.bind (EC.tables (N.epoch_cache r.net) report) (fun all ->
+                Option.map (Array.get all)
+                  (Graph.switch_of_uid (Topology_report.to_graph report)
+                     (AP.uid ap)))
+        in
+        check_bool
+          (Printf.sprintf "s%d was handed its own chain's table" s)
+          true
+          (match handed with
+          | Some spec -> Tables.equal_spec spec own
+          | None -> false)
+      | true, _, _ -> Alcotest.failf "s%d configured without a table" s)
+    r.tables
+
+let non_tree_link g =
+  let tree = Spanning_tree.compute g ~member:0 in
+  let tree_link (l : Graph.link) =
+    List.exists
+      (fun s ->
+        match Spanning_tree.parent tree s with
+        | Some p -> Graph.link_at g (s, p.Spanning_tree.my_port) = Some l.id
+        | None -> false)
+      (Graph.switches g)
+  in
+  List.find (fun l -> not (tree_link l)) (Graph.links g)
+
+(* Boot, fail a non-tree link, heal it, reboot a switch: after every
+   convergence each switch agrees with its own chain, and both paths ran. *)
+let test_cache_replays_own_chain topo () =
+  let net = N.create ~params:Autonet_autopilot.Params.fast ~seed:1L topo in
+  let r = replay net in
+  N.start net;
+  observe r;
+  replay_converge r;
+  let g = N.graph net in
+  let l = (non_tree_link g).Graph.id in
+  let v = Graph.switch_count g - 1 in
+  List.iter
+    (fun fault ->
+      N.apply_fault net fault;
+      observe r;
+      replay_converge r)
+    [ F.Link_down l; F.Link_up l; F.Switch_down v; F.Switch_up v ];
+  check_bool "some switch took the delta path" true
+    (List.exists (fun (_, _, d) -> d) r.finishes);
+  check_bool "some switch took the full path" true
+    (List.exists (fun (_, _, d) -> not d) r.finishes)
+
+(* Per fault: one lookup per finishing switch, and per epoch and
+   component one computation — full or delta — with every other lookup a
+   hit. *)
+let test_cache_work_counter () =
+  let net =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L
+      (B.torus ~rows:4 ~cols:4 ())
+  in
+  let r = replay net in
+  N.start net;
+  observe r;
+  replay_converge r;
+  let g = N.graph net in
+  let l = (non_tree_link g).Graph.id in
+  List.iter
+    (fun fault ->
+      let s0 = EC.stats (N.epoch_cache net) in
+      r.finishes <- [];
+      N.apply_fault net fault;
+      observe r;
+      replay_converge r;
+      let s1 = EC.stats (N.epoch_cache net) in
+      let finishes = List.length r.finishes in
+      let epochs =
+        List.fold_left
+          (fun acc (e, rep, _) ->
+            if
+              List.exists
+                (fun (e', rep') ->
+                  Epoch.equal e e' && Topology_report.equal rep rep')
+                acc
+            then acc
+            else (e, rep) :: acc)
+          [] r.finishes
+        |> List.length
+      in
+      check_int "a lookup per finish" finishes (s1.EC.lookups - s0.EC.lookups);
+      check_int "a computation per epoch" epochs
+        (s1.EC.fulls + s1.EC.deltas - s0.EC.fulls - s0.EC.deltas);
+      check_int "the other lookups hit" (finishes - epochs)
+        (s1.EC.hits - s0.EC.hits))
+    [ F.Link_down l; F.Link_up l; F.Switch_down 5; F.Switch_up 5 ];
+  check_bool "the link fault took the delta path" true
+    ((EC.stats (N.epoch_cache net)).EC.deltas > 0)
+
+(* A host enabled after the epoch edits only its own switch's copy of the
+   table: every other switch's loaded table and the shared entry stay as
+   they were. *)
+let test_late_host_edits_only_its_copy () =
+  let module Fabric = Autonet_autopilot.Fabric in
+  let t =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L
+      (B.attach_hosts ~dual_homed:false (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2)
+  in
+  let late =
+    match Graph.hosts (N.graph t) with
+    | a :: _ -> (a.switch, a.switch_port)
+    | [] -> Alcotest.fail "a host expected"
+  in
+  Fabric.power_off_host (N.fabric t) late;
+  N.start t;
+  ignore (converge t);
+  N.run_for t (Time.s 3);
+  let switches = Graph.switches (N.graph t) in
+  let loaded = List.map (fun s -> N.loaded_spec t s) switches in
+  let report = Option.get (AP.complete_report (N.autopilot t 0)) in
+  let shared () =
+    match EC.tables (N.epoch_cache t) report with
+    | Some a -> a
+    | None -> Alcotest.fail "no live entry for the converged report"
+  in
+  let before = Array.map (fun sp -> Tables.copy ~switch:(Tables.switch sp) sp) (shared ()) in
+  Fabric.power_on_host (N.fabric t) late;
+  Fabric.set_host_active (N.fabric t) late true;
+  N.run_for t (Time.s 3);
+  check_bool "late row installed" true
+    (FT.has_row (AP.forwarding_table (N.autopilot t (fst late))) ~in_port:(snd late));
+  List.iter2
+    (fun s sp ->
+      if s <> fst late then
+        check_bool
+          (Printf.sprintf "s%d table unchanged" s)
+          true
+          (Tables.equal_spec sp (N.loaded_spec t s)))
+    switches loaded;
+  Array.iteri
+    (fun i sp ->
+      check_bool
+        (Printf.sprintf "shared table %d unchanged" i)
+        true
+        (Tables.equal_spec before.(i) sp))
+    (shared ())
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -435,7 +686,12 @@ let () =
       ( "faults",
         [ Alcotest.test_case "link failure" `Quick test_link_failure_reroutes;
           Alcotest.test_case "link repair" `Quick test_link_repair_reincorporates;
-          Alcotest.test_case "partition and heal" `Quick test_partition_and_heal;
+          Alcotest.test_case "partition and heal" `Quick
+            (test_partition_and_heal (B.ring ~n:6 ()) ~side:(fun s -> s <= 2)
+               ~cut_links:2);
+          Alcotest.test_case "torus partition and heal" `Quick
+            (test_partition_and_heal (B.torus ~rows:4 ~cols:4 ())
+               ~side:(fun s -> s < 8) ~cut_links:8);
           Alcotest.test_case "switch crash" `Quick test_switch_crash;
           Alcotest.test_case "root crash" `Quick test_root_crash ] );
       ( "protocol",
@@ -452,6 +708,15 @@ let () =
           Alcotest.test_case "merged log chronological" `Quick
             test_merged_log_is_chronological;
           Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder ] );
+      ( "epoch cache",
+        [ Alcotest.test_case "torus switches follow their own chain" `Quick
+            (test_cache_replays_own_chain (B.torus ~rows:4 ~cols:4 ()));
+          Alcotest.test_case "src switches follow their own chain" `Quick
+            (test_cache_replays_own_chain (B.src_service_lan ()));
+          Alcotest.test_case "one computation per epoch" `Quick
+            test_cache_work_counter;
+          Alcotest.test_case "late host edits only its copy" `Quick
+            test_late_host_edits_only_its_copy ] );
       ( "soak",
         [ Alcotest.test_case "twenty random faults" `Slow test_multi_fault_soak ] );
       ( "random",

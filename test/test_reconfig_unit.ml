@@ -19,9 +19,15 @@ type node = {
   rc : Reconfig.t;
   inbox : (int * Messages.t) Queue.t; (* (arrival port, message) *)
   mutable configured_count : int;
+  mutable events : Autonet_autopilot.Event.t list;  (* newest first *)
+  mutable loaded : Tables.spec option;  (* the last table handed over *)
 }
 
-type net = { graph : Graph.t; nodes : node array }
+type net = {
+  graph : Graph.t;
+  epochs : Autonet_autopilot.Epoch_cache.t;
+  nodes : node array;
+}
 
 let make_net topo =
   let g = topo.B.graph in
@@ -32,6 +38,7 @@ let make_net topo =
     Fabric.create ~engine ~graph:g ~params:Autonet_autopilot.Params.fast
       ~rng:(Autonet_sim.Rng.create ~seed:1L)
   in
+  let epochs = Autonet_autopilot.Epoch_cache.create () in
   let nodes = Array.make (Graph.switch_count g) None in
   let node_of s = Option.get nodes.(s) in
   List.iter
@@ -54,25 +61,33 @@ let make_net topo =
                        Queue.add (peer_port, msg) (node_of peer).inbox));
                cb_load_constant = (fun () -> ());
                cb_load_tables =
-                 (fun _spec ~parent:_ ~children:_ ->
+                 (fun spec ~parent:_ ~children:_ ->
                    let n = Lazy.force node in
+                   n.loaded <- Some spec;
                    Reconfig.note_configured n.rc);
                cb_configured =
                  (fun () ->
                    let n = Lazy.force node in
                    n.configured_count <- n.configured_count + 1);
-               cb_log = (fun _ -> ());
+               cb_log =
+                 (fun e ->
+                   let n = Lazy.force node in
+                   n.events <- e :: n.events);
                cb_span = (fun ~name:_ ~dur_s:_ -> ());
                cb_clock = (fun () -> 0.) }
            in
            { switch = s;
-             rc = Reconfig.create ~fabric ~switch:s ~uid:(Graph.uid g s) ~callbacks ();
+             rc =
+               Reconfig.create ~fabric ~epochs ~switch:s ~uid:(Graph.uid g s)
+                 ~callbacks ();
              inbox;
-             configured_count = 0 })
+             configured_count = 0;
+             events = [];
+             loaded = None })
       in
       nodes.(s) <- Some (Lazy.force node))
     (Graph.switches g);
-  { graph = g; nodes = Array.map Option.get nodes }
+  { graph = g; epochs; nodes = Array.map Option.get nodes }
 
 let usable_of net s =
   List.map
@@ -270,6 +285,75 @@ let test_stability_requires_children_reports () =
   done;
   check_bool "completes once fed" true (all_configured net)
 
+(* A closed report need not be connected: two switches with host ports
+   and no link between them.  The protocol never floods one, but a switch
+   handed one must configure as its own chain would — on the tree of its
+   own component, with the whole report's address assignment — and no
+   other switch may share the result. *)
+let test_disconnected_report_not_shared () =
+  let module EC = Autonet_autopilot.Epoch_cache in
+  let net = make_net (B.line ~n:2 ()) in
+  Array.iter (fun n -> start_epoch net n.switch) net.nodes;
+  pump net;
+  check_bool "configured" true (all_configured net);
+  let mp = Graph.max_ports net.graph in
+  let desc s =
+    Topology_report.switch_desc ~uid:(Graph.uid net.graph s)
+      ~proposed_number:(s + 1) ~max_ports:mp
+      [ (mp, Topology_report.Host_port) ]
+  in
+  let report =
+    Topology_report.merge
+      (Topology_report.singleton ~max_ports:mp (desc 0))
+      (Topology_report.singleton ~max_ports:mp (desc 1))
+  in
+  check_bool "closed" true (Topology_report.closed report);
+  let deliver s =
+    let n = net.nodes.(s) in
+    (* Its own chain's previous commit: the last report it completed. *)
+    let last = Option.get (Reconfig.complete_report n.rc) in
+    let uid = Graph.uid net.graph s in
+    let prev =
+      Option.map
+        (fun r -> r.Old_chain.committed)
+        (Old_chain.run ~prev:None ~root:(s = 0) last uid)
+    in
+    start_epoch net s;
+    Queue.clear n.inbox;
+    n.events <- [];
+    let before = EC.stats net.epochs in
+    ignore
+      (Reconfig.handle_message n.rc ~port:1
+         (Messages.Complete { epoch = Reconfig.epoch n.rc; seq = 1; report }));
+    let after = EC.stats net.epochs in
+    (* It has not heard its neighbour this epoch: it is its own root. *)
+    let want = Option.get (Old_chain.run ~prev ~root:true report uid) in
+    check_bool "its chain refuses the delta path" true
+      (List.mem
+         (Autonet_autopilot.Event.Delta_fallback { reason = "graph not connected" })
+         want.events);
+    check_bool (Printf.sprintf "s%d configured" s) true (Reconfig.configured n.rc);
+    check_bool
+      (Printf.sprintf "s%d logged its own chain's events" s)
+      true
+      (List.filter Old_chain.step5 (List.rev n.events) = want.events);
+    check_bool
+      (Printf.sprintf "s%d loaded its own chain's table" s)
+      true
+      (match n.loaded with
+      | Some spec -> Tables.equal_spec spec want.table
+      | None -> false);
+    check_bool
+      (Printf.sprintf "s%d number from the whole report" s)
+      true
+      (Reconfig.switch_number n.rc = Some (s + 1));
+    check_int "not a hit" before.EC.hits after.EC.hits;
+    check_bool "no entry for it" true (EC.tables net.epochs report = None)
+  in
+  deliver 0;
+  deliver 1;
+  check_int "both commits released" 0 (EC.stats net.epochs).EC.live
+
 let () =
   Alcotest.run "reconfig-protocol"
     [ ( "handshake",
@@ -283,4 +367,6 @@ let () =
         [ Alcotest.test_case "loss recovery" `Quick
             test_retransmission_recovers_losses;
           Alcotest.test_case "stability needs reports" `Quick
-            test_stability_requires_children_reports ] ) ]
+            test_stability_requires_children_reports;
+          Alcotest.test_case "disconnected report not shared" `Quick
+            test_disconnected_report_not_shared ] ) ]

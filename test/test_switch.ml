@@ -128,7 +128,8 @@ let test_ft_set_empty_is_discard () =
    insert-everything load produced: the constant one-hop rows for every
    (in-port, port) pair, overridden by every entry the spec folds over. *)
 let ft_load_spec_equivalent =
-  QCheck.Test.make ~name:"load_spec reads back the spec over the one-hop rows"
+  QCheck.Test.make
+    ~name:"load_spec reads back the spec over the one-hop rows; has_row agrees"
     ~count:40 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int seed) in
@@ -158,11 +159,37 @@ let ft_load_spec_equivalent =
               (List.init (max_ports + 1) Fun.id)
           in
           let sorted l = List.sort compare l in
-          FT.entry_count t = Hashtbl.length expected
-          && sorted rows = sorted (List.of_seq (Hashtbl.to_seq expected))
-          && Hashtbl.fold
-               (fun (in_port, dst) e ok -> ok && FT.lookup t ~in_port ~dst = e)
-               expected true)
+          (* [has_row] stops at the first entry; it must still agree with
+             the row, here and after edits that empty or refill rows. *)
+          let rows_agree () =
+            List.for_all
+              (fun in_port ->
+                FT.has_row t ~in_port = (FT.rows_of t ~in_port <> []))
+              (List.init (max_ports + 1) Fun.id)
+          in
+          let agree_loaded = rows_agree () in
+          let reads_back =
+            FT.entry_count t = Hashtbl.length expected
+            && sorted rows = sorted (List.of_seq (Hashtbl.to_seq expected))
+            && Hashtbl.fold
+                 (fun (in_port, dst) e ok -> ok && FT.lookup t ~in_port ~dst = e)
+                 expected true
+          in
+          let in_port = seed mod (max_ports + 1) in
+          List.iter
+            (fun (dst, _) -> FT.unset t ~in_port ~dst)
+            (FT.rows_of t ~in_port);
+          let agree_emptied = rows_agree () && not (FT.has_row t ~in_port) in
+          (* One entry in the dense block, at any address of a block,
+             then one in the sparse part. *)
+          let e = { FT.vector = PV.singleton 1; broadcast = false } in
+          let dst = Short_address.of_int (0x10 + (seed mod 16)) in
+          FT.set t ~in_port ~dst e;
+          let agree_dense = rows_agree () in
+          FT.unset t ~in_port ~dst;
+          FT.set t ~in_port ~dst:Short_address.loopback e;
+          reads_back && agree_loaded && agree_emptied && agree_dense
+          && rows_agree ())
         c.Testlib.specs)
 
 (* ------------------------------------------------------------------ *)
