@@ -708,7 +708,7 @@ let () =
           Alcotest.test_case "merged log chronological" `Quick
             test_merged_log_is_chronological;
           Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder ] );
-      ( "epoch cache",
+      ( "cache",
         [ Alcotest.test_case "torus switches follow their own chain" `Quick
             (test_cache_replays_own_chain (B.torus ~rows:4 ~cols:4 ()));
           Alcotest.test_case "src switches follow their own chain" `Quick
