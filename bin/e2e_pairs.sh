@@ -12,7 +12,11 @@
 # Prints every run's end-to-end metrics, then for each end-to-end metric
 # of BENCHMARK.json each side's median and quartiles and the number of
 # pairs the change won (ties count for neither), plus each side's total
-# failed operations.  Reads bench/e2e in both checkouts and edits
+# failed operations.  A run that exits nonzero (e2e.exe does when an
+# operation fails) or prints no result is marked on its seed's line and
+# kept: its metrics, if any, still count, and a side without a result
+# drops out of that pair.  The summary always prints; the script then
+# exits 1 if any run failed.  Reads bench/e2e in both checkouts and edits
 # nothing; the runs' JSON lines go to a temporary directory.
 #
 #   bash bin/e2e_pairs.sh ../parent torus256_flap 10
@@ -45,14 +49,29 @@ metrics=$(awk '
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-run() { # run SIDE DIR SEED
+failed_runs=0
+
+# run SIDE DIR SEED: keeps the run's last stdout line; a run that exits
+# nonzero or prints no result line gets a note in SIDE-SEED.note.
+run() {
+  local status=0
   (cd "$2" && bash bench/e2e/run.sh --workload "$workload" --seed "$3" \
-     --seconds "$seconds" --trace 0 2>/dev/null) | tail -n 1 > "$out/$1-$3.json"
+     --seconds "$seconds" --trace 0 2>/dev/null) > "$out/$1-$3.log" || status=$?
+  tail -n 1 "$out/$1-$3.log" > "$out/$1-$3.json"
+  local note=""
+  [ "$status" -eq 0 ] || note="exit $status"
+  grep -q '"value"' "$out/$1-$3.json" || note="${note:+$note, }no result"
+  if [ -n "$note" ]; then
+    echo "$note" > "$out/$1-$3.note"
+    failed_runs=$((failed_runs + 1))
+  fi
 }
 
-# value FILE METRIC: the metric's value in a result line.
+# value FILE METRIC: the metric's value in a result line, NA if none.
 value() {
-  sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$1"
+  local v
+  v=$(sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$1")
+  echo "${v:-NA}"
 }
 
 for seed in $(seq 1 "$pairs"); do
@@ -67,6 +86,11 @@ for seed in $(seq 1 "$pairs"); do
   for m in $metrics; do
     name=${m%%:*}
     line="$line  $name $(value "$out/parent-$seed.json" "$name") -> $(value "$out/change-$seed.json" "$name")"
+  done
+  for side in parent change; do
+    if [ -f "$out/$side-$seed.note" ]; then
+      line="$line  [$side run failed: $(cat "$out/$side-$seed.note")]"
+    fi
   done
   echo "$line"
 done
@@ -90,14 +114,18 @@ for m in $metrics; do
           t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
         }
     }
-    { p[NR] = $1 + 0; c[NR] = $2 + 0
-      if (better == "lower" ? c[NR] < p[NR] : c[NR] > p[NR]) wins++ }
+    function summary(a, k,   s) {
+      if (k == 0) return "NA"
+      sorted(a, s, k)
+      return sprintf("%.4g [%.4g, %.4g]", q(s, k, .5), q(s, k, .25), q(s, k, .75))
+    }
+    { if ($1 != "NA") p[++np] = $1 + 0
+      if ($2 != "NA") c[++nc] = $2 + 0
+      if ($1 != "NA" && $2 != "NA" && \
+          (better == "lower" ? $2 + 0 < $1 + 0 : $2 + 0 > $1 + 0)) wins++ }
     END {
-      sorted(p, ps, NR); sorted(c, cs, NR)
       printf "%-14s %-7s %-32s %-32s %d/%d\n", name, better,
-        sprintf("%.4g [%.4g, %.4g]", q(ps, NR, .5), q(ps, NR, .25), q(ps, NR, .75)),
-        sprintf("%.4g [%.4g, %.4g]", q(cs, NR, .5), q(cs, NR, .25), q(cs, NR, .75)),
-        wins, n
+        summary(p, np), summary(c, nc), wins, n
     }'
 done
 
@@ -107,3 +135,7 @@ failed() { # failed SIDE: the failed operations over all runs of a side
 }
 echo
 echo "failed operations: parent $(failed parent), change $(failed change)"
+if [ "$failed_runs" -gt 0 ]; then
+  echo "e2e_pairs: $failed_runs run(s) failed; see the marked seeds above" >&2
+  exit 1
+fi

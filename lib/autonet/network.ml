@@ -248,7 +248,9 @@ let schedule_faults t schedule =
 (* A copy of the forwarding table actually loaded in the switch hardware.
    This is deliberately *not* the spec the Autopilot computed: invariant
    checkers (the chaos oracle) want to walk and deadlock-check the table
-   the dataplane would really use, including late host-port enables. *)
+   the dataplane would really use, including late host-port enables.  The
+   copy shares the live table's pages copy-on-write, so it costs the page
+   pointers, and the switch's next edit copies the page it touches. *)
 let loaded_spec t s =
   Tables.copy ~switch:s
     (Autonet_switch.Forwarding_table.spec

@@ -154,4 +154,5 @@ val loaded_spec : t -> Graph.switch -> Tables.spec
     switch index — what
     {!Deadlock.check_tables} and {!Verify} can analyze.  Reflects the real
     dataplane state, including host ports enabled or disabled after the
-    last reconfiguration. *)
+    last reconfiguration.  O(max switch number): the copy shares the live
+    table's pages copy-on-write. *)

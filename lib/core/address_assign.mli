@@ -32,7 +32,7 @@ val switch_of_number : t -> int -> Graph.switch option
 
 val max_number : t -> int
 (** Largest assigned switch number, or [-1] for an empty assignment.
-    Bounds the dense key space of assigned short addresses. *)
+    Bounds the page array of a built table spec (one page per number). *)
 
 val address : t -> Graph.switch -> Graph.port -> Short_address.t
 (** Short address of the given port.  Raises [Invalid_argument] for an

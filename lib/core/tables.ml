@@ -17,64 +17,120 @@ let pp_entry ppf { broadcast; ports } =
    unboxed key spares a tuple allocation per probe. *)
 let key ~in_port ~addr = (Short_address.to_int addr lsl 4) lor in_port
 
-(* A spec stores the keys below [Array.length dense] in a flat array —
-   the assigned-address block plus the constant low addresses, i.e.
-   everything the synthesis loop writes per destination — and the rest
-   (the four 0xFFFC+ special addresses, or arbitrary addresses fed to
-   [of_entries]) in a small hashtable.  The [discard] record doubles as
-   the dense array's "absent" sentinel by physical equality: [add_entry]
-   and [set] never store an empty-port entry, so no entry can alias it. *)
+(* A spec stores its keys in pages of 256: page [p] holds the keys
+   [p lsl 8 .. p lsl 8 lor 0xFF], i.e. the 16 addresses of switch number
+   [p] at all 16 in-ports.  Page 0 holds the constant and one-hop rows
+   (addresses 0..15); the reserved and special addresses 0xFFF0..0xFFFF
+   share one more page, [top].  A build keys [pages] up to the largest
+   assigned number; a write beyond grows it.
+
+   Pages are copy-on-write.  [owned.[p]] (and [top_owned]) says the page
+   is this spec's alone, to write in place; any other page is first
+   copied.  [copy] copies the page pointers and clears the marks on both
+   sides, a build interns equal remote blocks without owning them, and
+   [empty_page] — standing for every block without entries — is never
+   owned, so it is never written.  The [discard] record doubles as the
+   "absent" sentinel by physical equality: [add_entry] and [set] never
+   store an empty-port entry, so no entry can alias it. *)
+let page_size = 256
+
+let top_page = 0xFFF
+
+let empty_page = Array.make page_size discard
+
 type spec = {
   spec_switch : Graph.switch;
-  dense : entry array;
-  sparse : (int, entry) Hashtbl.t;
+  mutable pages : entry array array;
+  mutable owned : Bytes.t;
+  mutable top : entry array;
+  mutable top_owned : bool;
   mutable count : int;
 }
 
-let make_spec ~switch ~dense_size =
+let make_spec ~switch ~pages =
   { spec_switch = switch;
-    dense = Array.make dense_size discard;
-    sparse = Hashtbl.create 16;
+    pages = Array.make pages empty_page;
+    owned = Bytes.make pages '\000';
+    top = empty_page;
+    top_owned = false;
     count = 0 }
 
-(* Covers every key the builder produces for assigned addresses
-   ([number lsl 4 lor q] with q < 16) plus the local-switch and one-hop
-   rows (addresses 0..15, keys < 256). *)
-let dense_size_for assignment =
-  let m = Address_assign.max_number assignment in
-  if m < 1 then 256 else (m + 1) lsl 8
+(* Page 0 plus one page per assigned switch number. *)
+let pages_for assignment = Stdlib.max 1 (Address_assign.max_number assignment + 1)
 
 let switch t = t.spec_switch
 
-(* 256 dense keys hold the constant and one-hop rows (addresses 0..15). *)
-let empty ~switch = make_spec ~switch ~dense_size:256
+let empty ~switch = make_spec ~switch ~pages:0
 
 let copy ~switch t =
+  let n = Array.length t.pages in
+  Bytes.fill t.owned 0 n '\000';
+  t.top_owned <- false;
   { spec_switch = switch;
-    dense = Array.copy t.dense;
-    sparse = Hashtbl.copy t.sparse;
+    pages = Array.copy t.pages;
+    owned = Bytes.make n '\000';
+    top = t.top;
+    top_owned = false;
     count = t.count }
+
+let page_at t p =
+  if p < Array.length t.pages then Array.unsafe_get t.pages p
+  else if p = top_page then t.top
+  else empty_page
+
+(* Grow the page array to hold page [p]. *)
+let reserve t p =
+  let n = Array.length t.pages in
+  if p >= n then begin
+    let pages = Array.make (p + 1) empty_page in
+    Array.blit t.pages 0 pages 0 n;
+    let owned = Bytes.make (p + 1) '\000' in
+    Bytes.blit t.owned 0 owned 0 n;
+    t.pages <- pages;
+    t.owned <- owned
+  end
+
+(* Page [p], made this spec's own (copied if shared) for writing. *)
+let writable t p =
+  if p = top_page then begin
+    if not t.top_owned then begin
+      t.top <- Array.copy t.top;
+      t.top_owned <- true
+    end;
+    t.top
+  end
+  else begin
+    reserve t p;
+    if Bytes.unsafe_get t.owned p = '\000' then begin
+      t.pages.(p) <- Array.copy t.pages.(p);
+      Bytes.unsafe_set t.owned p '\001'
+    end;
+    t.pages.(p)
+  end
+
+let page_count page =
+  if page == empty_page then 0
+  else Array.fold_left (fun n e -> if e != discard then n + 1 else n) 0 page
 
 let lookup t ~in_port ~dst =
   let k = key ~in_port ~addr:dst in
-  if k < Array.length t.dense then t.dense.(k)
-  else
-    match Hashtbl.find_opt t.sparse k with
-    | Some e -> e
-    | None -> discard
+  Array.unsafe_get (page_at t (k lsr 8)) (k land 0xFF)
 
 let entry_count t = t.count
 
 let iter t ~f =
-  let dense = t.dense in
-  for k = 0 to Array.length dense - 1 do
-    let e = dense.(k) in
-    if e != discard then
-      f ~in_port:(k land 0xF) ~dst:(Short_address.of_int (k lsr 4)) e
-  done;
-  Hashtbl.iter
-    (fun k e -> f ~in_port:(k land 0xF) ~dst:(Short_address.of_int (k lsr 4)) e)
-    t.sparse
+  let iter_page p page =
+    if page != empty_page then
+      for i = 0 to page_size - 1 do
+        let e = Array.unsafe_get page i in
+        if e != discard then
+          f ~in_port:(i land 0xF)
+            ~dst:(Short_address.of_int ((p lsl 4) lor (i lsr 4)))
+            e
+      done
+  in
+  Array.iteri iter_page t.pages;
+  iter_page top_page t.top
 
 type route_mode = Minimal_routes | All_legal_routes
 
@@ -102,29 +158,17 @@ let host_ports g s =
 let add_entry t ~in_port ~addr e =
   if e.ports <> [] then begin
     let k = key ~in_port ~addr in
-    if k < Array.length t.dense then begin
-      if t.dense.(k) == discard then t.count <- t.count + 1;
-      t.dense.(k) <- e
-    end
-    else begin
-      if not (Hashtbl.mem t.sparse k) then t.count <- t.count + 1;
-      Hashtbl.replace t.sparse k e
-    end
+    let page = writable t (k lsr 8) and i = k land 0xFF in
+    if page.(i) == discard then t.count <- t.count + 1;
+    page.(i) <- e
   end
 
-let remove_key t k =
-  if k < Array.length t.dense then begin
-    if t.dense.(k) != discard then begin
-      t.dense.(k) <- discard;
-      t.count <- t.count - 1
-    end
-  end
-  else if Hashtbl.mem t.sparse k then begin
-    Hashtbl.remove t.sparse k;
+let remove t ~in_port ~dst =
+  let k = key ~in_port ~addr:dst in
+  if (page_at t (k lsr 8)).(k land 0xFF) != discard then begin
+    (writable t (k lsr 8)).(k land 0xFF) <- discard;
     t.count <- t.count - 1
   end
-
-let remove t ~in_port ~dst = remove_key t (key ~in_port ~addr:dst)
 
 let set t ~in_port ~dst e =
   if e.ports = [] then remove t ~in_port ~dst
@@ -132,23 +176,26 @@ let set t ~in_port ~dst e =
 
 let row t ~in_port =
   let acc = ref [] in
-  Hashtbl.iter
-    (fun k e -> if k land 0xF = in_port then acc := (k lsr 4, e) :: !acc)
-    t.sparse;
-  for a = (Array.length t.dense - 1 - in_port) asr 4 downto 0 do
-    let e = t.dense.((a lsl 4) lor in_port) in
-    if e != discard then acc := (a, e) :: !acc
+  let add p page =
+    for q = 15 downto 0 do
+      let e = page.((q lsl 4) lor in_port) in
+      if e != discard then
+        acc := (Short_address.of_int ((p lsl 4) lor q), e) :: !acc
+    done
+  in
+  if t.top != empty_page then add top_page t.top;
+  for p = Array.length t.pages - 1 downto 0 do
+    let page = t.pages.(p) in
+    if page != empty_page then add p page
   done;
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
-  |> List.map (fun (a, e) -> (Short_address.of_int a, e))
+  !acc
 
 let has_row t ~in_port =
-  let dense = t.dense in
-  let rec scan k =
-    k < Array.length dense && (dense.(k) != discard || scan (k + 16))
+  let in_page page =
+    let rec scan i = i < page_size && (page.(i) != discard || scan (i + 16)) in
+    page != empty_page && scan in_port
   in
-  scan in_port
-  || Seq.exists (fun k -> k land 0xF = in_port) (Hashtbl.to_seq_keys t.sparse)
+  Array.exists in_page t.pages || in_page t.top
 
 (* Ascending by (in-port, address), for printing and comparison. *)
 let fold t ~init ~f =
@@ -242,16 +289,74 @@ module Arena = Autonet_parallel.Pool.Arena
 let slot_ip = Arena.register ()
 let slot_sel = Arena.register ()
 
+let next_hops_of mode routes =
+  match mode with
+  | Minimal_routes -> Routes.next_hops routes
+  | All_legal_routes -> Routes.all_next_hops routes
+
+(* The in-ports as [ip.(0 .. nip-1)] and each one's arrival phase as
+   [sel.(i)] (0 up, 1 down): a property of the in-port alone, computed
+   once per switch rather than once per destination. *)
+let fill_selectors routes s in_ports ~ip ~sel =
+  List.iteri
+    (fun i p ->
+      ip.(i) <- p;
+      sel.(i) <-
+        (match Routes.phase_of_arrival routes ~at:s ~in_port:p with
+        | Routes.Up -> 0
+        | Routes.Down -> 1))
+    in_ports
+
+(* The route out of [s] toward a remote switch [d] depends only on the
+   arrival phase: the up and the down entry. *)
+let remote_entries next_hops s d =
+  let entry_for phase =
+    let hops = next_hops ~at:s ~phase ~dst:d in
+    { broadcast = false; ports = List.sort_uniq Int.compare (List.map fst hops) }
+  in
+  (entry_for Routes.Up, entry_for Routes.Down)
+
+(* The page of a remote destination's address block and its entry count,
+   interned by the (up, down) pair: one switch's blocks toward all
+   destinations with equal next-hop sets share one page.  [None] when
+   the block has no entry. *)
+let remote_page intern ~max_ports ~nip ~ip ~sel (e_up, e_down) =
+  let k = (e_up.ports, e_down.ports) in
+  match Hashtbl.find_opt intern k with
+  | Some pc -> pc
+  | None ->
+    let page = Array.make page_size discard and n = ref 0 in
+    for i = 0 to nip - 1 do
+      let e = if sel.(i) = 0 then e_up else e_down in
+      if e.ports <> [] then begin
+        n := !n + max_ports + 1;
+        for q = 0 to max_ports do
+          page.((q lsl 4) lor ip.(i)) <- e
+        done
+      end
+    done;
+    let pc = if !n = 0 then None else Some (page, !n) in
+    Hashtbl.add intern k pc;
+    pc
+
+(* Install the rendered block of switch number [p] as its page, unowned:
+   it may be interned. *)
+let place t p (page, n) =
+  reserve t p;
+  t.count <- t.count - page_count t.pages.(p) + n;
+  t.pages.(p) <- page;
+  Bytes.set t.owned p '\000'
+
+(* [address d 0] = number lsl 4: the page index of [d]'s block. *)
+let number_of assignment d =
+  Short_address.to_int (Address_assign.address assignment d 0) lsr 4
+
 let build ?(mode = Minimal_routes) g tree updown routes assignment s =
   if not (Spanning_tree.mem tree s) then
     invalid_arg "Tables.build: switch not in the configured component";
-  let spec = make_spec ~switch:s ~dense_size:(dense_size_for assignment) in
+  let spec = make_spec ~switch:s ~pages:(pages_for assignment) in
   let in_ports = receiving_ports g updown s in
-  let next_hops =
-    match mode with
-    | Minimal_routes -> Routes.next_hops routes
-    | All_legal_routes -> Routes.all_next_hops routes
-  in
+  let next_hops = next_hops_of mode routes in
   (* --- Assigned unicast destinations. ---
      Every port address of every member switch gets an entry at remote
      switches (the route depends only on the destination switch), so a
@@ -261,31 +366,23 @@ let build ?(mode = Minimal_routes) g tree updown routes assignment s =
      is not in use the packet is discarded").
 
      The route out of [s] depends only on the arrival phase and the
-     destination switch, so the (at most two) next-hop entries per
-     destination are shared across the whole 16-address block, and each
-     (in-port, address) pair costs one store into the dense array. *)
-  (* The in-port array and the per-in-port phase selector come from the
-     per-domain arena (reused across tasks and epochs).  The selector is
-     a property of the in-port alone — it does not depend on the
-     destination — so it is computed once here instead of once per
-     destination as the old [entry_of_in] refill did. *)
+     destination switch, so a remote destination's whole 16-address block
+     is one page holding (at most) two distinct entries, and destinations
+     with equal next-hop sets share that page.  The in-port array and the
+     per-in-port phase selector come from the per-domain arena (reused
+     across tasks and epochs). *)
   let arena = Arena.get () in
   let nip = List.length in_ports in
   let ip = Arena.ints arena slot_ip ~len:(Stdlib.max 1 nip) in
-  List.iteri (fun i p -> ip.(i) <- p) in_ports;
   let sel = Arena.ints arena slot_sel ~len:(Stdlib.max 1 nip) in
-  for i = 0 to nip - 1 do
-    sel.(i) <-
-      (match Routes.phase_of_arrival routes ~at:s ~in_port:ip.(i) with
-      | Routes.Up -> 0
-      | Routes.Down -> 1)
-  done;
-  let dense = spec.dense in
+  fill_selectors routes s in_ports ~ip ~sel;
+  let max_ports = Graph.max_ports g in
+  let intern = Hashtbl.create 16 in
   List.iter
     (fun d ->
       if s = d then begin
         let hosts_of_d = host_ports g d in
-        for q = 0 to Graph.max_ports g do
+        for q = 0 to max_ports do
           if q = 0 || List.mem q hosts_of_d then begin
             let addr = Address_assign.address assignment d q in
             let e = { broadcast = false; ports = [ q ] } in
@@ -295,32 +392,13 @@ let build ?(mode = Minimal_routes) g tree updown routes assignment s =
           end
         done
       end
-      else begin
-        let entry_for phase =
-          let hops = next_hops ~at:s ~phase ~dst:d in
-          let ports = List.sort_uniq Int.compare (List.map fst hops) in
-          { broadcast = false; ports }
-        in
-        let e_up = entry_for Routes.Up and e_down = entry_for Routes.Down in
-        if e_up.ports <> [] || e_down.ports <> [] then begin
-          (* [address d 0] = number lsl 4; the whole block lives below
-             [dense_size_for assignment] by construction. *)
-          let base =
-            Short_address.to_int (Address_assign.address assignment d 0)
-          in
-          for q = 0 to Graph.max_ports g do
-            let k_addr = (base lor q) lsl 4 in
-            for i = 0 to nip - 1 do
-              let e = if sel.(i) = 0 then e_up else e_down in
-              if e.ports <> [] then begin
-                let k = k_addr lor ip.(i) in
-                if dense.(k) == discard then spec.count <- spec.count + 1;
-                dense.(k) <- e
-              end
-            done
-          done
-        end
-      end)
+      else
+        match
+          remote_page intern ~max_ports ~nip ~ip ~sel
+            (remote_entries next_hops s d)
+        with
+        | Some pc -> place spec (number_of assignment d) pc
+        | None -> ())
     (Spanning_tree.members tree);
   constant_and_broadcast_entries g tree s ~spec ~in_ports;
   spec
@@ -333,57 +411,35 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
      the delta classifier proved stable, so only the identity needs
      remapping. *)
   let spec = copy ~switch:s prev in
-  (* Strip every entry of a departed switch number: a fresh build of this
+  (* Drop the page of every departed switch number: a fresh build of this
      switch writes nothing at those addresses.  Assigned numbers are >= 1,
-     so their 256-key blocks never overlap the constant and one-hop rows
-     below key 256, nor the sparse 0xFFFC+ specials. *)
+     so their pages are never page 0 (the constant and one-hop rows) nor
+     the special addresses' page. *)
   List.iter
     (fun number ->
-      for k = number lsl 8 to (number lsl 8) lor 0xFF do
-        remove_key spec k
-      done)
+      if number < Array.length spec.pages then place spec number (empty_page, 0))
     removed_numbers;
   (* Add the address blocks of brand-new destinations, exactly as [build]
-     renders a remote destination.  [add_entry] keeps the spec well-formed
-     even when a new number lies beyond the copied dense block: the
-     overflow lands in the sparse table, which lookups cannot tell apart. *)
+     renders a remote destination; a number beyond the copied pages grows
+     the page array. *)
   if added_dests <> [] then begin
     let in_ports = receiving_ports g updown s in
-    let next_hops =
-      match mode with
-      | Minimal_routes -> Routes.next_hops routes
-      | All_legal_routes -> Routes.all_next_hops routes
-    in
-    let sel =
-      List.map
-        (fun p -> (p, Routes.phase_of_arrival routes ~at:s ~in_port:p))
-        in_ports
-    in
+    let next_hops = next_hops_of mode routes in
+    let nip = List.length in_ports in
+    let ip = Array.make nip 0 and sel = Array.make nip 0 in
+    fill_selectors routes s in_ports ~ip ~sel;
+    let max_ports = Graph.max_ports g in
+    let intern = Hashtbl.create 16 in
     List.iter
       (fun d ->
         if d = s then
           invalid_arg "Tables.patch: a switch cannot gain itself as a dest";
-        let entry_for phase =
-          let hops = next_hops ~at:s ~phase ~dst:d in
-          { broadcast = false;
-            ports = List.sort_uniq Int.compare (List.map fst hops) }
-        in
-        let e_up = entry_for Routes.Up and e_down = entry_for Routes.Down in
-        if e_up.ports <> [] || e_down.ports <> [] then begin
-          let base =
-            Short_address.to_int (Address_assign.address assignment d 0)
-          in
-          for q = 0 to Graph.max_ports g do
-            let addr = Short_address.of_int (base lor q) in
-            List.iter
-              (fun (in_port, ph) ->
-                let e =
-                  match ph with Routes.Up -> e_up | Routes.Down -> e_down
-                in
-                add_entry spec ~in_port ~addr e)
-              sel
-          done
-        end)
+        match
+          remote_page intern ~max_ports ~nip ~ip ~sel
+            (remote_entries next_hops s d)
+        with
+        | Some pc -> place spec (number_of assignment d) pc
+        | None -> ())
       added_dests
   end;
   spec
@@ -399,12 +455,7 @@ let equal_spec a b =
   canon a = canon b
 
 let of_entries ~switch entries_list =
-  let spec =
-    { spec_switch = switch;
-      dense = [||];
-      sparse = Hashtbl.create (Stdlib.max 8 (2 * List.length entries_list));
-      count = 0 }
-  in
+  let spec = empty ~switch in
   List.iter
     (fun ((p, a), e) -> add_entry spec ~in_port:p ~addr:a e)
     entries_list;
@@ -443,7 +494,7 @@ module Reference = struct
   let build ?(mode = Minimal_routes) g tree updown routes assignment s =
     if not (Spanning_tree.mem tree s) then
       invalid_arg "Tables.build: switch not in the configured component";
-    let spec = make_spec ~switch:s ~dense_size:(dense_size_for assignment) in
+    let spec = make_spec ~switch:s ~pages:(pages_for assignment) in
     let add = add_entry spec in
     let in_ports = receiving_ports g updown s in
     let next_hops =

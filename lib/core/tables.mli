@@ -19,7 +19,22 @@
     A {!spec} is keyed by the hardware index [(address lsl 4) lor in_port],
     and it is also the switch's storage format: the switch's forwarding
     table loads a spec by {!copy} and edits it in place with {!set} and
-    {!remove}. *)
+    {!remove}.
+
+    {b Storage.}  A spec holds its keys in copy-on-write pages of 256:
+    page [p] is switch number [p]'s 16-address block at all 16 in-ports,
+    page 0 holds the constant and one-hop rows (addresses 0..15), and one
+    more page holds the reserved and special addresses 0xFFF0..0xFFFF.  A
+    destination's block holds at most two distinct entries (one per
+    arrival phase), so {!build} interns a switch's remote blocks by their
+    (up, down) entry pair: destinations with equal next-hop sets share one
+    page.  One shared empty page stands for every block without entries
+    and is never written.  A spec writes a page in place only while the
+    page is its own; any other page — shared by {!copy}, interned, or the
+    empty page — is copied before its first write.  Memory per table is
+    therefore the page pointers (one word per switch number) plus the
+    pages the switch's next-hop sets and edits make distinct, not
+    (max switch number + 1) · 256 slots. *)
 
 open Autonet_net
 
@@ -38,9 +53,15 @@ type spec
 val switch : spec -> Graph.switch
 
 val empty : switch:Graph.switch -> spec
+(** No entries; allocates no page. *)
 
 val copy : switch:Graph.switch -> spec -> spec
-(** An independent copy tagged with [switch]. *)
+(** An independent copy tagged with [switch], in O(max switch number):
+    it copies the page pointers, not the pages, and marks every page
+    shared on both sides, so neither side writes a shared page in place —
+    each copies a page before its first write to it, and edits on either
+    side never show on the other.  [copy] writes its source's ownership
+    marks: it must not run on a spec that another domain is writing. *)
 
 val lookup : spec -> in_port:Graph.port -> dst:Short_address.t -> entry
 (** Missing entries come back as {!discard}. *)
@@ -58,6 +79,7 @@ val has_row : spec -> in_port:Graph.port -> bool
 (** [row spec ~in_port <> []], stopping at the first entry found. *)
 
 val entry_count : spec -> int
+(** Exact, however the entries are shared between pages. *)
 
 val fold : spec -> init:'a -> f:('a -> in_port:Graph.port -> dst:Short_address.t -> entry -> 'a) -> 'a
 
@@ -87,8 +109,8 @@ val patch :
   removed_numbers:int list -> added_dests:Graph.switch list ->
   spec
 (** Delta-path membership repair for a switch whose own routes did not
-    change: clone [prev], strip every entry addressed to a switch number
-    in [removed_numbers], and append the address blocks of the
+    change: {!copy} [prev], drop the page of every switch number in
+    [removed_numbers] (O(1) each), and add the address blocks of the
     [added_dests] switches exactly as {!build} would render them.
     [switch] is the switch's index in the {e new} graph [g] — membership
     changes shift indices, so [prev.spec_switch] cannot be trusted.  The
@@ -99,7 +121,7 @@ val patch :
 
 val equal_spec : spec -> spec -> bool
 (** Lookup equivalence: same switch and same non-discard entries,
-    regardless of internal dense/sparse placement.  The delta-equivalence
+    regardless of how pages are shared.  The delta-equivalence
     oracle and tests compare specs with this. *)
 
 val of_entries :

@@ -5,9 +5,11 @@ type entry = { vector : Port_vector.t; broadcast : bool }
 
 let discard_entry = { vector = Port_vector.empty; broadcast = true }
 
-(* The table is held in the synthesis format itself, so a load is a copy.
-   The holder does not know its switch index: the spec keeps the index of
-   the last one loaded. *)
+(* The table is held in the synthesis format itself, so a load is a
+   [Tables.copy]: the page pointers, with the pages shared copy-on-write
+   (the one-hop rows and host-port enables then copy just the pages they
+   write).  The holder does not know its switch index: the spec keeps the
+   index of the last one loaded. *)
 type t = { ports : int; mutable spec : Tables.spec; mutable gen : int }
 
 let create ~max_ports =

@@ -14,8 +14,11 @@
 
     The switch stores its table in the synthesis format,
     {!Autonet_core.Tables.spec}, whose key is exactly the hardware index
-    [(address lsl 4) lor in_port]; loading a computed table is a copy of
-    the spec, and row reads and edits work on it in place. *)
+    [(address lsl 4) lor in_port].  Loading a computed table is a
+    {!Autonet_core.Tables.copy}: the switch shares the spec's
+    copy-on-write pages (one per switch number) instead of copying
+    entries, and row reads and edits work on its own copy in place —
+    an edit copies only the page it touches. *)
 
 open Autonet_net
 
@@ -65,8 +68,9 @@ val load_constant : t -> unit
     goes to the control processor. *)
 
 val load_spec : t -> Autonet_core.Tables.spec -> unit
-(** Replace the table with a copy of the computed spec, then add the
-    constant one-hop entries wherever the spec has none (computed entries
-    take precedence). *)
+(** Replace the table with a copy of the computed spec — O(max switch
+    number) page pointers; the spec itself is never written — then add
+    the constant one-hop entries wherever the spec has none (computed
+    entries take precedence). *)
 
 val entry_count : t -> int

@@ -609,6 +609,58 @@ let test_tables_late_host_remote_reachability () =
     check_bool "made hops" true (hops > 0)
   | o, _ -> Alcotest.failf "unexpected: %a" Verify.pp_outcome o
 
+(* Remote blocks with equal next-hop sets share one page: an edit to one
+   block must stay inside it, keep the count exact and miss earlier
+   copies. *)
+let test_tables_edit_stays_in_block () =
+  let c = Testlib.configure (B.torus ~rows:4 ~cols:4 ()) in
+  let addr d q = Address_assign.address c.assignment d q in
+  let block sp d =
+    List.init 16 (fun q ->
+        List.init 16 (fun in_port -> Tables.lookup sp ~in_port ~dst:(addr d q)))
+  in
+  let twins spec =
+    let s = Tables.switch spec in
+    let remote =
+      List.filter
+        (fun d ->
+          d <> s
+          && List.exists (List.exists (fun e -> e.Tables.ports <> [])) (block spec d))
+        (Graph.switches c.Testlib.graph)
+    in
+    List.concat_map
+      (fun d1 ->
+        List.filter_map
+          (fun d2 ->
+            if d1 < d2 && block spec d1 = block spec d2 then Some (spec, d1, d2)
+            else None)
+          remote)
+      remote
+  in
+  let spec, d1, d2 =
+    match List.concat_map twins c.Testlib.specs with
+    | twin :: _ -> twin
+    | [] -> Alcotest.fail "no two remote blocks read the same"
+  in
+  let s = Tables.switch spec in
+  let second = block spec d2 and first = block spec d1 in
+  let snapshot = Tables.copy ~switch:s spec in
+  let in_port =
+    Option.value ~default:0
+      (List.find_opt
+         (fun p -> (Tables.lookup spec ~in_port:p ~dst:(addr d1 3)).Tables.ports = [])
+         (List.init 16 Fun.id))
+  in
+  let e = { Tables.broadcast = true; ports = [ 1 ] } in
+  Tables.set spec ~in_port ~dst:(addr d1 3) e;
+  check_bool "the edit reads back" true
+    (Tables.equal_entry e (Tables.lookup spec ~in_port ~dst:(addr d1 3)));
+  check_bool "the twin block is unchanged" true (block spec d2 = second);
+  check_int "entry count is exact"
+    (Tables.fold spec ~init:0 ~f:(fun n ~in_port:_ ~dst:_ _ -> n + 1))
+    (Tables.entry_count spec);
+  check_bool "the earlier copy does not see it" true (block snapshot d1 = first)
+
 let test_spanning_tree_is_tree_link () =
   let t = B.ring ~n:5 () in
   let g = t.B.graph in
@@ -827,6 +879,8 @@ let () =
           Alcotest.test_case "parallel trunk" `Quick test_tables_parallel_trunk;
           Alcotest.test_case "late host reachable remotely" `Quick
             test_tables_late_host_remote_reachability;
+          Alcotest.test_case "edit stays in its block" `Quick
+            test_tables_edit_stays_in_block;
           Alcotest.test_case "tree link count" `Quick
             test_spanning_tree_is_tree_link;
           QCheck_alcotest.to_alcotest tables_qcheck ] );

@@ -559,6 +559,35 @@ let test_late_host_edits_only_its_copy () =
         (Tables.equal_spec before.(i) sp))
     (shared ())
 
+(* Table memory per switch must not grow with the network: every live
+   table and the cache's tables share the epoch's pages.  Counts words
+   reachable from all of them together, so a page shared between tables
+   counts once. *)
+let test_table_words_per_switch () =
+  let words_per_switch rows cols =
+    let t = make (B.attach_hosts (B.torus ~rows ~cols ()) ~per_switch:2) in
+    ignore (converge t);
+    let switches = Graph.switches (N.graph t) in
+    let live =
+      List.map (fun s -> FT.spec (AP.forwarding_table (N.autopilot t s))) switches
+    in
+    let report = Option.get (AP.complete_report (N.autopilot t 0)) in
+    let cached =
+      match EC.tables (N.epoch_cache t) report with
+      | Some a -> Array.to_list a
+      | None -> Alcotest.fail "no live entry for the converged report"
+    in
+    float_of_int (Obj.reachable_words (Obj.repr (Array.of_list (live @ cached))))
+    /. float_of_int (List.length switches)
+  in
+  let small = words_per_switch 4 4 in
+  let large = words_per_switch 8 8 in
+  let ratio = large /. small and bar = 1.5 in
+  if ratio > bar then
+    Alcotest.failf
+      "table words per switch: torus:4,4 %.0f, torus:8,8 %.0f, ratio %.2f (bar %.2f)"
+      small large ratio bar
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -716,7 +745,9 @@ let () =
           Alcotest.test_case "one computation per epoch" `Quick
             test_cache_work_counter;
           Alcotest.test_case "late host edits only its copy" `Quick
-            test_late_host_edits_only_its_copy ] );
+            test_late_host_edits_only_its_copy;
+          Alcotest.test_case "table words per switch stay flat" `Quick
+            test_table_words_per_switch ] );
       ( "soak",
         [ Alcotest.test_case "twenty random faults" `Slow test_multi_fault_soak ] );
       ( "random",

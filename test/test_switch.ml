@@ -150,8 +150,19 @@ let ft_load_spec_equivalent =
               Hashtbl.replace expected (in_port, dst)
                 { FT.vector = PV.of_list e.Autonet_core.Tables.ports;
                   broadcast = e.Autonet_core.Tables.broadcast });
+          let module Tables = Autonet_core.Tables in
+          let entries sp =
+            Tables.fold sp ~init:[] ~f:(fun acc ~in_port ~dst e ->
+                ((in_port, dst), e) :: acc)
+          in
+          let source_before = entries spec in
           let t = FT.create ~max_ports in
           FT.load_spec t spec;
+          (* Pages are shared copy-on-write in both directions: the edits
+             below must reach neither the source nor a copy of the live
+             table taken now. *)
+          let snapshot = Tables.copy ~switch:(Tables.switch spec) (FT.spec t) in
+          let snapshot_before = entries snapshot in
           let rows =
             List.concat_map
               (fun in_port ->
@@ -180,16 +191,24 @@ let ft_load_spec_equivalent =
             (fun (dst, _) -> FT.unset t ~in_port ~dst)
             (FT.rows_of t ~in_port);
           let agree_emptied = rows_agree () && not (FT.has_row t ~in_port) in
-          (* One entry in the dense block, at any address of a block,
-             then one in the sparse part. *)
+          (* One entry in switch number 1's page, at any address of its
+             block, then one in the special addresses' page. *)
           let e = { FT.vector = PV.singleton 1; broadcast = false } in
           let dst = Short_address.of_int (0x10 + (seed mod 16)) in
           FT.set t ~in_port ~dst e;
-          let agree_dense = rows_agree () in
+          let agree_block = rows_agree () in
           FT.unset t ~in_port ~dst;
           FT.set t ~in_port ~dst:Short_address.loopback e;
-          reads_back && agree_loaded && agree_emptied && agree_dense
-          && rows_agree ())
+          let all_rows =
+            List.concat_map
+              (fun in_port -> FT.rows_of t ~in_port)
+              (List.init (max_ports + 1) Fun.id)
+          in
+          reads_back && agree_loaded && agree_emptied && agree_block
+          && rows_agree ()
+          && entries spec = source_before
+          && entries snapshot = snapshot_before
+          && FT.entry_count t = List.length all_rows)
         c.Testlib.specs)
 
 (* ------------------------------------------------------------------ *)
