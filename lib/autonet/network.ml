@@ -198,7 +198,15 @@ let component_converged t live comp =
              | None -> false)
            rest)
 
+(* Every powered switch lies in some live component, and a component
+   with an unconfigured switch is not converged, so checking the switches
+   first answers exactly as the components would, without copying the
+   graph while an epoch is still running. *)
 let converged t =
+  Array.for_all
+    (fun p -> (not (Autopilot.powered p)) || Autopilot.configured p)
+    t.pilots
+  &&
   match live t with
   | _, [] -> false
   | live, comps -> List.for_all (component_converged t live) comps

@@ -28,6 +28,7 @@ type tel_counters = {
 
 type t = {
   fabric : Fabric.t;
+  epochs : Epoch_cache.t;  (* the network's; received reports intern to it *)
   sw : Graph.switch;
   sw_uid : Uid.t;
   table : Forwarding_table.t;
@@ -524,7 +525,7 @@ let on_receive t ~port packet =
     | None -> ()
   end
   else
-    match Messages.of_packet packet with
+    match Messages.of_packet ~epochs:t.epochs packet with
     | exception (Wire.Malformed _ | Wire.Truncated) ->
       record_event t (Event.Malformed_packet { port })
     | msg ->
@@ -606,6 +607,7 @@ let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
   in
   let t =
     { fabric;
+      epochs;
       sw = switch;
       sw_uid = Graph.uid g switch;
       table = Forwarding_table.create ~max_ports:(Graph.max_ports g);

@@ -61,11 +61,17 @@ let stats t =
     deltas = t.deltas }
 
 let find t report =
-  let n = Topology_report.size report in
-  List.find_opt
-    (fun e ->
-      Topology_report.size e.report = n && Topology_report.equal e.report report)
-    t.entries
+  match List.find_opt (fun e -> e.report == report) t.entries with
+  | Some _ as hit -> hit
+  | None ->
+    let n = Topology_report.size report in
+    List.find_opt
+      (fun e ->
+        Topology_report.size e.report = n
+        && Topology_report.equal e.report report)
+      t.entries
+
+let reports t = List.map (fun e -> e.report) t.entries
 
 let tables t report =
   Option.bind (find t report) (fun e -> Option.map (fun a -> a.all) e.canonical)
@@ -170,6 +176,7 @@ let release t = function
     end
 
 type outcome = {
+  report : Topology_report.t;
   assignment : Address_assign.t;
   number : int option;
   parent : Graph.port option;
@@ -189,8 +196,9 @@ let assign g report =
            (Graph.switch_of_uid g d.Topology_report.uid))
        (Topology_report.switches report))
 
-let outcome_at tree me assignment table =
-  { assignment;
+let outcome_at report tree me assignment table =
+  { report;
+    assignment;
     number = Address_assign.number assignment me;
     parent =
       Option.map (fun p -> p.Spanning_tree.my_port) (Spanning_tree.parent tree me);
@@ -227,7 +235,7 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
     in
     let full fallback =
       let a = canonical t e in
-      { (outcome_at e.tree me e.assignment a.all.(me)) with
+      { (outcome_at e.report e.tree me e.assignment a.all.(me)) with
         fallback;
         verdict = (if root then Some (a.verdict, Array.length a.all) else None) }
     in
@@ -248,7 +256,7 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
                 Some (a.verdict, Array.length a.all))
           else None
         in
-        { (outcome_at e.tree me e.assignment table) with
+        { (outcome_at e.report e.tree me e.assignment table) with
           delta = Some stats;
           verdict }
       | Some (Delta.Structural reason, _) -> full (Some reason)
@@ -287,7 +295,8 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
       else None
     in
     release t prev;
-    ({ (outcome_at tree me assignment table) with fallback; verdict }, None)
+    ( { (outcome_at report tree me assignment table) with fallback; verdict },
+      None )
   in
   match find t report with
   | Some e -> Option.map (shared e) (Graph.switch_of_uid e.graph uid)

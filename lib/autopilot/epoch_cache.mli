@@ -4,14 +4,17 @@
     routes and its forwarding table from the flooded complete topology.
     Those are pure functions of the report (and, on the delta path, of
     the previous commit), so the simulated switches of one network share
-    one cache: an {e entry} per distinct complete report (compared with
-    {!Autonet_core.Topology_report.equal}) holds the report's graph, tree
-    and address assignment, computed once.  Each entry then computes at
-    most once, for all its switches, either the full artifacts — every
-    member's table on the domain pool, the deadlock verdict on them and
-    the order certificate — or, once per previous entry, a
-    {e plan}: the non-root {!Autonet_core.Delta.classify} and one
-    root-shaped {!Autonet_core.Delta.apply}.
+    one cache: an {e entry} per distinct complete report (compared by
+    identity first, then with {!Autonet_core.Topology_report.equal})
+    holds the report's graph, tree and address assignment, computed once.
+    The entry's report is the one value of it the network keeps: every
+    switch that finishes with it holds that value, and a received
+    [Complete] carrying its bytes decodes to it ({!reports}).  Each entry
+    then computes at most once, for all its switches, either the full
+    artifacts — every member's table on the domain pool, the deadlock
+    verdict on them and the order certificate — or, once per previous
+    entry, a {e plan}: the non-root {!Autonet_core.Delta.classify} and
+    one root-shaped {!Autonet_core.Delta.apply}.
 
     A switch then only looks its report up: it takes its own table from
     the shared array, derives its own events and delta statistics as its
@@ -36,6 +39,9 @@ val release : t -> commit option -> unit
     any more is dropped. *)
 
 type outcome = {
+  report : Topology_report.t;
+      (** the entry's report, [equal] to the one looked up: the value the
+          switch keeps as its complete report *)
   assignment : Address_assign.t;
   number : int option;  (** this switch's number *)
   parent : Graph.port option;  (** its spanning-tree ports *)
@@ -95,3 +101,7 @@ val stats : t -> stats
 
 val tables : t -> Topology_report.t -> Tables.spec array option
 (** The canonical tables of the live entry for this report, by switch. *)
+
+val reports : t -> Topology_report.t list
+(** The reports of the live entries, usually one to three: the
+    candidates a received [Complete] is decoded against. *)

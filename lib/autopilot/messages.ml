@@ -177,7 +177,7 @@ let encode msg =
     W.u8 w 2;
     encode_epoch w epoch;
     W.u32 w seq;
-    Topology_report.encode w report
+    W.string w (Topology_report.wire report)
   | Report_ack { epoch; seq } ->
     W.u8 w 3;
     encode_epoch w epoch;
@@ -186,7 +186,7 @@ let encode msg =
     W.u8 w 4;
     encode_epoch w epoch;
     W.u32 w seq;
-    Topology_report.encode w report
+    W.string w (Topology_report.wire report)
   | Complete_ack { epoch; seq } ->
     W.u8 w 5;
     encode_epoch w epoch;
@@ -233,7 +233,7 @@ let encode msg =
     W.u32 w version);
   W.contents w
 
-let decode s =
+let decode ?epochs s =
   let r = R.of_string s in
   let msg =
     match R.u8 r with
@@ -259,7 +259,8 @@ let decode s =
     | 4 ->
       let epoch = decode_epoch r in
       let seq = R.u32 r in
-      let report = Topology_report.decode r in
+      let among = Option.fold ~none:[] ~some:Epoch_cache.reports epochs in
+      let report = Topology_report.decode ~among r in
       Complete { epoch; seq; report }
     | 5 ->
       let epoch = decode_epoch r in
@@ -313,7 +314,7 @@ let to_packet ?trace msg =
     ~src:Short_address.local_switch ~typ:(packet_type msg) ~body:(encode msg)
     ()
 
-let of_packet (p : Packet.t) = decode p.body
+let of_packet ?epochs (p : Packet.t) = decode ?epochs p.body
 
 let wire_size msg = Packet.wire_size (to_packet msg)
 

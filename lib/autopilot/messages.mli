@@ -73,8 +73,14 @@ type t =
 val packet_type : t -> Packet.typ
 
 val encode : t -> string
-val decode : string -> t
-(** Raises {!Wire.Malformed} or {!Wire.Truncated} on bad input. *)
+(** A [Complete] or [Stable_report] appends its report's memoized
+    {!Topology_report.wire} bytes, so resending a report copies them. *)
+
+val decode : ?epochs:Epoch_cache.t -> string -> t
+(** Raises {!Wire.Malformed} or {!Wire.Truncated} on bad input.  A
+    [Complete] whose report bytes equal those of a live report of
+    [epochs] (the receiving network's cache) decodes to that report
+    itself; the result is [equal] either way. *)
 
 val to_packet : ?trace:Packet.trace -> t -> Packet.t
 (** Wrap as a one-hop Autonet packet (control protocols address hop by
@@ -83,7 +89,8 @@ val to_packet : ?trace:Packet.trace -> t -> Packet.t
     context — attached to reconfiguration messages when causal tracing
     is wired up; it never affects the wire encoding. *)
 
-val of_packet : Packet.t -> t
+val of_packet : ?epochs:Epoch_cache.t -> Packet.t -> t
+(** {!decode} of the packet body. *)
 
 val wire_size : t -> int
 (** Bytes on the link for the full packet. *)

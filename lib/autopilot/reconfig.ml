@@ -158,6 +158,9 @@ let finish_configuration t report =
     with
     | None -> log t "complete report does not mention us!"
     | Some (o, committed) ->
+      (* Keep the network's one value of this report: resends copy its
+         memoized bytes, and equality checks against it are [==]. *)
+      t.complete <- Some o.Epoch_cache.report;
       t.committed <- committed;
       t.my_number <- o.Epoch_cache.number;
       t.last_assignment <- Some o.Epoch_cache.assignment;

@@ -24,14 +24,20 @@ type switch_desc = {
   ports : port_desc array;
 }
 
-type t = { report_max_ports : int; by_uid : switch_desc Uid.Map.t }
+type t = {
+  report_max_ports : int;
+  by_uid : switch_desc Uid.Map.t;
+  mutable bytes : string option;  (* [encode]'s output, once [wire] ran *)
+}
 
 let max_ports t = t.report_max_ports
 
 let singleton ~max_ports desc =
   if Array.length desc.ports <> max_ports + 1 then
     invalid_arg "Topology_report.singleton: ports array length mismatch";
-  { report_max_ports = max_ports; by_uid = Uid.Map.singleton desc.uid desc }
+  { report_max_ports = max_ports;
+    by_uid = Uid.Map.singleton desc.uid desc;
+    bytes = None }
 
 let switch_desc ~uid ~proposed_number ~max_ports used =
   let ports = Array.make (max_ports + 1) Unused in
@@ -63,7 +69,7 @@ let merge a b =
                uid))
       a.by_uid b.by_uid
   in
-  { a with by_uid }
+  { report_max_ports = a.report_max_ports; by_uid; bytes = None }
 
 let switches t = List.map snd (Uid.Map.bindings t.by_uid)
 
@@ -141,8 +147,9 @@ let to_graph t =
   g
 
 let equal a b =
-  a.report_max_ports = b.report_max_ports
-  && Uid.Map.equal equal_desc a.by_uid b.by_uid
+  a == b
+  || a.report_max_ports = b.report_max_ports
+     && Uid.Map.equal equal_desc a.by_uid b.by_uid
 
 let encode_port_desc w = function
   | Unused -> Wire.Writer.u8 w 0
@@ -152,13 +159,15 @@ let encode_port_desc w = function
     Wire.Writer.u48 w (Uid.to_int peer);
     Wire.Writer.u8 w peer_port
 
-let decode_port_desc r =
+let decode_port_desc ~max_ports r =
   match Wire.Reader.u8 r with
   | 0 -> Unused
   | 1 -> Host_port
   | 2 ->
     let peer = Uid.of_int (Wire.Reader.u48 r) in
     let peer_port = Wire.Reader.u8 r in
+    if peer_port < 1 || peer_port > max_ports then
+      raise (Wire.Malformed (Printf.sprintf "peer port %d" peer_port));
     Switch_link { peer; peer_port }
   | n -> raise (Wire.Malformed (Printf.sprintf "port desc tag %d" n))
 
@@ -173,29 +182,53 @@ let encode w t =
       done)
     (switches t)
 
-let decode r =
-  let report_max_ports = Wire.Reader.u8 r in
+let wire t =
+  match t.bytes with
+  | Some s -> s
+  | None ->
+    let w = Wire.Writer.create () in
+    encode w t;
+    let s = Wire.Writer.contents w in
+    t.bytes <- Some s;
+    s
+
+(* Only what [to_graph] can build is accepted, and only in the order
+   [encode] writes it, so an accepted encoding is the one [encode] would
+   produce for the result. *)
+let decode_fresh r =
+  let max_ports = Wire.Reader.u8 r in
+  if max_ports < 1 || max_ports > 15 then
+    raise (Wire.Malformed (Printf.sprintf "max_ports %d" max_ports));
+  let last = ref (-1) in
   let descs =
     Wire.Reader.list r (fun r ->
-        let uid = Uid.of_int (Wire.Reader.u48 r) in
+        let uid = Wire.Reader.u48 r in
+        if uid <= !last then
+          raise (Wire.Malformed "switch UIDs not strictly ascending");
+        last := uid;
         let proposed_number = Wire.Reader.u16 r in
-        let ports = Array.make (report_max_ports + 1) Unused in
-        for p = 1 to report_max_ports do
-          ports.(p) <- decode_port_desc r
+        let ports = Array.make (max_ports + 1) Unused in
+        for p = 1 to max_ports do
+          ports.(p) <- decode_port_desc ~max_ports r
         done;
-        { uid; proposed_number; ports })
+        { uid = Uid.of_int uid; proposed_number; ports })
   in
   let by_uid =
     List.fold_left
       (fun m d -> Uid.Map.add d.uid d m)
       Uid.Map.empty descs
   in
-  { report_max_ports; by_uid }
+  { report_max_ports = max_ports; by_uid; bytes = None }
 
-let encoded_size t =
-  let w = Wire.Writer.create () in
-  encode w t;
-  Wire.Writer.length w
+let decode ?(among = []) r =
+  let memoized c =
+    match c.bytes with
+    | Some s -> Wire.Reader.skip_prefix r s
+    | None -> false
+  in
+  match List.find_opt memoized among with
+  | Some c -> c
+  | None -> decode_fresh r
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>report (%d switches):@," (size t);

@@ -68,11 +68,31 @@ val to_graph : t -> Graph.t
     that the port is a host port matters for routing). *)
 
 val equal : t -> t -> bool
+(** Physical equality first, then structural. *)
+
+(** {1 Wire codec}
+
+    The encoding is canonical: [decode] accepts only what [encode] emits
+    (switches in strictly ascending UID order, [max_ports] in 1..15,
+    every [peer_port] in 1..[max_ports]), so equal reports have equal
+    bytes and every report that decodes can be rebuilt by {!to_graph}. *)
 
 val encode : Wire.Writer.t -> t -> unit
-val decode : Wire.Reader.t -> t
+(** Encode afresh; never reads or writes the memo below. *)
 
-val encoded_size : t -> int
-(** Bytes of the wire encoding; used to cost report transmission. *)
+val wire : t -> string
+(** [encode]'s bytes for the report, computed on first use and memoized
+    on the value, so a report flooded to many neighbours or retransmitted
+    is encoded once.  The memo is written once, by the domain that runs
+    the network owning the report (a network's reports never leave it).
+    Correctness never depends on it: a report without bytes (as
+    [singleton], [merge] and [decode] return them) is merely encoded
+    when first needed, and a missed match merely decodes afresh. *)
+
+val decode : ?among:t list -> Wire.Reader.t -> t
+(** Raises {!Wire.Malformed} or {!Wire.Truncated} on bad input.  When the
+    input starts with the memoized {!wire} bytes of one of the [among]
+    candidates, that candidate itself is returned (compared in place,
+    copying nothing); otherwise a fresh value is decoded. *)
 
 val pp : Format.formatter -> t -> unit

@@ -88,6 +88,13 @@ module Reader = struct
     t.pos <- t.pos + n;
     s
 
+  let skip_prefix t s =
+    let n = String.length s in
+    let rec same i = i = n || (t.input.[t.pos + i] = s.[i] && same (i + 1)) in
+    let hit = remaining t >= n && same 0 in
+    if hit then t.pos <- t.pos + n;
+    hit
+
   let lstring t =
     let n = u16 t in
     take t n

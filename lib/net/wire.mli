@@ -45,6 +45,11 @@ module Reader : sig
   val u64 : t -> int64
   val take : t -> int -> string
 
+  val skip_prefix : t -> string -> bool
+  (** If the unread input starts with the given bytes, consume them and
+      return [true]; otherwise consume nothing and return [false].  The
+      comparison reads the input in place, without copying it. *)
+
   val lstring : t -> string
   (** Inverse of {!Writer.lstring}. *)
 

@@ -732,53 +732,121 @@ let deadlock_qcheck =
 (* ------------------------------------------------------------------ *)
 (* Topology report *)
 
-let report_of_graph g =
-  (* Build the report a correct protocol run would accumulate. *)
-  List.fold_left
-    (fun acc s ->
-      let used =
-        List.filter_map
-          (fun p ->
-            match Graph.host_at g (s, p) with
-            | Some _ -> Some (p, Topology_report.Host_port)
-            | None -> (
-              match Graph.link_at g (s, p) with
-              | Some l_id -> (
-                match Graph.link g l_id with
-                | Some l ->
-                  let peer, peer_port = Graph.other_end l s in
-                  Some
-                    ( p,
-                      Topology_report.Switch_link
-                        { peer = Graph.uid g peer; peer_port } )
-                | None -> None)
-              | None -> None))
-          (Graph.used_ports g s)
-      in
-      let desc =
-        Topology_report.switch_desc ~uid:(Graph.uid g s) ~proposed_number:1
-          ~max_ports:(Graph.max_ports g) used
-      in
-      let single = Topology_report.singleton ~max_ports:(Graph.max_ports g) desc in
-      match acc with
-      | None -> Some single
-      | Some r -> Some (Topology_report.merge r single))
-    None (Graph.switches g)
-  |> Option.get
-
 let test_report_roundtrip () =
   let t = B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2 in
-  let r = report_of_graph t.B.graph in
+  let r = Testlib.report_of_graph t.B.graph in
   let w = Wire.Writer.create () in
   Topology_report.encode w r;
   let r' = Topology_report.decode (Wire.Reader.of_string (Wire.Writer.contents w)) in
-  check_bool "roundtrip" true (Topology_report.equal r r');
-  check_int "size matches" (Wire.Writer.length w) (Topology_report.encoded_size r)
+  check_bool "roundtrip" true (Topology_report.equal r r')
+
+(* [decode] refuses what [to_graph] cannot build and what [encode] never
+   writes. *)
+let test_report_decode_rejects () =
+  let body ~max_ports switches =
+    let w = Wire.Writer.create () in
+    Wire.Writer.u8 w max_ports;
+    Wire.Writer.list w
+      (fun (u, links) ->
+        Wire.Writer.u48 w u;
+        Wire.Writer.u16 w 1;
+        for p = 1 to max_ports do
+          match List.assoc_opt p links with
+          | Some (peer, peer_port) ->
+            Wire.Writer.u8 w 2;
+            Wire.Writer.u48 w peer;
+            Wire.Writer.u8 w peer_port
+          | None -> Wire.Writer.u8 w 0
+        done)
+      switches;
+    Wire.Writer.contents w
+  in
+  let decode s = Topology_report.decode (Wire.Reader.of_string s) in
+  let accepts what s =
+    match decode s with
+    | r -> ignore (Topology_report.to_graph r)
+    | exception Wire.Malformed m -> Alcotest.failf "%s: rejected (%s)" what m
+  in
+  let rejects what s =
+    match decode s with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Wire.Malformed _ -> ()
+  in
+  let pair ~max_ports peer_port =
+    body ~max_ports
+      [ (1, [ (1, (2, peer_port)) ]); (2, [ (max_ports, (1, 1)) ]) ]
+  in
+  accepts "max_ports 1" (pair ~max_ports:1 1);
+  accepts "max_ports 15" (pair ~max_ports:15 15);
+  rejects "max_ports 0" (body ~max_ports:0 [ (1, []) ]);
+  rejects "max_ports 16" (body ~max_ports:16 [ (1, []) ]);
+  rejects "max_ports 200" (body ~max_ports:200 [ (1, []) ]);
+  rejects "repeated UID" (body ~max_ports:4 [ (1, []); (1, []) ]);
+  rejects "descending UIDs" (body ~max_ports:4 [ (2, []); (1, []) ]);
+  rejects "peer_port 0" (pair ~max_ports:4 0);
+  rejects "peer_port 5 of 4" (pair ~max_ports:4 5);
+  rejects "peer_port 200" (pair ~max_ports:4 200)
+
+let fresh_bytes r =
+  let w = Wire.Writer.create () in
+  Topology_report.encode w r;
+  Wire.Writer.contents w
+
+let decode_all ?among s =
+  let rd = Wire.Reader.of_string s in
+  let r = Topology_report.decode ?among rd in
+  Wire.Reader.expect_end rd;
+  r
+
+(* [wire] always reads back as a fresh [encode], whether the report came
+   from [singleton], from [merge] (also of operands whose bytes are
+   already memoized) or from [decode]; decoding among candidates returns
+   the candidate whose bytes match, and an equal fresh value otherwise. *)
+let report_wire_never_stale =
+  QCheck.Test.make ~name:"memoized bytes are never stale" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int (seed + 31)) in
+      let g = (Testlib.random_topology rng ~max_n:10).B.graph in
+      let full = Testlib.report_of_graph g in
+      let fresh r =
+        let s = Topology_report.wire r in
+        s = fresh_bytes r && Topology_report.equal (decode_all s) r
+      in
+      let singles =
+        List.map
+          (fun d ->
+            Topology_report.singleton ~max_ports:(Graph.max_ports g) d)
+          (Topology_report.switches full)
+      in
+      let merged =
+        List.fold_left
+          (fun acc r ->
+            (* Memoize the operands first: the union must not inherit
+               either's bytes. *)
+            ignore (Topology_report.wire acc);
+            ignore (Topology_report.wire r);
+            let m = Topology_report.merge acc r in
+            if not (fresh m) then QCheck.Test.fail_report "stale merge";
+            m)
+          (List.hd singles) (List.tl singles)
+      in
+      let bytes = fresh_bytes full in
+      let decoded = decode_all bytes in
+      let other = List.hd singles in
+      List.for_all fresh singles
+      && Topology_report.equal merged full
+      && fresh decoded
+      && decode_all ~among:[ other; merged ] bytes == merged
+      && decode_all ~among:[ decoded; other ] bytes == decoded
+      &&
+      let miss = decode_all ~among:[ other ] bytes in
+      miss != other && miss != merged && Topology_report.equal miss full)
 
 let test_report_to_graph () =
   let t = B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2 in
   let g = t.B.graph in
-  let g' = Topology_report.to_graph (report_of_graph g) in
+  let g' = Topology_report.to_graph (Testlib.report_of_graph g) in
   check_int "switches" (Graph.switch_count g) (Graph.switch_count g');
   check_int "links" (Graph.link_count g) (Graph.link_count g');
   check_int "host ports" (List.length (Graph.hosts g)) (List.length (Graph.hosts g'));
@@ -892,5 +960,8 @@ let () =
       ( "topology_report",
         [ Alcotest.test_case "roundtrip" `Quick test_report_roundtrip;
           Alcotest.test_case "to graph" `Quick test_report_to_graph;
-          Alcotest.test_case "merge conflict" `Quick test_report_merge_conflict ] );
+          Alcotest.test_case "merge conflict" `Quick test_report_merge_conflict;
+          Alcotest.test_case "decode rejects unbuildable reports" `Quick
+            test_report_decode_rejects;
+          QCheck_alcotest.to_alcotest report_wire_never_stale ] );
       ("epoch", [ Alcotest.test_case "basics" `Quick test_epoch ]) ]

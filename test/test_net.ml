@@ -167,6 +167,17 @@ let test_wire_trailing () =
   Alcotest.check_raises "trailing" (Wire.Malformed "1 trailing bytes")
     (fun () -> Wire.Reader.expect_end r)
 
+let test_wire_skip_prefix () =
+  let r = Wire.Reader.of_string "\x01\x02\x03" in
+  ignore (Wire.Reader.u8 r);
+  check_bool "longer than the input" false
+    (Wire.Reader.skip_prefix r "\x02\x03\x04");
+  check_bool "differs" false (Wire.Reader.skip_prefix r "\x02\x04");
+  check_int "nothing consumed" 2 (Wire.Reader.remaining r);
+  check_bool "matches" true (Wire.Reader.skip_prefix r "\x02");
+  check_int "consumed" 3 (Wire.Reader.u8 r);
+  Wire.Reader.expect_end r
+
 let wire_qcheck =
   QCheck.Test.make ~name:"wire u16/u32 roundtrip" ~count:500
     QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFFFF))
@@ -377,7 +388,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
           Alcotest.test_case "trailing" `Quick test_wire_trailing;
-          QCheck_alcotest.to_alcotest wire_qcheck ] );
+          QCheck_alcotest.to_alcotest wire_qcheck;
+          Alcotest.test_case "skip prefix" `Quick test_wire_skip_prefix ] );
       ( "crc32",
         [ Alcotest.test_case "known values" `Quick test_crc_known_values;
           Alcotest.test_case "incremental" `Quick test_crc_incremental;

@@ -588,6 +588,111 @@ let test_table_words_per_switch () =
       "table words per switch: torus:4,4 %.0f, torus:8,8 %.0f, ratio %.2f (bar %.2f)"
       small large ratio bar
 
+(* Every switch holds the network's one value of the complete report,
+   the root's, and a [Complete] carrying it decodes, against the
+   network's cache, to that value itself.  Checked by identity, after
+   boot and after each half of a non-tree link flap. *)
+let test_complete_report_shared () =
+  let module Messages = Autonet_autopilot.Messages in
+  let t = make (B.torus ~rows:4 ~cols:4 ()) in
+  let g = N.graph t in
+  let shared phase =
+    ignore (converge t);
+    let reports =
+      List.map
+        (fun s -> (s, Option.get (AP.complete_report (N.autopilot t s))))
+        (Graph.switches g)
+    in
+    let root =
+      List.find
+        (fun s ->
+          let ap = N.autopilot t s in
+          Autonet_net.Uid.equal (AP.position ap).Spanning_tree.Position.root
+            (AP.uid ap))
+        (Graph.switches g)
+    in
+    let r0 = List.assoc root reports in
+    if List.exists (fun (_, r) -> r != r0) reports then
+      Alcotest.failf
+        "%s: the %d switches hold %d distinct complete-report values (want \
+         1, the root's)"
+        phase (List.length reports)
+        (List.length
+           (List.fold_left
+              (fun acc (_, r) -> if List.memq r acc then acc else r :: acc)
+              [] reports));
+    let epoch = AP.epoch (N.autopilot t root) in
+    match
+      Messages.of_packet ~epochs:(N.epoch_cache t)
+        (Messages.to_packet (Messages.Complete { epoch; seq = 1; report = r0 }))
+    with
+    | Messages.Complete { report; _ } when report == r0 -> ()
+    | _ ->
+      Alcotest.failf
+        "%s: a Complete carrying the root's report decodes to a copy" phase
+  in
+  shared "boot";
+  let l = (non_tree_link g).Graph.id in
+  N.apply_fault t (F.Link_down l);
+  shared "link down";
+  N.apply_fault t (F.Link_up l);
+  shared "link up"
+
+(* A report equal to a live entry's but held as another value (a root
+   whose new epoch rebuilt a topology some switch still commits to)
+   finds that entry, and the outcome hands back the entry's value for
+   the switch to keep. *)
+let test_equal_report_gets_entry_value () =
+  let g = (B.torus ~rows:3 ~cols:3 ()).B.graph in
+  let epochs = EC.create () in
+  let finish report s =
+    match
+      EC.finish epochs report ~uid:(Graph.uid g s) ~root:(s = 0) ~prev:None
+        ~clock:(fun () -> 0.)
+        ~on_span:(fun _ _ -> ())
+    with
+    | Some (o, _) -> o.EC.report
+    | None -> Alcotest.fail "the report describes every switch"
+  in
+  let first = Testlib.report_of_graph g in
+  let second = Testlib.report_of_graph g in
+  check_bool "registered with its own value" true (finish first 0 == first);
+  check_bool "an equal value gets the entry's" true (finish second 1 == first)
+
+(* A [Complete] whose report no switch could build ([max_ports] 0) is
+   malformed input: the receiver drops and counts it, and the network
+   runs on as it was. *)
+let test_malformed_complete_dropped () =
+  let module Messages = Autonet_autopilot.Messages in
+  let t =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L ~telemetry:`On
+      (B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:1)
+  in
+  N.start t;
+  ignore (converge t);
+  let g = N.graph t in
+  let malformed () =
+    Autonet_telemetry.Metrics.counter_value (N.telemetry_snapshot t)
+      "autopilot.malformed_packets"
+  in
+  let before = malformed () in
+  let epoch = Epoch.(next (next (next (AP.epoch (N.autopilot t 0))))) in
+  let report =
+    Topology_report.singleton ~max_ports:0
+      (Topology_report.switch_desc ~uid:(Graph.uid g 0) ~proposed_number:1
+         ~max_ports:0 [])
+  in
+  (match Graph.neighbors g 0 with
+  | (_, _, peer, peer_port) :: _ ->
+    Autonet_autopilot.Fabric.switch_send (N.fabric t) ~from:peer
+      ~port:peer_port
+      (Messages.to_packet (Messages.Complete { epoch; seq = 1; report }))
+  | [] -> Alcotest.fail "switch 0 has no neighbour");
+  N.run_for t (Time.s 1);
+  check_int "counted as malformed" (before + 1) (malformed ());
+  check_bool "still converged" true (N.converged t);
+  check_bool "reference" true (N.verify_against_reference t)
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -736,7 +841,9 @@ let () =
             test_loaded_spec_matches_rows;
           Alcotest.test_case "merged log chronological" `Quick
             test_merged_log_is_chronological;
-          Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder ] );
+          Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder;
+          Alcotest.test_case "malformed complete dropped" `Quick
+            test_malformed_complete_dropped ] );
       ( "cache",
         [ Alcotest.test_case "torus switches follow their own chain" `Quick
             (test_cache_replays_own_chain (B.torus ~rows:4 ~cols:4 ()));
@@ -747,7 +854,11 @@ let () =
           Alcotest.test_case "late host edits only its copy" `Quick
             test_late_host_edits_only_its_copy;
           Alcotest.test_case "table words per switch stay flat" `Quick
-            test_table_words_per_switch ] );
+            test_table_words_per_switch;
+          Alcotest.test_case "complete report shared" `Quick
+            test_complete_report_shared;
+          Alcotest.test_case "equal report gets the entry's value" `Quick
+            test_equal_report_gets_entry_value ] );
       ( "soak",
         [ Alcotest.test_case "twenty random faults" `Slow test_multi_fault_soak ] );
       ( "random",
