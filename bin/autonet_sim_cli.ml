@@ -26,27 +26,6 @@ module Json = Autonet_telemetry.Json
 module Report = Autonet_analysis.Report
 open Cmdliner
 
-let build_topo spec seed hosts =
-  let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int seed) in
-  let base =
-    match String.split_on_char ':' spec with
-    | [ "src" ] -> B.src_service_lan ()
-    | [ "line"; n ] -> B.line ~n:(int_of_string n) ()
-    | [ "ring"; n ] -> B.ring ~n:(int_of_string n) ()
-    | [ "torus"; rc ] -> (
-      match String.split_on_char ',' rc with
-      | [ r; c ] -> B.torus ~rows:(int_of_string r) ~cols:(int_of_string c) ()
-      | _ -> invalid_arg "torus:ROWS,COLS")
-    | [ "random"; ne ] -> (
-      match String.split_on_char ',' ne with
-      | [ n; e ] ->
-        B.random_connected ~rng ~n:(int_of_string n)
-          ~extra_links:(int_of_string e) ()
-      | _ -> invalid_arg "random:N,EXTRA")
-    | _ -> invalid_arg (spec ^ ": expected src | line:N | ring:N | torus:R,C | random:N,E")
-  in
-  if hosts > 0 then B.attach_hosts base ~per_switch:hosts else base
-
 let preset name =
   match Params.preset name with
   | Some p -> p
@@ -55,7 +34,7 @@ let preset name =
 let make_net spec seed hosts params_name =
   let net =
     N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
-      (build_topo spec seed hosts)
+      (B.of_spec spec ~seed:(Int64.of_int seed) ~hosts)
   in
   N.start net;
   net
@@ -78,97 +57,83 @@ let print_log net t0 =
         Format.printf "  [+%a] %s: %s@." Time.pp (Time.sub ts t0) who msg)
     (N.merged_log net)
 
+(* The commands below exit 1 once they have reported a boot or a
+   reconfiguration that did not converge. *)
+let boot_or_exit net = if not (boot_and_report net) then exit 1
+
 let cmd_boot spec seed hosts params_name show_log =
   let net = make_net spec seed hosts params_name in
-  ignore (boot_and_report net);
-  if show_log then print_log net Time.zero
+  let converged = boot_and_report net in
+  if show_log then print_log net Time.zero;
+  if not converged then exit 1
 
 let measure net trigger show_log =
   let t0 = N.now net in
-  (match N.measure_reconfiguration ~timeout:(Time.s 300) net ~trigger with
+  let m = N.measure_reconfiguration ~timeout:(Time.s 300) net ~trigger in
+  (match m with
   | Some m -> Format.printf "%a@." N.pp_measure m
   | None -> Format.printf "did not reconverge@.");
   Format.printf "reference check: %b@." (N.verify_against_reference net);
-  if show_log then print_log net t0
+  if show_log then print_log net t0;
+  if Option.is_none m then exit 1
 
 let cmd_fail_link spec seed hosts params_name link show_log =
   let net = make_net spec seed hosts params_name in
-  if boot_and_report net then begin
-    let links = Graph.links (N.graph net) in
-    let l = List.nth links (link mod List.length links) in
-    Format.printf "failing link %d...@." l.Graph.id;
-    measure net
-      (fun net -> N.apply_fault net (F.Link_down l.Graph.id))
-      show_log
-  end
+  boot_or_exit net;
+  let links = Graph.links (N.graph net) in
+  let l = List.nth links (link mod List.length links) in
+  Format.printf "failing link %d...@." l.Graph.id;
+  measure net (fun net -> N.apply_fault net (F.Link_down l.Graph.id)) show_log
 
 let cmd_crash spec seed hosts params_name switch show_log =
   let net = make_net spec seed hosts params_name in
-  if boot_and_report net then begin
-    Format.printf "powering off switch %d...@." switch;
-    measure net (fun net -> N.apply_fault net (F.Switch_down switch)) show_log
-  end
+  boot_or_exit net;
+  Format.printf "powering off switch %d...@." switch;
+  measure net (fun net -> N.apply_fault net (F.Switch_down switch)) show_log
 
 let cmd_srp spec seed hosts params_name route =
   (* Source-routed probe: inject an SRP Get_state at switch 0's control
      processor and print the reply fetched over the given port route. *)
   let net = make_net spec seed hosts params_name in
-  if boot_and_report net then begin
-    let ports =
-      if route = "" then []
-      else List.map int_of_string (String.split_on_char ',' route)
-    in
-    let got = ref None in
-    (* Attach a host-less observer: reuse the fabric by sending from the
-       control processor of switch 0 and catching the response in its
-       event log is awkward; instead send the request and scan for the
-       response with a temporary receive hook at switch 0's autopilot via
-       the SRP response terminating there. *)
-    let fabric = N.fabric net in
-    let msg =
-      Messages.Srp_request
-        { route = ports; reply_route = []; request = Messages.Get_state }
-    in
-    (* Send out the first hop from switch 0. *)
-    (match ports with
-    | [] -> Format.printf "empty route: probing switch 0 itself@."
-    | p :: _ -> Format.printf "probing via ports [%s] starting out port %d@." route p);
-    ignore got;
-    (match ports with
-    | [] -> ()
-    | first :: rest ->
-      Fabric.switch_send fabric ~from:0 ~port:first
-        (Messages.to_packet
-           (Messages.Srp_request
-              { route = rest; reply_route = []; request = Messages.Get_state }));
-      ignore msg);
-    N.run_for net (Time.ms 100);
-    (* The response terminated at switch 0's control processor; its event
-       log records it. *)
-    let log = AP.event_log (N.autopilot net 0) in
-    List.iter
-      (fun e ->
-        Format.printf "  s0 log: %s@." (Autonet_autopilot.Event_log.message e))
-      (let es = Autonet_autopilot.Event_log.entries log in
-       let n = List.length es in
-       List.filteri (fun i _ -> i >= n - 5) es);
-    (* Also print the state of the probed switch directly. *)
-    let target =
-      List.fold_left
-        (fun at p ->
-          match Graph.link_at (N.graph net) (at, p) with
-          | Some l_id -> (
-            match Graph.link (N.graph net) l_id with
-            | Some l -> fst (Graph.other_end l at)
-            | None -> at)
+  boot_or_exit net;
+  let ports =
+    if route = "" then []
+    else List.map int_of_string (String.split_on_char ',' route)
+  in
+  (match ports with
+  | [] -> Format.printf "empty route: probing switch 0 itself@."
+  | first :: rest ->
+    Format.printf "probing via ports [%s] starting out port %d@." route first;
+    Fabric.switch_send (N.fabric net) ~from:0 ~port:first
+      (Messages.to_packet
+         (Messages.Srp_request
+            { route = rest; reply_route = []; request = Messages.Get_state })));
+  N.run_for net (Time.ms 100);
+  (* The response terminated at switch 0's control processor; its event
+     log records it. *)
+  let log = AP.event_log (N.autopilot net 0) in
+  List.iter
+    (fun e ->
+      Format.printf "  s0 log: %s@." (Autonet_autopilot.Event_log.message e))
+    (let es = Autonet_autopilot.Event_log.entries log in
+     let n = List.length es in
+     List.filteri (fun i _ -> i >= n - 5) es);
+  (* Also print the state of the probed switch directly. *)
+  let target =
+    List.fold_left
+      (fun at p ->
+        match Graph.link_at (N.graph net) (at, p) with
+        | Some l_id -> (
+          match Graph.link (N.graph net) l_id with
+          | Some l -> fst (Graph.other_end l at)
           | None -> at)
-        0 ports
-    in
-    let ap = N.autopilot net target in
-    Format.printf "switch %d: %a, configured %b, number %d@." target
-      Epoch.pp (AP.epoch ap) (AP.configured ap)
-      (Option.value ~default:(-1) (AP.switch_number ap))
-  end
+        | None -> at)
+      0 ports
+  in
+  let ap = N.autopilot net target in
+  Format.printf "switch %d: %a, configured %b, number %d@." target
+    Epoch.pp (AP.epoch ap) (AP.configured ap)
+    (Option.value ~default:(-1) (AP.switch_number ap))
 
 (* --- Telemetry --- *)
 
@@ -211,10 +176,10 @@ let traced_run spec seed hosts params_name fault =
   let net =
     N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
       ~telemetry:`On ~span_clock:(tick_clock ())
-      (build_topo spec seed hosts)
+      (B.of_spec spec ~seed:(Int64.of_int seed) ~hosts)
   in
   N.start net;
-  if not (boot_and_report net) then exit 1;
+  boot_or_exit net;
   (match parse_fault net fault with
   | None -> ()
   | Some ev ->
@@ -358,9 +323,8 @@ let fuzz_here config ~budget ~blind ~seed ~corpus_out =
    corpora first-wins in shard order — so the merged corpus is as
    deterministic as a single-process run.  Shard stdout goes to
    FILE.shardN.out; the parent prints only the merged summary. *)
-let fuzz_sharded config ~topo ~params_name ~hosts ~actions ~horizon_ms ~budget
-    ~blind ~seed ~shards ~corpus_out =
-  ignore config;
+let fuzz_sharded ~topo ~params_name ~hosts ~actions ~horizon_ms ~budget ~blind
+    ~seed ~shards ~corpus_out =
   let base = match corpus_out with Some p -> p | None -> "fuzz-corpus" in
   let shard_files = List.init shards (fun i -> Printf.sprintf "%s.shard%d" base i) in
   let per = budget / shards and extra = budget mod shards in
@@ -445,8 +409,8 @@ let cmd_chaos topos schedules seed hosts params_name actions horizon_ms replay
     if shards <= 1 then
       fuzz_here (config topo) ~budget ~blind ~seed:seed64 ~corpus_out
     else
-      fuzz_sharded (config topo) ~topo ~params_name ~hosts ~actions ~horizon_ms
-        ~budget ~blind ~seed ~shards ~corpus_out
+      fuzz_sharded ~topo ~params_name ~hosts ~actions ~horizon_ms ~budget
+        ~blind ~seed ~shards ~corpus_out
   | None, Some cycles ->
     let topo = List.hd topos in
     let report = Fuzz.churn (config topo) ~seed:seed64 ~cycles in
@@ -502,9 +466,9 @@ let cmd_chaos topos schedules seed hosts params_name actions horizon_ms replay
 
 let topo_arg =
   Arg.(
-    value & opt string "torus:3,3"
+    value & opt Topo_spec.conv "torus:3,3"
     & info [ "topo"; "t" ] ~docv:"SPEC"
-        ~doc:"Topology: src | line:N | ring:N | torus:R,C | random:N,E.")
+        ~doc:("Topology: " ^ B.spec_grammar ^ "."))
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
@@ -566,11 +530,11 @@ let () =
               Term.(
                 const cmd_chaos
                 $ Arg.(
-                    value & opt_all string []
+                    value & opt_all Topo_spec.conv []
                     & info [ "topo"; "t" ] ~docv:"SPEC"
                         ~doc:
-                          "Topology (repeatable): src | line:N | ring:N | \
-                           torus:R,C | random:N,E.  Default src.")
+                          ("Topology (repeatable): " ^ B.spec_grammar
+                         ^ ".  Default src."))
                 $ Arg.(
                     value & opt int 50
                     & info [ "schedules" ] ~doc:"Schedules per topology.")

@@ -12,38 +12,6 @@ open Autonet_net
 module B = Autonet_topo.Builders
 open Cmdliner
 
-let build_topo spec seed =
-  let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int seed) in
-  match String.split_on_char ':' spec with
-  | [ "src" ] -> B.src_service_lan ()
-  | [ "figure9" ] -> fst (B.figure9 ())
-  | [ "line"; n ] -> B.line ~n:(int_of_string n) ()
-  | [ "ring"; n ] -> B.ring ~n:(int_of_string n) ()
-  | [ "star"; n ] -> B.star ~leaves:(int_of_string n) ()
-  | [ "torus"; rc ] -> (
-    match String.split_on_char ',' rc with
-    | [ r; c ] -> B.torus ~rows:(int_of_string r) ~cols:(int_of_string c) ()
-    | _ -> invalid_arg "torus:ROWS,COLS")
-  | [ "mesh"; rc ] -> (
-    match String.split_on_char ',' rc with
-    | [ r; c ] -> B.mesh ~rows:(int_of_string r) ~cols:(int_of_string c) ()
-    | _ -> invalid_arg "mesh:ROWS,COLS")
-  | [ "tree"; ad ] -> (
-    match String.split_on_char ',' ad with
-    | [ a; d ] -> B.tree ~arity:(int_of_string a) ~depth:(int_of_string d) ()
-    | _ -> invalid_arg "tree:ARITY,DEPTH")
-  | [ "random"; ne ] -> (
-    match String.split_on_char ',' ne with
-    | [ n; e ] ->
-      B.random_connected ~rng ~n:(int_of_string n)
-        ~extra_links:(int_of_string e) ()
-    | _ -> invalid_arg "random:N,EXTRA")
-  | _ ->
-    invalid_arg
-      (spec
-     ^ ": expected src | figure9 | line:N | ring:N | star:N | torus:R,C | \
-        mesh:R,C | tree:A,D | random:N,E")
-
 let configure topo =
   let g = topo.B.graph in
   let tree = Spanning_tree.compute g ~member:0 in
@@ -104,11 +72,13 @@ let cmd_check topo =
     (Graph.switch_count g) (Graph.link_count g)
     (List.length (Graph.hosts g));
   Format.printf "domains: %d@." (Autonet_parallel.Pool.domains pool);
-  Format.printf "orientation acyclic: %b@." (Updown.verify_acyclic g updown);
-  Format.printf "deadlock analysis: %a@." Deadlock.pp_result
-    (Deadlock.check_tables ~pool g specs);
+  let acyclic = Updown.verify_acyclic g updown in
+  Format.printf "orientation acyclic: %b@." acyclic;
+  let deadlock = Deadlock.check_tables ~pool g specs in
+  Format.printf "deadlock analysis: %a@." Deadlock.pp_result deadlock;
+  let no_down_up = Verify.no_down_then_up net updown in
   Format.printf "down-then-up entries: %s@."
-    (if Verify.no_down_then_up net updown then "none" else "PRESENT (bug)");
+    (if no_down_up then "none" else "PRESENT (bug)");
   let failures = Verify.all_hosts_reach_all net assignment in
   Format.printf "host pairs failing to deliver: %d@." (List.length failures);
   let entries =
@@ -121,16 +91,15 @@ let cmd_check topo =
      depend on the domain count. *)
   Format.printf "pool scheduling:@.%s"
     (Autonet_telemetry.Metrics.render
-       (Autonet_parallel.Pool.sched_snapshot pool))
+       (Autonet_parallel.Pool.sched_snapshot pool));
+  if not (acyclic && deadlock = Deadlock.Acyclic && no_down_up && failures = [])
+  then exit 1
 
 (* --- Cmdliner plumbing --- *)
 
 let topo_arg =
-  let doc =
-    "Topology: src | figure9 | line:N | ring:N | star:N | torus:R,C | \
-     mesh:R,C | tree:A,D | random:N,E."
-  in
-  Arg.(value & opt string "src" & info [ "topo"; "t" ] ~docv:"SPEC" ~doc)
+  let doc = "Topology: " ^ B.spec_grammar ^ "." in
+  Arg.(value & opt Topo_spec.conv "src" & info [ "topo"; "t" ] ~docv:"SPEC" ~doc)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -141,11 +110,7 @@ let hosts_arg =
     & info [ "hosts" ] ~docv:"N" ~doc:"Attach N host ports per switch.")
 
 let with_topo f spec seed hosts =
-  let topo = build_topo spec seed in
-  let topo =
-    if hosts > 0 then B.attach_hosts topo ~per_switch:hosts else topo
-  in
-  f topo
+  f (B.of_spec spec ~seed:(Int64.of_int seed) ~hosts)
 
 let simple name doc f =
   Cmd.v (Cmd.info name ~doc)

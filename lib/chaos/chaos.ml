@@ -26,28 +26,7 @@ let default_config =
     horizon = Time.s 2;
     timeout = Time.s 120 }
 
-let build_topo spec ~seed ~hosts =
-  let rng = Rng.create ~seed in
-  let base =
-    match String.split_on_char ':' spec with
-    | [ "src" ] -> B.src_service_lan ()
-    | [ "line"; n ] -> B.line ~n:(int_of_string n) ()
-    | [ "ring"; n ] -> B.ring ~n:(int_of_string n) ()
-    | [ "torus"; rc ] -> (
-      match String.split_on_char ',' rc with
-      | [ r; c ] -> B.torus ~rows:(int_of_string r) ~cols:(int_of_string c) ()
-      | _ -> invalid_arg "torus:ROWS,COLS")
-    | [ "random"; ne ] -> (
-      match String.split_on_char ',' ne with
-      | [ n; e ] ->
-        B.random_connected ~rng ~n:(int_of_string n)
-          ~extra_links:(int_of_string e) ()
-      | _ -> invalid_arg "random:N,EXTRA")
-    | _ ->
-      invalid_arg
-        (spec ^ ": expected src | line:N | ring:N | torus:R,C | random:N,E")
-  in
-  if hosts > 0 then B.attach_hosts base ~per_switch:hosts else base
+let build_topo = B.of_spec
 
 (* splitmix64: neighbouring campaign indices must yield uncorrelated
    schedule seeds, and the mapping must be pure so schedule [i] can be
@@ -60,14 +39,14 @@ let schedule_seed ~seed i =
   logxor z (shift_right_logical z 31)
 
 let schedule_for config ~seed =
-  let topo = build_topo config.topo ~seed ~hosts:config.hosts in
+  let topo = B.of_spec config.topo ~seed ~hosts:config.hosts in
   Faults.random ~rng:(Rng.create ~seed) ~graph:topo.B.graph
     ~horizon:config.horizon ~events:config.actions
 
 type hook = N.t -> Oracle.violation list
 
 let run_schedule ?hook ?(telemetry = `Disabled) config ~seed ~schedule =
-  let topo = build_topo config.topo ~seed ~hosts:config.hosts in
+  let topo = B.of_spec config.topo ~seed ~hosts:config.hosts in
   let net = N.create ~params:config.params ~seed ~telemetry topo in
   N.start net;
   N.schedule_faults net schedule;

@@ -17,8 +17,7 @@
 open Autonet_topo
 
 type config = {
-  topo : string;
-      (** topology spec: [src | line:N | ring:N | torus:R,C | random:N,E] *)
+  topo : string;  (** {!Builders.of_spec} topology spec *)
   params : Autonet_autopilot.Params.t;
   hosts : int;  (** host ports per switch (0 = none) *)
   actions : int;  (** fault actions drawn per schedule *)
@@ -31,9 +30,7 @@ val default_config : config
     120 s convergence budget. *)
 
 val build_topo : string -> seed:int64 -> hosts:int -> Builders.t
-(** Parse a topology spec.  [seed] feeds random topologies; [hosts] > 0
-    attaches that many (dual-homed) host ports per switch.  Raises
-    [Invalid_argument] on a malformed spec. *)
+(** {!Builders.of_spec}, under the name the end-to-end benchmark calls. *)
 
 val schedule_seed : seed:int64 -> int -> int64
 (** The seed of schedule [i] in a campaign with the given campaign seed: a

@@ -124,8 +124,7 @@ type result = {
 let max_items cfg = Stdlib.max 16 (16 * cfg.chaos.Chaos.actions)
 
 let graph_for cfg seed =
-  (Chaos.build_topo cfg.chaos.Chaos.topo ~seed ~hosts:cfg.chaos.Chaos.hosts)
-    .B.graph
+  (B.of_spec cfg.chaos.Chaos.topo ~seed ~hosts:cfg.chaos.Chaos.hosts).B.graph
 
 let blind_candidate cfg rng =
   let seed = Rng.next64 rng in
@@ -450,9 +449,7 @@ let heal_bounds =
 
 let churn ?(check_every = 100) config ~seed ~cycles =
   if cycles < 1 then invalid_arg "Fuzz.churn: cycles must be >= 1";
-  let topo =
-    Chaos.build_topo config.Chaos.topo ~seed ~hosts:config.Chaos.hosts
-  in
+  let topo = B.of_spec config.Chaos.topo ~seed ~hosts:config.Chaos.hosts in
   let net =
     N.create ~params:config.Chaos.params ~seed ~telemetry:`On topo
   in

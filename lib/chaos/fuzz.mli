@@ -141,7 +141,7 @@ val merge_corpora : entry list list -> entry list
     replays each through the oracle on every test run. *)
 
 type seed_file = {
-  sf_topo : string;  (** {!Chaos.build_topo} spec *)
+  sf_topo : string;  (** {!Builders.of_spec} topology spec *)
   sf_params : string;  (** {!Autonet_autopilot.Params.preset} name *)
   sf_hosts : int;
   sf_seed : int64;

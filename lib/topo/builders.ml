@@ -230,5 +230,39 @@ let src_service_lan ?(uid_of = default_uid) () =
   let t = { graph = g; name = "src-service-lan" } in
   attach_hosts t ~per_switch:8
 
+let spec_grammar =
+  "src | figure9 | line:N | ring:N | star:N | torus:R,C | mesh:R,C | \
+   tree:A,D | random:N,E"
+
+let of_spec spec ~seed ~hosts =
+  let malformed () =
+    invalid_arg
+      (Printf.sprintf "topology spec %S: expected %s" spec spec_grammar)
+  in
+  let base =
+    match String.split_on_char ':' spec with
+    | [ "src" ] -> src_service_lan ()
+    | [ "figure9" ] -> fst (figure9 ())
+    | [ family; args ] -> (
+      let ints =
+        List.map
+          (fun a ->
+            match int_of_string_opt a with Some n -> n | None -> malformed ())
+          (String.split_on_char ',' args)
+      in
+      match (family, ints) with
+      | "line", [ n ] -> line ~n ()
+      | "ring", [ n ] -> ring ~n ()
+      | "star", [ leaves ] -> star ~leaves ()
+      | "torus", [ rows; cols ] -> torus ~rows ~cols ()
+      | "mesh", [ rows; cols ] -> mesh ~rows ~cols ()
+      | "tree", [ arity; depth ] -> tree ~arity ~depth ()
+      | "random", [ n; extra_links ] ->
+        random_connected ~rng:(Autonet_sim.Rng.create ~seed) ~n ~extra_links ()
+      | _ -> malformed ())
+    | _ -> malformed ()
+  in
+  if hosts > 0 then attach_hosts base ~per_switch:hosts else base
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s:@,%a@]" t.name Graph.pp t.graph

@@ -74,4 +74,17 @@ val src_service_lan : ?uid_of:(int -> Uid.t) -> unit -> t
     removed, four inter-switch links per switch (where present) and eight
     host ports per switch, hosts dual-homed (~120 host ports). *)
 
+val spec_grammar : string
+(** The grammar {!of_spec} accepts, as one line for help texts and error
+    messages. *)
+
+val of_spec : string -> seed:int64 -> hosts:int -> t
+(** Build the topology a spec names (see {!spec_grammar}): [src] is
+    {!src_service_lan}, [figure9] the topology of {!figure9}, and each
+    other family calls its builder with the spec's numbers in order.
+    [seed] feeds [random] only; [hosts] > 0 then attaches that many
+    (dual-homed) host ports per switch.  Raises [Invalid_argument] naming
+    the spec and the grammar on a malformed spec, and the builder's
+    [Invalid_argument] on numbers it rejects. *)
+
 val pp : Format.formatter -> t -> unit

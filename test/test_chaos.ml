@@ -15,6 +15,13 @@ module F = Faults
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains text sub =
+  let n = String.length sub in
+  let rec scan i =
+    i + n <= String.length text && (String.sub text i n = sub || scan (i + 1))
+  in
+  scan 0
+
 (* A topology small enough that a schedule replays in milliseconds. *)
 let tiny =
   { Chaos.default_config with
@@ -48,16 +55,27 @@ let test_schedule_for_deterministic () =
   check_bool "different seed differs" true (s1 <> Chaos.schedule_for tiny ~seed:8L)
 
 let test_build_topo () =
-  let t = Chaos.build_topo "torus:3,3" ~seed:1L ~hosts:0 in
-  check_int "torus switches" 9
-    (List.length (Autonet_core.Graph.switches t.Builders.graph));
-  let h = Chaos.build_topo "ring:4" ~seed:1L ~hosts:2 in
+  (* One spec per family of the grammar. *)
+  List.iter
+    (fun (spec, switches) ->
+      let t = Builders.of_spec spec ~seed:1L ~hosts:0 in
+      check_int spec switches
+        (List.length (Autonet_core.Graph.switches t.Builders.graph)))
+    [ ("src", 30); ("figure9", 5); ("line:5", 5); ("ring:6", 6); ("star:4", 5);
+      ("torus:3,3", 9); ("mesh:3,4", 12); ("tree:2,2", 7); ("random:16,8", 16) ];
+  let h = Builders.of_spec "ring:4" ~seed:1L ~hosts:2 in
   check_bool "hosts attached" true
     (Autonet_core.Graph.hosts h.Builders.graph <> []);
-  check_bool "bad spec" true
-    (match Chaos.build_topo "mobius:3" ~seed:1L ~hosts:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  (* A malformed spec, a non-numeric field included, raises
+     Invalid_argument naming the spec and the grammar. *)
+  List.iter
+    (fun spec ->
+      match Builders.of_spec spec ~seed:1L ~hosts:0 with
+      | exception Invalid_argument msg ->
+        check_bool (spec ^ ": " ^ msg) true
+          (contains msg spec && contains msg Builders.spec_grammar)
+      | _ -> Alcotest.failf "%s: accepted" spec)
+    [ "mobius:3"; "torus:a,3"; "random:8,4x"; "torus:3"; "line:"; "src:1" ]
 
 (* ------------------------------------------------------------------ *)
 (* Verdict lines *)
@@ -171,15 +189,7 @@ let test_investigate_artifact () =
     | _ -> true
   in
   check_bool "log in true-time order" true (monotone a.Chaos.a_log);
-  let text = Format.asprintf "%a" Chaos.pp_artifact a in
-  let contains sub =
-    let n = String.length sub in
-    let rec scan i =
-      i + n <= String.length text
-      && (String.sub text i n = sub || scan (i + 1))
-    in
-    scan 0
-  in
+  let contains = contains (Format.asprintf "%a" Chaos.pp_artifact a) in
   check_bool "artifact names the reproducer" true (contains "reproducer: topo=ring:4");
   check_bool "artifact shows the shrunk schedule" true
     (contains "shrunk schedule (1 items)");
