@@ -5,20 +5,20 @@
    These are the costs the paper's 68000 paid in its table_load_time.
 
    The two kernels that dominate the root's epoch latency — table
-   synthesis and the deadlock check — are measured four ways: the
-   domain-pool parallel path the pipeline now runs (bare kernel name,
-   pool sized by AUTONET_DOMAINS / the machine), the same code pinned to
-   a 4-domain pool ([_d4], the scaling column), on one domain
-   ([_serial]), and the retained list-based [Reference] implementation
-   ([_ref]).  Topologies: the 30-switch SRC service LAN, a 64-switch
+   synthesis and the deadlock check — are measured three ways: the
+   domain-pool parallel path the pipeline runs (bare kernel name, pool
+   sized by AUTONET_DOMAINS / the machine), the same code on one domain
+   ([_serial]) and pinned to a 4-domain pool ([_d4], the scaling
+   column).  Topologies: the 30-switch SRC service LAN, a 64-switch
    torus (diameter 8, the paper's "function of the maximum
    switch-to-switch distance" regime) and — outside smoke mode — a
    256-switch 16x16 torus for scaling.  With [--json FILE] the ns/op,
-   speedups and the domain count are written as JSON (schema v5: adds
-   the [delta] block — full-epoch vs incremental-reconfiguration cost on
-   the scaling torus after a non-tree link fault, measured by
-   {!Exp_delta.measure}), the perf trajectory future changes regress
-   against. *)
+   parallel speedups and the domain and core counts are written as JSON
+   (schema v7), with the telemetry-overhead record and the [delta] block
+   — full-epoch vs incremental-reconfiguration cost on the scaling torus
+   after a non-tree link fault, measured by {!Exp_delta.measure}: the
+   perf trajectory future changes regress against.  The kernels'
+   correctness oracles are test-only (test/reference.ml). *)
 
 open Bechamel
 open Toolkit
@@ -36,7 +36,6 @@ type ctx = {
   tree : Spanning_tree.t;
   updown : Updown.t;
   routes : Routes.t;
-  routes_ref : Routes.Reference.r;
   assignment : Address_assign.t;
   specs : Tables.spec list;
 }
@@ -46,32 +45,22 @@ let make_ctx (t : B.t) =
   let tree = Spanning_tree.compute g ~member:0 in
   let updown = Updown.orient g tree in
   let routes = Routes.compute g tree updown in
-  let routes_ref = Routes.Reference.compute g tree updown in
   let assignment =
     Address_assign.make g
       (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
   in
   let specs = Tables.build_all g tree updown routes assignment in
-  { topo_name = t.B.name; g; tree; updown; routes; routes_ref; assignment;
-    specs }
+  { topo_name = t.B.name; g; tree; updown; routes; assignment; specs }
 
-(* The paired kernels.  [heavy_refs] gates the two reference
-   implementations whose cost grows super-linearly with the topology (the
-   per-entry table builder and the pair-hashtable deadlock checker):
-   they are skipped on the 256-switch scaling torus. *)
-let paired_tests ?(heavy_refs = true) pool pool4 c =
+(* The kernels every topology measures; table synthesis and the deadlock
+   check also run serially and on the 4-domain pool. *)
+let paired_tests pool pool4 c =
   [ Test.make ~name:"spanning_tree"
       (Staged.stage (fun () -> Spanning_tree.compute c.g ~member:0));
-    Test.make ~name:"spanning_tree_ref"
-      (Staged.stage (fun () -> Spanning_tree.Reference.compute c.g ~member:0));
     Test.make ~name:"updown_orient"
       (Staged.stage (fun () -> Updown.orient c.g c.tree));
-    Test.make ~name:"updown_orient_ref"
-      (Staged.stage (fun () -> Updown.Reference.orient c.g c.tree));
     Test.make ~name:"routes_bfs"
       (Staged.stage (fun () -> Routes.compute c.g c.tree c.updown));
-    Test.make ~name:"routes_bfs_ref"
-      (Staged.stage (fun () -> Routes.Reference.compute c.g c.tree c.updown));
     Test.make ~name:"tables_all_switches"
       (Staged.stage (fun () ->
            Tables.build_all ~pool c.g c.tree c.updown c.routes c.assignment));
@@ -88,15 +77,6 @@ let paired_tests ?(heavy_refs = true) pool pool4 c =
       (Staged.stage (fun () -> Deadlock.check_tables c.g c.specs));
     Test.make ~name:"deadlock_check_d4"
       (Staged.stage (fun () -> Deadlock.check_tables ~pool:pool4 c.g c.specs)) ]
-  @
-  if heavy_refs then
-    [ Test.make ~name:"tables_all_switches_ref"
-        (Staged.stage (fun () ->
-             Tables.Reference.build_all c.g c.tree c.updown c.routes_ref
-               c.assignment));
-      Test.make ~name:"deadlock_check_ref"
-        (Staged.stage (fun () -> Deadlock.Reference.check_tables c.g c.specs)) ]
-  else []
 
 (* Unpaired kernels measured on the SRC topology only, to keep the
    historical table. *)
@@ -202,9 +182,7 @@ let pp_ns ns =
   else Printf.sprintf "%.0f ns" ns
 
 let is_variant name =
-  Filename.check_suffix name "_ref"
-  || Filename.check_suffix name "_serial"
-  || Filename.check_suffix name "_d4"
+  Filename.check_suffix name "_serial" || Filename.check_suffix name "_d4"
 
 let speedup_cell num den =
   match (num, den) with
@@ -216,15 +194,14 @@ let print_table title rows =
   let r =
     Autonet_analysis.Report.create ~title
       ~columns:
-        [ "kernel"; "pipeline"; "serial"; "4 domains"; "reference";
-          "vs serial"; "4-dom spd"; "vs ref" ]
+        [ "kernel"; "pipeline"; "serial"; "4 domains"; "vs serial";
+          "4-dom spd" ]
   in
   List.iter
     (fun (name, ns) ->
       if not (is_variant name) then begin
         let serial_ns = List.assoc_opt (name ^ "_serial") rows in
         let d4_ns = List.assoc_opt (name ^ "_d4") rows in
-        let ref_ns = List.assoc_opt (name ^ "_ref") rows in
         let cell = function Some v -> pp_ns v | None -> "-" in
         let d4_speedup =
           (* serial ns over the 4-domain pool's ns: the scaling headline. *)
@@ -233,8 +210,8 @@ let print_table title rows =
           | _ -> "-"
         in
         Autonet_analysis.Report.add_row r
-          [ name; pp_ns ns; cell serial_ns; cell d4_ns; cell ref_ns;
-            speedup_cell serial_ns ns; d4_speedup; speedup_cell ref_ns ns ]
+          [ name; pp_ns ns; cell serial_ns; cell d4_ns;
+            speedup_cell serial_ns ns; d4_speedup ]
       end)
     rows;
   Autonet_analysis.Report.print r
@@ -256,11 +233,6 @@ let json_of_topology buf (name, g, dia, rows) =
             ", \"d4_ns_per_op\": %.1f, \"parallel_speedup_d4\": %.2f" d4_ns
             (serial_ns /. d4_ns)
         | None -> ())
-      | None -> ());
-      (match List.assoc_opt (kname ^ "_ref") rows with
-      | Some ref_ns ->
-        Printf.bprintf b ", \"reference_ns_per_op\": %.1f, \"speedup\": %.2f"
-          ref_ns (ref_ns /. ns)
       | None -> ());
       Buffer.add_string b " }";
       Some (Buffer.contents b)
@@ -314,7 +286,7 @@ let json_of_delta buf (m : Exp_delta.meas) =
 let write_json path ~domains ~overhead ~delta topologies =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 6,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
+    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 7,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
     (quota_s ()) !smoke domains
     (Domain.recommended_domain_count ());
   json_of_overhead buf overhead;
@@ -355,7 +327,7 @@ let run () =
   let big = make_ctx (B.attach_hosts (B.torus ~rows:8 ~cols:8 ()) ~per_switch:2) in
   let src_rows = measure (paired_tests pool pool4 src @ src_extra_tests src) in
   print_table
-    "per-call cost on the 30-switch SRC topology (parallel pipeline vs serial vs reference)"
+    "per-call cost on the 30-switch SRC topology (parallel pipeline vs serial)"
     src_rows;
   let big_rows = measure (paired_tests pool pool4 big) in
   print_table "per-call cost on the 64-switch torus (diameter 8)" big_rows;
@@ -365,12 +337,8 @@ let run () =
       let huge =
         make_ctx (B.attach_hosts (B.torus ~rows:16 ~cols:16 ()) ~per_switch:2)
       in
-      let rows =
-        measure ~quota_mult:8.0 (paired_tests ~heavy_refs:false pool pool4 huge)
-      in
-      print_table
-        "per-call cost on the 256-switch 16x16 torus (scaling; heavy references skipped)"
-        rows;
+      let rows = measure ~quota_mult:8.0 (paired_tests pool pool4 huge) in
+      print_table "per-call cost on the 256-switch 16x16 torus (scaling)" rows;
       Some (huge, rows)
     end
   in

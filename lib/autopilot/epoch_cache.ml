@@ -187,15 +187,6 @@ type outcome = {
   verdict : (Deadlock.result * int) option;
 }
 
-let assign g report =
-  Address_assign.make g
-    (List.filter_map
-       (fun d ->
-         Option.map
-           (fun s -> (s, d.Topology_report.proposed_number))
-           (Graph.switch_of_uid g d.Topology_report.uid))
-       (Topology_report.switches report))
-
 let outcome_at report tree me assignment table =
   { report;
     assignment;
@@ -306,7 +297,9 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
     | None -> None
     | Some me ->
       let tree = Spanning_tree.compute g ~member:me in
-      let assignment = assign g report in
+      let assignment =
+        Address_assign.make g (Topology_report.proposals report g)
+      in
       if List.length (Spanning_tree.members tree) = Graph.switch_count g then
         Some (shared (register t report g tree assignment) me)
       else Some (unshared g tree assignment me))

@@ -59,6 +59,8 @@ type t =
   | Host_port_enabled of { port : int }
   | Host_port_disabled of { port : int }
   | Malformed_packet of { port : int }
+      (** dropped: a packet that does not decode, or a child's subtree
+          report that contradicts the reports this switch holds *)
   | Srp_response of { detail : string }
   | Generic of string  (** freeform, for call sites with no structure *)
 

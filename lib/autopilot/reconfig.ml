@@ -139,6 +139,24 @@ let merged_report t =
     (Topology_report.singleton ~max_ports:t.max_ports (own_desc t))
     t.peers
 
+(* Whether peer [p]'s new report agrees with our own description and
+   every other report we hold ([merged_report] raises otherwise).  A
+   switch's description is fixed for an epoch, so a correct run agrees. *)
+let report_fits t p report =
+  match
+    List.fold_left
+      (fun acc q ->
+        match q.p_child_report with
+        | Some r when q != p -> Topology_report.merge acc r
+        | Some _ | None -> acc)
+      (Topology_report.merge
+         (Topology_report.singleton ~max_ports:t.max_ports (own_desc t))
+         report)
+      t.peers
+  with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 let is_root t = Uid.equal t.position.Position.root t.uid
 
 let claiming_children t = List.filter (fun p -> p.p_child_claim) t.peers
@@ -240,7 +258,6 @@ let evaluate t =
   t.stable <- now_stable;
   if now_stable && not was_stable then event t Event.Subtree_stable;
   if now_stable then begin
-    let report = merged_report t in
     if t.complete_done then begin
       (* Already completed this epoch: make sure any late-claiming child
          still receives the complete topology. *)
@@ -252,6 +269,7 @@ let evaluate t =
       (* The root concludes the epoch only when the accumulated topology is
          reference-closed: a report that is still missing a switch cannot
          be, because the missing switch's neighbours describe links to it. *)
+      let report = merged_report t in
       if Topology_report.closed report then begin
         if not was_stable then
           event t (Event.Root_stable { switches = Topology_report.size report });
@@ -262,6 +280,7 @@ let evaluate t =
           (Event.Report_waiting { switches = Topology_report.size report })
     end
     else begin
+      let report = merged_report t in
       let need_send =
         match t.report_state with
         | Report_pending { report = r; _ } | Report_acked { report = r } ->
@@ -380,10 +399,14 @@ let handle_message t ~port msg =
         match peer_at t port with
         | None -> ()
         | Some p ->
-          p.p_child_report <- Some report;
-          t.callbacks.cb_send ~port
-            (Messages.Report_ack { epoch = t.epoch; seq });
-          evaluate t
+          (* A contradicting report is dropped unacked; the old one stays. *)
+          if report_fits t p report then begin
+            p.p_child_report <- Some report;
+            t.callbacks.cb_send ~port
+              (Messages.Report_ack { epoch = t.epoch; seq });
+            evaluate t
+          end
+          else event t (Event.Malformed_packet { port })
       end
       | Messages.Unstable_notice { seq; _ } -> begin
         match peer_at t port with

@@ -210,13 +210,7 @@ let check_delta net =
             let updown = Updown.orient rg tree in
             let routes = Routes.compute rg tree updown in
             let assignment =
-              Address_assign.make rg
-                (List.filter_map
-                   (fun (d : Topology_report.switch_desc) ->
-                     match Graph.switch_of_uid rg d.uid with
-                     | Some rs -> Some (rs, d.proposed_number)
-                     | None -> None)
-                   (Topology_report.switches report))
+              Address_assign.make rg (Topology_report.proposals report rg)
             in
             let full = Tables.build rg tree updown routes assignment me in
             if not (Tables.equal_spec full spec) then

@@ -18,17 +18,6 @@ let pp_result ppf = function
          pp_channel)
       cs
 
-(* A channel is a directed half of a non-loop link.  Index 2*link + 0 for
-   the a->b direction, +1 for b->a. *)
-let channel_index g ~link_id ~from_switch =
-  match Graph.link g link_id with
-  | None -> None
-  | Some l ->
-    if Graph.is_loop l then None
-    else
-      let sa, _ = l.a in
-      Some (if from_switch = sa then 2 * link_id else (2 * link_id) + 1)
-
 let channel_of_index g idx =
   let link_id = idx / 2 in
   match Graph.link g link_id with
@@ -455,78 +444,3 @@ let check_next_hops g ~switches ~next =
   in
   let off, adj = build_csr n per_switch in
   find_cycle_csr g ~off ~adj n
-
-module Reference = struct
-  (* The original checker: cons-list adjacency with a (c1, c2)
-     pair-hashtable for deduplication and a recursive coloring DFS.  Kept
-     as the correctness oracle and micro-benchmark baseline; its witness
-     can differ from the CSR path's (adjacency lists hold edges in
-     reversed insertion order), and its recursion depth is bounded by the
-     longest dependency chain. *)
-
-  let find_cycle g adj n =
-    let state = Array.make n 0 in
-    let parent = Array.make n (-1) in
-    let exception Found of int * int in
-    let rec dfs v =
-      state.(v) <- 1;
-      List.iter
-        (fun w ->
-          if state.(w) = 1 then raise (Found (v, w))
-          else if state.(w) = 0 then begin
-            parent.(w) <- v;
-            dfs w
-          end)
-        adj.(v);
-      state.(v) <- 2
-    in
-    try
-      for v = 0 to n - 1 do
-        if state.(v) = 0 && adj.(v) <> [] then dfs v
-      done;
-      Acyclic
-    with Found (v, w) ->
-      let rec collect acc u =
-        if u = w then u :: acc else collect (u :: acc) parent.(u)
-      in
-      let cycle = collect [] v in
-      Cycle (List.map (channel_of_index g) cycle)
-
-  let check_tables g specs =
-    let n = max_channel g in
-    let adj = Array.make (Stdlib.max n 1) [] in
-    let seen = Hashtbl.create 1024 in
-    let add_edge c1 c2 =
-      if not (Hashtbl.mem seen (c1, c2)) then begin
-        Hashtbl.replace seen (c1, c2) ();
-        adj.(c1) <- c2 :: adj.(c1)
-      end
-    in
-    List.iter
-      (fun spec ->
-        let s = Tables.switch spec in
-        Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst:_ entry ->
-            if (not entry.Tables.broadcast) && in_port <> 0 then
-              match Graph.link_at g (s, in_port) with
-              | None -> ()
-              | Some l_in -> (
-                match channel_index g ~link_id:l_in ~from_switch:(
-                  match Graph.link g l_in with
-                  | Some l -> fst (Graph.other_end l s)
-                  | None -> s)
-                with
-                | None -> ()
-                | Some c1 ->
-                  List.iter
-                    (fun p ->
-                      if p <> 0 then
-                        match Graph.link_at g (s, p) with
-                        | None -> ()
-                        | Some l_out -> (
-                          match channel_index g ~link_id:l_out ~from_switch:s with
-                          | None -> ()
-                          | Some c2 -> add_edge c1 c2))
-                    entry.Tables.ports)))
-      specs;
-    find_cycle g adj n
-end

@@ -65,15 +65,3 @@ val check_next_hops :
     arrived on [in_port] ([None] for locally injected packets). *)
 
 val pp_result : Format.formatter -> result -> unit
-
-module Reference : sig
-  (** The original list-based checker — a [(c1, c2)] pair-hashtable for
-      deduplication, cons-list adjacency and a recursive DFS — kept as
-      the correctness oracle and micro-benchmark baseline.  Agrees with
-      {!check_tables} on acyclicity; a cycle witness may list the same
-      cycle starting from a different rotation when a channel has several
-      outgoing dependencies.  The recursion is stack-bounded: do not feed
-      it dependency chains beyond ~100k channels. *)
-
-  val check_tables : Graph.t -> Tables.spec list -> result
-end

@@ -184,12 +184,7 @@ type stats = {
 
 let member_change ch = ch.added_switches <> [] || ch.removed_numbers <> []
 
-let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
-  let time () = match clock with Some f -> f () | None -> 0. in
-  let emit name t0 =
-    match on_span with Some f -> f name (time () -. t0) | None -> ()
-  in
-  let t0 = time () in
+let apply ?pool ~prev ~graph:g ~tree ~assignment ~me ch =
   let updown =
     Updown.reorient g tree ~prev:prev.c_updown ~old_of_new_link:ch.link_of_old
       ~new_of_old_switch:ch.new_of_old
@@ -198,8 +193,6 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
     Routes.recompute g tree updown ~prev:prev.c_routes
       ~old_of_new:ch.old_of_new
   in
-  emit "delta_routes" t0;
-  let t0 = time () in
   let n = Graph.switch_count g in
   let member_change = member_change ch in
   let dirty = Array.make n false in
@@ -230,7 +223,6 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
         else if member_change then patch_spec me prev.c_own
         else reuse_spec prev.c_own
       in
-      emit "delta_tables" t0;
       (own, None, false, None, None)
     | Some old_all ->
       let rebuild_list = ref [] in
@@ -267,8 +259,6 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
           all.(s) <- patch_spec s old_all.(ch.old_of_new.(s))
         else all.(s) <- reuse_spec old_all.(ch.old_of_new.(s))
       done;
-      emit "delta_tables" t0;
-      let t0 = time () in
       (* Incremental deadlock verification: re-certify only the tables
          that changed.  With an unchanged member set the certificate is
          identical to the previous epoch's, under which every reused spec
@@ -284,23 +274,19 @@ let apply ?pool ?clock ?on_span ~prev ~graph:g ~tree ~assignment ~me ch =
       for s = n - 1 downto 0 do
         if dirty.(s) || check_all then to_check := all.(s) :: !to_check
       done;
-      let result =
-        if List.for_all certifies !to_check then
-          (all.(me), Some all, false, Some Deadlock.Acyclic, Some cert)
-        else begin
-          let specs = Array.to_list all in
-          let v = Deadlock.check_tables ?pool g specs in
-          let c_cert =
-            match v with
-            | Deadlock.Acyclic ->
-              if List.for_all certifies specs then Some cert else None
-            | Deadlock.Cycle _ -> None
-          in
-          (all.(me), Some all, true, Some v, c_cert)
-        end
-      in
-      emit "delta_deadlock" t0;
-      result
+      if List.for_all certifies !to_check then
+        (all.(me), Some all, false, Some Deadlock.Acyclic, Some cert)
+      else begin
+        let specs = Array.to_list all in
+        let v = Deadlock.check_tables ?pool g specs in
+        let c_cert =
+          match v with
+          | Deadlock.Acyclic ->
+            if List.for_all certifies specs then Some cert else None
+          | Deadlock.Cycle _ -> None
+        in
+        (all.(me), Some all, true, Some v, c_cert)
+      end
   in
   let committed =
     { c_graph = g;

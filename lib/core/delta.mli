@@ -103,8 +103,6 @@ type stats = {
 
 val apply :
   ?pool:Autonet_parallel.Pool.t ->
-  ?clock:(unit -> float) ->
-  ?on_span:(string -> float -> unit) ->
   prev:committed ->
   graph:Graph.t -> tree:Spanning_tree.t -> assignment:Address_assign.t ->
   me:Graph.switch ->
@@ -115,10 +113,7 @@ val apply :
     same table contents, same root deadlock verdict — to what the full
     path would commit for this epoch; the chaos oracle and the fast-path
     property tests enforce exactly that.  [pool] fans the table rebuilds
-    (and a fallback deadlock check) across domains at the root.  [clock]
-    and [on_span] report wall-clock sub-phase durations
-    ([delta_routes], [delta_tables], [delta_deadlock]) without making
-    this library depend on [unix].
+    (and a fallback deadlock check) across domains at the root.
 
     With a [prev] that holds every table ([c_all]) the run is
     {e root-shaped}: it rebuilds, patches or reuses every member's table

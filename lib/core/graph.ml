@@ -288,17 +288,6 @@ let iter_links t f =
     match t.links_by_id.(id) with None -> () | Some l -> f l
   done
 
-let port_of_link t s id =
-  check_switch t s;
-  match t.links_by_id.(id) with
-  | None -> raise Not_found
-  | Some l ->
-    let sa, pa = l.a and sb, pb = l.b in
-    if sa = s && sb = s then Stdlib.min pa pb
-    else if sa = s then pa
-    else if sb = s then pb
-    else raise Not_found
-
 let used_ports t s =
   check_switch t s;
   let acc = ref [] in

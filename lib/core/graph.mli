@@ -109,11 +109,6 @@ val iter_links : t -> (link -> unit) -> unit
 (** Iterate the live switch-to-switch links in id order without building
     the {!links} list. *)
 
-val port_of_link : t -> switch -> link_id -> port
-(** The local port a link occupies on the given switch.  For a loop link
-    the lower-numbered port is returned.  Raises [Not_found] when the link
-    does not touch the switch. *)
-
 val other_end : link -> switch -> endpoint
 (** The far endpoint as seen from the given switch.  For loop links returns
     the [b] end when called with the shared switch. *)

@@ -293,24 +293,21 @@ let recompute g tree updown ~prev ~old_of_new =
     dirty,
     !recomputed )
 
-let phase_of_arrival_at graph updown ~at ~in_port =
+let phase_of_arrival t ~at ~in_port =
   if in_port = 0 then Up
   else
-    match Graph.host_at graph (at, in_port) with
+    match Graph.host_at t.graph (at, in_port) with
     | Some _ -> Up
     | None -> begin
-      match Graph.link_at graph (at, in_port) with
+      match Graph.link_at t.graph (at, in_port) with
       | None -> Up (* unconnected port: treat as an entry point *)
       | Some l_id -> begin
-        match Updown.up_end updown l_id with
+        match Updown.up_end t.updown l_id with
         | None ->
           invalid_arg "Routes.phase_of_arrival: port on an excluded link"
         | Some up -> if up = at then Up else Down
       end
     end
-
-let phase_of_arrival t ~at ~in_port =
-  phase_of_arrival_at t.graph t.updown ~at ~in_port
 
 let distance_from t ~src ~phase ~dst =
   if Array.length t.dist.(dst) = 0 then None
@@ -379,109 +376,3 @@ let legal_route _t g updown path =
         candidates
   in
   step Up path
-
-module Reference = struct
-  (* The original implementation: legal moves recomputed as lists from
-     [Graph.neighbors] on every query, predecessor lists of boxed ints,
-     [Queue.t]-based BFS.  Kept as the correctness oracle for the CSR
-     fast path above and as the micro-benchmark baseline. *)
-
-  type r = {
-    graph : Graph.t;
-    updown : Updown.t;
-    n : int;
-    dist : int array array;
-  }
-
-  (* Legal forward moves out of (s, ph): (next switch, next phase, port,
-     link). *)
-  let moves g updown s ph =
-    List.filter_map
-      (fun (p, l_id, peer, _peer_port) ->
-        match Graph.link g l_id with
-        | None -> None
-        | Some l ->
-          if not (Updown.usable updown l_id) then None
-          else
-            let up_move = Updown.goes_up updown l ~from:s in
-            begin
-              match (ph, up_move) with
-              | Up, true -> Some (peer, Up, p, l_id)
-              | Up, false -> Some (peer, Down, p, l_id)
-              | Down, false -> Some (peer, Down, p, l_id)
-              | Down, true -> None
-            end)
-      (Graph.neighbors g s)
-
-  let compute g tree updown =
-    let n = Graph.switch_count g in
-    let pred = Array.make (2 * n) [] in
-    List.iter
-      (fun s ->
-        List.iter
-          (fun ph ->
-            List.iter
-              (fun (peer, ph', _p, _l) ->
-                pred.(state peer ph') <- state s ph :: pred.(state peer ph'))
-              (moves g updown s ph))
-          [ Up; Down ])
-      (Graph.switches g);
-    let dist = Array.make n [||] in
-    List.iter
-      (fun d ->
-        if Spanning_tree.mem tree d then begin
-          let dd = Array.make (2 * n) (-1) in
-          let queue = Queue.create () in
-          dd.(state d Up) <- 0;
-          dd.(state d Down) <- 0;
-          Queue.add (state d Up) queue;
-          Queue.add (state d Down) queue;
-          while not (Queue.is_empty queue) do
-            let st = Queue.pop queue in
-            List.iter
-              (fun st' ->
-                if dd.(st') < 0 then begin
-                  dd.(st') <- dd.(st) + 1;
-                  Queue.add st' queue
-                end)
-              pred.(st)
-          done;
-          dist.(d) <- dd
-        end)
-      (Graph.switches g);
-    { graph = g; updown; n; dist }
-
-  let phase_of_arrival t ~at ~in_port =
-    phase_of_arrival_at t.graph t.updown ~at ~in_port
-
-  let distance_from t ~src ~phase ~dst =
-    if Array.length t.dist.(dst) = 0 then None
-    else
-      let d = t.dist.(dst).(state src phase) in
-      if d < 0 then None else Some d
-
-  let distance t ~src ~dst = distance_from t ~src ~phase:Up ~dst
-
-  let next_hops t ~at ~phase ~dst =
-    if at = dst then []
-    else if Array.length t.dist.(dst) = 0 then []
-    else
-      let dd = t.dist.(dst) in
-      let here = dd.(state at phase) in
-      if here < 0 then []
-      else
-        List.filter_map
-          (fun (peer, ph', p, l_id) ->
-            if dd.(state peer ph') = here - 1 then Some (p, l_id) else None)
-          (moves t.graph t.updown at phase)
-
-  let all_next_hops t ~at ~phase ~dst =
-    if at = dst then []
-    else if Array.length t.dist.(dst) = 0 then []
-    else
-      let dd = t.dist.(dst) in
-      List.filter_map
-        (fun (peer, ph', p, l_id) ->
-          if dd.(state peer ph') >= 0 then Some (p, l_id) else None)
-        (moves t.graph t.updown at phase)
-end

@@ -24,9 +24,7 @@ val compute : Graph.t -> Spanning_tree.t -> Updown.t -> t
 (** Flat-array fast path: the legal-move relation is built once in CSR
     form from {!Graph.iter_neighbors} and {!Updown.up_end_i}, transposed
     into a predecessor CSR, and the per-destination BFSes run over int
-    arrays with one shared scratch queue — no per-edge list allocation.
-    {!Reference.compute} is the retained list-based implementation it is
-    cross-checked against. *)
+    arrays with one shared scratch queue — no per-edge list allocation. *)
 
 val recompute :
   Graph.t -> Spanning_tree.t -> Updown.t ->
@@ -81,29 +79,3 @@ val all_next_hops :
 val legal_route : t -> Graph.t -> Updown.t -> Graph.switch list -> bool
 (** Whether a switch path (adjacent switches) respects up*/down*.  Exposed
     for tests. *)
-
-module Reference : sig
-  (** The original list-based route computation (legal moves rebuilt from
-      [Graph.neighbors] per query, predecessor lists, [Queue.t] BFS),
-      kept as the correctness oracle and micro-benchmark baseline.  Its
-      accessors mirror the fast path's and must agree with them
-      everywhere. *)
-
-  type r
-
-  val compute : Graph.t -> Spanning_tree.t -> Updown.t -> r
-
-  val phase_of_arrival : r -> at:Graph.switch -> in_port:Graph.port -> phase
-  val distance : r -> src:Graph.switch -> dst:Graph.switch -> int option
-
-  val distance_from :
-    r -> src:Graph.switch -> phase:phase -> dst:Graph.switch -> int option
-
-  val next_hops :
-    r -> at:Graph.switch -> phase:phase -> dst:Graph.switch ->
-    (Graph.port * Graph.link_id) list
-
-  val all_next_hops :
-    r -> at:Graph.switch -> phase:phase -> dst:Graph.switch ->
-    (Graph.port * Graph.link_id) list
-end

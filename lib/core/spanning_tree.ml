@@ -106,66 +106,6 @@ let compute g ~member =
   done;
   { tree_root = root; tree_members = !tree_members; levels; parents }
 
-let compute_all g =
-  Graph.components g
-  |> List.map (fun comp -> compute g ~member:(List.hd comp))
-
-module Reference = struct
-  (* The original list-walking implementation, kept verbatim as the
-     correctness oracle for the flat-array fast path above (and as the
-     baseline the micro-benchmarks compare against). *)
-
-  let in_component g member =
-    List.find (fun comp -> List.mem member comp) (Graph.components g)
-
-  let compute g ~member =
-    let comp = in_component g member in
-    let root =
-      List.fold_left
-        (fun best s ->
-          if Uid.compare (Graph.uid g s) (Graph.uid g best) < 0 then s else best)
-        (List.hd comp) comp
-    in
-    let n = Graph.switch_count g in
-    let levels = Array.make n (-1) in
-    let parents = Array.make n None in
-    let queue = Queue.create () in
-    levels.(root) <- 0;
-    Queue.add root queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      List.iter
-        (fun (_, _, peer, _) ->
-          if levels.(peer) < 0 then begin
-            levels.(peer) <- levels.(v) + 1;
-            Queue.add peer queue
-          end)
-        (Graph.neighbors g v)
-    done;
-    List.iter
-      (fun s ->
-        if s <> root then begin
-          let best = ref None in
-          List.iter
-            (fun (my_port, link, peer, parent_port) ->
-              if levels.(peer) = levels.(s) - 1 then
-                let candidate = { link; my_port; parent_switch = peer; parent_port } in
-                match !best with
-                | None -> best := Some candidate
-                | Some cur ->
-                  let c =
-                    Uid.compare (Graph.uid g peer) (Graph.uid g cur.parent_switch)
-                  in
-                  if c < 0 then best := Some candidate)
-            (Graph.neighbors g s);
-          match !best with
-          | Some _ as p -> parents.(s) <- p
-          | None -> assert false
-        end)
-      comp;
-    { tree_root = root; tree_members = comp; levels; parents }
-end
-
 let root t = t.tree_root
 let members t = t.tree_members
 let mem t s = s >= 0 && s < Array.length t.levels && t.levels.(s) >= 0

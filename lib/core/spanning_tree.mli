@@ -48,11 +48,7 @@ type t
 val compute : Graph.t -> member:Graph.switch -> t
 (** The spanning tree of the connected component containing [member].
     Runs on the packed adjacency fast path ({!Graph.iter_neighbors})
-    with flat int scratch arrays; {!Reference.compute} is the retained
-    list-based oracle it is cross-checked against. *)
-
-val compute_all : Graph.t -> t list
-(** One tree per connected component, ordered by root switch index. *)
+    with flat int scratch arrays. *)
 
 val root : t -> Graph.switch
 val members : t -> Graph.switch list
@@ -83,11 +79,3 @@ val depth : t -> int
 (** Maximum level over members. *)
 
 val pp : Graph.t -> Format.formatter -> t -> unit
-
-module Reference : sig
-  (** The original list-based implementation, kept as the correctness
-      oracle for the fast path and as the micro-benchmark baseline.
-      Produces a value observationally identical to {!compute}'s. *)
-
-  val compute : Graph.t -> member:Graph.switch -> t
-end

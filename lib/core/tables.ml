@@ -205,9 +205,8 @@ let fold t ~init ~f =
   done;
   !acc
 
-(* The constant (0x0000, one-hop, loopback) and broadcast rows, shared by
-   the fast and reference builders: they are a few dozen entries and were
-   never the hot part. *)
+(* The constant (0x0000, one-hop, loopback) and broadcast rows: a few
+   dozen entries, never the hot part of a build. *)
 let constant_and_broadcast_entries g tree s ~spec ~in_ports =
   List.iter
     (fun p ->
@@ -484,51 +483,3 @@ let build_all ?mode ?pool g tree updown routes assignment =
          arr)
   | None ->
     List.map (fun s -> build ?mode g tree updown routes assignment s) members
-
-module Reference = struct
-  (* The original builder, kept as the correctness oracle and benchmark
-     baseline: it recomputes the arrival phase and the next-hop set from
-     the list-based {!Routes.Reference} machinery for every
-     (in-port, destination-address) pair. *)
-
-  let build ?(mode = Minimal_routes) g tree updown routes assignment s =
-    if not (Spanning_tree.mem tree s) then
-      invalid_arg "Tables.build: switch not in the configured component";
-    let spec = make_spec ~switch:s ~pages:(pages_for assignment) in
-    let add = add_entry spec in
-    let in_ports = receiving_ports g updown s in
-    let next_hops =
-      match mode with
-      | Minimal_routes -> Routes.Reference.next_hops routes
-      | All_legal_routes -> Routes.Reference.all_next_hops routes
-    in
-    List.iter
-      (fun d ->
-        let hosts_of_d = host_ports g d in
-        for q = 0 to Graph.max_ports g do
-          let addr = Address_assign.address assignment d q in
-          List.iter
-            (fun in_port ->
-              if s = d then begin
-                if q = 0 || List.mem q hosts_of_d then
-                  add ~in_port ~addr { broadcast = false; ports = [ q ] }
-              end
-              else begin
-                let phase =
-                  Routes.Reference.phase_of_arrival routes ~at:s ~in_port
-                in
-                let hops = next_hops ~at:s ~phase ~dst:d in
-                let ports = List.sort_uniq Int.compare (List.map fst hops) in
-                add ~in_port ~addr { broadcast = false; ports }
-              end)
-            in_ports
-        done)
-      (Spanning_tree.members tree);
-    constant_and_broadcast_entries g tree s ~spec ~in_ports;
-    spec
-
-  let build_all ?mode g tree updown routes assignment =
-    List.map
-      (fun s -> build ?mode g tree updown routes assignment s)
-      (Spanning_tree.members tree)
-end

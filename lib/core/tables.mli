@@ -96,11 +96,10 @@ val build :
   ?mode:route_mode ->
   Graph.t -> Spanning_tree.t -> Updown.t -> Routes.t -> Address_assign.t ->
   Graph.switch -> spec
-(** The table for one member switch of the configured component.  Fast
-    path: the arrival phase of each in-port and the (at most two)
-    next-hop port vectors per destination switch are computed once and
-    shared across the whole address block, instead of once per
-    (in-port, address) pair as {!Reference.build} does. *)
+(** The table for one member switch of the configured component.  The
+    arrival phase of each in-port and the (at most two) next-hop port
+    vectors per destination switch are computed once and shared across
+    the whole address block, not once per (in-port, address) pair. *)
 
 val patch :
   ?mode:route_mode ->
@@ -142,20 +141,3 @@ val build_all :
     [pool], one build task per member switch fans out across the pool's
     domains; the specs come back in switch order and are bit-identical to
     the serial result (a one-domain pool {e is} the serial path). *)
-
-module Reference : sig
-  (** The original per-entry builder driven by the list-based
-      {!Routes.Reference} machinery, kept as the correctness oracle and
-      micro-benchmark baseline.  Must produce specs identical to
-      {!build}/{!build_all}. *)
-
-  val build :
-    ?mode:route_mode ->
-    Graph.t -> Spanning_tree.t -> Updown.t -> Routes.Reference.r ->
-    Address_assign.t -> Graph.switch -> spec
-
-  val build_all :
-    ?mode:route_mode ->
-    Graph.t -> Spanning_tree.t -> Updown.t -> Routes.Reference.r ->
-    Address_assign.t -> spec list
-end

@@ -79,7 +79,11 @@ let mem t uid = Uid.Map.mem uid t.by_uid
 
 let find t uid = Uid.Map.find_opt uid t.by_uid
 
-let proposals t = List.map (fun d -> (d.uid, d.proposed_number)) (switches t)
+let proposals t g =
+  List.filter_map
+    (fun d ->
+      Option.map (fun s -> (s, d.proposed_number)) (Graph.switch_of_uid g d.uid))
+    (switches t)
 
 let closed t =
   Uid.Map.for_all

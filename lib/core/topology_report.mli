@@ -50,7 +50,9 @@ val mem : t -> Uid.t -> bool
 
 val find : t -> Uid.t -> switch_desc option
 
-val proposals : t -> (Uid.t * int) list
+val proposals : t -> Graph.t -> (Graph.switch * int) list
+(** Each described switch that the graph holds, by UID, with the number
+    it proposes: the input {!Address_assign.make} resolves. *)
 
 val closed : t -> bool
 (** Reference closure: every [Switch_link] in the report points at a switch

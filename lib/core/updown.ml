@@ -4,25 +4,11 @@ type t = {
   ups : int array; (* indexed by link id; -1 = excluded from the config *)
 }
 
-(* Shared orientation rule: the up end of a non-loop link between two tree
-   members is the end closer to the root, ties toward the smaller UID. *)
+(* The orientation rule: the up end of a non-loop link between two tree
+   members is the end closer to the root, ties toward the smaller UID.
+   A non-member's {!Spanning_tree.level_i} of -1 excludes the link, and
+   loop links fall out of the [sa <> sb] guard. *)
 let up_of g tree (l : Graph.link) =
-  let sa, _ = l.a and sb, _ = l.b in
-  if Graph.is_loop l || (not (Spanning_tree.mem tree sa))
-     || not (Spanning_tree.mem tree sb)
-  then -1
-  else
-    let la = Spanning_tree.level tree sa and lb = Spanning_tree.level tree sb in
-    if la < lb then sa
-    else if lb < la then sb
-    else if Uid.compare (Graph.uid g sa) (Graph.uid g sb) <= 0 then sa
-    else sb
-
-(* Same rule as [up_of], but on {!Spanning_tree.level_i} so each endpoint
-   costs one bounds-checked array read instead of a membership test plus a
-   raising [level] lookup.  Loop links fall out of the [sa <> sb] guard
-   without calling [Graph.is_loop]. *)
-let up_of_i g tree (l : Graph.link) =
   let sa, _ = l.a and sb, _ = l.b in
   if sa = sb then -1
   else
@@ -38,7 +24,7 @@ let up_of_i g tree (l : Graph.link) =
 
 let orient g tree =
   let ups = Array.make (Graph.max_link_id g + 1) (-1) in
-  Graph.iter_links g (fun l -> ups.(l.id) <- up_of_i g tree l);
+  Graph.iter_links g (fun l -> ups.(l.id) <- up_of g tree l);
   { ups }
 
 let reorient g tree ~prev ~old_of_new_link ~new_of_old_switch =
@@ -58,7 +44,7 @@ let reorient g tree ~prev ~old_of_new_link ~new_of_old_switch =
          (* Fresh link, or one the previous epoch excluded: orient it from
             scratch.  Both ends survive under the delta preconditions, so
             the rule sees the same levels and UIDs [orient] would. *)
-         else up_of_i g tree l));
+         else up_of g tree l));
   { ups }
 
 let up_end_i t id =
@@ -132,19 +118,3 @@ let pp g ppf t =
       | _, _ -> ())
     (usable_links t);
   Format.fprintf ppf "@]"
-
-module Reference = struct
-  (* The original implementation: recomputes the maximum link id with a
-     fold over the freshly allocated [Graph.links] list and walks that
-     list again to orient.  Kept as the oracle and benchmark baseline. *)
-
-  let orient g tree =
-    let max_id =
-      List.fold_left
-        (fun acc (l : Graph.link) -> Stdlib.max acc l.id)
-        (-1) (Graph.links g)
-    in
-    let ups = Array.make (max_id + 1) (-1) in
-    List.iter (fun (l : Graph.link) -> ups.(l.id) <- up_of g tree l) (Graph.links g);
-    { ups }
-end

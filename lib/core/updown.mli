@@ -51,11 +51,3 @@ val verify_acyclic : Graph.t -> t -> bool
     orientation must establish.  Exposed for property tests. *)
 
 val pp : Graph.t -> Format.formatter -> t -> unit
-
-module Reference : sig
-  (** The original list-walking implementation (max link id recomputed by
-      folding over [Graph.links]), kept as the correctness oracle and
-      micro-benchmark baseline. *)
-
-  val orient : Graph.t -> Spanning_tree.t -> t
-end

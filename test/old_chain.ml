@@ -29,13 +29,7 @@ let run ~prev ~root report uid =
   | Some me ->
     let tree = Spanning_tree.compute g ~member:me in
     let assignment =
-      Address_assign.make g
-        (List.filter_map
-           (fun (d : Topology_report.switch_desc) ->
-             Option.map
-               (fun s -> (s, d.proposed_number))
-               (Graph.switch_of_uid g d.uid))
-           (Topology_report.switches report))
+      Address_assign.make g (Topology_report.proposals report g)
     in
     let events = ref [] in
     let emit e = events := e :: !events in

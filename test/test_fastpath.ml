@@ -1,9 +1,8 @@
 (* Crosscheck of the flat-array configuration fast path against the
-   retained list-based reference implementations: on randomized
-   topologies the two must produce identical spanning trees, up*/down*
-   orientations, route distances / next hops, and forwarding-table
-   specs.  Seeded through Autonet_sim.Rng so every run covers the same
-   topologies. *)
+   list-based oracles of reference.ml: on randomized topologies the two
+   must produce identical spanning trees, up*/down* orientations, route
+   distances / next hops, and routed forwarding-table entries.  Seeded
+   through Autonet_sim.Rng so every run covers the same topologies. *)
 
 open Autonet_core
 module Rng = Autonet_sim.Rng
@@ -30,28 +29,27 @@ let check_topology seed =
   let fail fmt = Alcotest.failf ("seed %d: " ^^ fmt) seed in
   (* --- Spanning tree. --- *)
   let tree_f = Spanning_tree.compute g ~member:0 in
-  let tree_r = Spanning_tree.Reference.compute g ~member:0 in
-  if Spanning_tree.root tree_f <> Spanning_tree.root tree_r then
-    fail "tree roots differ";
-  if Spanning_tree.members tree_f <> Spanning_tree.members tree_r then
+  let tree_r = Reference.spanning_tree g ~member:0 in
+  if Spanning_tree.root tree_f <> tree_r.root then fail "tree roots differ";
+  if Spanning_tree.members tree_f <> tree_r.members then
     fail "tree members differ";
   List.iter
     (fun s ->
-      if Spanning_tree.level tree_f s <> Spanning_tree.level tree_r s then
+      if Spanning_tree.level tree_f s <> tree_r.levels.(s) then
         fail "level of s%d differs" s;
-      if Spanning_tree.parent tree_f s <> Spanning_tree.parent tree_r s then
+      if Spanning_tree.parent tree_f s <> tree_r.parents.(s) then
         fail "parent of s%d differs" s)
     (Spanning_tree.members tree_f);
   (* --- Orientation. --- *)
   let updown_f = Updown.orient g tree_f in
-  let updown_r = Updown.Reference.orient g tree_r in
+  let ups_r = Reference.orientation g tree_r in
   for id = 0 to Graph.max_link_id g do
-    if Updown.up_end updown_f id <> Updown.up_end updown_r id then
+    if Updown.up_end_i updown_f id <> Reference.up_end ups_r id then
       fail "up end of link %d differs" id
   done;
   (* --- Routes. --- *)
   let routes_f = Routes.compute g tree_f updown_f in
-  let routes_r = Routes.Reference.compute g tree_r updown_r in
+  let routes_r = Reference.routes g tree_r ups_r in
   let n = Graph.switch_count g in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
@@ -59,20 +57,22 @@ let check_topology seed =
         (fun phase ->
           if
             Routes.distance_from routes_f ~src ~phase ~dst
-            <> Routes.Reference.distance_from routes_r ~src ~phase ~dst
+            <> Reference.distance_from routes_r ~src ~phase ~dst
           then fail "distance s%d->s%d differs" src dst;
           if
             Routes.next_hops routes_f ~at:src ~phase ~dst
-            <> Routes.Reference.next_hops routes_r ~at:src ~phase ~dst
+            <> Reference.next_hops routes_r ~at:src ~phase ~dst
           then fail "next hops s%d->s%d differ" src dst;
           if
             Routes.all_next_hops routes_f ~at:src ~phase ~dst
-            <> Routes.Reference.all_next_hops routes_r ~at:src ~phase ~dst
+            <> Reference.all_next_hops routes_r ~at:src ~phase ~dst
           then fail "all next hops s%d->s%d differ" src dst)
         [ Routes.Up; Routes.Down ]
     done
   done;
-  (* --- Forwarding tables, in both route modes. --- *)
+  (* --- Forwarding tables, in both route modes: the switches built, and
+     each spec at every routed key.  The constant and broadcast rows are
+     not compared; the oracle does not render them. --- *)
   let assignment =
     Address_assign.make g
       (List.map (fun s -> (s, 1)) (Spanning_tree.members tree_f))
@@ -82,16 +82,17 @@ let check_topology seed =
       let specs_f =
         Tables.build_all ~mode g tree_f updown_f routes_f assignment
       in
-      let specs_r =
-        Tables.Reference.build_all ~mode g tree_r updown_r routes_r assignment
-      in
-      if List.length specs_f <> List.length specs_r then
-        fail "spec counts differ";
-      List.iter2
-        (fun a b ->
-          if spec_to_list a <> spec_to_list b then
-            fail "table spec for s%d differs" (Tables.switch a))
-        specs_f specs_r)
+      if List.map Tables.switch specs_f <> tree_r.members then
+        fail "switches built differ";
+      List.iter
+        (fun spec ->
+          let s = Tables.switch spec in
+          List.iter
+            (fun ((in_port, dst), e) ->
+              if not (Tables.equal_entry (Tables.lookup spec ~in_port ~dst) e)
+              then fail "table spec for s%d differs" s)
+            (Reference.routed_entries ~mode routes_r tree_r assignment s))
+        specs_f)
     [ Tables.Minimal_routes; Tables.All_legal_routes ]
 
 let test_crosscheck () =
@@ -126,7 +127,7 @@ let test_parallel_crosscheck () =
     in
     let specs_serial = Tables.build_all g tree updown routes assignment in
     let deadlock_serial = Deadlock.check_tables g specs_serial in
-    if Deadlock.Reference.check_tables g specs_serial <> deadlock_serial then
+    if Reference.check_tables g specs_serial <> deadlock_serial then
       fail "CSR checker disagrees with the reference checker";
     let pools =
       List.map
@@ -206,15 +207,75 @@ let test_deadlock_deep_chain () =
       cs
 
 let test_deadlock_witness_matches_reference () =
-  (* On a chain shallow enough for the old recursive checker, the
+  (* On a chain shallow enough for the oracle's recursive checker, the
      iterative DFS must report the identical witness (every channel here
      has exactly one dependency, so adjacency order cannot differ). *)
   let g, specs = ring_specs 64 in
   let a = Deadlock.check_tables g specs in
-  let b = Deadlock.Reference.check_tables g specs in
+  let b = Reference.check_tables g specs in
   if a <> b then
     Alcotest.failf "witnesses differ: %a vs %a" Deadlock.pp_result a
       Deadlock.pp_result b
+
+(* Unrestricted shortest-path tables are cyclic on most multipath
+   topologies, so they exercise the checkers' cycle branches, which
+   up*/down* tables never reach.  Both checkers must give the same
+   verdict, and each witness must be a real cycle; the witnesses
+   themselves may differ (a channel with several dependencies lets each
+   checker close a different cycle first). *)
+let n_cyclic_topologies = 100
+
+let test_deadlock_cyclic_tables () =
+  let cyclic = ref 0 in
+  for seed = 1 to n_cyclic_topologies do
+    let rng = Rng.create ~seed:(Int64.of_int (3000 + seed)) in
+    let g = (Testlib.random_topology rng ~max_n:9).Autonet_topo.Builders.graph in
+    let tree = Spanning_tree.compute g ~member:0 in
+    let assignment =
+      Address_assign.make g
+        (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
+    in
+    let specs = Autonet_baseline.Alt_routing.shortest_path g tree assignment in
+    let fail fmt = Alcotest.failf ("cyclic seed %d: " ^^ fmt) seed in
+    let port_of s link =
+      List.find_opt (fun p -> Graph.link_at g (s, p) = Some link)
+        (Graph.used_ports g s)
+    in
+    (* [c1] arrives where [c2] leaves, and some unicast entry of that
+       switch forwards from [c1]'s in-port onto [c2]'s link. *)
+    let depends (c1 : Deadlock.channel) (c2 : Deadlock.channel) =
+      c1.to_switch = c2.from_switch
+      &&
+      match (port_of c1.to_switch c1.link, port_of c2.from_switch c2.link) with
+      | Some in_port, Some out_port ->
+        let spec = List.find (fun sp -> Tables.switch sp = c1.to_switch) specs in
+        List.exists
+          (fun (_, (e : Tables.entry)) ->
+            (not e.broadcast) && List.mem out_port e.ports)
+          (Tables.row spec ~in_port)
+      | _ -> false
+    in
+    let check_witness who = function
+      | [] -> fail "%s witness is empty" who
+      | first :: rest as cs ->
+        List.iteri
+          (fun i (c1, c2) ->
+            if not (depends c1 c2) then
+              fail "%s witness: channel %d (%a) does not lead to %a" who i
+                Deadlock.pp_channel c1 Deadlock.pp_channel c2)
+          (List.combine cs (rest @ [ first ]))
+    in
+    match (Deadlock.check_tables g specs, Reference.check_tables g specs) with
+    | Deadlock.Acyclic, Deadlock.Acyclic -> ()
+    | Deadlock.Cycle a, Deadlock.Cycle b ->
+      incr cyclic;
+      check_witness "fast" a;
+      check_witness "oracle" b
+    | a, b ->
+      fail "verdicts differ: %a vs %a" Deadlock.pp_result a Deadlock.pp_result
+        b
+  done;
+  if !cyclic = 0 then Alcotest.fail "no topology produced a cyclic table set"
 
 let test_iter_neighbors_matches_list () =
   (* The packed iterator yields exactly the neighbors list, including
@@ -717,7 +778,13 @@ let () =
         [ Alcotest.test_case "iterative DFS survives a 150k-channel cycle"
             `Quick test_deadlock_deep_chain;
           Alcotest.test_case "cycle witness matches the reference checker"
-            `Quick test_deadlock_witness_matches_reference ] );
+            `Quick test_deadlock_witness_matches_reference;
+          Alcotest.test_case
+            (Printf.sprintf
+               "checkers agree on shortest-path tables of %d random \
+                topologies, with real witnesses"
+               n_cyclic_topologies)
+            `Quick test_deadlock_cyclic_tables ] );
       ( "graph",
         [ Alcotest.test_case "iter_neighbors matches the list API" `Quick
             test_iter_neighbors_matches_list ] );

@@ -693,6 +693,56 @@ let test_malformed_complete_dropped () =
   check_bool "still converged" true (N.converged t);
   check_bool "reference" true (N.verify_against_reference t)
 
+(* A well-formed Stable_report of the current epoch that contradicts what
+   the root holds — the root's own UID described differently, or another
+   [max_ports] — must be dropped on arrival and counted as malformed,
+   not merged into the root's report (where the conflict aborted the
+   whole simulation). *)
+let test_conflicting_child_report_dropped () =
+  let module Messages = Autonet_autopilot.Messages in
+  let t =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L ~telemetry:`On
+      (B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:1)
+  in
+  N.start t;
+  ignore (converge t);
+  let g = N.graph t in
+  let root = 0 and uid = Graph.uid g in
+  let child, child_port =
+    match
+      List.find_opt
+        (fun (_, _, peer, _) ->
+          Autonet_net.Uid.equal (AP.position (N.autopilot t peer)).parent
+            (uid root))
+        (Graph.neighbors g root)
+    with
+    | Some (_, _, peer, peer_port) -> (peer, peer_port)
+    | None -> Alcotest.fail "the root has no tree child"
+  in
+  let malformed () =
+    Autonet_telemetry.Metrics.counter_value (N.telemetry_snapshot t)
+      "autopilot.malformed_packets"
+  in
+  let lone ~max_ports s =
+    Topology_report.singleton ~max_ports
+      (Topology_report.switch_desc ~uid:(uid s) ~proposed_number:1 ~max_ports
+         [])
+  in
+  let mp = Graph.max_ports g in
+  List.iter
+    (fun (what, report) ->
+      let before = malformed () in
+      let epoch = AP.epoch (N.autopilot t root) in
+      Autonet_autopilot.Fabric.switch_send (N.fabric t) ~from:child
+        ~port:child_port
+        (Messages.to_packet (Messages.Stable_report { epoch; seq = 1; report }));
+      N.run_for t (Time.s 1);
+      check_int (what ^ ": counted as malformed") (before + 1) (malformed ());
+      check_bool (what ^ ": still converged") true (N.converged t);
+      check_bool (what ^ ": reference") true (N.verify_against_reference t))
+    [ ("root described without ports", lone ~max_ports:mp root);
+      ("different max_ports", lone ~max_ports:(mp - 1) child) ]
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -843,7 +893,9 @@ let () =
             test_merged_log_is_chronological;
           Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder;
           Alcotest.test_case "malformed complete dropped" `Quick
-            test_malformed_complete_dropped ] );
+            test_malformed_complete_dropped;
+          Alcotest.test_case "conflicting child report dropped" `Quick
+            test_conflicting_child_report_dropped ] );
       ( "cache",
         [ Alcotest.test_case "torus switches follow their own chain" `Quick
             (test_cache_replays_own_chain (B.torus ~rows:4 ~cols:4 ()));
