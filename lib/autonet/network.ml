@@ -146,70 +146,101 @@ let live t =
 
 let live_components t = snd (live t)
 
-(* The configured report must reflect the live switch-to-switch topology of
-   the component — a network still running on a pre-fault configuration is
-   not converged.  Host ports are compared leniently: plugging a host in or
-   out does not reconfigure the network (paper 6.5.3). *)
-let report_matches_live live comp r =
-  List.for_all
-    (fun s ->
-      match Topology_report.find r (Graph.uid live s) with
-      | None -> false
-      | Some d ->
-        let live_links =
-          List.sort compare
-            (List.map
-               (fun (p, _, peer, pp) ->
-                 (p, Uid.to_int (Graph.uid live peer), pp))
-               (Graph.neighbors live s))
-        in
-        let report_links =
-          let acc = ref [] in
-          Array.iteri
-            (fun p desc ->
-              match desc with
-              | Topology_report.Switch_link { peer; peer_port } ->
-                acc := (p, Uid.to_int peer, peer_port) :: !acc
-              | Topology_report.Unused | Topology_report.Host_port -> ())
-            d.Topology_report.ports;
-          List.sort compare !acc
-        in
-        live_links = report_links)
-    comp
+(* A link of [net_graph] is live when the fabric carries it and both ends
+   are powered: exactly the links [live_graph] keeps. *)
+let link_live t id peer =
+  (not (Fabric.link_failed t.fabric id)) && Autopilot.powered t.pilots.(peer)
 
-let component_converged t live comp =
-  List.for_all (fun s -> Autopilot.configured t.pilots.(s)) comp
-  &&
-  match comp with
-  | [] -> true
-  | first :: rest -> (
-    let e0 = Autopilot.epoch t.pilots.(first) in
-    match Autopilot.complete_report t.pilots.(first) with
-    | None -> false
-    | Some r0 ->
-      Topology_report.size r0 = List.length comp
-      && report_matches_live live comp r0
-      && List.for_all
-           (fun s ->
-             Epoch.equal (Autopilot.epoch t.pilots.(s)) e0
-             &&
-             match Autopilot.complete_report t.pilots.(s) with
-             | Some r -> Topology_report.equal r r0
-             | None -> false)
-           rest)
+(* The report must describe [s]'s live switch-to-switch links exactly — a
+   network still running on a pre-fault configuration is not converged.
+   Every live link must appear at its port, and the report may name no
+   other: ports are distinct on both sides, so equal counts close the
+   match.  Host ports are compared leniently: plugging a host in or out
+   does not reconfigure the network (paper 6.5.3). *)
+let describes_live_links t r s =
+  match Topology_report.find r (Graph.uid t.net_graph s) with
+  | None -> false
+  | Some d ->
+    let ports = d.Topology_report.ports in
+    let matched = ref 0 and ok = ref true in
+    Graph.iter_neighbors t.net_graph s (fun p id peer pp ->
+        if link_live t id peer then
+          if
+            p < Array.length ports
+            &&
+            match ports.(p) with
+            | Topology_report.Switch_link { peer = u; peer_port } ->
+              Uid.equal u (Graph.uid t.net_graph peer) && peer_port = pp
+            | Topology_report.Unused | Topology_report.Host_port -> false
+          then incr matched
+          else ok := false);
+    !ok
+    &&
+    let described = ref 0 in
+    for p = 0 to Array.length ports - 1 do
+      match ports.(p) with
+      | Topology_report.Switch_link _ -> incr described
+      | Topology_report.Unused | Topology_report.Host_port -> ()
+    done;
+    !described = !matched
+
+(* Walk the live component of [first], its smallest member, marking
+   [seen]: every member must share [first]'s epoch and complete report,
+   that report must describe each member's live links, and it must name
+   exactly the component's switches — the walk's count closes what the
+   per-member lookups leave open. *)
+let component_converged t seen stack first =
+  let p0 = t.pilots.(first) in
+  match Autopilot.complete_report p0 with
+  | None -> false
+  | Some r0 ->
+    let e0 = Autopilot.epoch p0 in
+    let member s =
+      let p = t.pilots.(s) in
+      Epoch.equal (Autopilot.epoch p) e0
+      && (match Autopilot.complete_report p with
+         | Some r -> Topology_report.equal r r0
+         | None -> false)
+      && describes_live_links t r0 s
+    in
+    seen.(first) <- true;
+    stack.(0) <- first;
+    let top = ref 1 and members = ref 0 and ok = ref true in
+    while !ok && !top > 0 do
+      decr top;
+      let s = stack.(!top) in
+      incr members;
+      ok := member s;
+      Graph.iter_neighbors t.net_graph s (fun _ id peer _ ->
+          if (not seen.(peer)) && link_live t id peer then begin
+            seen.(peer) <- true;
+            stack.(!top) <- peer;
+            incr top
+          end)
+    done;
+    !ok && Topology_report.size r0 = !members
 
 (* Every powered switch lies in some live component, and a component
    with an unconfigured switch is not converged, so checking the switches
-   first answers exactly as the components would, without copying the
-   graph while an epoch is still running. *)
+   first answers exactly as the components would while an epoch is still
+   running.  The walk then reads [net_graph] in place; [live_graph]'s copy
+   serves only [live] and its once-per-reconfiguration callers. *)
 let converged t =
   Array.for_all
     (fun p -> (not (Autopilot.powered p)) || Autopilot.configured p)
     t.pilots
   &&
-  match live t with
-  | _, [] -> false
-  | live, comps -> List.for_all (component_converged t live) comps
+  let n = Array.length t.pilots in
+  let seen = Array.make n false and stack = Array.make n 0 in
+  let components = ref 0 and ok = ref true and s = ref 0 in
+  while !ok && !s < n do
+    if (not seen.(!s)) && Autopilot.powered t.pilots.(!s) then begin
+      incr components;
+      ok := component_converged t seen stack !s
+    end;
+    incr s
+  done;
+  !ok && !components > 0
 
 let run_until_converged ?(timeout = Time.s 60) t =
   let deadline = Time.add (now t) timeout in

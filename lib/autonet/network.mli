@@ -61,7 +61,11 @@ val run_for : t -> Autonet_sim.Time.t -> unit
 val converged : t -> bool
 (** Every live connected component of powered switches is fully
     configured, on a single epoch, with identical complete topology
-    reports. *)
+    reports; and that report names exactly the component's switches and
+    describes each one's live switch-to-switch links, port by port (host
+    ports are not compared).  At least one switch must be powered.
+    Walks the physical graph in place, allocating a few words per switch:
+    {!run_until_converged} polls it every 2 ms of simulated time. *)
 
 val run_until_converged :
   ?timeout:Autonet_sim.Time.t -> t -> Autonet_sim.Time.t option

@@ -26,6 +26,14 @@ type host_station = {
   mutable h_active : bool;
 }
 
+(* What the cable at a switch port reaches, fixed when the fabric is
+   created.  A loop link is a [Switch] whose [peer] is the port's own
+   switch. *)
+type cable =
+  | Uncabled
+  | Host of host_station
+  | Switch of { id : Graph.link_id; peer : Graph.switch; peer_port : int }
+
 type stats = {
   packets_sent : int;
   bytes_sent : int;
@@ -39,7 +47,7 @@ type t = {
   params : Params.t;
   rng : Autonet_sim.Rng.t;
   stations : station array;
-  hosts : (Graph.endpoint, host_station) Hashtbl.t;
+  cables : cable array array; (* per switch, per port 0..max_ports *)
   mutable failed_links : int list;
   mutable st_sent : int;
   mutable st_bytes : int;
@@ -57,13 +65,19 @@ let create ~engine ~graph ~params ~rng =
           sw_powered = true;
           flow = Array.make (Graph.max_ports graph + 1) Flow_normal })
   in
-  let hosts = Hashtbl.create 64 in
+  let cables =
+    Array.init n (fun _ -> Array.make (Graph.max_ports graph + 1) Uncabled)
+  in
   List.iter
     (fun (h : Graph.host_attachment) ->
-      Hashtbl.replace hosts (h.switch, h.switch_port)
-        { h_rx = None; h_powered = true; h_active = h.host_port = 0 })
+      cables.(h.switch).(h.switch_port) <-
+        Host { h_rx = None; h_powered = true; h_active = h.host_port = 0 })
     (Graph.hosts graph);
-  { engine; graph; params; rng; stations; hosts;
+  Graph.iter_links graph (fun l ->
+      let sa, pa = l.a and sb, pb = l.b in
+      cables.(sa).(pa) <- Switch { id = l.id; peer = sb; peer_port = pb };
+      cables.(sb).(pb) <- Switch { id = l.id; peer = sa; peer_port = pa });
+  { engine; graph; params; rng; stations; cables;
     failed_links = [];
     st_sent = 0; st_bytes = 0; st_dropped = 0; st_reflections = 0 }
 
@@ -73,12 +87,19 @@ let params t = t.params
 
 let attach_switch t s ~rx = t.stations.(s).sw_rx <- Some rx
 
-let host_station t ep =
-  match Hashtbl.find_opt t.hosts ep with
-  | Some h -> h
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Fabric: no host at switch %d port %d" (fst ep) (snd ep))
+(* Ports outside 0..max_ports lead nowhere, as [Graph.link_at] and
+   [Graph.host_at] answer for them. *)
+let cable t s port =
+  let row = t.cables.(s) in
+  if port >= 0 && port < Array.length row then row.(port) else Uncabled
+
+let host_station t (s, port) =
+  match
+    if s >= 0 && s < Array.length t.cables then cable t s port else Uncabled
+  with
+  | Host h -> h
+  | Uncabled | Switch _ ->
+    invalid_arg (Printf.sprintf "Fabric: no host at switch %d port %d" s port)
 
 let attach_host_port t ep ~rx = (host_station t ep).h_rx <- Some rx
 
@@ -148,19 +169,25 @@ let deliver_to_switch t s ~port packet =
   end
   else t.st_dropped <- t.st_dropped + 1
 
-let deliver_to_host t ep packet =
-  match Hashtbl.find_opt t.hosts ep with
-  | Some h when h.h_powered ->
-    (match h.h_rx with
+let deliver_to_host t h packet =
+  if h.h_powered then
+    match h.h_rx with
     | Some rx ->
       ignore (Engine.schedule t.engine ~delay:host_processing (fun () ->
           if h.h_powered then rx packet))
-    | None -> t.st_dropped <- t.st_dropped + 1)
-  | Some _ | None -> t.st_dropped <- t.st_dropped + 1
+    | None -> t.st_dropped <- t.st_dropped + 1
+  else t.st_dropped <- t.st_dropped + 1
 
-(* Transmit from a switch port into whatever the cable reaches.  [reflect]
-   delivers the packet back to the sender's own port, modelling the coax
+(* Deliver the packet back to the sender's own port, modelling the coax
    behaviour at unpowered or absent terminations. *)
+let reflect t ~from ~port ~delay packet =
+  t.st_reflections <- t.st_reflections + 1;
+  ignore
+    (Engine.schedule t.engine
+       ~delay:(Time.add delay (propagation_delay t))
+       (fun () -> deliver_to_switch t from ~port packet))
+
+(* Transmit from a switch port into whatever the cable reaches. *)
 let switch_send t ~from ~port packet =
   let st = t.stations.(from) in
   if not st.sw_powered then ()
@@ -168,41 +195,21 @@ let switch_send t ~from ~port packet =
     t.st_sent <- t.st_sent + 1;
     t.st_bytes <- t.st_bytes + Packet.wire_size packet;
     let delay = Time.add (transmission_delay packet) (propagation_delay t) in
-    let reflect () =
-      t.st_reflections <- t.st_reflections + 1;
-      ignore
-        (Engine.schedule t.engine
-           ~delay:(Time.add delay (propagation_delay t))
-           (fun () -> deliver_to_switch t from ~port packet))
-    in
-    match Graph.host_at t.graph (from, port) with
-    | Some _ -> begin
-      match Hashtbl.find_opt t.hosts (from, port) with
-      | Some h when h.h_powered ->
+    match cable t from port with
+    | Host h ->
+      if h.h_powered then
+        ignore
+          (Engine.schedule t.engine ~delay (fun () -> deliver_to_host t h packet))
+      else reflect t ~from ~port ~delay packet
+    | Uncabled -> t.st_dropped <- t.st_dropped + 1 (* noise, no echo *)
+    | Switch { id; _ } when link_failed t id -> t.st_dropped <- t.st_dropped + 1
+    | Switch { id; peer; peer_port } ->
+      if switch_powered t peer then
         ignore
           (Engine.schedule t.engine ~delay (fun () ->
-               deliver_to_host t (from, port) packet))
-      | Some _ | None -> reflect ()
-    end
-    | None -> begin
-      match Graph.link_at t.graph (from, port) with
-      | None -> t.st_dropped <- t.st_dropped + 1 (* uncabled: noise, no echo *)
-      | Some id when link_failed t id -> t.st_dropped <- t.st_dropped + 1
-      | Some id -> begin
-        match Graph.link t.graph id with
-        | None -> t.st_dropped <- t.st_dropped + 1
-        | Some l ->
-          let peer, peer_port =
-            if (from, port) = l.a then l.b else l.a
-          in
-          if switch_powered t peer then
-            ignore
-              (Engine.schedule t.engine ~delay (fun () ->
-                   if not (link_failed t id) then
-                     deliver_to_switch t peer ~port:peer_port packet))
-          else reflect ()
-      end
-    end
+               if not (link_failed t id) then
+                 deliver_to_switch t peer ~port:peer_port packet))
+      else reflect t ~from ~port ~delay packet
   end
 
 let host_send t ep packet =
@@ -221,45 +228,37 @@ let host_send t ep packet =
       t.st_reflections <- t.st_reflections + 1;
       ignore
         (Engine.schedule t.engine ~delay:(Time.add delay (propagation_delay t))
-           (fun () -> deliver_to_host t ep packet))
+           (fun () -> deliver_to_host t h packet))
     end
   end
 
 (* --- Status synthesis --- *)
 
 let sample_healthy = { errors = false; is_host = false; host_alternate = false; idhy = false }
+let sample_errors = { sample_healthy with errors = true }
+let sample_host = { sample_healthy with is_host = true }
+let sample_alternate = { sample_healthy with host_alternate = true }
+let sample_idhy = { sample_healthy with idhy = true }
 
 let sample_port t s ~port =
-  match Graph.host_at t.graph (s, port) with
-  | Some _ -> begin
-    match Hashtbl.find_opt t.hosts (s, port) with
-    | Some h when h.h_powered ->
-      if h.h_active then { sample_healthy with is_host = true }
-      else { sample_healthy with host_alternate = true }
-    | Some _ | None ->
+  match cable t s port with
+  | Host h ->
+    if not h.h_powered then
       (* Host off: the cable reflects our own flow control; the port looks
          like a quiet switch link. *)
       sample_healthy
-  end
-  | None -> begin
-    match Graph.link_at t.graph (s, port) with
-    | None -> { sample_healthy with errors = true } (* uncabled: noise *)
-    | Some id when link_failed t id -> { sample_healthy with errors = true }
-    | Some id -> begin
-      match Graph.link t.graph id with
-      | None -> { sample_healthy with errors = true }
-      | Some l ->
-        let peer, peer_port = if (s, port) = l.a then l.b else l.a in
-        if not (switch_powered t peer) then sample_healthy (* reflecting *)
-        else if peer = s then
-          (* Loop link: we receive our own start directives: healthy,
-             not host; the connectivity monitor will classify the loop. *)
-          sample_healthy
-        else
-          let peer_flow = t.stations.(peer).flow.(peer_port) in
-          { sample_healthy with idhy = peer_flow = Flow_idhy }
-    end
-  end
+    else if h.h_active then sample_host
+    else sample_alternate
+  | Uncabled -> sample_errors (* noise *)
+  | Switch { id; _ } when link_failed t id -> sample_errors
+  | Switch { peer; peer_port; _ } ->
+    if not (switch_powered t peer) then sample_healthy (* reflecting *)
+    else if peer = s then
+      (* Loop link: we receive our own start directives: healthy,
+         not host; the connectivity monitor will classify the loop. *)
+      sample_healthy
+    else if t.stations.(peer).flow.(peer_port) = Flow_idhy then sample_idhy
+    else sample_healthy
 
 let stats t =
   { packets_sent = t.st_sent;

@@ -28,6 +28,9 @@ type t
 val create :
   engine:Autonet_sim.Engine.t -> graph:Graph.t -> params:Params.t ->
   rng:Autonet_sim.Rng.t -> t
+(** Snapshots what every port's cable reaches: the fabric carries the
+    graph as it is at creation, so cable changes after [create] are not
+    seen (the simulated cabling is fixed; faults fail links instead). *)
 
 val engine : t -> Autonet_sim.Engine.t
 val graph : t -> Graph.t

@@ -88,10 +88,18 @@ module Reader = struct
     t.pos <- t.pos + n;
     s
 
+  (* [input] from [pos] and [s] agree on bytes [i .. n - 1]: eight at a
+     time while a whole word remains, then byte by byte.  The words are
+     compared at type [int64], unboxed, so nothing is allocated. *)
+  let rec same input pos s i n =
+    if i + 8 <= n then
+      String.get_int64_ne input (pos + i) = String.get_int64_ne s i
+      && same input pos s (i + 8) n
+    else i = n || (input.[pos + i] = s.[i] && same input pos s (i + 1) n)
+
   let skip_prefix t s =
     let n = String.length s in
-    let rec same i = i = n || (t.input.[t.pos + i] = s.[i] && same (i + 1)) in
-    let hit = remaining t >= n && same 0 in
+    let hit = remaining t >= n && same t.input t.pos s 0 n in
     if hit then t.pos <- t.pos + n;
     hit
 

@@ -49,46 +49,51 @@ let cancelled h = not h.live
 (* Cancelled entries are discarded lazily when they reach the head of the
    queue, which keeps [cancel] O(1). *)
 let rec drop_dead_head t =
-  match Pqueue.peek t.queue with
-  | Some (_, _, h) when not h.live ->
-    ignore (Pqueue.pop t.queue);
+  if (not (Pqueue.is_empty t.queue)) && not (Pqueue.top t.queue).live then begin
+    ignore (Pqueue.take t.queue);
     drop_dead_head t
-  | _ -> ()
+  end
+
+(* Fire the head of a queue whose head is live. *)
+let fire t =
+  t.clock <- Pqueue.min_time t.queue;
+  let h = Pqueue.take t.queue in
+  h.live <- false;
+  decr t.live_count;
+  t.executed <- t.executed + 1;
+  h.action ()
 
 let step t =
   drop_dead_head t;
-  match Pqueue.pop t.queue with
-  | None -> false
-  | Some (time, _seq, h) ->
-    t.clock <- time;
-    h.live <- false;
-    decr t.live_count;
-    t.executed <- t.executed + 1;
-    h.action ();
+  if Pqueue.is_empty t.queue then false
+  else begin
+    fire t;
     true
+  end
 
 let run ?until ?max_events t =
-  let budget = ref (match max_events with None -> max_int | Some n -> n) in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    match until with
-    | Some limit -> begin
+  let budget = ref (Option.value max_events ~default:max_int) in
+  match until with
+  | None -> while !budget > 0 && step t do decr budget done
+  | Some limit ->
+    if limit < t.clock then
+      invalid_arg
+        (Printf.sprintf "Engine.run: until %d is before now %d" limit t.clock);
+    while !budget > 0 do
       drop_dead_head t;
-      match Pqueue.peek_time t.queue with
-      | None ->
+      if Pqueue.is_empty t.queue || Pqueue.min_time t.queue > limit then begin
         (* Idle time still passes: leaving the clock behind [limit] here
            would freeze simulated time on a dead network, and a caller
            polling a sim-time deadline (run_until_converged) would spin
            forever. *)
-        if t.clock < limit then t.clock <- limit;
-        continue := false
-      | Some time when time > limit ->
         t.clock <- limit;
-        continue := false
-      | Some _ -> if step t then decr budget else continue := false
-    end
-    | None -> if step t then decr budget else continue := false
-  done
+        budget := 0
+      end
+      else begin
+        fire t;
+        decr budget
+      end
+    done
 
 let pending t = !(t.live_count)
 

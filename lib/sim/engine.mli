@@ -39,7 +39,9 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     [until] do fire.  With [until] the clock always ends at [until] when
     no later event stops it — idle simulated time passes even on an
     empty queue, so sim-time deadlines polled around [run] still fire on
-    a dead network. *)
+    a dead network.  [until] must not be in the virtual past: the clock
+    never moves backwards, and an earlier [until] raises
+    [Invalid_argument] as {!schedule_at} does. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) events still queued. *)

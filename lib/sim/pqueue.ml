@@ -1,73 +1,111 @@
-type 'a entry = { time : Time.t; seq : int; value : 'a }
+(* The heap orders positions by the unboxed [times] and [seqs] arrays;
+   [slots] maps a heap position to the slot of [values] that holds its
+   value.  Values never move while queued, so a sift writes only ints
+   and pays no write barrier.  [free.(0 .. capacity - size - 1)] is the
+   stack of unused slots. *)
+type 'a t = {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable values : 'a array;
+  mutable free : int array;
+  mutable size : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable size : int }
-
-let create () = { data = [||]; size = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; values = [||]; free = [||];
+    size = 0 }
 
 let length q = q.size
 let is_empty q = q.size = 0
 
-let entry_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Annotated [int]: at an unknown type [<] is the polymorphic compare, a C
+   call that doubles the cost of a sift. *)
+let before (t1 : int) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
-let grow q =
-  let capacity = Array.length q.data in
-  let new_capacity = if capacity = 0 then 16 else capacity * 2 in
-  if q.size > 0 then begin
-    let d = Array.make new_capacity q.data.(0) in
-    Array.blit q.data 0 d 0 q.size;
-    q.data <- d
-  end
+(* Called when every slot is in use, so the free stack is empty and the
+   new slots are exactly [capacity .. new_capacity - 1], pushed so that
+   the lowest is handed out first.  [v] fills the new value slots. *)
+let grow q v =
+  let capacity = Array.length q.times in
+  let new_capacity = if capacity = 0 then 16 else 2 * capacity in
+  let extend a = Array.append a (Array.make (new_capacity - capacity) 0) in
+  q.times <- extend q.times;
+  q.seqs <- extend q.seqs;
+  q.slots <- extend q.slots;
+  let values = Array.make new_capacity v in
+  Array.blit q.values 0 values 0 capacity;
+  q.values <- values;
+  q.free <- Array.init new_capacity (fun i -> new_capacity - 1 - i)
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before q.data.(i) q.data.(parent) then begin
-      let tmp = q.data.(i) in
-      q.data.(i) <- q.data.(parent);
-      q.data.(parent) <- tmp;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < q.size && entry_before q.data.(left) q.data.(!smallest) then
-    smallest := left;
-  if right < q.size && entry_before q.data.(right) q.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = q.data.(i) in
-    q.data.(i) <- q.data.(!smallest);
-    q.data.(!smallest) <- tmp;
-    sift_down q !smallest
-  end
-
-let add q ~time ~seq value =
-  if q.size = Array.length q.data || Array.length q.data = 0 then begin
-    if Array.length q.data = 0 then q.data <- Array.make 16 { time; seq; value }
-    else grow q
-  end;
-  q.data.(q.size) <- { time; seq; value };
-  q.size <- q.size + 1;
-  sift_up q (q.size - 1)
-
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.data.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.data.(0) <- q.data.(q.size);
-      sift_down q 0
-    end;
-    Some (top.time, top.seq, top.value)
-  end
-
-let peek_time q = if q.size = 0 then None else Some q.data.(0).time
-
-let peek q =
-  if q.size = 0 then None
+(* Move parents down until [(time, seq)] fits at position [i]; returns
+   the position it fits at. *)
+let rec sift_up q time seq i =
+  if i = 0 then 0
   else
-    let top = q.data.(0) in
-    Some (top.time, top.seq, top.value)
+    let parent = (i - 1) / 2 in
+    if before time seq q.times.(parent) q.seqs.(parent) then begin
+      q.times.(i) <- q.times.(parent);
+      q.seqs.(i) <- q.seqs.(parent);
+      q.slots.(i) <- q.slots.(parent);
+      sift_up q time seq parent
+    end
+    else i
+
+(* Move the smaller child up until [(time, seq)] fits at position [i]. *)
+let rec sift_down q time seq i =
+  let left = (2 * i) + 1 in
+  if left >= q.size then i
+  else
+    let right = left + 1 in
+    let c =
+      if
+        right < q.size
+        && before q.times.(right) q.seqs.(right) q.times.(left) q.seqs.(left)
+      then right
+      else left
+    in
+    if before q.times.(c) q.seqs.(c) time seq then begin
+      q.times.(i) <- q.times.(c);
+      q.seqs.(i) <- q.seqs.(c);
+      q.slots.(i) <- q.slots.(c);
+      sift_down q time seq c
+    end
+    else i
+
+let place q i time seq slot =
+  q.times.(i) <- time;
+  q.seqs.(i) <- seq;
+  q.slots.(i) <- slot
+
+let add q ~time ~seq v =
+  if q.size = Array.length q.times then grow q v;
+  let slot = q.free.(Array.length q.times - q.size - 1) in
+  q.values.(slot) <- v;
+  place q (sift_up q time seq q.size) time seq slot;
+  q.size <- q.size + 1
+
+let check_nonempty q what =
+  if q.size = 0 then invalid_arg ("Pqueue." ^ what ^ ": empty queue")
+
+let min_time q =
+  check_nonempty q "min_time";
+  q.times.(0)
+
+let top q =
+  check_nonempty q "top";
+  q.values.(q.slots.(0))
+
+(* The vacated slot keeps its value until reused, as a popped heap cell
+   did before: at most the high-water mark of values stays reachable. *)
+let take q =
+  check_nonempty q "take";
+  let slot = q.slots.(0) in
+  let n = q.size - 1 in
+  q.size <- n;
+  q.free.(Array.length q.times - n - 1) <- slot;
+  if n > 0 then begin
+    let time = q.times.(n) and seq = q.seqs.(n) and last = q.slots.(n) in
+    place q (sift_down q time seq 0) time seq last
+  end;
+  q.values.(slot)

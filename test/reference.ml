@@ -6,7 +6,9 @@
    crosscheck in test_fastpath.ml compares those values with the flat-array
    fast path's public accessors.  The oracles chain among themselves
    (tree, then orientation, then routes, then tables), so a fast-path bug
-   cannot leak into its own oracle. *)
+   cannot leak into its own oracle.  The last one, [converged], is the
+   list-based definition of a converged network that test_network.ml
+   compares [Network.converged] with. *)
 
 open Autonet_net
 open Autonet_core
@@ -297,3 +299,65 @@ let check_tables g specs =
   with Found (v, w) ->
     let rec collect acc u = if u = w then u :: acc else collect (u :: acc) parent.(u) in
     Deadlock.Cycle (List.map (channel_of g) (collect [] v))
+
+(* --- Convergence: the definition [Network.converged] walks in place,
+   recomputed over a copy of the live graph.  Each live component of
+   powered switches must be configured on its smallest member's epoch
+   and complete report; the report must name as many switches as the
+   component holds and, for each member, list exactly its live
+   switch-to-switch links, compared as sorted lists.  Host ports are
+   not compared. --- *)
+
+let report_matches_live live comp r =
+  List.for_all
+    (fun s ->
+      match Topology_report.find r (Graph.uid live s) with
+      | None -> false
+      | Some d ->
+        let live_links =
+          List.sort compare
+            (List.map
+               (fun (p, _, peer, pp) -> (p, Uid.to_int (Graph.uid live peer), pp))
+               (Graph.neighbors live s))
+        in
+        let report_links =
+          let acc = ref [] in
+          Array.iteri
+            (fun p desc ->
+              match desc with
+              | Topology_report.Switch_link { peer; peer_port } ->
+                acc := (p, Uid.to_int peer, peer_port) :: !acc
+              | Topology_report.Unused | Topology_report.Host_port -> ())
+            d.Topology_report.ports;
+          List.sort compare !acc
+        in
+        live_links = report_links)
+    comp
+
+let converged net =
+  let module AP = Autonet_autopilot.Autopilot in
+  let pilot = Autonet.Network.autopilot net in
+  let component_converged live comp =
+    List.for_all (fun s -> AP.configured (pilot s)) comp
+    &&
+    match comp with
+    | [] -> true
+    | first :: rest -> (
+      let e0 = AP.epoch (pilot first) in
+      match AP.complete_report (pilot first) with
+      | None -> false
+      | Some r0 ->
+        Topology_report.size r0 = List.length comp
+        && report_matches_live live comp r0
+        && List.for_all
+             (fun s ->
+               Epoch.equal (AP.epoch (pilot s)) e0
+               &&
+               match AP.complete_report (pilot s) with
+               | Some r -> Topology_report.equal r r0
+               | None -> false)
+             rest)
+  in
+  match Autonet.Network.live net with
+  | _, [] -> false
+  | live, comps -> List.for_all (component_converged live) comps

@@ -42,11 +42,52 @@ let pqueue_model =
       let q = Pqueue.create () in
       List.iteri (fun i k -> Pqueue.add q ~time:k ~seq:i k) keys;
       let rec drain acc =
-        match Pqueue.pop q with
-        | Some (t, _, _) -> drain (t :: acc)
-        | None -> List.rev acc
+        if Pqueue.is_empty q then List.rev acc
+        else begin
+          let t = Pqueue.min_time q in
+          ignore (Pqueue.take q);
+          drain (t :: acc)
+        end
       in
       drain [] = List.stable_sort compare keys)
+
+(* Adds and takes interleaved against a sorted list of [(time, seq)]:
+   few distinct times make ties the common case, and adds outnumber takes
+   so the queue grows well past its first capacity. *)
+let pqueue_interleaved =
+  QCheck.Test.make ~name:"pqueue add/take interleavings match a sorted list"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 400) (int_bound 9))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] and seq = ref 0 in
+      let take_matches () =
+        match !model with
+        | [] -> Pqueue.is_empty q
+        | ((time, _) as key) :: rest ->
+          model := rest;
+          (not (Pqueue.is_empty q))
+          && Pqueue.min_time q = time
+          && Pqueue.top q = key
+          && Pqueue.take q = key
+      in
+      let rec drain () =
+        match !model with [] -> Pqueue.is_empty q | _ -> take_matches () && drain ()
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            if op < 7 then begin
+              Pqueue.add q ~time:op ~seq:!seq (op, !seq);
+              model := List.merge compare !model [ (op, !seq) ];
+              incr seq;
+              true
+            end
+            else take_matches ()
+          in
+          ok && Pqueue.length q = List.length !model)
+        ops
+      && drain ())
 
 (* ------------------------------------------------------------------ *)
 (* Fifo vs Queue. *)
@@ -347,7 +388,8 @@ let () =
   Alcotest.run "model"
     [ ( "engine",
         [ QCheck_alcotest.to_alcotest engine_model;
-          QCheck_alcotest.to_alcotest pqueue_model ] );
+          QCheck_alcotest.to_alcotest pqueue_model;
+          QCheck_alcotest.to_alcotest pqueue_interleaved ] );
       ( "fifo",
         [ QCheck_alcotest.to_alcotest fifo_model;
           QCheck_alcotest.to_alcotest fifo_overflow_flag ] );

@@ -176,7 +176,45 @@ let test_wire_skip_prefix () =
   check_int "nothing consumed" 2 (Wire.Reader.remaining r);
   check_bool "matches" true (Wire.Reader.skip_prefix r "\x02");
   check_int "consumed" 3 (Wire.Reader.u8 r);
-  Wire.Reader.expect_end r
+  Wire.Reader.expect_end r;
+  (* Word-wise: lengths around one word and a complete report's, read
+     from an unaligned position, with a mismatch in the first word, the
+     last full word and the byte tail. *)
+  let rng = Autonet_sim.Rng.create ~seed:5L in
+  let at = 3 and report = 12_297 in
+  let input =
+    String.init (at + report + 5) (fun _ ->
+        Char.chr (Autonet_sim.Rng.int rng 256))
+  in
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+  in
+  let skip what prefix ~hit =
+    let r = Wire.Reader.of_string input in
+    ignore (Wire.Reader.take r at);
+    let before = Wire.Reader.remaining r in
+    check_bool what hit (Wire.Reader.skip_prefix r prefix);
+    check_int (what ^ ": position")
+      (if hit then before - String.length prefix else before)
+      (Wire.Reader.remaining r)
+  in
+  List.iter
+    (fun n ->
+      let prefix = String.sub input at n in
+      skip (Printf.sprintf "%d bytes" n) prefix ~hit:true;
+      if n > 0 then
+        skip (Printf.sprintf "%d bytes, last differs" n) (flip prefix (n - 1))
+          ~hit:false)
+    [ 0; 7; 8; 9; report ];
+  let whole = String.sub input at report in
+  let last_word = (report / 8 * 8) - 1 in
+  List.iter
+    (fun (what, i) -> skip what (flip whole i) ~hit:false)
+    [ ("first word differs", 0); ("last full word differs", last_word);
+      ("tail differs", report - 1) ];
+  skip "longer than what remains"
+    (String.sub input at (String.length input - at) ^ "\x00")
+    ~hit:false
 
 let wire_qcheck =
   QCheck.Test.make ~name:"wire u16/u32 roundtrip" ~count:500

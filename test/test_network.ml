@@ -237,6 +237,115 @@ let test_loop_link_excluded () =
     (AP.port_state ap ~port:6 = Autonet_autopilot.Port_state.Switch_loop);
   check_bool "reference" true (N.verify_against_reference t)
 
+(* [Network.converged] walks the graph in place; [Reference.converged]
+   is the definition it replaced, over a copy of the live graph.  Each
+   network is polled every 2 ms from boot, through its faults, until it
+   has converged after the last one, and the two checks must agree at
+   every poll.  Seeded chaos schedules crash switches and split the
+   network while epochs are in flight; the loop-link graph of "loop links
+   excluded" adds a report that must leave a cabled port out; and a forged
+   [Complete] that also names an unlinked switch, which every switch
+   configures on, is a report that describes each member's links
+   correctly yet names more switches than the component holds. *)
+let test_converged_matches_reference () =
+  let module Chaos = Autonet_chaos.Chaos in
+  let verdicts = Array.make 2 0 in
+  let partitioned = ref false and powered_off = ref false in
+  let poll name t =
+    let c = N.converged t in
+    if c <> Reference.converged t then
+      Alcotest.failf "%s at %a: converged %b, reference %b" name Time.pp
+        (N.now t) c (not c);
+    verdicts.(Bool.to_int c) <- verdicts.(Bool.to_int c) + 1;
+    if List.length (N.live_components t) > 1 then partitioned := true;
+    if
+      List.exists
+        (fun s -> not (AP.powered (N.autopilot t s)))
+        (Graph.switches (N.graph t))
+    then powered_off := true;
+    c
+  in
+  let rec follow name t ~last =
+    if poll name t && N.now t > last then ()
+    else if N.now t > Time.add last (Time.s 60) then
+      Alcotest.failf "%s: no convergence after the last fault" name
+    else begin
+      N.run_for t (Time.ms 2);
+      follow name t ~last
+    end
+  in
+  List.iter
+    (fun (topo, seed) ->
+      let config = { Chaos.default_config with topo } in
+      let schedule = Chaos.schedule_for config ~seed in
+      let t =
+        N.create ~params:config.params ~seed
+          (Chaos.build_topo topo ~seed ~hosts:config.hosts)
+      in
+      N.start t;
+      N.schedule_faults t schedule;
+      let last =
+        List.fold_left (fun acc (it : F.item) -> Time.max acc it.at) Time.zero
+          schedule
+      in
+      follow (Printf.sprintf "%s seed %Ld" topo seed) t ~last)
+    [ ("src", 1L); ("src", 2L); ("torus:3,3", 1L); ("torus:3,3", 2L);
+      ("random:8,4", 1L); ("random:8,4", 2L) ];
+  let topo = B.line ~n:2 () in
+  ignore (Graph.connect topo.B.graph (0, 5) (0, 6));
+  let t = make topo in
+  follow "loop link" t ~last:(Time.s 2);
+  let t = make (B.torus ~rows:3 ~cols:3 ()) in
+  ignore (converge t);
+  let g = N.graph t in
+  let real = Option.get (AP.complete_report (N.autopilot t 0)) in
+  let extra =
+    Autonet_net.Uid.of_int
+      (1
+      + List.fold_left
+          (fun m s -> max m (Autonet_net.Uid.to_int (Graph.uid g s)))
+          0 (Graph.switches g))
+  in
+  let forged =
+    Topology_report.merge real
+      (Topology_report.singleton ~max_ports:(Graph.max_ports g)
+         (Topology_report.switch_desc ~uid:extra ~proposed_number:1
+            ~max_ports:(Graph.max_ports g) []))
+  in
+  let epoch = Epoch.next (AP.epoch (N.autopilot t 0)) in
+  List.iter
+    (fun s ->
+      match Graph.neighbors g s with
+      | (_, _, peer, peer_port) :: _ ->
+        Autonet_autopilot.Fabric.switch_send (N.fabric t) ~from:peer
+          ~port:peer_port
+          (Autonet_autopilot.Messages.to_packet
+             (Autonet_autopilot.Messages.Complete
+                { epoch; seq = 1; report = forged }))
+      | [] -> Alcotest.fail "torus switch without neighbours")
+    (Graph.switches g);
+  for _ = 1 to 250 do
+    ignore (poll "forged complete" t);
+    N.run_for t (Time.ms 2)
+  done;
+  List.iter
+    (fun s ->
+      let ap = N.autopilot t s in
+      if
+        not
+          (AP.configured ap
+          && Topology_report.size (Option.get (AP.complete_report ap))
+             = Graph.switch_count g + 1)
+      then Alcotest.failf "forged complete: switch %d not configured on it" s)
+    (Graph.switches g);
+  Printf.printf "polls: %d not converged, %d converged\n" verdicts.(0)
+    verdicts.(1);
+  if verdicts.(0) < 100 || verdicts.(1) < 100 then
+    Alcotest.failf "polls: %d not converged, %d converged (want 100 of each)"
+      verdicts.(0) verdicts.(1);
+  check_bool "a run was partitioned" true !partitioned;
+  check_bool "a run had a switch powered off" true !powered_off
+
 let test_host_ports_classified () =
   let t = make (B.attach_hosts (B.line ~n:2 ()) ~per_switch:2) in
   ignore (converge t);
@@ -588,6 +697,28 @@ let test_table_words_per_switch () =
       "table words per switch: torus:4,4 %.0f, torus:8,8 %.0f, ratio %.2f (bar %.2f)"
       small large ratio bar
 
+(* The convergence poll runs every 2 ms of simulated time while a
+   network reconfigures, so on a converged network it must not copy the
+   graph or build lists per switch.  Counted in this domain's minor
+   words, which repeat exactly run to run. *)
+let test_converged_words_per_switch () =
+  let t = make (B.torus ~rows:8 ~cols:8 ()) in
+  ignore (converge t);
+  let switches = Graph.switch_count (N.graph t) and polls = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to polls do
+    if not (N.converged t) then Alcotest.fail "torus:8,8 stopped converging"
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (polls * switches)
+  and bar = 40. in
+  Printf.printf
+    "Network.converged on torus:8,8: %.1f minor words per switch (bar %.0f)\n"
+    words bar;
+  if words > bar then
+    Alcotest.failf
+      "Network.converged on torus:8,8: %.1f minor words per switch (bar %.0f)"
+      words bar
+
 (* Every switch holds the network's one value of the complete report,
    the root's, and a [Complete] carrying it decodes, against the
    network's cache, to that value itself.  Checked by identity, after
@@ -885,6 +1016,8 @@ let () =
             test_flapping_link_bounded_reconfigs;
           Alcotest.test_case "epochs monotonic" `Quick test_epochs_monotonic;
           Alcotest.test_case "loop links excluded" `Quick test_loop_link_excluded;
+          Alcotest.test_case "converged matches the reference" `Quick
+            test_converged_matches_reference;
           Alcotest.test_case "host ports classified" `Quick
             test_host_ports_classified;
           Alcotest.test_case "loaded spec matches rows" `Quick
@@ -909,6 +1042,8 @@ let () =
             test_table_words_per_switch;
           Alcotest.test_case "complete report shared" `Quick
             test_complete_report_shared;
+          Alcotest.test_case "converged allocates little per switch" `Quick
+            test_converged_words_per_switch;
           Alcotest.test_case "equal report gets the entry's value" `Quick
             test_equal_report_gets_entry_value ] );
       ( "soak",

@@ -30,23 +30,24 @@ let test_pqueue_order () =
   Pqueue.add q ~time:30 ~seq:0 "c";
   Pqueue.add q ~time:10 ~seq:1 "a";
   Pqueue.add q ~time:20 ~seq:2 "b";
-  let pop () =
-    match Pqueue.pop q with Some (_, _, v) -> v | None -> "-"
-  in
+  Alcotest.(check string) "top" "a" (Pqueue.top q);
+  check_int "min time" 10 (Pqueue.min_time q);
+  check_int "top leaves it queued" 3 (Pqueue.length q);
   (* Bind in sequence: list literals evaluate right to left. *)
-  let x = pop () in
-  let y = pop () in
-  let z = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ x; y; z ]
+  let x = Pqueue.take q in
+  let y = Pqueue.take q in
+  let z = Pqueue.take q in
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ x; y; z ];
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Pqueue.take: empty queue") (fun () ->
+      ignore (Pqueue.take q))
 
 let test_pqueue_tie_break () =
   let q = Pqueue.create () in
   for i = 0 to 9 do
     Pqueue.add q ~time:5 ~seq:i i
   done;
-  let order = List.init 10 (fun _ ->
-      match Pqueue.pop q with Some (_, _, v) -> v | None -> -1)
-  in
+  let order = List.init 10 (fun _ -> Pqueue.take q) in
   Alcotest.(check (list int)) "fifo within an instant" (List.init 10 Fun.id) order
 
 let test_pqueue_stress () =
@@ -60,11 +61,10 @@ let test_pqueue_stress () =
   let last = ref (-1) in
   let ok = ref true in
   for _ = 1 to n do
-    match Pqueue.pop q with
-    | Some (t, _, _) ->
-      if t < !last then ok := false;
-      last := t
-    | None -> ok := false
+    let t = Pqueue.min_time q in
+    ignore (Pqueue.take q);
+    if t < !last then ok := false;
+    last := t
   done;
   check_bool "monotone" true !ok;
   check_bool "drained" true (Pqueue.is_empty q)
@@ -131,9 +131,106 @@ let test_engine_until_empty_queue () =
   Engine.run e ~until:100;
   check_bool "event after idle gap fires" true !fired;
   check_int "clock at horizon, queue drained" 100 (Engine.now e);
-  (* A shorter horizon never rolls the clock back. *)
-  Engine.run e ~until:50;
+  (* A shorter horizon never rolls the clock back: it is refused. *)
+  Alcotest.check_raises "shorter horizon refused"
+    (Invalid_argument "Engine.run: until 50 is before now 100") (fun () ->
+      Engine.run e ~until:50);
   check_int "clock monotone" 100 (Engine.now e)
+
+(* With an event queued past it, a horizon behind [now] used to set the
+   clock back to it, and an event scheduled next would fire before one
+   that had already fired. *)
+let test_engine_until_in_past () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now e) :: !log in
+  ignore (Engine.schedule_at e ~time:100 (note "a"));
+  ignore (Engine.schedule_at e ~time:300 (note "c"));
+  Engine.run e ~until:150;
+  Alcotest.check_raises "past horizon refused"
+    (Invalid_argument "Engine.run: until 50 is before now 150") (fun () ->
+      Engine.run e ~until:50);
+  check_int "clock kept" 150 (Engine.now e);
+  ignore (Engine.schedule e ~delay:10 (note "b"));
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "fired in time order" [ ("a", 100); ("b", 160); ("c", 300) ]
+    (List.rev !log)
+
+(* Cancelling the head, an interior event and an already-fired one:
+   [pending] counts the live events and [queue_length] also the cancelled
+   ones not yet dropped at the head. *)
+let test_engine_cancel_positions () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let h =
+    Array.init 5 (fun i ->
+        Engine.schedule e ~delay:(10 * (i + 1)) (fun () -> log := i :: !log))
+  in
+  let counts what p q =
+    check_int (what ^ ": pending") p (Engine.pending e);
+    check_int (what ^ ": queue length") q (Engine.queue_length e)
+  in
+  counts "scheduled" 5 5;
+  Engine.cancel h.(0);
+  Engine.cancel h.(2);
+  counts "head and interior cancelled" 3 5;
+  Engine.cancel h.(2);
+  counts "cancelling twice is a no-op" 3 5;
+  check_bool "step fires" true (Engine.step e);
+  counts "dead head dropped, one fired" 2 3;
+  Engine.cancel h.(1);
+  counts "cancelling a fired event is a no-op" 2 3;
+  Engine.run e;
+  counts "drained" 0 0;
+  Alcotest.(check (list int)) "live events fired" [ 1; 3; 4 ] (List.rev !log);
+  check_bool "no event left" false (Engine.step e)
+
+(* Same-instant events fire in scheduling order even when a horizon
+   splits the run between them and more are scheduled in between. *)
+let test_engine_fifo_across_until () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note i () = log := i :: !log in
+  for i = 0 to 2 do
+    ignore (Engine.schedule_at e ~time:50 (note i))
+  done;
+  Engine.run e ~until:50 ~max_events:2;
+  check_int "stopped by the budget at the instant" 50 (Engine.now e);
+  for i = 3 to 4 do
+    ignore (Engine.schedule_at e ~time:50 (note i))
+  done;
+  ignore (Engine.schedule_at e ~time:60 (note 6));
+  Engine.run e ~until:50;
+  ignore (Engine.schedule_at e ~time:50 (note 5));
+  Engine.run e ~until:60;
+  Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4; 5; 6 ] (List.rev !log)
+
+(* The queue keeps its working size between rounds, so a scheduled and
+   fired event costs its handle alone.  Counted in this domain's minor
+   words, which repeat exactly run to run. *)
+let test_engine_words_per_event () =
+  let e = Engine.create () in
+  let rng = Rng.create ~seed:3L in
+  let n = 2000 in
+  let delays =
+    Array.init n (fun i -> if i mod 4 = 0 then 0 else Rng.int rng 50_000)
+  in
+  let noop () = () in
+  let round () =
+    Array.iter (fun delay -> ignore (Engine.schedule e ~delay noop)) delays;
+    Engine.run e
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n and bar = 8. in
+  Printf.printf "engine: %.2f minor words per scheduled and fired event (bar %.0f)\n"
+    words bar;
+  if words > bar then
+    Alcotest.failf
+      "engine: %.2f minor words per scheduled and fired event (bar %.0f)" words
+      bar
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
@@ -276,6 +373,14 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "run until, empty queue" `Quick
             test_engine_until_empty_queue;
+          Alcotest.test_case "run until in the past" `Quick
+            test_engine_until_in_past;
+          Alcotest.test_case "cancel head, interior, fired" `Quick
+            test_engine_cancel_positions;
+          Alcotest.test_case "same-instant fifo across until" `Quick
+            test_engine_fifo_across_until;
+          Alcotest.test_case "words per event" `Quick
+            test_engine_words_per_event;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "negative delay" `Quick test_engine_past_rejected;
           Alcotest.test_case "max events" `Quick test_engine_max_events ] );
