@@ -1,8 +1,8 @@
 (* The bench-scaling gate: a quick wall-clock assertion that the domain
    pool never makes the two pooled kernels — table synthesis and the
    deadlock check — slower than the serial path on the 256-switch 16x16
-   torus.  This is the regression the cost-weighted batching and arena
-   reuse exist to prevent: an earlier pool dispatched one task per
+   torus.  This is the regression the batched dispatch and arena reuse
+   exist to prevent: an earlier pool dispatched one task per
    switch and lost 31% on exactly this workload.
 
    Runs under `dune build @bench-scaling` (attached to runtest) with a

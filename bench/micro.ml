@@ -343,7 +343,7 @@ let run () =
     end
   in
   (* Cumulative over every bechamel iteration of the _d4 kernels: how the
-     cost-weighted batches actually landed across the four domains. *)
+     batches actually landed across the four domains. *)
   print_string "4-domain pool scheduling (cumulative over all _d4 runs):\n";
   print_string
     (Autonet_telemetry.Metrics.render (Pool.sched_snapshot pool4));

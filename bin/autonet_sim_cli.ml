@@ -26,18 +26,30 @@ module Json = Autonet_telemetry.Json
 module Report = Autonet_analysis.Report
 open Cmdliner
 
-let preset name =
-  match Params.preset name with
-  | Some p -> p
-  | None -> invalid_arg (name ^ ": expected naive | tuned | fast")
+(* --params names a preset; the converter admits only those names. *)
+let params_conv =
+  Arg.enum (List.map (fun n -> (n, n)) [ "naive"; "tuned"; "fast" ])
 
-let make_net spec seed hosts params_name =
+let preset name = Option.get (Params.preset name)
+
+let topology spec seed hosts = B.of_spec spec ~seed:(Int64.of_int seed) ~hosts
+
+let make_net topo seed params_name =
   let net =
-    N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
-      (B.of_spec spec ~seed:(Int64.of_int seed) ~hosts)
+    N.create ~params:(preset params_name) ~seed:(Int64.of_int seed) topo
   in
   N.start net;
   net
+
+(* Link indices wrap around the topology's link list, which must not be
+   empty; like {!Topo_spec.check_switch}, a usage error otherwise. *)
+let check_links (topo : B.t) k =
+  if Graph.link_count topo.graph > 0 then k ()
+  else `Error (true, "the topology has no links to fail")
+
+let nth_link net n =
+  let links = Graph.links (N.graph net) in
+  (List.nth links (n mod List.length links)).Graph.id
 
 let boot_and_report net =
   match N.run_until_converged ~timeout:(Time.s 300) net with
@@ -62,7 +74,7 @@ let print_log net t0 =
 let boot_or_exit net = if not (boot_and_report net) then exit 1
 
 let cmd_boot spec seed hosts params_name show_log =
-  let net = make_net spec seed hosts params_name in
+  let net = make_net (topology spec seed hosts) seed params_name in
   let converged = boot_and_report net in
   if show_log then print_log net Time.zero;
   if not converged then exit 1
@@ -78,32 +90,36 @@ let measure net trigger show_log =
   if Option.is_none m then exit 1
 
 let cmd_fail_link spec seed hosts params_name link show_log =
-  let net = make_net spec seed hosts params_name in
-  boot_or_exit net;
-  let links = Graph.links (N.graph net) in
-  let l = List.nth links (link mod List.length links) in
-  Format.printf "failing link %d...@." l.Graph.id;
-  measure net (fun net -> N.apply_fault net (F.Link_down l.Graph.id)) show_log
+  let topo = topology spec seed hosts in
+  check_links topo (fun () ->
+      let net = make_net topo seed params_name in
+      boot_or_exit net;
+      let l = nth_link net link in
+      Format.printf "failing link %d...@." l;
+      `Ok (measure net (fun net -> N.apply_fault net (F.Link_down l)) show_log))
 
 let cmd_crash spec seed hosts params_name switch show_log =
-  let net = make_net spec seed hosts params_name in
-  boot_or_exit net;
-  Format.printf "powering off switch %d...@." switch;
-  measure net (fun net -> N.apply_fault net (F.Switch_down switch)) show_log
+  let topo = topology spec seed hosts in
+  Topo_spec.check_switch topo ~what:"--switch" switch (fun () ->
+      let net = make_net topo seed params_name in
+      boot_or_exit net;
+      Format.printf "powering off switch %d...@." switch;
+      `Ok
+        (measure net
+           (fun net -> N.apply_fault net (F.Switch_down switch))
+           show_log))
 
-let cmd_srp spec seed hosts params_name route =
+let cmd_srp spec seed hosts params_name ports =
   (* Source-routed probe: inject an SRP Get_state at switch 0's control
      processor and print the reply fetched over the given port route. *)
-  let net = make_net spec seed hosts params_name in
+  let net = make_net (topology spec seed hosts) seed params_name in
   boot_or_exit net;
-  let ports =
-    if route = "" then []
-    else List.map int_of_string (String.split_on_char ',' route)
-  in
   (match ports with
   | [] -> Format.printf "empty route: probing switch 0 itself@."
   | first :: rest ->
-    Format.printf "probing via ports [%s] starting out port %d@." route first;
+    Format.printf "probing via ports [%s] starting out port %d@."
+      (String.concat "," (List.map string_of_int ports))
+      first;
     Fabric.switch_send (N.fabric net) ~from:0 ~port:first
       (Messages.to_packet
          (Messages.Srp_request
@@ -160,30 +176,53 @@ let write_json path json =
     Format.eprintf "wrote %s@." path
   end
 
-let parse_fault net spec =
-  match String.split_on_char ':' spec with
-  | [ "none" ] -> None
-  | [ "link"; n ] ->
-    let links = Graph.links (N.graph net) in
-    let l = List.nth links (int_of_string n mod List.length links) in
-    Some (F.Link_down l.Graph.id)
-  | [ "switch"; n ] -> Some (F.Switch_down (int_of_string n))
-  | _ -> invalid_arg (spec ^ ": expected none | link:N | switch:N")
+(* The --fault trigger: none | link:N | switch:N. *)
+type fault = No_fault | Link_fault of int | Switch_fault of int
+
+let pp_fault ppf = function
+  | No_fault -> Format.pp_print_string ppf "none"
+  | Link_fault n -> Format.fprintf ppf "link:%d" n
+  | Switch_fault n -> Format.fprintf ppf "switch:%d" n
+
+let fault_conv =
+  let index n =
+    match int_of_string_opt n with Some i when i >= 0 -> Some i | _ -> None
+  in
+  let parse spec =
+    Option.to_result
+      ~none:(`Msg (spec ^ ": expected none | link:N | switch:N, N >= 0"))
+      (match String.split_on_char ':' spec with
+      | [ "none" ] -> Some No_fault
+      | [ "link"; n ] -> Option.map (fun i -> Link_fault i) (index n)
+      | [ "switch"; n ] -> Option.map (fun i -> Switch_fault i) (index n)
+      | _ -> None)
+  in
+  Arg.conv (parse, pp_fault)
+
+let check_fault topo fault k =
+  match fault with
+  | No_fault -> k ()
+  | Link_fault _ -> check_links topo k
+  | Switch_fault s -> Topo_spec.check_switch topo ~what:"switch" s k
 
 (* Boot with telemetry on and the tick span clock, trigger [fault] and
    measure the reconfiguration; exits 1 if either does not converge. *)
-let traced_run spec seed hosts params_name fault =
+let traced_run topo seed params_name fault =
   let net =
     N.create ~params:(preset params_name) ~seed:(Int64.of_int seed)
-      ~telemetry:`On ~span_clock:(tick_clock ())
-      (B.of_spec spec ~seed:(Int64.of_int seed) ~hosts)
+      ~telemetry:`On ~span_clock:(tick_clock ()) topo
   in
   N.start net;
   boot_or_exit net;
-  (match parse_fault net fault with
+  (match
+     match fault with
+     | No_fault -> None
+     | Link_fault n -> Some (F.Link_down (nth_link net n))
+     | Switch_fault s -> Some (F.Switch_down s)
+   with
   | None -> ()
   | Some ev ->
-    Format.printf "triggering %s...@." fault;
+    Format.printf "triggering %a...@." pp_fault fault;
     (match
        N.measure_reconfiguration ~timeout:(Time.s 300) net
          ~trigger:(fun net -> N.apply_fault net ev)
@@ -194,9 +233,16 @@ let traced_run spec seed hosts params_name fault =
       exit 1));
   (net, Option.get (N.timeline net))
 
+(* Check [fault] against the topology before anything boots, then run
+   [k] on the traced network. *)
+let with_traced_run spec seed hosts params_name fault k =
+  let topo = topology spec seed hosts in
+  check_fault topo fault (fun () ->
+      `Ok (k (traced_run topo seed params_name fault)))
+
 let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
     check =
-  let net, tl = traced_run spec seed hosts params_name fault in
+  with_traced_run spec seed hosts params_name fault @@ fun (net, tl) ->
   Report.print (Timeline.phase_report tl);
   if Timeline.spans tl <> [] then Report.print (Timeline.span_report tl);
   if show_metrics then print_string (Metrics.render (N.telemetry_snapshot net));
@@ -238,7 +284,7 @@ let cmd_telemetry spec seed hosts params_name fault show_metrics json spans
 (* --- Causal tracing --- *)
 
 let cmd_trace spec seed hosts params_name fault json spans check =
-  let net, tl = traced_run spec seed hosts params_name fault in
+  with_traced_run spec seed hosts params_name fault @@ fun (net, tl) ->
   let causal_json () = Causal.to_json ~recorders:(N.recorders net) tl in
   if json then print_endline (Json.to_string (causal_json ()))
   else
@@ -477,8 +523,14 @@ let hosts_arg =
 
 let params_arg =
   Arg.(
-    value & opt string "tuned"
+    value & opt params_conv "tuned"
     & info [ "params"; "p" ] ~doc:"Autopilot preset: naive | tuned | fast.")
+
+let fault_arg =
+  Arg.(
+    value & opt fault_conv (Link_fault 0)
+    & info [ "fault" ] ~docv:"FAULT"
+        ~doc:"Reconfiguration trigger after boot: none | link:N | switch:N.")
 
 let log_arg =
   Arg.(value & flag & info [ "log" ] ~doc:"Print the merged event log.")
@@ -499,18 +551,26 @@ let () =
               (Cmd.info "fail-link"
                  ~doc:"Boot, fail a link, measure the reconfiguration.")
               Term.(
-                const cmd_fail_link $ topo_arg $ seed_arg $ hosts_arg
-                $ params_arg
-                $ Arg.(value & opt int 0 & info [ "link" ] ~doc:"Link index.")
-                $ log_arg);
+                ret
+                  (const cmd_fail_link $ topo_arg $ seed_arg $ hosts_arg
+                  $ params_arg
+                  $ Arg.(
+                      value
+                      & opt (Topo_spec.at_least 0) 0
+                      & info [ "link" ] ~doc:"Link index.")
+                  $ log_arg));
             Cmd.v
               (Cmd.info "crash"
                  ~doc:"Boot, power a switch off, measure the reconfiguration.")
               Term.(
-                const cmd_crash $ topo_arg $ seed_arg $ hosts_arg $ params_arg
-                $ Arg.(
-                    value & opt int 0 & info [ "switch" ] ~doc:"Switch index.")
-                $ log_arg);
+                ret
+                  (const cmd_crash $ topo_arg $ seed_arg $ hosts_arg
+                  $ params_arg
+                  $ Arg.(
+                      value
+                      & opt (Topo_spec.at_least 0) 0
+                      & info [ "switch" ] ~doc:"Switch index.")
+                  $ log_arg));
             Cmd.v
               (Cmd.info "srp"
                  ~doc:
@@ -518,7 +578,8 @@ let () =
               Term.(
                 const cmd_srp $ topo_arg $ seed_arg $ hosts_arg $ params_arg
                 $ Arg.(
-                    value & opt string ""
+                    value
+                    & opt (list (Topo_spec.at_least 0)) []
                     & info [ "route" ] ~docv:"P1,P2,..."
                         ~doc:"Outbound port at each hop, from switch 0."));
             Cmd.v
@@ -536,25 +597,26 @@ let () =
                           ("Topology (repeatable): " ^ B.spec_grammar
                          ^ ".  Default src."))
                 $ Arg.(
-                    value & opt int 50
+                    value & opt (Topo_spec.at_least 1) 50
                     & info [ "schedules" ] ~doc:"Schedules per topology.")
                 $ seed_arg
                 $ Arg.(
                     value & opt int 0
                     & info [ "hosts" ] ~doc:"Host ports per switch.")
                 $ Arg.(
-                    value & opt string "fast"
+                    value & opt params_conv "fast"
                     & info [ "params"; "p" ]
                         ~doc:"Autopilot preset: naive | tuned | fast.")
                 $ Arg.(
-                    value & opt int 12
+                    value & opt (Topo_spec.at_least 1) 12
                     & info [ "actions" ] ~doc:"Fault actions per schedule.")
                 $ Arg.(
-                    value & opt int 2000
+                    value & opt (Topo_spec.at_least 1) 2000
                     & info [ "horizon-ms" ]
                         ~doc:"Faults land in [0, HORIZON) milliseconds.")
                 $ Arg.(
-                    value & opt (some int) None
+                    value
+                    & opt (some (Topo_spec.at_least 0)) None
                     & info [ "replay" ] ~docv:"INDEX"
                         ~doc:
                           "Replay one schedule of the campaign (first \
@@ -568,7 +630,8 @@ let () =
                            reconfiguration phase timeline as Chrome \
                            trace_event JSON to FILE (- for stdout).")
                 $ Arg.(
-                    value & opt (some int) None
+                    value
+                    & opt (some (Topo_spec.at_least 1)) None
                     & info [ "fuzz" ] ~docv:"BUDGET"
                         ~doc:
                           "Coverage-guided fuzzing instead of a fixed \
@@ -596,7 +659,8 @@ let () =
                           "With --fuzz: write the final corpus to FILE \
                            (shards write FILE.shardN).")
                 $ Arg.(
-                    value & opt (some int) None
+                    value
+                    & opt (some (Topo_spec.at_least 1)) None
                     & info [ "churn" ] ~docv:"CYCLES"
                         ~doc:
                           "Long-horizon churn campaign instead of a \
@@ -611,38 +675,34 @@ let () =
                     reconfiguration, and report the metric snapshot and \
                     the per-epoch phase timeline.")
               Term.(
-                const cmd_telemetry $ topo_arg $ seed_arg $ hosts_arg
-                $ params_arg
-                $ Arg.(
-                    value & opt string "link:0"
-                    & info [ "fault" ] ~docv:"FAULT"
-                        ~doc:
-                          "Reconfiguration trigger after boot: none | \
-                           link:N | switch:N.")
-                $ Arg.(
-                    value & flag
-                    & info [ "metrics" ]
-                        ~doc:"Print the metric snapshot, one per line.")
-                $ Arg.(
-                    value & flag
-                    & info [ "json" ]
-                        ~doc:
-                          "Print the snapshot and the trace as one JSON \
-                           object on stdout.")
-                $ Arg.(
-                    value & opt (some string) None
-                    & info [ "spans" ] ~docv:"FILE"
-                        ~doc:
-                          "Write the phase timeline as Chrome trace_event \
-                           JSON to FILE (- for stdout); open in \
-                           chrome://tracing or Perfetto.")
-                $ Arg.(
-                    value & flag
-                    & info [ "check" ]
-                        ~doc:
-                          "Validate the emitted JSON: it must re-parse, \
-                           and the phase spans must nest inside their \
-                           epoch and sum to its duration."));
+                ret
+                  (const cmd_telemetry $ topo_arg $ seed_arg $ hosts_arg
+                  $ params_arg
+                  $ fault_arg
+                  $ Arg.(
+                      value & flag
+                      & info [ "metrics" ]
+                          ~doc:"Print the metric snapshot, one per line.")
+                  $ Arg.(
+                      value & flag
+                      & info [ "json" ]
+                          ~doc:
+                            "Print the snapshot and the trace as one JSON \
+                             object on stdout.")
+                  $ Arg.(
+                      value & opt (some string) None
+                      & info [ "spans" ] ~docv:"FILE"
+                          ~doc:
+                            "Write the phase timeline as Chrome trace_event \
+                             JSON to FILE (- for stdout); open in \
+                             chrome://tracing or Perfetto.")
+                  $ Arg.(
+                      value & flag
+                      & info [ "check" ]
+                          ~doc:
+                            "Validate the emitted JSON: it must re-parse, \
+                             and the phase spans must nest inside their \
+                             epoch and sum to its duration.")));
             Cmd.v
               (Cmd.info "trace"
                  ~doc:
@@ -651,34 +711,30 @@ let () =
                     propagation wave: who heard the epoch from whom, \
                     when, and where the heal latency went.")
               Term.(
-                const cmd_trace $ topo_arg $ seed_arg $ hosts_arg
-                $ params_arg
-                $ Arg.(
-                    value & opt string "link:0"
-                    & info [ "fault" ] ~docv:"FAULT"
-                        ~doc:
-                          "Reconfiguration trigger after boot: none | \
-                           link:N | switch:N.")
-                $ Arg.(
-                    value & flag
-                    & info [ "json" ]
-                        ~doc:
-                          "Print the waves and flight recorders as one \
-                           JSON object on stdout instead of the ASCII \
-                           propagation trees.")
-                $ Arg.(
-                    value & opt (some string) None
-                    & info [ "spans" ] ~docv:"FILE"
-                        ~doc:
-                          "Write the per-switch span tracks as Chrome \
-                           trace_event JSON to FILE (- for stdout); one \
-                           track per switch, complementing the per-epoch \
-                           tracks of the telemetry command.")
-                $ Arg.(
-                    value & flag
-                    & info [ "check" ]
-                        ~doc:
-                          "Validate the last healed wave: the JSON must \
-                           re-parse and the propagation forest must \
-                           cover every configured switch exactly once \
-                           with valid parent hops.")) ]))
+                ret
+                  (const cmd_trace $ topo_arg $ seed_arg $ hosts_arg
+                  $ params_arg
+                  $ fault_arg
+                  $ Arg.(
+                      value & flag
+                      & info [ "json" ]
+                          ~doc:
+                            "Print the waves and flight recorders as one \
+                             JSON object on stdout instead of the ASCII \
+                             propagation trees.")
+                  $ Arg.(
+                      value & opt (some string) None
+                      & info [ "spans" ] ~docv:"FILE"
+                          ~doc:
+                            "Write the per-switch span tracks as Chrome \
+                             trace_event JSON to FILE (- for stdout); one \
+                             track per switch, complementing the per-epoch \
+                             tracks of the telemetry command.")
+                  $ Arg.(
+                      value & flag
+                      & info [ "check" ]
+                          ~doc:
+                            "Validate the last healed wave: the JSON must \
+                             re-parse and the propagation forest must \
+                             cover every configured switch exactly once \
+                             with valid parent hops."))) ]))

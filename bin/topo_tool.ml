@@ -117,14 +117,21 @@ let simple name doc f =
     Term.(const (with_topo f) $ topo_arg $ seed_arg $ hosts_arg)
 
 let route_cmd =
-  let src = Arg.(required & pos 0 (some int) None & info [] ~docv:"SRC") in
-  let dst = Arg.(required & pos 1 (some int) None & info [] ~docv:"DST") in
+  let switch n docv =
+    Arg.(required & pos n (some (Topo_spec.at_least 0)) None & info [] ~docv)
+  in
   Cmd.v
     (Cmd.info "route" ~doc:"Show a minimal legal route between two switches.")
     Term.(
-      const (fun spec seed hosts s d ->
-          with_topo (fun topo -> cmd_route topo s d) spec seed hosts)
-      $ topo_arg $ seed_arg $ hosts_arg $ src $ dst)
+      ret
+        (const (fun spec seed hosts s d ->
+             with_topo
+               (fun topo ->
+                 Topo_spec.check_switch topo ~what:"SRC" s (fun () ->
+                     Topo_spec.check_switch topo ~what:"DST" d (fun () ->
+                         `Ok (cmd_route topo s d))))
+               spec seed hosts)
+        $ topo_arg $ seed_arg $ hosts_arg $ switch 0 "SRC" $ switch 1 "DST"))
 
 let () =
   let info =

@@ -363,15 +363,8 @@ let pp_measure ppf m =
 
 (* --- Inspection --- *)
 
-(* A flight recorder is the tail of a switch's circular log.
-   [Root_verified] is rendered without the pool's domain count: the
-   recorder dumps are byte-compared across {1,2,4} domains. *)
+(* A flight recorder is the tail of a switch's circular log. *)
 let recorder_capacity = 64
-
-let recorder_string = function
-  | Event.Root_verified { tables; _ } ->
-    Printf.sprintf "root verify: %d tables deadlock-free" tables
-  | e -> Event.to_string e
 
 let recorder log =
   let entries = Event_log.entries log in
@@ -380,7 +373,7 @@ let recorder log =
   |> List.map (fun (e : Event_log.entry) ->
          { Causal.fr_time = Time.sub e.local_time (Event_log.skew log);
            fr_epoch = Epoch.to_int64 e.epoch;
-           fr_msg = recorder_string e.event })
+           fr_msg = Event.to_string e.event })
 
 let recorders t =
   Array.to_list t.pilots

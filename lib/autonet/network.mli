@@ -129,9 +129,8 @@ val recorders : t -> (int * Autonet_telemetry.Causal.recorder_entry list) list
 (** The flight recorders: for each switch with a non-empty log, ascending,
     its newest 64 {!Event_log} entries, oldest first, at sim time (the
     local timestamp minus the switch's skew) and rendered as the log
-    renders them, except that [Root_verified] omits the domain count so
-    the dumps compare equal across domain counts.  Rendered on each
-    call; independent of the telemetry mode. *)
+    renders them.  Rendered on each call; independent of the telemetry
+    mode. *)
 
 (** {1 Inspection} *)
 

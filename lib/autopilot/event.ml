@@ -23,7 +23,7 @@ type t =
   | Root_stable of { switches : int }
   | Report_waiting of { switches : int }
   | Tables_computed of { switches : int; number : int }
-  | Root_verified of { tables : int; domains : int }
+  | Root_verified of { tables : int }
   | Root_deadlock of { detail : string }
   | Delta_applied of {
       rebuilt : int;
@@ -68,9 +68,8 @@ let to_string = function
       switches
   | Tables_computed { switches; number } ->
     Printf.sprintf "computing tables: %d switches, number %d" switches number
-  | Root_verified { tables; domains } ->
-    Printf.sprintf "root verify: %d tables deadlock-free (%d domain(s))" tables
-      domains
+  | Root_verified { tables } ->
+    Printf.sprintf "root verify: %d tables deadlock-free" tables
   | Root_deadlock { detail } ->
     "root verify: DEADLOCK in computed tables: " ^ detail
   | Delta_applied { rebuilt; patched; reused; dests; deadlock_full } ->

@@ -37,7 +37,7 @@ type t =
   | Report_waiting of { switches : int }
       (** root stable but the accumulated report is not reference-closed *)
   | Tables_computed of { switches : int; number : int }
-  | Root_verified of { tables : int; domains : int }
+  | Root_verified of { tables : int }
   | Root_deadlock of { detail : string }
   | Delta_applied of {
       rebuilt : int;

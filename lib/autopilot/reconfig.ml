@@ -202,12 +202,7 @@ let finish_configuration t report =
       (match o.Epoch_cache.verdict with
       | Some (Deadlock.Acyclic, tables) ->
         t.root_verdict <- Some Deadlock.Acyclic;
-        event t
-          (Event.Root_verified
-             { tables;
-               domains =
-                 Autonet_parallel.Pool.domains
-                   (Autonet_parallel.Pool.default ()) })
+        event t (Event.Root_verified { tables })
       | Some ((Deadlock.Cycle _ as r), _) ->
         t.root_verdict <- Some r;
         event t

@@ -70,40 +70,6 @@ let slot_dfs_parent = Arena.register ()
 let slot_dfs_sv = Arena.register ()
 let slot_dfs_si = Arena.register ()
 
-type switch_edges = {
-  se_in : int array;   (* in-channel arriving on port p, or -1 *)
-  se_out : int array;  (* out-channel leaving on port p, or -1 *)
-  se_mask : int array; (* per in-port: bitmask of continuation out-ports *)
-}
-
-(* Resolve each cabled port of [s] to its two channel directions with a
-   single link lookup (the old checker resolved the in-link twice per
-   table entry). *)
-let channel_maps g s =
-  let mp = Graph.max_ports g in
-  let se_in = Array.make (mp + 1) (-1) in
-  let se_out = Array.make (mp + 1) (-1) in
-  for p = 1 to mp do
-    match Graph.link_at g (s, p) with
-    | None -> ()
-    | Some l_id -> (
-      match Graph.link g l_id with
-      | None -> ()
-      | Some l ->
-        if not (Graph.is_loop l) then begin
-          let sa, _ = l.a in
-          if s = sa then begin
-            se_out.(p) <- 2 * l_id;
-            se_in.(p) <- (2 * l_id) + 1
-          end
-          else begin
-            se_out.(p) <- (2 * l_id) + 1;
-            se_in.(p) <- 2 * l_id
-          end
-        end)
-  done;
-  (se_in, se_out)
-
 (* Fill switch [s]'s share of the call-level buffers: [out_ch] gets the
    port -> out-channel map in the slice [s * (mp+1) ..], [head.(c)] tags
    every channel [c] into [s] with [s], and [mask.(c)] accumulates the
@@ -189,51 +155,6 @@ let stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch =
   done;
   (off, adj)
 
-(* Merge per-switch masks into one CSR adjacency over channels.  Rows are
-   filled in ascending out-port order, so the graph (and therefore the
-   cycle witness below) is identical however the per-switch parts were
-   scheduled. *)
-let build_csr n per_switch =
-  let off = Array.make (n + 1) 0 in
-  List.iter
-    (fun se ->
-      Array.iteri
-        (fun p mask ->
-          if mask <> 0 then begin
-            let c1 = se.se_in.(p) in
-            let deg = ref 0 in
-            Array.iteri
-              (fun q c2 ->
-                if c2 >= 0 && mask land (1 lsl q) <> 0 then incr deg)
-              se.se_out;
-            off.(c1 + 1) <- off.(c1 + 1) + !deg
-          end)
-        se.se_mask)
-    per_switch;
-  for c = 1 to n do
-    off.(c) <- off.(c) + off.(c - 1)
-  done;
-  let adj = Array.make off.(n) 0 in
-  let cursor = Array.make (n + 1) 0 in
-  Array.blit off 0 cursor 0 (n + 1);
-  List.iter
-    (fun se ->
-      Array.iteri
-        (fun p mask ->
-          if mask <> 0 then begin
-            let c1 = se.se_in.(p) in
-            Array.iteri
-              (fun q c2 ->
-                if c2 >= 0 && mask land (1 lsl q) <> 0 then begin
-                  adj.(cursor.(c1)) <- c2;
-                  cursor.(c1) <- cursor.(c1) + 1
-                end)
-              se.se_out
-          end)
-        se.se_mask)
-    per_switch;
-  (off, adj)
-
 (* Iterative coloring DFS over the CSR: 0 = white, 1 = on stack, 2 =
    done.  Returns the first back-edge cycle found, exactly as the old
    recursive version did — but with an explicit stack, so the depth is
@@ -293,7 +214,7 @@ let find_cycle_csr g ~off ~adj n =
     in
     Cycle (List.map (channel_of_index g) (collect [] !found_v))
 
-let check_tables ?pool g specs =
+let check_tables ?(pool = Autonet_parallel.Pool.serial) g specs =
   let n = max_channel g in
   let mp = Graph.max_ports g in
   let ns = Graph.switch_count g in
@@ -305,20 +226,12 @@ let check_tables ?pool g specs =
   let out_len = Stdlib.max 1 (ns * (mp + 1)) in
   let out_ch = Arena.ints arena slot_out ~len:out_len in
   Array.fill out_ch 0 out_len (-1);
-  (* A given pool is always used, even with one domain or one spec: the
-     uniform path keeps the pool's call/item metrics identical for every
-     domain count.  Per-spec cost is estimated by the table's entry
-     count — scanning entries dominates the fill — so batch boundaries
-     follow the actual work, not the switch count.  (With a pool, the
-     specs must be for distinct switches, which every caller satisfies:
-     tasks rely on per-switch write ownership of the buffers.) *)
-  (match pool with
-  | Some pool ->
-    let arr = Array.of_list specs in
-    Autonet_parallel.Pool.parallel_for pool ~n:(Array.length arr)
-      ~costs:(fun i -> 1 + Tables.entry_count arr.(i))
-      (fun i -> fill_switch_deps g ~mp ~mask ~head ~out_ch arr.(i))
-  | None -> List.iter (fill_switch_deps g ~mp ~mask ~head ~out_ch) specs);
+  (* One fill task per spec.  The specs must be for distinct switches,
+     which every caller satisfies: tasks rely on per-switch write
+     ownership of the buffers. *)
+  let arr = Array.of_list specs in
+  Autonet_parallel.Pool.parallel_for pool ~n:(Array.length arr) (fun i ->
+      fill_switch_deps g ~mp ~mask ~head ~out_ch arr.(i));
   let off, adj = stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch in
   find_cycle_csr g ~off ~adj n
 
@@ -418,29 +331,3 @@ let certifies cert g updown spec =
         end);
     true
   with Refuted -> false
-
-let check_next_hops g ~switches ~next =
-  let n = max_channel g in
-  let per_switch =
-    List.map
-      (fun s ->
-        let se_in, se_out = channel_maps g s in
-        let mp = Array.length se_in - 1 in
-        let se_mask = Array.make (mp + 1) 0 in
-        List.iter
-          (fun dst ->
-            if dst <> s then
-              for in_port = 1 to mp do
-                if se_in.(in_port) >= 0 then
-                  List.iter
-                    (fun p ->
-                      if p > 0 && p <= mp && se_out.(p) >= 0 then
-                        se_mask.(in_port) <- se_mask.(in_port) lor (1 lsl p))
-                    (next ~at:s ~in_port:(Some in_port) ~dst)
-              done)
-          switches;
-        { se_in; se_out; se_mask })
-      switches
-  in
-  let off, adj = build_csr n per_switch in
-  find_cycle_csr g ~off ~adj n

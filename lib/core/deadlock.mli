@@ -31,11 +31,11 @@ val check_tables :
   ?pool:Autonet_parallel.Pool.t -> Graph.t -> Tables.spec list -> result
 (** Analyze the dependencies induced by unicast (alternative-port) entries
     of the given forwarding tables.  Per-spec edge generation touches
-    disjoint source channels, so with [pool] it fans out one task per
-    spec; the merged dependency graph — and the cycle witness — is
-    identical to the serial result for any domain count.  The DFS is
-    iterative, so dependency chains longer than the native stack are
-    fine. *)
+    disjoint source channels, so it fans out one task per spec over
+    [pool] (default {!Autonet_parallel.Pool.serial}); the merged
+    dependency graph — and the cycle witness — is identical for any
+    domain count.  The DFS is iterative, so dependency chains longer
+    than the native stack are fine. *)
 
 type cert
 (** An acyclicity order certificate: a ranking of the member switches
@@ -54,14 +54,5 @@ val certifies : cert -> Graph.t -> Updown.t -> Tables.spec -> bool
     failure.  Tables built by {!Tables.build} always certify; a [false]
     is possible for hand-made or corrupted specs and proves nothing by
     itself. *)
-
-val check_next_hops :
-  Graph.t ->
-  switches:Graph.switch list ->
-  next:(at:Graph.switch -> in_port:Graph.port option -> dst:Graph.switch -> Graph.port list) ->
-  result
-(** Generic form for routing functions not expressed as table specs: [next]
-    gives the candidate out-ports at [at] for packets bound to [dst] that
-    arrived on [in_port] ([None] for locally injected packets). *)
 
 val pp_result : Format.formatter -> result -> unit

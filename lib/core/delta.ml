@@ -184,7 +184,8 @@ type stats = {
 
 let member_change ch = ch.added_switches <> [] || ch.removed_numbers <> []
 
-let apply ?pool ~prev ~graph:g ~tree ~assignment ~me ch =
+let apply ?(pool = Autonet_parallel.Pool.serial) ~prev ~graph:g ~tree
+    ~assignment ~me ch =
   let updown =
     Updown.reorient g tree ~prev:prev.c_updown ~old_of_new_link:ch.link_of_old
       ~new_of_old_switch:ch.new_of_old
@@ -225,27 +226,15 @@ let apply ?pool ~prev ~graph:g ~tree ~assignment ~me ch =
       in
       (own, None, false, None, None)
     | Some old_all ->
-      let rebuild_list = ref [] in
-      for s = n - 1 downto 0 do
-        if dirty.(s) then rebuild_list := s :: !rebuild_list
-      done;
-      let rebuild_list = !rebuild_list in
+      let rebuild =
+        Array.of_list (List.filter (Array.get dirty) (List.init n Fun.id))
+      in
+      (* Workers must only read the graph: force its adjacency cache. *)
+      if n > 0 then ignore (Graph.degree g 0);
       let rebuilt_specs =
-        match pool with
-        | Some pool ->
-          (match rebuild_list with
-          | m :: _ -> ignore (Graph.degree g m)
-          | [] -> ());
-          let arr = Array.of_list rebuild_list in
-          Autonet_parallel.Pool.parallel_map_array pool
-            ~costs:(fun i -> 1 + List.length (Graph.used_ports g arr.(i)))
-            (fun s -> Tables.build g tree updown routes assignment s)
-            arr
-        | None ->
-          Array.of_list
-            (List.map
-               (fun s -> Tables.build g tree updown routes assignment s)
-               rebuild_list)
+        Autonet_parallel.Pool.parallel_map_array pool
+          (fun s -> Tables.build g tree updown routes assignment s)
+          rebuild
       in
       rebuilt := Array.length rebuilt_specs;
       let all = Array.make (Stdlib.max n 1) prev.c_own in
@@ -278,7 +267,7 @@ let apply ?pool ~prev ~graph:g ~tree ~assignment ~me ch =
         (all.(me), Some all, false, Some Deadlock.Acyclic, Some cert)
       else begin
         let specs = Array.to_list all in
-        let v = Deadlock.check_tables ?pool g specs in
+        let v = Deadlock.check_tables ~pool g specs in
         let c_cert =
           match v with
           | Deadlock.Acyclic ->

@@ -18,7 +18,7 @@
     re-oriented through {!Updown.reorient}, per-destination route BFSes
     re-run only when unseated ({!Routes.recompute}), tables are rebuilt
     only for switches whose minimal next-hop sets actually changed
-    (cost-weighted over the domain pool at the root), and deadlock
+    (over the domain pool at the root), and deadlock
     freedom is re-verified incrementally through the
     {!Deadlock.certificate} order argument with a mandatory fallback to
     the full {!Deadlock.check_tables}.
@@ -112,8 +112,9 @@ val apply :
     returned [committed] is observationally identical — same routes,
     same table contents, same root deadlock verdict — to what the full
     path would commit for this epoch; the chaos oracle and the fast-path
-    property tests enforce exactly that.  [pool] fans the table rebuilds
-    (and a fallback deadlock check) across domains at the root.
+    property tests enforce exactly that.  [pool] (default
+    {!Autonet_parallel.Pool.serial}) fans the table rebuilds (and a
+    fallback deadlock check) across domains at the root.
 
     With a [prev] that holds every table ([c_all]) the run is
     {e root-shaped}: it rebuilds, patches or reuses every member's table

@@ -460,26 +460,13 @@ let of_entries ~switch entries_list =
     entries_list;
   spec
 
-let build_all ?mode ?pool g tree updown routes assignment =
-  let members = Spanning_tree.members tree in
-  match pool with
-  | Some pool ->
-    (* Force the graph's lazily-built adjacency cache (and keep it forced)
-       before fanning out: workers must only read the graph.  One-domain
-       pools run the map serially inside [parallel_map_array]; going
-       through the pool regardless keeps its call/item metrics identical
-       for every domain count.
-
-       A switch's build cost scales with its receiving-port count (the
-       inner loops run once per in-port for every destination block), so
-       the cabled/host port count drives the batch boundaries: hub-heavy
-       topologies no longer leave one domain holding the whole hub. *)
-    (match members with m :: _ -> ignore (Graph.degree g m) | [] -> ());
-    let arr = Array.of_list members in
-    Array.to_list
-      (Autonet_parallel.Pool.parallel_map_array pool
-         ~costs:(fun i -> 1 + List.length (Graph.used_ports g arr.(i)))
-         (fun s -> build ?mode g tree updown routes assignment s)
-         arr)
-  | None ->
-    List.map (fun s -> build ?mode g tree updown routes assignment s) members
+let build_all ?mode ?(pool = Autonet_parallel.Pool.serial) g tree updown
+    routes assignment =
+  (* Force the graph's lazily-built adjacency cache (and keep it forced)
+     before fanning out: workers must only read the graph. *)
+  let members = Array.of_list (Spanning_tree.members tree) in
+  if Array.length members > 0 then ignore (Graph.degree g members.(0));
+  Array.to_list
+    (Autonet_parallel.Pool.parallel_map_array pool
+       (fun s -> build ?mode g tree updown routes assignment s)
+       members)

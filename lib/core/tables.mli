@@ -137,7 +137,7 @@ val build_all :
   ?pool:Autonet_parallel.Pool.t ->
   Graph.t -> Spanning_tree.t -> Updown.t -> Routes.t -> Address_assign.t ->
   spec list
-(** Tables for every member switch, ascending by switch index.  With
-    [pool], one build task per member switch fans out across the pool's
-    domains; the specs come back in switch order and are bit-identical to
-    the serial result (a one-domain pool {e is} the serial path). *)
+(** Tables for every member switch, ascending by switch index.  One
+    build task per member switch fans out across [pool]'s domains
+    (default {!Autonet_parallel.Pool.serial}); the specs come back in
+    switch order and are bit-identical for any domain count. *)

@@ -3,21 +3,21 @@
    The pool exists to parallelize the configuration pipeline's pure,
    per-switch computations (forwarding-table synthesis, channel-dependency
    edge generation).  Workers are spawned once at [create] and parked on a
-   condition variable between jobs, so a [run] costs two lock round-trips
+   condition variable between jobs, so a round costs two lock round-trips
    per worker rather than a domain spawn (~30 us vs ~1 ms).
 
-   Work is handed out as {e cost-weighted contiguous batches}: the
-   combinators pack the index range into ~[batches_per_domain * n_domains]
-   batches whose boundaries balance the caller's estimated per-item cost,
-   and idle domains claim whole batches off one atomic cursor.  Batches —
+   Work is handed out by one rule: a call's index range is cut into
+   contiguous batches of near-equal size, at most [batches_per_domain]
+   per domain, and idle domains claim whole batches off one atomic
+   cursor.  Batches —
    not items — are the unit of scheduling, so a fan-out of hundreds of
    switches costs a handful of cache-line bounces instead of one per item.
 
    Determinism: the assignment of batches to domains is dynamic, but every
    combinator writes results into caller-indexed slots, so outputs are
-   bit-identical to the serial path regardless of the domain count or
-   interleaving.  A pool of one domain degenerates to plain loops on the
-   calling domain with no locking at all. *)
+   bit-identical at any domain count or interleaving.  A pool of one
+   domain degenerates to a plain loop on the calling domain with no
+   locking at all; {!serial} is such a pool. *)
 
 module Metrics = Autonet_telemetry.Metrics
 
@@ -69,25 +69,26 @@ module Arena = struct
     end
 end
 
+let batches_per_domain = 4
+
 type t = {
   n_domains : int;
-  batches_per_domain : int;     (* target batches per domain per round *)
   mutex : Mutex.t;
   start : Condition.t;
   finished : Condition.t;
   mutable job : (int -> unit) option; (* the body workers run this round *)
-  mutable round : int;                (* bumped once per [run] *)
+  mutable round : int;                (* bumped once per round *)
   mutable pending : int;              (* workers still inside the round *)
   mutable failure : exn option;       (* first worker exception, if any *)
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
-  busy : bool Atomic.t;               (* a round is in flight *)
+  busy : bool Atomic.t;               (* a call owns the pool *)
   (* One registry per worker index: each is written by at most one domain
      at a time, and {!metrics_snapshot} merges them into one deterministic
-     view.  Only the domain that owns the pool for a combinator call (wins
-     the [busy] flag) counts anything — nested/concurrent calls run
-     uncounted on every path, including one-domain pools — so the merged
-     totals are identical for any domain count. *)
+     view.  Only the call that owns the pool (wins the [busy] flag)
+     counts anything — nested/concurrent calls run uncounted at every
+     domain count, including one — so the merged totals are identical
+     for any domain count. *)
   regs : Metrics.t array;
   c_calls : Metrics.counter;    (* top-level combinator calls; regs.(0) *)
   c_items : Metrics.counter;    (* items those calls covered; regs.(0) *)
@@ -156,7 +157,7 @@ let shutdown t =
     end
   end
 
-let create ?domains ?(batches_per_domain = 4) () =
+let create ?domains () =
   let d =
     match domains with
     | Some d -> d
@@ -170,7 +171,6 @@ let create ?domains ?(batches_per_domain = 4) () =
   let sched_regs = Array.init d (fun _ -> Metrics.create ()) in
   let t =
     { n_domains = d;
-      batches_per_domain = Stdlib.max 1 batches_per_domain;
       mutex = Mutex.create ();
       start = Condition.create ();
       finished = Condition.create ();
@@ -204,21 +204,23 @@ let create ?domains ?(batches_per_domain = 4) () =
   end;
   t
 
+let serial = create ~domains:1 ()
+
 (* Executing the job for every worker index on the calling domain is
    semantically equivalent to a real round: the combinators hand out
    caller-indexed work, so which domain runs a given index never shows in
-   the results.  This is the fallback for nested and concurrent [run]s. *)
+   the results.  This is how a nested or concurrent call runs. *)
 let run_inline t f =
   for i = 0 to t.n_domains - 1 do
     f i
   done
 
-(* A genuine barrier round; the caller must hold the [busy] flag. *)
+(* A genuine barrier round; the caller must own the pool. *)
 let run_round t f =
   Mutex.lock t.mutex;
   if t.stopped then begin
     Mutex.unlock t.mutex;
-    invalid_arg "Pool.run: pool has been shut down"
+    invalid_arg "Pool: pool has been shut down"
   end;
   t.job <- Some f;
   t.failure <- None;
@@ -238,172 +240,85 @@ let run_round t f =
   Mutex.unlock t.mutex;
   match fail with Some e -> raise e | None -> ()
 
-(* Take the pool for a top-level combinator call.  A failed acquisition
-   means re-entrant or concurrent use: a job body (possibly on a worker
-   domain) started another pool operation — e.g. a simulation running
-   inside a chaos-campaign worker reaches the configuration pipeline's own
-   parallel entry points.  Waking the parked workers again would corrupt
-   the round bookkeeping, so the caller degrades to the serial path, which
-   is bit-identical by construction.  One-domain pools take the flag too,
-   purely so the counted-once metrics semantics match every domain
-   count. *)
-let acquire t = Atomic.compare_and_set t.busy false true
-
-let count_call t ~owner n =
+(* Run batch [lo .. hi] on worker [w], counting it if the call owns the
+   pool.  Worker [w]'s registries are written by one domain at a time
+   (inline execution walks the indices serially), so this is race-free,
+   and the merged worker-item totals sum to the item count whatever the
+   batching. *)
+let run_batch t ~owner ~w ~steal lo hi f =
   if owner then begin
-    Metrics.incr t.c_calls;
-    Metrics.add t.c_items n;
-    Metrics.observe t.h_round n
+    Metrics.add t.c_worker_items.(w) (hi - lo + 1);
+    Metrics.incr t.c_worker_batches.(w);
+    if steal then Metrics.incr t.c_worker_steals.(w)
+  end;
+  for i = lo to hi do
+    f i
+  done
+
+(* Run [f 0 .. f (n-1)], [n >= 1].  A one-domain pool, or a one-item
+   call, runs one batch on the caller.  Otherwise the range splits into
+   [min n (batches_per_domain * domains)] contiguous batches whose sizes
+   differ by at most one, claimed off one atomic cursor.  A "steal" is a
+   batch claimed off another worker's share of the static assignment
+   (batch [b] to worker [b * domains / n_batches]): the load-imbalance
+   signal. *)
+let dispatch t ~owner ~n f =
+  if t.n_domains = 1 || n = 1 then
+    run_batch t ~owner ~w:0 ~steal:false 0 (n - 1) f
+  else begin
+    let n_batches = Stdlib.min n (batches_per_domain * t.n_domains) in
+    let next = Atomic.make 0 in
+    let rec body w =
+      let b = Atomic.fetch_and_add next 1 in
+      if b < n_batches then begin
+        run_batch t ~owner ~w
+          ~steal:(b * t.n_domains / n_batches <> w)
+          (n * b / n_batches)
+          ((n * (b + 1) / n_batches) - 1)
+          f;
+        body w
+      end
+    in
+    if owner then run_round t body else run_inline t body
   end
 
-(* --- Batch boundaries. ---
-
-   Pack indices [start .. n-1] into at most [n_batches] contiguous
-   batches; [boundaries.(b) .. boundaries.(b+1) - 1] is batch [b].  With
-   [costs], batch boundaries are placed so every batch carries roughly
-   [total_cost / n_batches] of the estimated cost: fence [b] closes as
-   soon as the running cost crosses [b/n_batches] of the total, so one
-   very expensive item simply makes its batch (and no other) heavy.
-   Without [costs] the split is uniform.  Batches near the tail may come
-   out empty when costs are extremely skewed; claimants skip them. *)
-let make_boundaries ~start ~n ~n_batches costs =
-  let items = n - start in
-  let n_batches = Stdlib.max 1 (Stdlib.min n_batches items) in
-  let bnd = Array.make (n_batches + 1) n in
-  bnd.(0) <- start;
-  (match costs with
-  | None ->
-    for b = 1 to n_batches - 1 do
-      bnd.(b) <- start + (items * b / n_batches)
-    done
-  | Some cost ->
-    let total = ref 0 in
-    for i = start to n - 1 do
-      total := !total + Stdlib.max 1 (cost i)
-    done;
-    let acc = ref 0 in
-    let b = ref 1 in
-    for i = start to n - 1 do
-      acc := !acc + Stdlib.max 1 (cost i);
-      while !b < n_batches && !acc * n_batches >= !b * !total do
-        bnd.(!b) <- i + 1;
-        incr b
-      done
-    done);
-  bnd
-
-(* Dispatch [f] over [start .. n-1] as cost-weighted batches.  The caller
-   has already taken (or failed to take) the busy flag and counted the
-   call; this only runs the round and the per-worker accounting. *)
-let dispatch t ~owner ~start ~n ?chunk ?costs f =
-  let items = n - start in
-  if items > 0 then begin
-    if t.n_domains = 1 || items = 1 then begin
+(* Run [k] as one combinator call over [n] items.  The call that takes
+   the [busy] flag owns the pool and is counted; a failed acquisition
+   means re-entrant or concurrent use — a job body (possibly on a worker
+   domain) started another pool operation, e.g. a simulation running
+   inside a chaos-campaign worker reaches the configuration pipeline's
+   own entry points.  Waking the parked workers again would corrupt the
+   round bookkeeping, so such a call runs inline, uncounted, and
+   bit-identical by construction.  One-domain pools take the flag too,
+   so the counted-once semantics match every domain count. *)
+let with_call t ~n k =
+  let owner = Atomic.compare_and_set t.busy false true in
+  Fun.protect
+    ~finally:(fun () -> if owner then Atomic.set t.busy false)
+    (fun () ->
       if owner then begin
-        Metrics.add t.c_worker_items.(0) items;
-        Metrics.incr t.c_worker_batches.(0)
+        Metrics.incr t.c_calls;
+        Metrics.add t.c_items n;
+        Metrics.observe t.h_round n
       end;
-      for i = start to n - 1 do
-        f i
-      done
-    end
-    else begin
-      let n_batches =
-        match chunk with
-        | Some c ->
-          let c = Stdlib.max 1 c in
-          (items + c - 1) / c
-        | None -> t.batches_per_domain * t.n_domains
-      in
-      let bnd = make_boundaries ~start ~n ~n_batches costs in
-      let n_batches = Array.length bnd - 1 in
-      let next = Atomic.make 0 in
-      let body w =
-        let continue = ref true in
-        while !continue do
-          let b = Atomic.fetch_and_add next 1 in
-          if b >= n_batches then continue := false
-          else begin
-            let lo = bnd.(b) and hi = bnd.(b + 1) - 1 in
-            if lo <= hi then begin
-              (* Worker [w]'s registries are written by one domain at a
-                 time (inline execution walks the indices serially), so
-                 this is race-free; the merged worker-item totals sum to
-                 the item count whatever the batching.  A "steal" is a
-                 batch claimed off another worker's share of the static
-                 balanced assignment — the load-imbalance signal. *)
-              if owner then begin
-                Metrics.add t.c_worker_items.(w) (hi - lo + 1);
-                Metrics.incr t.c_worker_batches.(w);
-                if b * t.n_domains / n_batches <> w then
-                  Metrics.incr t.c_worker_steals.(w)
-              end;
-              for i = lo to hi do
-                f i
-              done
-            end
-          end
-        done
-      in
-      if owner then run_round t body else run_inline t body
-    end
-  end
+      k owner)
 
-let run t f =
-  if t.n_domains = 1 then begin
-    let owner = acquire t in
-    Fun.protect
-      ~finally:(fun () -> if owner then Atomic.set t.busy false)
-      (fun () -> f 0)
-  end
-  else if not (acquire t) then run_inline t f
-  else
-    Fun.protect
-      ~finally:(fun () -> Atomic.set t.busy false)
-      (fun () -> run_round t f)
+let parallel_for t ~n f =
+  if n > 0 then with_call t ~n (fun owner -> dispatch t ~owner ~n f)
 
-let parallel_for ?chunk ?costs t ~n f =
-  if n > 0 then begin
-    let owner = acquire t in
-    Fun.protect
-      ~finally:(fun () -> if owner then Atomic.set t.busy false)
-      (fun () ->
-        count_call t ~owner n;
-        dispatch t ~owner ~start:0 ~n ?chunk ?costs f)
-  end
-
-let parallel_map_array ?costs t f a =
+let parallel_map_array t f a =
   let n = Array.length a in
   if n = 0 then [||]
-  else begin
-    let owner = acquire t in
-    Fun.protect
-      ~finally:(fun () -> if owner then Atomic.set t.busy false)
-      (fun () ->
-        count_call t ~owner n;
-        if t.n_domains = 1 || n = 1 then begin
-          if owner then begin
-            Metrics.add t.c_worker_items.(0) n;
-            Metrics.incr t.c_worker_batches.(0)
-          end;
-          Array.map f a
-        end
-        else begin
-          (* The caller computes element 0 to seed the output array, then
-             the rest of the indices fan out as cost-weighted batches
-             whose ranges are exactly the slices of [out] each worker
-             fills — workers write results straight into their slice, no
-             option boxing, no reassembly pass. *)
-          let r0 = f a.(0) in
-          if owner then begin
-            Metrics.add t.c_worker_items.(0) 1;
-            Metrics.incr t.c_worker_batches.(0)
-          end;
-          let out = Array.make n r0 in
-          dispatch t ~owner ~start:1 ~n ?costs (fun i -> out.(i) <- f a.(i));
-          out
-        end)
-  end
+  else
+    with_call t ~n (fun owner ->
+        (* The caller computes element 0 to seed the output array, and
+           workers write every other result straight into its slot — no
+           option boxing, no reassembly pass.  Index 0 still belongs to
+           the first batch, which skips it, so the accounting is
+           [parallel_for]'s. *)
+        let out = Array.make n (f a.(0)) in
+        dispatch t ~owner ~n (fun i -> if i > 0 then out.(i) <- f a.(i));
+        out)
 
 (* The process-wide pool the pipeline entry points share, sized by
    AUTONET_DOMAINS (or the machine).  Created on first use so that

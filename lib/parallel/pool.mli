@@ -1,15 +1,15 @@
 (** A fixed-size OCaml 5 domain pool for the configuration pipeline.
 
-    Workers are spawned once at {!create} and parked between jobs; the
-    combinators pack the index range into {e cost-weighted contiguous
-    batches} (roughly [batches_per_domain * domains] of them, boundaries
-    balanced by the caller's estimated per-item cost) and idle domains
-    claim whole batches off one atomic cursor.  Every result is written
-    into caller-indexed slots, so outputs are {e bit-identical} to the
-    serial computation regardless of domain count, batching or
-    scheduling.  A pool of one domain runs everything on the calling
-    domain with no locking — the serial degenerate case the simulator's
-    determinism relies on.
+    Workers are spawned once at {!create} and parked between jobs.  Both
+    combinators hand out work by one rule: the index range of a call is
+    cut into contiguous batches of near-equal size, at most 4 per domain
+    (and never more than there are items), and idle domains claim whole
+    batches off one atomic cursor.  A one-domain pool, or a one-item
+    call, runs the whole range as one batch on the calling domain with
+    no locking — the serial degenerate case the simulator's determinism
+    relies on.  Every result is written into caller-indexed slots, so
+    outputs are {e bit-identical} whatever the domain count or
+    scheduling.
 
     Work closures must only read shared data (or write disjoint,
     caller-indexed slots): the pool adds no synchronization around the
@@ -18,58 +18,44 @@
 
 type t
 
-val create : ?domains:int -> ?batches_per_domain:int -> unit -> t
-(** [create ?domains ?batches_per_domain ()] spawns [domains - 1] worker
-    domains (the calling domain is the pool's worker 0).  When [domains]
-    is omitted it comes from the [AUTONET_DOMAINS] environment variable,
-    falling back to [Domain.recommended_domain_count ()].  The count is
-    clamped to [1 .. 64].
+val create : ?domains:int -> unit -> t
+(** [create ?domains ()] spawns [domains - 1] worker domains (the
+    calling domain is the pool's worker 0).  When [domains] is omitted it
+    comes from the [AUTONET_DOMAINS] environment variable, falling back
+    to [Domain.recommended_domain_count ()].  The count is clamped to
+    [1 .. 64]. *)
 
-    [batches_per_domain] (default 4, clamped to [>= 1]) sets the target
-    number of batches each domain claims per combinator call: higher
-    values smooth load imbalance at the price of more cursor bounces.
-    Results never depend on it. *)
+val serial : t
+(** A shared one-domain pool: the kernels' default when no pool is
+    given.  It spawns nothing and its metrics stay off — it is shared by
+    every domain of the process, so never enable them. *)
 
 val domains : t -> int
 (** Total domain count, including the calling domain. *)
 
-val run : t -> (int -> unit) -> unit
-(** [run t f] executes [f i] on every domain [i] of the pool (0 on the
-    caller) and waits for all of them.  If any invocation raises, one of
-    the exceptions is re-raised in the caller after the barrier (the
-    caller's own exception wins when both fail).
-
-    Nested and concurrent use is safe: a [run] issued while another round
-    is in flight — e.g. from inside a job body, or from a simulation
-    running on a worker domain that reaches the configuration pipeline's
-    parallel entry points — executes all indices inline on the calling
-    domain.  Results are identical either way, since every combinator
-    writes caller-indexed slots. *)
-
-val parallel_for : ?chunk:int -> ?costs:(int -> int) -> t -> n:int -> (int -> unit) -> unit
+val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n f] runs [f i] for [0 <= i < n] across the pool's
     domains.  Iterations must be independent (pure, or writing disjoint
     caller-indexed slots).
 
-    [costs i] estimates the relative cost of item [i] (values are clamped
-    to [>= 1]); batch boundaries are placed so each batch carries roughly
-    an equal share of the total estimated cost.  Without [costs] items
-    are assumed uniform.  [chunk] overrides the batch size with a fixed
-    item count per batch (the pre-cost-aware knob, kept for tests and
-    tuning).  Neither affects results, only scheduling.
+    Nested and concurrent use is safe: a call issued while another is in
+    flight — e.g. from inside a job body, or from a simulation running on
+    a worker domain that reaches the configuration pipeline's entry
+    points — runs all its batches on the calling domain, uncounted.
 
     A failure in any iteration propagates to the caller after the round
-    barrier; the pool remains usable afterwards.  Note that iterations of
-    other batches may still run after one raises — they must not depend
-    on a failed iteration's effects. *)
+    barrier (the caller's own exception wins when several fail); the
+    pool remains usable afterwards.  Note that iterations of other
+    batches may still run after one raises — they must not depend on a
+    failed iteration's effects. *)
 
-val parallel_map_array : ?costs:(int -> int) -> t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map_array t f a] is [Array.map f a] computed across the
-    pool, results in input order.  The output array is preallocated once
-    (seeded with element 0's result, computed by the caller) and workers
-    write each result directly into its slot — batch ranges {e are} the
-    output slices, there is no intermediate collection or reassembly
-    pass.  [costs] is as for {!parallel_for}, indexed like [a]. *)
+    pool, results in input order.  The caller computes element 0 to seed
+    the output array, and workers write every other result directly into
+    its slot — batch ranges {e are} the output slices, there is no
+    intermediate collection or reassembly pass.  Batching, failure and
+    nesting are as for {!parallel_for}. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool cannot be
@@ -132,8 +118,8 @@ end
       same total as ["pool.items"]; per-registry: the load balance).
 
     Scheduling diagnostics are kept in a {e separate} registry set,
-    merged by {!sched_snapshot}, because batch counts inherently depend
-    on the domain count and must not break {!metrics_snapshot}'s
+    merged by {!sched_snapshot}, because batch counts depend on the
+    domain count and must not break {!metrics_snapshot}'s
     any-domain-count identity:
 
     - ["pool.worker_batches"]: batches claimed by each worker;
@@ -154,5 +140,5 @@ val metrics_snapshot : t -> Autonet_telemetry.Metrics.snapshot
 
 val sched_snapshot : t -> Autonet_telemetry.Metrics.snapshot
 (** The per-worker scheduling registries merged.  Deterministic for a
-    deterministic workload {e at a fixed domain count and batching
-    configuration}; totals vary with both. *)
+    deterministic workload {e at a fixed domain count}; totals vary with
+    it. *)

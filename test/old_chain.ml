@@ -42,9 +42,8 @@ let run ~prev ~root report uid =
            })
     in
     let pool = if root then Some (Pool.default ()) else None in
-    let domains = Pool.domains (Pool.default ()) in
     let verdict tables = function
-      | Deadlock.Acyclic -> emit (Event.Root_verified { tables; domains })
+      | Deadlock.Acyclic -> emit (Event.Root_verified { tables })
       | Deadlock.Cycle _ as r ->
         emit
           (Event.Root_deadlock

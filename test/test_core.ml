@@ -686,37 +686,12 @@ let test_deadlock_updown_acyclic () =
 let test_deadlock_shortest_path_cycles () =
   (* Unrestricted shortest-path routing on a ring has the classic cyclic
      channel dependency. *)
-  let t = B.ring ~n:4 () in
-  let g = t.B.graph in
-  (* next hop = neighbor on a shortest path, ignoring up/down phases. *)
-  let dist = Array.make_matrix 4 4 100 in
-  for i = 0 to 3 do
-    dist.(i).(i) <- 0
-  done;
-  let rec relax () =
-    let changed = ref false in
-    List.iter
-      (fun s ->
-        List.iter
-          (fun (_, _, peer, _) ->
-            for d = 0 to 3 do
-              if dist.(peer).(d) + 1 < dist.(s).(d) then begin
-                dist.(s).(d) <- dist.(peer).(d) + 1;
-                changed := true
-              end
-            done)
-          (Graph.neighbors g s))
-      (Graph.switches g);
-    if !changed then relax ()
+  let c = Testlib.configure (B.ring ~n:4 ()) in
+  let specs =
+    Autonet_baseline.Alt_routing.shortest_path c.Testlib.graph c.tree
+      c.assignment
   in
-  relax ();
-  let next ~at ~in_port:_ ~dst =
-    List.filter_map
-      (fun (p, _, peer, _) ->
-        if dist.(peer).(dst) = dist.(at).(dst) - 1 then Some p else None)
-      (Graph.neighbors g at)
-  in
-  match Deadlock.check_next_hops g ~switches:(Graph.switches g) ~next with
+  match Deadlock.check_tables c.graph specs with
   | Deadlock.Cycle _ -> ()
   | Deadlock.Acyclic -> Alcotest.fail "expected a cyclic dependency on the ring"
 

@@ -105,10 +105,9 @@ let test_crosscheck () =
 let n_parallel_topologies = 50
 
 (* [Tables.build_all ~pool] and [Deadlock.check_tables ~pool] promise
-   bit-identical results to the serial path for any domain count and any
-   batch granularity; sweep pools of 1..4 domains with a per-seed
-   randomized [batches_per_domain] (1 is the degenerate serial case, 3
-   leaves uneven static shares, 4 oversubscribes a small machine) and
+   bit-identical results to the default one-domain path for any domain
+   count; sweep pools of 1..4 domains (1 is the degenerate serial case,
+   3 leaves uneven static shares, 4 oversubscribes a small machine) and
    require identical table specs, deadlock verdicts and — because the
    pool's deterministic counters promise any-domain-count identity — a
    byte-identical merged telemetry snapshot from every pool. *)
@@ -131,9 +130,7 @@ let test_parallel_crosscheck () =
       fail "CSR checker disagrees with the reference checker";
     let pools =
       List.map
-        (fun d ->
-          Autonet_parallel.Pool.create ~domains:d
-            ~batches_per_domain:(1 + Rng.int rng 7) ())
+        (fun d -> Autonet_parallel.Pool.create ~domains:d ())
         [ 1; 2; 3; 4 ]
     in
     Fun.protect
@@ -771,7 +768,7 @@ let () =
         [ Alcotest.test_case
             (Printf.sprintf
                "pool path equals serial on %d random topologies x {1,2,3,4} \
-                domains x random batching"
+                domains"
                n_parallel_topologies)
             `Quick test_parallel_crosscheck ] );
       ( "deadlock",

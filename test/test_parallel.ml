@@ -1,27 +1,29 @@
 (* Unit tests for the domain pool's batch dispatcher: index-coverage
-   edge cases of [parallel_for] (n = 0, n < domains, chunk-indivisible
-   ranges, cost-skewed batch boundaries), failure propagation out of a
-   worker mid-round (and pool usability afterwards), the per-domain
-   scratch arenas, and the split between the deterministic metrics
-   snapshot and the scheduling snapshot. *)
+   edge cases of [parallel_for] (n = 0, n < domains), a property over
+   random sizes and domain counts for the one batching rule, failure
+   propagation out of a worker mid-round (and pool usability
+   afterwards), the per-domain scratch arenas, and the split between the
+   deterministic metrics snapshot and the scheduling snapshot. *)
 
 module Pool = Autonet_parallel.Pool
 module Metrics = Autonet_telemetry.Metrics
 
-let with_pool ?batches_per_domain d f =
-  let p = Pool.create ~domains:d ?batches_per_domain () in
+let with_pool d f =
+  let p = Pool.create ~domains:d () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
-(* Every index in [0, n) must be executed exactly once, whatever the
-   domain count, chunking or cost skew.  Each index is owned by exactly
-   one batch, so the per-index cells are written race-free. *)
-let check_coverage ?chunk ?costs ~what pool n =
+(* The indices of [0, n) that [parallel_for] did not run exactly once.
+   Each index is owned by exactly one batch, so the per-index cells are
+   written race-free. *)
+let miscounted pool n =
   let hits = Array.make (Stdlib.max 1 n) 0 in
-  Pool.parallel_for ?chunk ?costs pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
-  for i = 0 to n - 1 do
-    if hits.(i) <> 1 then
-      Alcotest.failf "%s: index %d ran %d times" what i hits.(i)
-  done
+  Pool.parallel_for pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  List.filter (fun i -> hits.(i) <> 1) (List.init n Fun.id)
+
+let check_coverage ~what pool n =
+  match miscounted pool n with
+  | [] -> ()
+  | i :: _ -> Alcotest.failf "%s: index %d did not run exactly once" what i
 
 let test_empty_range () =
   with_pool 4 (fun pool ->
@@ -37,49 +39,54 @@ let test_fewer_items_than_domains () =
         (fun n -> check_coverage ~what:(Printf.sprintf "n=%d < domains" n) pool n)
         [ 1; 2; 3 ])
 
-let test_indivisible_chunks () =
-  List.iter
-    (fun d ->
-      with_pool d (fun pool ->
-          check_coverage ~chunk:3 ~what:"n=10 chunk=3" pool 10;
-          check_coverage ~chunk:4 ~what:"n=7 chunk=4" pool 7;
-          check_coverage ~chunk:64 ~what:"chunk > n" pool 5;
-          check_coverage ~chunk:1 ~what:"chunk=1" pool 9))
-    [ 2; 3 ]
+(* The one batching rule, over random sizes (most of which do not
+   divide into 4 batches per domain) and 1-4 domains: [parallel_for]
+   runs every index exactly once, [parallel_map_array] equals
+   [Array.map], and the merged metrics snapshot of both calls renders as
+   it does on one domain. *)
+let batching_qcheck =
+  QCheck.Test.make ~name:"one batching rule on random sizes" ~count:60
+    QCheck.(pair (int_bound 300) (int_bound 3))
+    (fun (n0, d0) ->
+      (* Clamp anyway: some QCheck shrinkers step outside the bounds. *)
+      let n = abs n0 mod 301 and d = 1 + (abs d0 mod 4) in
+      let a = Array.init n (fun i -> (i * 7919) mod 1009) in
+      let f x = (x * x) + 3 in
+      let run d =
+        with_pool d (fun pool ->
+            Pool.set_metrics_enabled pool true;
+            let missed = miscounted pool n in
+            let mapped = Pool.parallel_map_array pool f a in
+            (missed, mapped, Metrics.render (Pool.metrics_snapshot pool)))
+      in
+      let missed, mapped, metrics = run d in
+      let _, _, metrics_1 = run 1 in
+      if missed <> [] then
+        QCheck.Test.fail_reportf "n=%d d=%d: index %d not run exactly once" n d
+          (List.hd missed);
+      if mapped <> Array.map f a then
+        QCheck.Test.fail_reportf "n=%d d=%d: map differs from Array.map" n d;
+      if metrics <> metrics_1 then
+        QCheck.Test.fail_reportf
+          "n=%d d=%d: metrics differ from 1 domain:\n%s\nvs\n%s" n d metrics
+          metrics_1;
+      true)
 
-let test_cost_weighted_batches () =
-  List.iter
-    (fun d ->
-      with_pool d (fun pool ->
-          check_coverage
-            ~costs:(fun i -> ((i * i) mod 97) + 1)
-            ~what:"skewed quadratic costs" pool 100;
-          (* One item carrying virtually all the cost: its batch must
-             still cover every index exactly once. *)
-          check_coverage
-            ~costs:(fun i -> if i = 0 then 100_000 else 1)
-            ~what:"one dominant item" pool 50;
-          check_coverage
-            ~costs:(fun i -> if i = 49 then 100_000 else 1)
-            ~what:"dominant tail item" pool 50))
-    [ 2; 4 ]
-
+(* The batch layout varies with both the domain count and the length:
+   one batch, fewer items than batches, and uneven batches. *)
 let test_map_matches_serial () =
-  let a = Array.init 231 (fun i -> (i * 7919) mod 1009) in
   let f x = (x * x) + 3 in
-  let expect = Array.map f a in
   List.iter
     (fun d ->
-      List.iter
-        (fun bpd ->
-          with_pool ~batches_per_domain:bpd d (fun pool ->
-              let got = Pool.parallel_map_array pool f a in
-              Alcotest.(check (array int)) "uniform map" expect got;
-              let got =
-                Pool.parallel_map_array ~costs:(fun i -> 1 + (i mod 13)) pool f a
-              in
-              Alcotest.(check (array int)) "cost-weighted map" expect got))
-        [ 1; 4; 9 ])
+      with_pool d (fun pool ->
+          List.iter
+            (fun n ->
+              let a = Array.init n (fun i -> (i * 7919) mod 1009) in
+              Alcotest.(check (array int))
+                (Printf.sprintf "n=%d at %d domains" n d)
+                (Array.map f a)
+                (Pool.parallel_map_array pool f a))
+            [ 1; 2; 7; 231 ]))
     [ 1; 2; 4 ]
 
 let test_worker_failure_propagates () =
@@ -122,21 +129,20 @@ let test_arena_reuse () =
   Alcotest.(check bool) "slots are distinct" true (not (w == y))
 
 (* The deterministic snapshot must render byte-identically for the same
-   workload at every domain count and batching; the scheduling snapshot
-   is allowed to differ but its worker totals must be internally
-   consistent. *)
+   workload at every domain count; the scheduling snapshot is allowed to
+   differ but its worker totals must be internally consistent. *)
 let test_metrics_identity_and_sched () =
   let workload pool =
     Pool.parallel_for pool ~n:37 (fun _ -> ());
     ignore
-      (Pool.parallel_map_array ~costs:(fun i -> 1 + i) pool
+      (Pool.parallel_map_array pool
          (fun x -> x + 1)
          (Array.init 23 Fun.id))
   in
   let rendered = ref None in
   List.iter
-    (fun (d, bpd) ->
-      with_pool ~batches_per_domain:bpd d (fun pool ->
+    (fun d ->
+      with_pool d (fun pool ->
           Pool.set_metrics_enabled pool true;
           workload pool;
           let snap = Pool.metrics_snapshot pool in
@@ -158,8 +164,8 @@ let test_metrics_identity_and_sched () =
           | Some prev ->
             if prev <> r then
               Alcotest.failf
-                "metrics snapshot differs at %d domains (bpd %d):\n%s\nvs\n%s"
-                d bpd r prev);
+                "metrics snapshot differs at %d domains:\n%s\nvs\n%s" d r
+                prev);
           let sched = Pool.sched_snapshot pool in
           match Metrics.find sched "pool.worker_batches" with
           | Some (Metrics.Counter b) ->
@@ -167,7 +173,7 @@ let test_metrics_identity_and_sched () =
               (Printf.sprintf "batches counted at %d domains" d)
               true (b >= 2)
           | _ -> Alcotest.fail "pool.worker_batches missing"))
-    [ (1, 4); (2, 4); (3, 2); (4, 7) ]
+    [ 1; 2; 3; 4 ]
 
 let () =
   Alcotest.run "parallel"
@@ -175,10 +181,7 @@ let () =
         [ Alcotest.test_case "n = 0" `Quick test_empty_range;
           Alcotest.test_case "n < domains" `Quick
             test_fewer_items_than_domains;
-          Alcotest.test_case "chunk does not divide n" `Quick
-            test_indivisible_chunks;
-          Alcotest.test_case "cost-weighted boundaries cover exactly once"
-            `Quick test_cost_weighted_batches ] );
+          QCheck_alcotest.to_alcotest batching_qcheck ] );
       ( "map",
         [ Alcotest.test_case "matches Array.map across domains x batching"
             `Quick test_map_matches_serial ] );
