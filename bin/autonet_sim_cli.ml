@@ -109,47 +109,70 @@ let cmd_crash spec seed hosts params_name switch show_log =
            (fun net -> N.apply_fault net (F.Switch_down switch))
            show_log))
 
+(* A source route is walked on the built topology before anything boots.
+   A port above [max_ports] is a usage error; otherwise [k] gets where
+   the route ends: [Ok s] at switch [s], or [Error (s, p)] when port [p]
+   of switch [s] leads to no switch (uncabled, a host, or port 0, the
+   control processor). *)
+let check_route (topo : B.t) ports k =
+  let g = topo.graph in
+  match List.find_opt (fun p -> p > Graph.max_ports g) ports with
+  | Some p ->
+    `Error
+      ( true,
+        Printf.sprintf "--route port %d: expected a port in 0..%d" p
+          (Graph.max_ports g) )
+  | None ->
+    let rec walk s = function
+      | [] -> Ok s
+      | p :: rest -> (
+        match Option.bind (Graph.link_at g (s, p)) (Graph.link g) with
+        | Some l -> walk (fst (Graph.other_end l s)) rest
+        | None -> Error (s, p))
+    in
+    k (walk 0 ports)
+
 let cmd_srp spec seed hosts params_name ports =
   (* Source-routed probe: inject an SRP Get_state at switch 0's control
      processor and print the reply fetched over the given port route. *)
-  let net = make_net (topology spec seed hosts) seed params_name in
-  boot_or_exit net;
-  (match ports with
-  | [] -> Format.printf "empty route: probing switch 0 itself@."
-  | first :: rest ->
-    Format.printf "probing via ports [%s] starting out port %d@."
-      (String.concat "," (List.map string_of_int ports))
-      first;
-    Fabric.switch_send (N.fabric net) ~from:0 ~port:first
-      (Messages.to_packet
-         (Messages.Srp_request
-            { route = rest; reply_route = []; request = Messages.Get_state })));
-  N.run_for net (Time.ms 100);
-  (* The response terminated at switch 0's control processor; its event
-     log records it. *)
-  let log = AP.event_log (N.autopilot net 0) in
-  List.iter
-    (fun e ->
-      Format.printf "  s0 log: %s@." (Autonet_autopilot.Event_log.message e))
-    (let es = Autonet_autopilot.Event_log.entries log in
-     let n = List.length es in
-     List.filteri (fun i _ -> i >= n - 5) es);
-  (* Also print the state of the probed switch directly. *)
-  let target =
-    List.fold_left
-      (fun at p ->
-        match Graph.link_at (N.graph net) (at, p) with
-        | Some l_id -> (
-          match Graph.link (N.graph net) l_id with
-          | Some l -> fst (Graph.other_end l at)
-          | None -> at)
-        | None -> at)
-      0 ports
-  in
-  let ap = N.autopilot net target in
-  Format.printf "switch %d: %a, configured %b, number %d@." target
-    Epoch.pp (AP.epoch ap) (AP.configured ap)
-    (Option.value ~default:(-1) (AP.switch_number ap))
+  let topo = topology spec seed hosts in
+  check_route topo ports (fun ends ->
+      let net = make_net topo seed params_name in
+      boot_or_exit net;
+      (match ports with
+      | [] -> Format.printf "empty route: probing switch 0 itself@."
+      | first :: rest ->
+        Format.printf "probing via ports [%s] starting out port %d@."
+          (String.concat "," (List.map string_of_int ports))
+          first;
+        Fabric.switch_send (N.fabric net) ~from:0 ~port:first
+          (Messages.to_packet
+             (Messages.Srp_request
+                { route = rest; reply_route = []; request = Messages.Get_state })));
+      N.run_for net (Time.ms 100);
+      (* The response terminated at switch 0's control processor; its event
+         log records it. *)
+      let log = AP.event_log (N.autopilot net 0) in
+      List.iter
+        (fun e ->
+          Format.printf "  s0 log: %s@." (Autonet_autopilot.Event_log.message e))
+        (let es = Autonet_autopilot.Event_log.entries log in
+         let n = List.length es in
+         List.filteri (fun i _ -> i >= n - 5) es);
+      match ends with
+      | Ok target ->
+        (* Also print the state of the probed switch directly. *)
+        let ap = N.autopilot net target in
+        Format.printf "switch %d: %a, configured %b, number %d@." target
+          Epoch.pp (AP.epoch ap) (AP.configured ap)
+          (Option.value ~default:(-1) (AP.switch_number ap));
+        `Ok ()
+      | Error (s, p) ->
+        Format.printf
+          "no switch answers: the route leaves the switch graph at switch %d \
+           port %d@."
+          s p;
+        exit 1)
 
 (* --- Telemetry --- *)
 
@@ -576,12 +599,13 @@ let () =
                  ~doc:
                    "Probe a switch over the source-routed debugging protocol.")
               Term.(
-                const cmd_srp $ topo_arg $ seed_arg $ hosts_arg $ params_arg
-                $ Arg.(
-                    value
-                    & opt (list (Topo_spec.at_least 0)) []
-                    & info [ "route" ] ~docv:"P1,P2,..."
-                        ~doc:"Outbound port at each hop, from switch 0."));
+                ret
+                  (const cmd_srp $ topo_arg $ seed_arg $ hosts_arg $ params_arg
+                  $ Arg.(
+                      value
+                      & opt (list (Topo_spec.at_least 0)) []
+                      & info [ "route" ] ~docv:"P1,P2,..."
+                          ~doc:"Outbound port at each hop, from switch 0.")));
             Cmd.v
               (Cmd.info "chaos"
                  ~doc:

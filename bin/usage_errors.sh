@@ -49,6 +49,8 @@ sim crash --switch=-1
 sim fail-link --link=-1
 sim fail-link --topo line:1
 sim srp --route 1,x
+sim srp --route 99
+sim srp --route 1,13
 sim chaos --schedules 0
 sim chaos --actions 0
 sim chaos --horizon-ms 0

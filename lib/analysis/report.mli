@@ -9,8 +9,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on a column-count mismatch. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** The title, a header line, a rule, and the rows with columns padded to
     their widest cell. *)

@@ -78,10 +78,6 @@ let now t = Engine.now t.engine
 let metrics t = t.net_metrics
 let timeline t = t.net_timeline
 
-let set_telemetry_enabled t v =
-  (match t.net_metrics with Some m -> Metrics.set_enabled m v | None -> ());
-  match t.net_timeline with Some tl -> Timeline.set_enabled tl v | None -> ()
-
 let telemetry_snapshot t =
   match t.net_metrics with
   | None -> []

@@ -20,8 +20,8 @@ type t
 type telemetry_mode = [ `Off | `Disabled | `On ]
 (** [`Off]: no registry or timeline exist — the instrumentation is
     compiled out of the pilots' paths entirely (the bench baseline).
-    [`Disabled] (the default): instruments exist but count nothing until
-    {!set_telemetry_enabled}; each hit costs a load and a branch.
+    [`Disabled] (the default): instruments exist but count nothing; each
+    hit costs a load and a branch.
     [`On]: counting from the first event. *)
 
 val create :
@@ -113,9 +113,6 @@ val timeline : t -> Autonet_telemetry.Timeline.t option
     the phase marks it holds one [Fault] mark per {!apply_fault} and the
     per-switch epoch milestones {!Autonet_telemetry.Causal.waves}
     replays. *)
-
-val set_telemetry_enabled : t -> bool -> unit
-(** Flip the registry and the timeline (no-op in [`Off] mode). *)
 
 val telemetry_snapshot : t -> Autonet_telemetry.Metrics.snapshot
 (** The registry's snapshot, with the engine and fabric gauges

@@ -30,7 +30,6 @@ val start : t -> unit
 (** Boot the switches (if not already started) and all host drivers. *)
 
 val hosts : t -> host list
-val host_by_uid : t -> Uid.t -> host option
 
 val run_until_hosts_ready : ?timeout:Autonet_sim.Time.t -> t -> bool
 (** Run until the network is converged and every powered host driver has a

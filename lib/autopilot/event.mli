@@ -65,4 +65,3 @@ type t =
   | Generic of string  (** freeform, for call sites with no structure *)
 
 val to_string : t -> string
-val skeptic_kind_to_string : skeptic_kind -> string

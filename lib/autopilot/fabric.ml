@@ -5,12 +5,7 @@ module Time = Autonet_sim.Time
 
 type flow_mode = Flow_normal | Flow_idhy
 
-type sample = {
-  errors : bool;
-  is_host : bool;
-  host_alternate : bool;
-  idhy : bool;
-}
+type status = Clean | Errors | Idhy | Host
 
 type station = {
   mutable sw_rx : (port:int -> Packet.t -> unit) option;
@@ -23,16 +18,15 @@ type station = {
 type host_station = {
   mutable h_rx : (Packet.t -> unit) option;
   mutable h_powered : bool;
-  mutable h_active : bool;
 }
 
 (* What the cable at a switch port reaches, fixed when the fabric is
-   created.  A loop link is a [Switch] whose [peer] is the port's own
+   created.  A loop link is a [To_switch] whose [peer] is the port's own
    switch. *)
 type cable =
   | Uncabled
-  | Host of host_station
-  | Switch of { id : Graph.link_id; peer : Graph.switch; peer_port : int }
+  | To_host of host_station
+  | To_switch of { id : Graph.link_id; peer : Graph.switch; peer_port : int }
 
 type stats = {
   packets_sent : int;
@@ -71,12 +65,12 @@ let create ~engine ~graph ~params ~rng =
   List.iter
     (fun (h : Graph.host_attachment) ->
       cables.(h.switch).(h.switch_port) <-
-        Host { h_rx = None; h_powered = true; h_active = h.host_port = 0 })
+        To_host { h_rx = None; h_powered = true })
     (Graph.hosts graph);
   Graph.iter_links graph (fun l ->
       let sa, pa = l.a and sb, pb = l.b in
-      cables.(sa).(pa) <- Switch { id = l.id; peer = sb; peer_port = pb };
-      cables.(sb).(pb) <- Switch { id = l.id; peer = sa; peer_port = pa });
+      cables.(sa).(pa) <- To_switch { id = l.id; peer = sb; peer_port = pb };
+      cables.(sb).(pb) <- To_switch { id = l.id; peer = sa; peer_port = pa });
   { engine; graph; params; rng; stations; cables;
     failed_links = [];
     st_sent = 0; st_bytes = 0; st_dropped = 0; st_reflections = 0 }
@@ -97,8 +91,8 @@ let host_station t (s, port) =
   match
     if s >= 0 && s < Array.length t.cables then cable t s port else Uncabled
   with
-  | Host h -> h
-  | Uncabled | Switch _ ->
+  | To_host h -> h
+  | Uncabled | To_switch _ ->
     invalid_arg (Printf.sprintf "Fabric: no host at switch %d port %d" s port)
 
 let attach_host_port t ep ~rx = (host_station t ep).h_rx <- Some rx
@@ -124,9 +118,6 @@ let power_off_host t ep = (host_station t ep).h_powered <- false
 let power_on_host t ep = (host_station t ep).h_powered <- true
 
 let set_port_flow t s ~port mode = t.stations.(s).flow.(port) <- mode
-
-let set_host_active t ep v = (host_station t ep).h_active <- v
-let host_active t ep = (host_station t ep).h_active
 
 (* --- Delivery --- *)
 
@@ -196,14 +187,14 @@ let switch_send t ~from ~port packet =
     t.st_bytes <- t.st_bytes + Packet.wire_size packet;
     let delay = Time.add (transmission_delay packet) (propagation_delay t) in
     match cable t from port with
-    | Host h ->
+    | To_host h ->
       if h.h_powered then
         ignore
           (Engine.schedule t.engine ~delay (fun () -> deliver_to_host t h packet))
       else reflect t ~from ~port ~delay packet
     | Uncabled -> t.st_dropped <- t.st_dropped + 1 (* noise, no echo *)
-    | Switch { id; _ } when link_failed t id -> t.st_dropped <- t.st_dropped + 1
-    | Switch { id; peer; peer_port } ->
+    | To_switch { id; _ } when link_failed t id -> t.st_dropped <- t.st_dropped + 1
+    | To_switch { id; peer; peer_port } ->
       if switch_powered t peer then
         ignore
           (Engine.schedule t.engine ~delay (fun () ->
@@ -234,31 +225,22 @@ let host_send t ep packet =
 
 (* --- Status synthesis --- *)
 
-let sample_healthy = { errors = false; is_host = false; host_alternate = false; idhy = false }
-let sample_errors = { sample_healthy with errors = true }
-let sample_host = { sample_healthy with is_host = true }
-let sample_alternate = { sample_healthy with host_alternate = true }
-let sample_idhy = { sample_healthy with idhy = true }
-
 let sample_port t s ~port =
   match cable t s port with
-  | Host h ->
-    if not h.h_powered then
-      (* Host off: the cable reflects our own flow control; the port looks
-         like a quiet switch link. *)
-      sample_healthy
-    else if h.h_active then sample_host
-    else sample_alternate
-  | Uncabled -> sample_errors (* noise *)
-  | Switch { id; _ } when link_failed t id -> sample_errors
-  | Switch { peer; peer_port; _ } ->
-    if not (switch_powered t peer) then sample_healthy (* reflecting *)
+  | To_host h ->
+    (* Host off: the cable reflects our own flow control; the port looks
+       like a quiet switch link. *)
+    if h.h_powered then Host else Clean
+  | Uncabled -> Errors (* noise *)
+  | To_switch { id; _ } when link_failed t id -> Errors
+  | To_switch { peer; peer_port; _ } ->
+    if not (switch_powered t peer) then Clean (* reflecting *)
     else if peer = s then
       (* Loop link: we receive our own start directives: healthy,
          not host; the connectivity monitor will classify the loop. *)
-      sample_healthy
-    else if t.stations.(peer).flow.(peer_port) = Flow_idhy then sample_idhy
-    else sample_healthy
+      Clean
+    else if t.stations.(peer).flow.(peer_port) = Flow_idhy then Idhy
+    else Clean
 
 let stats t =
   { packets_sent = t.st_sent;

@@ -64,7 +64,6 @@ val power_off_switch : t -> Graph.switch -> unit
     resetting the Autopilot instance on power-on. *)
 
 val power_on_switch : t -> Graph.switch -> unit
-val switch_powered : t -> Graph.switch -> bool
 
 val power_off_host : t -> Graph.endpoint -> unit
 val power_on_host : t -> Graph.endpoint -> unit
@@ -77,21 +76,18 @@ type flow_mode =
 
 val set_port_flow : t -> Graph.switch -> port:int -> flow_mode -> unit
 
-val set_host_active : t -> Graph.endpoint -> bool -> unit
-(** An active host port sends [host] flow control; an alternate port sends
-    only sync, the pattern the sampler classifies from BadSyntax. *)
+(** What the status sampler reads for a port: the four conditions its
+    link unit's status bits tell apart (paper section 6.5.2). *)
+type status =
+  | Clean   (** no trouble: a live link, a loop, or a cable that reflects
+                off a powered-off switch or host *)
+  | Errors  (** BadCode-class trouble: an uncabled port or a failed link *)
+  | Idhy    (** the peer is sending idhy *)
+  | Host    (** a powered host controller is attached, on its primary
+                port or its alternate *)
 
-val host_active : t -> Graph.endpoint -> bool
-
-type sample = {
-  errors : bool;         (** BadCode-class trouble observed *)
-  is_host : bool;        (** the [host] directive is being received *)
-  host_alternate : bool; (** constant BadSyntax, no flow control: alternate host port *)
-  idhy : bool;           (** the peer is sending idhy *)
-}
-
-val sample_port : t -> Graph.switch -> port:int -> sample
-(** What the status sampler reads for this port right now. *)
+val sample_port : t -> Graph.switch -> port:int -> status
+(** The port's status right now. *)
 
 (** {1 Accounting} *)
 

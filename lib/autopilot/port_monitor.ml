@@ -146,35 +146,39 @@ let force_dead t ~port = to_dead t port ~relapse:true
 
 let sample_one t port =
   let info = t.ports.(port) in
-  let s = Fabric.sample_port t.fabric t.switch ~port in
+  let status = Fabric.sample_port t.fabric t.switch ~port in
   match info.state with
-  | Port_state.Dead ->
-    if s.Fabric.errors then info.clean_since <- None
-    else begin
-      (match info.clean_since with
+  | Port_state.Dead -> (
+    match status with
+    | Fabric.Errors -> info.clean_since <- None
+    | Fabric.Clean | Fabric.Idhy | Fabric.Host -> (
+      match info.clean_since with
       | None -> info.clean_since <- Some (now t)
       | Some since ->
         if Time.sub (now t) since >= Skeptic.required_hold info.status_skeptic
         then begin
           info.promoted_at <- now t;
           transition t port Port_state.Checking
-        end)
-    end
-  | Port_state.Checking ->
-    if s.Fabric.errors then to_dead t port ~relapse:true
-    else if s.Fabric.idhy then () (* peer still distrusts the link: wait *)
-    else if s.Fabric.is_host || s.Fabric.host_alternate then
-      transition t port Port_state.Host
-    else transition t port Port_state.Switch_who
-  | Port_state.Host ->
-    if s.Fabric.errors || s.Fabric.idhy then to_dead t port ~relapse:true
-  | Port_state.Switch_who | Port_state.Switch_loop | Port_state.Switch_good ->
-    if s.Fabric.errors || s.Fabric.idhy then to_dead t port ~relapse:true
-    else if s.Fabric.is_host || s.Fabric.host_alternate then
+        end))
+  | Port_state.Checking -> (
+    match status with
+    | Fabric.Errors -> to_dead t port ~relapse:true
+    | Fabric.Idhy -> () (* peer still distrusts the link: wait *)
+    | Fabric.Host -> transition t port Port_state.Host
+    | Fabric.Clean -> transition t port Port_state.Switch_who)
+  | Port_state.Host -> (
+    match status with
+    | Fabric.Errors | Fabric.Idhy -> to_dead t port ~relapse:true
+    | Fabric.Clean | Fabric.Host -> ())
+  | Port_state.Switch_who | Port_state.Switch_loop | Port_state.Switch_good -> (
+    match status with
+    | Fabric.Errors | Fabric.Idhy -> to_dead t port ~relapse:true
+    | Fabric.Host ->
       (* What is cabled here changed nature (e.g. a host was powered on
          behind a previously reflecting cable): recycle through s.dead —
          Figure 8's only road to s.host — without a skeptic penalty. *)
       to_dead t port ~relapse:false
+    | Fabric.Clean -> ())
 
 let sample_all t =
   for port = 1 to Array.length t.ports - 1 do

@@ -12,10 +12,6 @@ let to_string = function
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let is_switch = function
-  | Switch_who | Switch_loop | Switch_good -> true
-  | Dead | Checking | Host -> false
-
 (* The arrows of Figure 8: the status sampler promotes Dead -> Checking and
    classifies Checking -> Host / Switch_who, and may demote anything to
    Dead; the connectivity monitor moves between the Switch_* states. *)

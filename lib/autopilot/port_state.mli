@@ -18,9 +18,6 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val is_switch : t -> bool
-(** True for the three [Switch_*] states. *)
-
 val legal_transition : t -> t -> bool
 (** The edges of Figure 8 (reflexive transitions excluded). *)
 

@@ -32,6 +32,3 @@ val aggregate_goodput_mbps : t -> pairs:int -> bytes:int -> float
 val unloaded_latency_ns : t -> bytes:int -> int
 (** Mean transfer latency on an otherwise idle medium: token wait (half a
     rotation) or deference, plus serialization. *)
-
-val rotation_ns : t -> int
-(** Token rotation time (0 for Ethernet). *)

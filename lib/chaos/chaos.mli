@@ -72,9 +72,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** One deterministic line per schedule — identical for any domain count,
     so campaign outputs can be compared byte for byte. *)
 
-val run_index : ?hook:hook -> config -> seed:int64 -> int -> verdict
-(** Run schedule [i] of the campaign with the given campaign seed. *)
-
 val run_campaign :
   ?pool:Autonet_parallel.Pool.t ->
   ?hook:hook ->

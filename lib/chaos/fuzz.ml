@@ -21,6 +21,10 @@ let bucket v =
     go 2 2
   end
 
+(* The telemetry instruments folded into signatures, in signature order:
+   the autopilot counters plus the engine event and fabric packet totals.
+   Instruments a run never touched read 0, so signatures stay comparable
+   as instrumentation grows. *)
 let signature_counters =
   [ "autopilot.reconfigurations";
     "autopilot.configurations";
@@ -413,18 +417,6 @@ let replay_seed ?hook sf =
     Chaos.run_schedule ?hook config ~seed:sf.sf_seed ~schedule:sf.sf_schedule
   in
   violations
-
-let entry_seed_file config e =
-  { sf_topo = config.Chaos.topo;
-    sf_params =
-      (* Presets are the only params the chaos CLI can name; fall back to
-       [fast] (the campaign default) if the config carries custom ones. *)
-      (if config.Chaos.params = Params.naive then "naive"
-       else if config.Chaos.params = Params.tuned then "tuned"
-       else "fast");
-    sf_hosts = config.Chaos.hosts;
-    sf_seed = e.e_seed;
-    sf_schedule = e.e_schedule }
 
 (* --- Long-horizon churn campaigns ------------------------------------- *)
 

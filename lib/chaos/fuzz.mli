@@ -40,21 +40,14 @@ val bucket : int -> int
     themselves, then one bucket per octave ([2,4), [4,8), [8,16), ...),
     so a counter must change by about 2x to open a new coverage cell. *)
 
-val signature_counters : string list
-(** The telemetry instruments folded into signatures, in signature order:
-    the autopilot counters (reconfigurations, configurations, skeptic
-    backoffs, packets lost to reset and received, port transitions, the
-    three delta fast-path counters) plus the engine event and fabric
-    packet totals.  Instruments a run never touched read 0, so signatures
-    stay comparable as instrumentation grows. *)
-
 val signature :
   violations:Oracle.violation list ->
   Autonet_telemetry.Metrics.snapshot ->
   Autonet_telemetry.Timeline.t ->
   string
 (** ["v=LABELS|c=BUCKETS|t=BUCKETS"] — sorted violation labels (["ok"]
-    when none), bucketed {!signature_counters} values, bucketed
+    when none), bucketed values of eleven telemetry counters (listed in
+    fuzz.ml; one a run never touched reads 0), bucketed
     {!Autonet_telemetry.Timeline.shape} features. *)
 
 val cells_of_signature : string -> string list
@@ -151,17 +144,10 @@ type seed_file = {
 val seed_file_to_string : seed_file -> string
 val seed_file_of_string : string -> (seed_file, string) Stdlib.result
 
-val seed_config : seed_file -> Chaos.config
-(** The chaos config a seed file replays under (defaults elsewhere:
-    {!Chaos.default_config}).  Raises [Invalid_argument] on an unknown
-    params preset. *)
-
 val replay_seed : ?hook:Chaos.hook -> seed_file -> Oracle.violation list
-(** Replay the pinned schedule; [[]] means the regression stays fixed. *)
-
-val entry_seed_file : Chaos.config -> entry -> seed_file
-(** Package a corpus entry (e.g. a new failure) as a seed file for
-    [test/seeds/]. *)
+(** Replay the pinned schedule under its topology, params preset and host
+    count ({!Chaos.default_config} elsewhere); [[]] means the regression
+    stays fixed.  Raises [Invalid_argument] on an unknown params preset. *)
 
 (** {1 Long-horizon churn campaigns} *)
 

@@ -66,11 +66,6 @@ val label : violation -> string
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val pending_bound : Autonet.Network.t -> int
-(** The event-leak threshold used by {!check}: a small constant plus a
-    per-powered-switch allowance covering every periodic task and one
-    in-flight retransmission per port. *)
-
 val check :
   ?pool:Autonet_parallel.Pool.t -> Autonet.Network.t -> violation list
 (** Run every invariant against the network's current state.  Returns [[]]

@@ -28,8 +28,6 @@ val number : t -> Graph.switch -> int option
 (** The switch's assigned number; [None] for switches outside the
     assignment (other components). *)
 
-val switch_of_number : t -> int -> Graph.switch option
-
 val max_number : t -> int
 (** Largest assigned switch number, or [-1] for an empty assignment.
     Bounds the page array of a built table spec (one page per number). *)

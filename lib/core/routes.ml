@@ -1,11 +1,5 @@
 type phase = Up | Down
 
-let equal_phase (a : phase) b = a = b
-
-let pp_phase ppf = function
-  | Up -> Format.pp_print_string ppf "up"
-  | Down -> Format.pp_print_string ppf "down"
-
 (* A state encodes (switch, phase) as [2*switch + (0|1)]. *)
 let state s = function Up -> 2 * s | Down -> (2 * s) + 1
 

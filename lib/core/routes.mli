@@ -15,9 +15,6 @@
 
 type phase = Up | Down
 
-val equal_phase : phase -> phase -> bool
-val pp_phase : Format.formatter -> phase -> unit
-
 type t
 
 val compute : Graph.t -> Spanning_tree.t -> Updown.t -> t

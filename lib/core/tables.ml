@@ -6,11 +6,6 @@ let discard = { broadcast = true; ports = [] }
 
 let equal_entry a b = a.broadcast = b.broadcast && a.ports = b.ports
 
-let pp_entry ppf { broadcast; ports } =
-  Format.fprintf ppf "{%s [%s]}"
-    (if broadcast then "bcast" else "alt")
-    (String.concat ";" (List.map string_of_int ports))
-
 (* Entries are keyed by the int [(address lsl 4) lor in_port]: ports fit
    in 4 bits (max_ports <= 15, port 0 is the control processor) and
    addresses in 16, exactly the hardware's concatenated index — and an

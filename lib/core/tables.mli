@@ -46,7 +46,6 @@ val discard : entry
 (** The all-zeroes broadcast entry. *)
 
 val equal_entry : entry -> entry -> bool
-val pp_entry : Format.formatter -> entry -> unit
 
 type spec
 

@@ -16,9 +16,6 @@ type port_desc =
   | Host_port   (** a host controller port *)
   | Switch_link of { peer : Uid.t; peer_port : int }
 
-val equal_port_desc : port_desc -> port_desc -> bool
-val pp_port_desc : Format.formatter -> port_desc -> unit
-
 type switch_desc = {
   uid : Uid.t;
   proposed_number : int;

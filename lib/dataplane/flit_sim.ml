@@ -544,7 +544,6 @@ let run t ~slots =
     tick t
   done
 
-let fifo_occupancy t s ~port = Fifo.occupancy t.switches.(s).units.(port).rx_fifo
 let fifo_high_water t s ~port = Fifo.max_occupancy t.switches.(s).units.(port).rx_fifo
 let fifo_overflowed t s ~port = Fifo.overflowed t.switches.(s).units.(port).rx_fifo
 

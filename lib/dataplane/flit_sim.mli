@@ -106,7 +106,6 @@ val in_flight : t -> int
 
 val discarded : t -> int
 
-val fifo_occupancy : t -> Graph.switch -> port:Graph.port -> int
 val fifo_high_water : t -> Graph.switch -> port:Graph.port -> int
 val fifo_overflowed : t -> Graph.switch -> port:Graph.port -> bool
 

@@ -34,7 +34,6 @@ type t = {
   host_busy : (Graph.endpoint, Time.t ref) Hashtbl.t;
   host_rx : (Graph.endpoint, Packet.t -> unit) Hashtbl.t;
   control_rx : (Graph.switch, Packet.t -> unit) Hashtbl.t;
-  link_busy : (int * int) array;
   mutable dv : delivery list;
   mutable n_sent : int;
   mutable n_delivered : int;
@@ -43,10 +42,6 @@ type t = {
 
 let create ?(config = default_config) ~engine g ~tables =
   let n = Graph.switch_count g in
-  let max_link =
-    List.fold_left (fun acc (l : Graph.link) -> max acc (l.id + 1)) 1
-      (Graph.links g)
-  in
   let host_busy = Hashtbl.create 32 in
   List.iter
     (fun (h : Graph.host_attachment) ->
@@ -60,7 +55,6 @@ let create ?(config = default_config) ~engine g ~tables =
     host_busy;
     host_rx = Hashtbl.create 32;
     control_rx = Hashtbl.create 8;
-    link_busy = Array.make max_link (0, 0);
     dv = [];
     n_sent = 0;
     n_delivered = 0;
@@ -78,8 +72,7 @@ let reset_stats t =
   t.dv <- [];
   t.n_sent <- 0;
   t.n_delivered <- 0;
-  t.n_discarded <- 0;
-  Array.fill t.link_busy 0 (Array.length t.link_busy) (0, 0)
+  t.n_discarded <- 0
 
 let latency d = Time.sub d.delivered_at d.sent_at
 
@@ -88,17 +81,6 @@ let serialization_ns pkt = Packet.wire_size pkt * Command.slot_ns
 let propagation_ns t =
   int_of_float
     (Command.slots_per_km *. t.cfg.link_length_km *. float_of_int Command.slot_ns)
-
-let note_link_use t s p ns =
-  match Graph.link_at t.graph (s, p) with
-  | None -> ()
-  | Some id -> (
-    match Graph.link t.graph id with
-    | None -> ()
-    | Some l ->
-      let a, b = t.link_busy.(id) in
-      t.link_busy.(id) <-
-        (if (s, p) = l.a then (a + ns, b) else (a, b + ns)))
 
 let deliver t env ~at =
   t.n_delivered <- t.n_delivered + 1;
@@ -166,7 +148,6 @@ and launch t env s p ~start ~ser =
       (Engine.schedule_at t.engine ~time:(Time.add start ser) (fun () ->
            deliver t env ~at:(s, 0)))
   else begin
-    note_link_use t s p ser;
     let prop = propagation_ns t in
     match Graph.host_at t.graph (s, p) with
     | Some _ ->
@@ -206,5 +187,3 @@ let send t ~from pkt =
     ignore
       (Engine.schedule_at t.engine ~time:(start + prop) (fun () ->
            arrive_at_switch t env s ~in_port:p))
-
-let link_busy_ns t link_id = t.link_busy.(link_id)

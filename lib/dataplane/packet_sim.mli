@@ -63,7 +63,4 @@ val reset_stats : t -> unit
 (** Clear delivery records and counters (e.g. after a warm-up phase).
     Busy-until state is preserved. *)
 
-val link_busy_ns : t -> Graph.link_id -> int * int
-(** Serialization time consumed on each direction (a->b, b->a). *)
-
 val latency : delivery -> Autonet_sim.Time.t

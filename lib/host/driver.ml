@@ -95,8 +95,6 @@ let switch_link t =
   | None -> () (* single-homed: nothing to do but keep trying *)
   | Some next ->
     t.st_failovers <- t.st_failovers + 1;
-    Fabric.set_host_active t.fabric t.active_ep false;
-    Fabric.set_host_active t.fabric next true;
     t.active_ep <- next;
     t.switched_at <- now t;
     (* "After switching links, the driver forgets its short address." *)
@@ -175,10 +173,6 @@ let start t =
     t.running <- true;
     t.outage_start <- Some (now t);
     t.switched_at <- now t;
-    Fabric.set_host_active t.fabric t.primary true;
-    (match t.alternate with
-    | Some ep -> Fabric.set_host_active t.fabric ep false
-    | None -> ());
     send_query t;
     schedule_tick t
   end

@@ -14,22 +14,6 @@ let is_flow_control = function
   | Start | Stop | Host | Idhy -> true
   | Sync | Begin | End | Panic -> false
 
-let pp_command ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Sync -> "sync"
-    | Begin -> "begin"
-    | End -> "end"
-    | Start -> "start"
-    | Stop -> "stop"
-    | Host -> "host"
-    | Idhy -> "idhy"
-    | Panic -> "panic")
-
-let pp_slot ppf = function
-  | Data b -> Format.fprintf ppf "data(%02x)" b
-  | Command c -> pp_command ppf c
-
 let flow_control_period = 256
 let slot_ns = 80
 let slots_per_km = 64.1

@@ -26,8 +26,6 @@ val is_flow_control : command -> bool
 (** True for [Start], [Stop], [Host] and [Idhy] — the directives legal in a
     flow-control slot. *)
 
-val pp_command : Format.formatter -> command -> unit
-val pp_slot : Format.formatter -> slot -> unit
 
 val flow_control_period : int
 (** Slots between flow-control slots (256). *)

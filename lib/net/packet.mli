@@ -17,7 +17,6 @@ type typ =
 val typ_to_int : typ -> int
 val typ_of_int : int -> typ
 val equal_typ : typ -> typ -> bool
-val pp_typ : Format.formatter -> typ -> unit
 
 type trace = {
   tr_origin : int;  (** originating fault id (0: boot) *)

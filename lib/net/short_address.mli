@@ -63,10 +63,6 @@ val max_switch_number : int
 (** Highest switch number such that all its port addresses stay within
     [0xFFEF]. *)
 
-val ports_per_switch : int
-(** Number of port values encodable per switch number (16: ports 0-15,
-    port 0 being the control processor). *)
-
 val assigned : switch_number:int -> port:int -> t
 (** The short address of the given port of the given switch.  Raises
     [Invalid_argument] when the pair falls outside the assignable range. *)

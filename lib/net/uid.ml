@@ -11,7 +11,6 @@ let to_int t = t
 
 let compare = Int.compare
 let equal = Int.equal
-let hash t = t
 let min = Stdlib.min
 
 let to_string t =

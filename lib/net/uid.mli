@@ -16,7 +16,6 @@ val to_int : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val min : t -> t -> t
 

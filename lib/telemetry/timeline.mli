@@ -49,9 +49,6 @@ type kind =
   | Configured  (** a switch finished the destructive reload and enabled
                     its host ports (one closure, one sim instant) *)
 
-val kind_to_string : kind -> string
-(** [Fault _] renders as ["detection"]. *)
-
 type mark = {
   m_time : Autonet_sim.Time.t;
   m_epoch : int64;  (** [-1L] when unknown at mark time (detection) *)
@@ -65,7 +62,6 @@ val create : ?enabled:bool -> unit -> t
 (** Disabled by default; a disabled {!mark} is a load and a branch. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val mark : t -> time:Autonet_sim.Time.t -> epoch:int64 -> tid:int -> kind -> unit
 

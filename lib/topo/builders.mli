@@ -15,12 +15,9 @@
 open Autonet_net
 open Autonet_core
 
-val default_uid : int -> Uid.t
-(** [0x1000 + i]. *)
-
 val shuffled_uids : Autonet_sim.Rng.t -> int -> int -> Uid.t
 (** [shuffled_uids rng n] pre-computes a random permutation of the default
-    UIDs for [n] switches and returns the lookup function. *)
+    UIDs ([0x1000 + i]) for [n] switches and returns the lookup function. *)
 
 type t = {
   graph : Graph.t;

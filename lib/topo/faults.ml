@@ -43,8 +43,6 @@ let compare_item a b =
 
 let sort s = List.stable_sort compare_item s
 
-let single_link_failure ~link ~at = [ { at; event = Link_down link } ]
-
 let fail_and_repair ~link ~fail_at ~repair_at =
   if repair_at <= fail_at then invalid_arg "fail_and_repair: repair before failure";
   [ { at = fail_at; event = Link_down link };

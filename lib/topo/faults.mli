@@ -15,21 +15,15 @@ type event =
   | Switch_down of Graph.switch   (** power off: all its links go dead *)
   | Switch_up of Graph.switch
 
-val pp_event : Format.formatter -> event -> unit
-
-val compare_event : event -> event -> int
-(** Total deterministic order: constructor rank (link before switch, down
-    before up), then the component id. *)
-
 type item = { at : Autonet_sim.Time.t; event : event }
 
 type schedule = item list
 
 val sort : schedule -> schedule
-(** Stable sort by time, with {!compare_event} breaking equal-time ties so
-    the applied order never depends on how the schedule was assembled. *)
-
-val single_link_failure : link:Graph.link_id -> at:Autonet_sim.Time.t -> schedule
+(** Stable sort by time, with a total order on events breaking equal-time
+    ties (constructor rank: link before switch, down before up; then the
+    component id), so the applied order never depends on how the schedule
+    was assembled. *)
 
 val fail_and_repair :
   link:Graph.link_id -> fail_at:Autonet_sim.Time.t -> repair_at:Autonet_sim.Time.t ->
@@ -75,7 +69,7 @@ val random :
 
 val validate : ?graph:Graph.t -> schedule -> (unit, string) result
 (** [Ok ()] iff the schedule is sorted per {!sort}'s order (time, then the
-    deterministic {!compare_event} tiebreak), every time is non-negative
+    deterministic event tiebreak), every time is non-negative
     and every component id is non-negative.  With [graph], link and switch
     ids must additionally exist in the graph.  The error names the first
     offending item. *)
@@ -85,9 +79,6 @@ val validate : ?graph:Graph.t -> schedule -> (unit, string) result
     A schedule serializes as one item per line — ["TIME KIND ID"], e.g.
     ["5000000 link_down 3"], times in integer nanoseconds — the format of
     fuzz-corpus files and the [test/seeds/] regression corpus. *)
-
-val event_to_string : event -> string
-val event_of_string : string -> (event, string) result
 
 val schedule_to_string : schedule -> string
 (** One item per line, newline-terminated; [""] for the empty schedule. *)

@@ -3,14 +3,6 @@ module Rng = Autonet_sim.Rng
 
 type pattern = Permutation | Uniform | Hotspot | Neighbor
 
-let pp_pattern ppf p =
-  Format.pp_print_string ppf
-    (match p with
-    | Permutation -> "permutation"
-    | Uniform -> "uniform"
-    | Hotspot -> "hotspot"
-    | Neighbor -> "neighbor")
-
 let choose_pairs ~rng ~hosts pattern =
   let hosts = Array.of_list hosts in
   let n = Array.length hosts in

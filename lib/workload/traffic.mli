@@ -15,8 +15,6 @@ type pattern =
   | Hotspot       (** every source sends to one victim host *)
   | Neighbor      (** each host sends to the next host in list order *)
 
-val pp_pattern : Format.formatter -> pattern -> unit
-
 val choose_pairs :
   rng:Autonet_sim.Rng.t ->
   hosts:Graph.endpoint list ->

@@ -1,5 +1,6 @@
-(* Unit tests for the Autopilot building blocks: parameters, skeptics, port
-   states, protocol message codecs and event logs. *)
+(* Unit tests for the Autopilot building blocks: parameters, skeptics, the
+   fabric's port status, port states, protocol message codecs and event
+   logs. *)
 
 open Autonet_net
 open Autonet_core
@@ -126,6 +127,68 @@ let skeptic_halving_qcheck =
         ~now:(Time.add promoted_at sk_params.Params.decay_good);
       Skeptic.required_hold s
       = Stdlib.max (built / 2) sk_params.Params.initial_hold)
+
+(* ------------------------------------------------------------------ *)
+(* Fabric status table *)
+
+let status_name = function
+  | Fabric.Clean -> "clean"
+  | Fabric.Errors -> "errors"
+  | Fabric.Idhy -> "idhy"
+  | Fabric.Host -> "host"
+
+(* What the status sampler reads for every cable condition: switch 0's
+   ports 1-8 each reach one case, port 9 is uncabled.  Host 0xA0 is
+   dual-homed, primary on s0 port 7 and alternate on s1 port 4. *)
+let test_fabric_status_table () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g ~uid:(uid 0x10) in
+  let s1 = Graph.add_switch g ~uid:(uid 0x11) in
+  let s2 = Graph.add_switch g ~uid:(uid 0x12) in
+  ignore (Graph.connect g (s0, 1) (s1, 1));
+  let failed = Graph.connect g (s0, 2) (s1, 2) in
+  ignore (Graph.connect g (s0, 3) (s1, 3));
+  ignore (Graph.connect g (s0, 4) (s2, 1));
+  ignore (Graph.connect g (s0, 5) (s0, 6));
+  Graph.attach_host g ~host_uid:(uid 0xA0) ~host_port:0 (s0, 7);
+  Graph.attach_host g ~host_uid:(uid 0xA0) ~host_port:1 (s1, 4);
+  Graph.attach_host g ~host_uid:(uid 0xA1) ~host_port:0 (s0, 8);
+  let f =
+    Fabric.create ~engine:(Autonet_sim.Engine.create ()) ~graph:g
+      ~params:Params.fast ~rng:(Autonet_sim.Rng.create ~seed:1L)
+  in
+  Fabric.fail_link f failed;
+  Fabric.set_port_flow f s1 ~port:3 Fabric.Flow_idhy;
+  Fabric.power_off_switch f s2;
+  (* A looped port reads clean even while its other end sends idhy, as
+     every port does at boot. *)
+  Fabric.set_port_flow f s0 ~port:6 Fabric.Flow_idhy;
+  Fabric.power_off_host f (s0, 8);
+  let expect cases =
+    List.iter
+      (fun (what, (s, port), want) ->
+        Alcotest.(check string) what (status_name want)
+          (status_name (Fabric.sample_port f s ~port)))
+      cases
+  in
+  expect
+    [ ("uncabled", (s0, 9), Fabric.Errors);
+      ("failed link", (s0, 2), Fabric.Errors);
+      ("failed link, far end", (s1, 2), Fabric.Errors);
+      ("live link", (s0, 1), Fabric.Clean);
+      ("peer sends idhy", (s0, 3), Fabric.Idhy);
+      ("powered-off peer reflects", (s0, 4), Fabric.Clean);
+      ("loop link", (s0, 5), Fabric.Clean);
+      ("host, primary port", (s0, 7), Fabric.Host);
+      ("host, alternate port", (s1, 4), Fabric.Host);
+      ("powered-off host", (s0, 8), Fabric.Clean) ];
+  Fabric.repair_link f failed;
+  Fabric.set_port_flow f s1 ~port:3 Fabric.Flow_normal;
+  Fabric.power_on_host f (s0, 8);
+  expect
+    [ ("repaired link", (s0, 2), Fabric.Clean);
+      ("peer back to normal flow", (s0, 3), Fabric.Clean);
+      ("host powered on", (s0, 8), Fabric.Host) ]
 
 (* ------------------------------------------------------------------ *)
 (* Port states *)
@@ -421,6 +484,8 @@ let () =
           QCheck_alcotest.to_alcotest skeptic_monotone_qcheck;
           QCheck_alcotest.to_alcotest skeptic_bounded_qcheck;
           QCheck_alcotest.to_alcotest skeptic_halving_qcheck ] );
+      ( "fabric",
+        [ Alcotest.test_case "status table" `Quick test_fabric_status_table ] );
       ( "port_state",
         [ Alcotest.test_case "transitions" `Quick test_port_state_transitions;
           Alcotest.test_case "reconfig triggers" `Quick

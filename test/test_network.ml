@@ -383,7 +383,6 @@ let test_loaded_spec_matches_rows () =
   N.start t;
   ignore (converge t);
   Fabric.power_on_host (N.fabric t) late;
-  Fabric.set_host_active (N.fabric t) late true;
   N.run_for t (Time.s 3);
   AP.force_port_dead (N.autopilot t (fst gone)) ~port:(snd gone);
   let state (s, p) = AP.port_state (N.autopilot t s) ~port:p in
@@ -648,7 +647,6 @@ let test_late_host_edits_only_its_copy () =
   in
   let before = Array.map (fun sp -> Tables.copy ~switch:(Tables.switch sp) sp) (shared ()) in
   Fabric.power_on_host (N.fabric t) late;
-  Fabric.set_host_active (N.fabric t) late true;
   N.run_for t (Time.s 3);
   check_bool "late row installed" true
     (FT.has_row (AP.forwarding_table (N.autopilot t (fst late))) ~in_port:(snd late));

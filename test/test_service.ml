@@ -267,7 +267,6 @@ let test_late_host_enabled_without_reconfiguration () =
       0 (Graph.switches g)
   in
   Fabric.power_on_host (N.fabric net) late_ep;
-  Fabric.set_host_active (N.fabric net) late_ep true;
   N.run_for net (Time.s 3);
   check_bool "now a host" true
     (AP.port_state ap ~port:late.Graph.switch_port = PS2.Host);

@@ -326,37 +326,6 @@ let test_rng_exponential_mean () =
   let mean = !sum /. float_of_int n in
   if mean < 2.8 || mean > 3.2 then Alcotest.failf "mean %.3f out of range" mean
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_roundtrip () =
-  let t = Trace.create () in
-  Trace.record t ~time:5 ~subject:"a" "hello";
-  Trace.recordf t ~time:9 ~subject:"b" "x=%d" 42;
-  check_int "length" 2 (Trace.length t);
-  match Trace.to_list t with
-  | [ r1; r2 ] ->
-    Alcotest.(check string) "msg1" "hello" r1.Trace.message;
-    Alcotest.(check string) "msg2" "x=42" r2.Trace.message;
-    check_int "time order" 5 r1.Trace.time;
-    check_int "time order" 9 r2.Trace.time
-  | _ -> Alcotest.fail "expected two records"
-
-let test_trace_disabled () =
-  let t = Trace.create ~enabled:false () in
-  Trace.record t ~time:1 ~subject:"a" "dropped";
-  Trace.recordf t ~time:2 ~subject:"a" "also %s" "dropped";
-  check_int "empty" 0 (Trace.length t)
-
-let test_trace_find () =
-  let t = Trace.create () in
-  Trace.record t ~time:1 ~subject:"x" "first";
-  Trace.record t ~time:2 ~subject:"y" "second";
-  (match Trace.find t ~f:(fun r -> r.Trace.subject = "y") with
-  | Some r -> Alcotest.(check string) "found" "second" r.Trace.message
-  | None -> Alcotest.fail "not found");
-  check_bool "missing" true (Trace.find t ~f:(fun _ -> false) = None)
-
 let () =
   Alcotest.run "sim"
     [ ( "time",
@@ -390,8 +359,4 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
-          Alcotest.test_case "exponential" `Quick test_rng_exponential_mean ] );
-      ( "trace",
-        [ Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "disabled" `Quick test_trace_disabled;
-          Alcotest.test_case "find" `Quick test_trace_find ] ) ]
+          Alcotest.test_case "exponential" `Quick test_rng_exponential_mean ] ) ]

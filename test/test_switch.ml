@@ -348,28 +348,6 @@ let test_xb_release_input () =
   XB.release_input x ~in_port:1;
   check_bool "both gone" true (PV.to_list (XB.busy_outputs x) = [ 5 ])
 
-(* ------------------------------------------------------------------ *)
-(* Status bits *)
-
-let test_status_bits_accumulate_and_clear () =
-  let sb = Autonet_switch.Status_bits.create () in
-  Autonet_switch.Status_bits.note_bad_code sb;
-  Autonet_switch.Status_bits.note_start sb;
-  let a = Autonet_switch.Status_bits.read_accumulated sb in
-  check_bool "bad code" true a.Autonet_switch.Status_bits.bad_code;
-  check_bool "start seen" true a.Autonet_switch.Status_bits.start_seen;
-  check_bool "overflow clear" false a.Autonet_switch.Status_bits.overflow;
-  (* Reading cleared the bits. *)
-  let b = Autonet_switch.Status_bits.read_accumulated sb in
-  check_bool "cleared" false b.Autonet_switch.Status_bits.bad_code
-
-let test_status_bits_current_not_cleared () =
-  let sb = Autonet_switch.Status_bits.create () in
-  Autonet_switch.Status_bits.set_is_host sb true;
-  ignore (Autonet_switch.Status_bits.read_accumulated sb);
-  check_bool "level bit stays" true
-    (Autonet_switch.Status_bits.current sb).Autonet_switch.Status_bits.is_host
-
 let () =
   Alcotest.run "switch"
     [ ( "port_vector",
@@ -404,9 +382,4 @@ let () =
         [ Alcotest.test_case "connect/release" `Quick test_xb_connect_release;
           Alcotest.test_case "busy refused" `Quick test_xb_busy_refused;
           Alcotest.test_case "free outputs" `Quick test_xb_free_outputs;
-          Alcotest.test_case "release input" `Quick test_xb_release_input ] );
-      ( "status_bits",
-        [ Alcotest.test_case "accumulate and clear" `Quick
-            test_status_bits_accumulate_and_clear;
-          Alcotest.test_case "current persists" `Quick
-            test_status_bits_current_not_cleared ] ) ]
+          Alcotest.test_case "release input" `Quick test_xb_release_input ] ) ]
