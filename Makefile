@@ -1,6 +1,6 @@
 .PHONY: all test bench bench-smoke bench-scaling bench-gates bench-delta \
 	bench-fuzz bench-json bench-e2e bench-e2e-smoke bench-e2e-pairs chaos-smoke \
-	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke clean
+	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke profile clean
 
 all:
 	dune build @all
@@ -101,6 +101,13 @@ bench-fuzz:
 # and a short churn campaign byte-compared across domain counts.
 fuzz-smoke:
 	dune build @fuzz-smoke
+
+# Where one reconfiguration's time and allocation go: a fixed torus:16,16
+# flap driver at one domain prints per-reconfiguration work counters
+# (events, packets, bytes, words, collections) and a SIGALRM-sampled
+# call-stack table (see bench/exp_profile.ml).  Not part of runtest.
+profile:
+	AUTONET_DOMAINS=1 dune exec bench/main.exe -- profile
 
 # Regenerate the committed kernel perf trajectory.
 bench-json:

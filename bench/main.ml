@@ -41,7 +41,9 @@ let experiments : (string * string * (unit -> unit)) list =
     ("delta", "e18: incremental reconfiguration speedup gate (bench-delta)",
      Exp_delta.run);
     ("fuzz", "e19: coverage-guided fuzz gate + churn campaign (bench-fuzz)",
-     Exp_fuzz.run) ]
+     Exp_fuzz.run);
+    ("profile", "e25: one reconfiguration's work counters and call stacks",
+     Exp_profile.run) ]
 
 let list () =
   print_endline "available experiments:";

@@ -12,9 +12,12 @@
    column).  Topologies: the 30-switch SRC service LAN, a 64-switch
    torus (diameter 8, the paper's "function of the maximum
    switch-to-switch distance" regime) and — outside smoke mode — a
-   256-switch 16x16 torus for scaling.  With [--json FILE] the ns/op,
-   parallel speedups and the domain and core counts are written as JSON
-   (schema v7), with the telemetry-overhead record and the [delta] block
+   256-switch 16x16 torus for scaling.  Every topology also times the
+   per-epoch [tree_children], [deadlock_certifies] and
+   [msg_encode_complete] rows, and SRC the tree-position codec.  With
+   [--json FILE] the ns/op, parallel speedups and the domain and core
+   counts are written as JSON (schema v8, which added those rows), with
+   the telemetry-overhead record and the [delta] block
    — full-epoch vs incremental-reconfiguration cost on the scaling torus
    after a non-tree link fault, measured by {!Exp_delta.measure}: the
    perf trajectory future changes regress against.  The kernels'
@@ -25,6 +28,7 @@ open Toolkit
 open Autonet_core
 module B = Autonet_topo.Builders
 module Pool = Autonet_parallel.Pool
+module Messages = Autonet_autopilot.Messages
 
 (* Options, set by [main.ml] before dispatch. *)
 let json_path : string option ref = ref None
@@ -78,46 +82,84 @@ let paired_tests pool pool4 c =
     Test.make ~name:"deadlock_check_d4"
       (Staged.stage (fun () -> Deadlock.check_tables ~pool:pool4 c.g c.specs)) ]
 
-(* Unpaired kernels measured on the SRC topology only, to keep the
-   historical table. *)
-let src_extra_tests c =
-  let report =
-    (* The full topology report the root would accumulate. *)
-    List.fold_left
-      (fun acc s ->
-        let used =
-          List.filter_map
-            (fun p ->
-              match Graph.host_at c.g (s, p) with
-              | Some _ -> Some (p, Topology_report.Host_port)
-              | None -> (
-                match Graph.link_at c.g (s, p) with
-                | Some l_id -> (
-                  match Graph.link c.g l_id with
-                  | Some l ->
-                    let peer, peer_port = Graph.other_end l s in
-                    Some
-                      ( p,
-                        Topology_report.Switch_link
-                          { peer = Graph.uid c.g peer; peer_port } )
-                  | None -> None)
-                | None -> None))
-            (Graph.used_ports c.g s)
-        in
-        let d =
-          Topology_report.switch_desc ~uid:(Graph.uid c.g s) ~proposed_number:1
-            ~max_ports:(Graph.max_ports c.g) used
-        in
-        match acc with
-        | None ->
-          Some (Topology_report.singleton ~max_ports:(Graph.max_ports c.g) d)
-        | Some r ->
-          Some
-            (Topology_report.merge r
-               (Topology_report.singleton ~max_ports:(Graph.max_ports c.g) d)))
-      None (Graph.switches c.g)
-    |> Option.get
+(* The full topology report the root would accumulate. *)
+let report_of g =
+  List.fold_left
+    (fun acc s ->
+      let used =
+        List.filter_map
+          (fun p ->
+            match Graph.host_at g (s, p) with
+            | Some _ -> Some (p, Topology_report.Host_port)
+            | None -> (
+              match Graph.link_at g (s, p) with
+              | Some l_id -> (
+                match Graph.link g l_id with
+                | Some l ->
+                  let peer, peer_port = Graph.other_end l s in
+                  Some
+                    ( p,
+                      Topology_report.Switch_link
+                        { peer = Graph.uid g peer; peer_port } )
+                | None -> None)
+              | None -> None))
+          (Graph.used_ports g s)
+      in
+      let d =
+        Topology_report.switch_desc ~uid:(Graph.uid g s) ~proposed_number:1
+          ~max_ports:(Graph.max_ports g) used
+      in
+      match acc with
+      | None -> Some (Topology_report.singleton ~max_ports:(Graph.max_ports g) d)
+      | Some r ->
+        Some
+          (Topology_report.merge r
+             (Topology_report.singleton ~max_ports:(Graph.max_ports g) d)))
+    None (Graph.switches g)
+  |> Option.get
+
+(* What every switch does once per epoch, measured on every topology:
+   its children in the tree (all members' here), the delta path's
+   deadlock certification (every spec), and encoding the [Complete]
+   message that floods the report (its bytes already memoized). *)
+let epoch_tests c =
+  let members = Array.of_list (Spanning_tree.members c.tree) in
+  let cert = Deadlock.certificate c.g c.tree in
+  let complete =
+    Messages.Complete
+      { epoch = Epoch.zero; seq = 1; report = report_of c.g }
   in
+  ignore (Messages.encode complete);
+  [ Test.make ~name:"tree_children"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun s ->
+               ignore (Sys.opaque_identity (Spanning_tree.children c.tree s)))
+             members));
+    Test.make ~name:"deadlock_certifies"
+      (Staged.stage (fun () ->
+           List.for_all (Deadlock.certifies cert c.g c.updown) c.specs));
+    Test.make ~name:"msg_encode_complete"
+      (Staged.stage (fun () -> Messages.encode complete)) ]
+
+(* Unpaired kernels measured on the SRC topology only, to keep the
+   historical table, and the codec of the most frequent control
+   message, a tree position. *)
+let src_extra_tests c =
+  let report = report_of c.g in
+  let position =
+    let level = Spanning_tree.level c.tree in
+    let deepest =
+      List.fold_left
+        (fun a s -> if level s > level a then s else a)
+        0 (Spanning_tree.members c.tree)
+    in
+    Messages.Tree_position
+      { epoch = Epoch.next Epoch.zero;
+        seq = 7;
+        position = Spanning_tree.position c.tree c.g deepest }
+  in
+  let encoded_position = Messages.encode position in
   let encoded_report =
     let w = Autonet_net.Wire.Writer.create () in
     Topology_report.encode w report;
@@ -135,7 +177,11 @@ let src_extra_tests c =
            Topology_report.decode
              (Autonet_net.Wire.Reader.of_string encoded_report)));
     Test.make ~name:"report_to_graph"
-      (Staged.stage (fun () -> Topology_report.to_graph report)) ]
+      (Staged.stage (fun () -> Topology_report.to_graph report));
+    Test.make ~name:"msg_encode_tree_position"
+      (Staged.stage (fun () -> Messages.encode position));
+    Test.make ~name:"msg_decode_tree_position"
+      (Staged.stage (fun () -> Messages.decode encoded_position)) ]
 
 let quota_s () = if !smoke then 0.01 else 0.25
 
@@ -286,7 +332,7 @@ let json_of_delta buf (m : Exp_delta.meas) =
 let write_json path ~domains ~overhead ~delta topologies =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 7,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
+    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 8,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
     (quota_s ()) !smoke domains
     (Domain.recommended_domain_count ());
   json_of_overhead buf overhead;
@@ -325,11 +371,13 @@ let run () =
   Pool.set_metrics_enabled pool4 true;
   let src = make_ctx (B.src_service_lan ()) in
   let big = make_ctx (B.attach_hosts (B.torus ~rows:8 ~cols:8 ()) ~per_switch:2) in
-  let src_rows = measure (paired_tests pool pool4 src @ src_extra_tests src) in
+  let src_rows =
+    measure (paired_tests pool pool4 src @ epoch_tests src @ src_extra_tests src)
+  in
   print_table
     "per-call cost on the 30-switch SRC topology (parallel pipeline vs serial)"
     src_rows;
-  let big_rows = measure (paired_tests pool pool4 big) in
+  let big_rows = measure (paired_tests pool pool4 big @ epoch_tests big) in
   print_table "per-call cost on the 64-switch torus (diameter 8)" big_rows;
   let scaling =
     if !smoke then None
@@ -337,7 +385,9 @@ let run () =
       let huge =
         make_ctx (B.attach_hosts (B.torus ~rows:16 ~cols:16 ()) ~per_switch:2)
       in
-      let rows = measure ~quota_mult:8.0 (paired_tests pool pool4 huge) in
+      let rows =
+        measure ~quota_mult:8.0 (paired_tests pool pool4 huge @ epoch_tests huge)
+      in
       print_table "per-call cost on the 256-switch 16x16 torus (scaling)" rows;
       Some (huge, rows)
     end

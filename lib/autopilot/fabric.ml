@@ -42,7 +42,7 @@ type t = {
   rng : Autonet_sim.Rng.t;
   stations : station array;
   cables : cable array array; (* per switch, per port 0..max_ports *)
-  mutable failed_links : int list;
+  failed : Bytes.t; (* per link id 0..max_link_id: '\001' when failed *)
   mutable st_sent : int;
   mutable st_bytes : int;
   mutable st_dropped : int;
@@ -72,7 +72,7 @@ let create ~engine ~graph ~params ~rng =
       cables.(sa).(pa) <- To_switch { id = l.id; peer = sb; peer_port = pb };
       cables.(sb).(pb) <- To_switch { id = l.id; peer = sa; peer_port = pa });
   { engine; graph; params; rng; stations; cables;
-    failed_links = [];
+    failed = Bytes.make (Graph.max_link_id graph + 1) '\000';
     st_sent = 0; st_bytes = 0; st_dropped = 0; st_reflections = 0 }
 
 let engine t = t.engine
@@ -97,13 +97,16 @@ let host_station t (s, port) =
 
 let attach_host_port t ep ~rx = (host_station t ep).h_rx <- Some rx
 
-let fail_link t id =
-  if not (List.mem id t.failed_links) then t.failed_links <- id :: t.failed_links
+let set_failed t what id v =
+  if id < 0 || id >= Bytes.length t.failed then
+    invalid_arg (Printf.sprintf "Fabric.%s: no link %d" what id);
+  Bytes.set t.failed id v
 
-let repair_link t id =
-  t.failed_links <- List.filter (fun l -> l <> id) t.failed_links
+let fail_link t id = set_failed t "fail_link" id '\001'
+let repair_link t id = set_failed t "repair_link" id '\000'
 
-let link_failed t id = List.mem id t.failed_links
+let link_failed t id =
+  id >= 0 && id < Bytes.length t.failed && Bytes.get t.failed id <> '\000'
 
 let power_off_switch t s =
   let st = t.stations.(s) in

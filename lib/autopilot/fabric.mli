@@ -56,8 +56,16 @@ val host_send : t -> Graph.endpoint -> Packet.t -> unit
 (** {1 Component health} *)
 
 val fail_link : t -> Graph.link_id -> unit
+(** A failed link drops every packet that has not arrived when it
+    fails, and every packet sent over it until it is repaired.  Raises
+    [Invalid_argument] naming the id unless it is in
+    [0 .. Graph.max_link_id] of the graph at {!create}. *)
+
 val repair_link : t -> Graph.link_id -> unit
+(** Same range as {!fail_link}. *)
+
 val link_failed : t -> Graph.link_id -> bool
+(** A flag read, O(1); [false] for an id outside the range. *)
 
 val power_off_switch : t -> Graph.switch -> unit
 (** Drops the processing queue.  The upper layer is responsible for

@@ -160,8 +160,17 @@ let decode_srp_response r =
   | 3 -> No_data
   | n -> raise (Wire.Malformed (Printf.sprintf "srp response tag %d" n))
 
+(* A report message's size is known before it is written: tag, epoch
+   and sequence number, then the report's memoized bytes.  A writer of
+   exactly that size hands its buffer over as the result, so the report
+   is copied once, straight into the message. *)
+let initial_size = function
+  | Stable_report { report; _ } | Complete { report; _ } ->
+    1 + 8 + 4 + String.length (Topology_report.wire report)
+  | _ -> 64
+
 let encode msg =
-  let w = W.create () in
+  let w = W.create ~initial_size:(initial_size msg) () in
   (match msg with
   | Tree_position { epoch; seq; position } ->
     W.u8 w 0;

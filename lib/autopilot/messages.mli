@@ -73,8 +73,10 @@ type t =
 val packet_type : t -> Packet.typ
 
 val encode : t -> string
-(** A [Complete] or [Stable_report] appends its report's memoized
-    {!Topology_report.wire} bytes, so resending a report copies them. *)
+(** A [Complete] or [Stable_report] is its 13-byte header (tag, epoch,
+    sequence number) followed by its report's memoized
+    {!Topology_report.wire} bytes, written into one string of exactly
+    that size: sending a report copies its bytes once. *)
 
 val decode : ?epochs:Epoch_cache.t -> string -> t
 (** Raises {!Wire.Malformed} or {!Wire.Truncated} on bad input.  A

@@ -53,6 +53,8 @@ val certifies : cert -> Graph.t -> Updown.t -> Tables.spec -> bool
     rebuilt and patched tables, falling back to {!check_tables} on any
     failure.  Tables built by {!Tables.build} always certify; a [false]
     is possible for hand-made or corrupted specs and proves nothing by
-    itself. *)
+    itself.  An edge's verdict depends only on its in-port and entry, so
+    the check scans each distinct page of [spec] once
+    ({!Tables.exists_entry}). *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -32,9 +32,11 @@ type parent = {
 
 type t = {
   tree_root : Graph.switch;
-  tree_members : Graph.switch list;
+  tree_members : Graph.switch list; (* ascending *)
   levels : int array; (* indexed by switch; -1 for non-members *)
   parents : parent option array;
+  kids : (Graph.port * Graph.link_id * Graph.switch) list array;
+      (* indexed by switch; ascending child index *)
 }
 
 let compute g ~member =
@@ -100,11 +102,18 @@ let compute g ~member =
       | None -> assert false (* levels form a BFS tree: a parent exists *)
     end
   done;
-  let tree_members = ref [] in
+  (* Members and each switch's children, both consed in descending
+     switch order so that they ascend. *)
+  let tree_members = ref [] and kids = Array.make n [] in
   for s = n - 1 downto 0 do
-    if levels.(s) >= 0 then tree_members := s :: !tree_members
+    if levels.(s) >= 0 then tree_members := s :: !tree_members;
+    match parents.(s) with
+    | Some p ->
+      let up = p.parent_switch in
+      kids.(up) <- (p.parent_port, p.link, s) :: kids.(up)
+    | None -> ()
   done;
-  { tree_root = root; tree_members = !tree_members; levels; parents }
+  { tree_root = root; tree_members = !tree_members; levels; parents; kids }
 
 let root t = t.tree_root
 let members t = t.tree_members
@@ -123,12 +132,7 @@ let parent t s =
 
 let children t s =
   if not (mem t s) then invalid_arg "Spanning_tree.children: not a member";
-  List.filter_map
-    (fun child ->
-      match t.parents.(child) with
-      | Some p when p.parent_switch = s -> Some (p.parent_port, p.link, child)
-      | Some _ | None -> None)
-    (List.sort Int.compare t.tree_members)
+  t.kids.(s)
 
 let is_tree_link t link_id =
   List.exists
@@ -162,5 +166,5 @@ let pp g ppf t =
       | Some p ->
         Format.fprintf ppf "  s%d: level %d, parent s%d via p%d->p%d@," s
           t.levels.(s) p.parent_switch p.my_port p.parent_port)
-    (List.sort Int.compare t.tree_members);
+    t.tree_members;
   Format.fprintf ppf "@]"

@@ -48,10 +48,12 @@ type t
 val compute : Graph.t -> member:Graph.switch -> t
 (** The spanning tree of the connected component containing [member].
     Runs on the packed adjacency fast path ({!Graph.iter_neighbors})
-    with flat int scratch arrays. *)
+    with flat int scratch arrays, and stores every member's children. *)
 
 val root : t -> Graph.switch
 val members : t -> Graph.switch list
+(** Ascending. *)
+
 val mem : t -> Graph.switch -> bool
 
 val level : t -> Graph.switch -> int
@@ -67,7 +69,9 @@ val parent : t -> Graph.switch -> parent option
 
 val children : t -> Graph.switch -> (Graph.port * Graph.link_id * Graph.switch) list
 (** Tree children with the connecting link and the local (parent-side)
-    port, in increasing child switch order. *)
+    port, in increasing child switch order.  O(1): the list {!compute}
+    stored, shared by every call, so asking for every member's children
+    allocates nothing.  Raises [Invalid_argument] for a non-member. *)
 
 val is_tree_link : t -> Graph.link_id -> bool
 

@@ -127,6 +127,33 @@ let iter t ~f =
   Array.iteri iter_page t.pages;
   iter_page top_page t.top
 
+(* Scan each physically distinct page once: [f] ignores the address, so
+   a page's verdict does not depend on which blocks share it.  Builds
+   intern remote blocks, so a table usually holds a few distinct pages;
+   the pages already scanned are remembered up to [exists_memo], and a
+   page beyond that is scanned again, which costs time, not answers. *)
+let exists_memo = 64
+
+let exists_entry t ~f =
+  let seen = ref [] and n_seen = ref 0 in
+  let rec scan_from page i =
+    i < page_size
+    && (let e = Array.unsafe_get page i in
+        (e != discard && f ~in_port:(i land 0xF) e) || scan_from page (i + 1))
+  in
+  let scan page =
+    page != empty_page
+    && (not (List.memq page !seen))
+    && begin
+      if !n_seen < exists_memo then begin
+        seen := page :: !seen;
+        incr n_seen
+      end;
+      scan_from page 0
+    end
+  in
+  Array.exists scan t.pages || scan t.top
+
 type route_mode = Minimal_routes | All_legal_routes
 
 (* The in-ports of a switch that can actually receive a packet: the control

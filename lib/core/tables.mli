@@ -87,6 +87,13 @@ val iter : spec -> f:(in_port:Graph.port -> dst:Short_address.t -> entry -> unit
     an intermediate list — the iteration the deadlock checker's edge
     generation runs on every entry of every spec. *)
 
+val exists_entry : spec -> f:(in_port:Graph.port -> entry -> bool) -> bool
+(** Whether [f] holds for some entry.  [f] sees the in-port and the
+    entry but not the address, so each physically distinct page is
+    scanned once however many address blocks share it: on a built table
+    that is the few interned (up, down) pages, not one page per switch
+    number.  The deadlock certificate's check runs on this. *)
+
 type route_mode =
   | Minimal_routes  (** only minimal-length legal routes (paper's choice) *)
   | All_legal_routes (** every legal continuation; ablation A1 *)

@@ -3,7 +3,8 @@
     Writers append big-endian fields to a growable buffer; readers consume
     from a byte string and raise {!Truncated} when the input is too short.
     All multi-byte integers are big-endian, matching conventional network
-    order. *)
+    order.  Both sides move a whole field at a time: one capacity or
+    bounds check per field, not per byte. *)
 
 exception Truncated
 (** Raised by readers on short input. *)
@@ -15,6 +16,9 @@ module Writer : sig
   type t
 
   val create : ?initial_size:int -> unit -> t
+  (** [initial_size] (default 64) is the buffer's starting capacity; it
+      doubles when a write needs more. *)
+
   val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
@@ -31,9 +35,17 @@ module Writer : sig
   (** 16-bit count prefix, then each element via the callback. *)
 
   val contents : t -> string
+  (** The bytes written so far.  When they fill the buffer exactly — a
+      writer created with [initial_size] equal to what it then writes —
+      the buffer itself becomes the string and nothing is copied; later
+      writes move the writer to a new buffer. *)
 end
 
 module Reader : sig
+  (** A failed read consumes nothing: every reader that raises
+      {!Truncated} (and {!list}, whatever its element reader raises)
+      leaves {!remaining} where it was. *)
+
   type t
 
   val of_string : string -> t

@@ -6,7 +6,9 @@
    crosscheck in test_fastpath.ml compares those values with the flat-array
    fast path's public accessors.  The oracles chain among themselves
    (tree, then orientation, then routes, then tables), so a fast-path bug
-   cannot leak into its own oracle.  The last one, [converged], is the
+   cannot leak into its own oracle; [children] and [certifies] read the
+   kernel's public tree and orientation, which the crosscheck has
+   already compared with theirs.  The last one, [converged], is the
    list-based definition of a converged network that test_network.ml
    compares [Network.converged] with. *)
 
@@ -67,6 +69,18 @@ let spanning_tree g ~member =
         (Graph.neighbors g s))
     comp;
   { root; members = comp; levels; parents }
+
+(* --- Tree children: the members whose public [parent] is [s], with
+   the parent-side port and the link, ascending by child. --- *)
+
+let children tree s =
+  List.filter_map
+    (fun c ->
+      match Spanning_tree.parent tree c with
+      | Some (p : Spanning_tree.parent) when p.parent_switch = s ->
+        Some (p.parent_port, p.link, c)
+      | Some _ | None -> None)
+    (List.sort Int.compare (Spanning_tree.members tree))
 
 (* --- Orientation: the up end of a link between two members is the end
    closer to the root, ties toward the smaller UID; loop links and links
@@ -299,6 +313,68 @@ let check_tables g specs =
   with Found (v, w) ->
     let rec collect acc u = if u = w then u :: acc else collect (u :: acc) parent.(u) in
     Deadlock.Cycle (List.map (channel_of g) (collect [] v))
+
+(* --- Deadlock certificate: rank the members by (level, UID); the up
+   channel into switch [h] gets the key [m - 1 - rank h] and the down
+   channel into [h] the key [m + rank h], [m] the member count.  A spec
+   certifies when every dependency edge of every unicast entry strictly
+   increases the key; an edge over a channel without a key (a link the
+   orientation does not cover) refutes.  Entry by entry over
+   [Tables.iter], with the ranking recomputed from the public tree. --- *)
+
+let certifies g tree updown spec =
+  let ranked = Array.of_list (Spanning_tree.members tree) in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare (Spanning_tree.level tree a) (Spanning_tree.level tree b) in
+      if c <> 0 then c else Uid.compare (Graph.uid g a) (Graph.uid g b))
+    ranked;
+  let m = Array.length ranked in
+  let rank = Hashtbl.create m in
+  Array.iteri (fun i s -> Hashtbl.replace rank s i) ranked;
+  let s = Tables.switch spec in
+  let key_into ~up head =
+    Option.map
+      (fun r -> if head = up then m - 1 - r else m + r)
+      (Hashtbl.find_opt rank head)
+  in
+  (* The keys of the channels into [s] and out of [s] on port [p], or
+     [None] when no channel crosses the port (uncabled or a loop). *)
+  let keys p =
+    if p <= 0 || p > Graph.max_ports g then None
+    else
+      match Graph.link_at g (s, p) with
+      | None -> None
+      | Some id -> (
+        match Graph.link g id with
+        | None -> None
+        | Some l when Graph.is_loop l -> None
+        | Some l -> (
+          let o, _ = Graph.other_end l s in
+          match Updown.up_end updown id with
+          | None -> Some (None, None)
+          | Some up -> Some (key_into ~up s, key_into ~up o)))
+  in
+  let refutes ~in_port (e : Tables.entry) =
+    (not e.broadcast)
+    &&
+    match keys in_port with
+    | None -> false
+    | Some (k_in, _) ->
+      List.exists
+        (fun p ->
+          match keys p with
+          | None -> false
+          | Some (_, k_out) -> (
+            match (k_in, k_out) with
+            | Some a, Some b -> a >= b
+            | _ -> true))
+        e.ports
+  in
+  let ok = ref true in
+  Tables.iter spec ~f:(fun ~in_port ~dst:_ e ->
+      if refutes ~in_port e then ok := false);
+  !ok
 
 (* --- Convergence: the definition [Network.converged] walks in place,
    recomputed over a copy of the live graph.  Each live component of

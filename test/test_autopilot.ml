@@ -190,6 +190,64 @@ let test_fabric_status_table () =
       ("peer back to normal flow", (s0, 3), Fabric.Clean);
       ("host powered on", (s0, 8), Fabric.Host) ]
 
+(* Link ids outside the graph's range are refused, naming the id. *)
+let test_fabric_link_range () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g ~uid:(uid 0x10) in
+  let s1 = Graph.add_switch g ~uid:(uid 0x11) in
+  let l = Graph.connect g (s0, 1) (s1, 1) in
+  let f =
+    Fabric.create ~engine:(Autonet_sim.Engine.create ()) ~graph:g
+      ~params:Params.fast ~rng:(Autonet_sim.Rng.create ~seed:1L)
+  in
+  let beyond = Graph.max_link_id g + 1 in
+  List.iter
+    (fun id ->
+      Alcotest.check_raises
+        (Printf.sprintf "fail link %d" id)
+        (Invalid_argument (Printf.sprintf "Fabric.fail_link: no link %d" id))
+        (fun () -> Fabric.fail_link f id);
+      Alcotest.check_raises
+        (Printf.sprintf "repair link %d" id)
+        (Invalid_argument (Printf.sprintf "Fabric.repair_link: no link %d" id))
+        (fun () -> Fabric.repair_link f id);
+      check_bool (Printf.sprintf "link %d reads live" id) false
+        (Fabric.link_failed f id))
+    [ -1; beyond; beyond + 100 ];
+  Fabric.fail_link f l;
+  Fabric.fail_link f l;
+  check_bool "failed twice" true (Fabric.link_failed f l);
+  Fabric.repair_link f l;
+  check_bool "one repair undoes both" false (Fabric.link_failed f l)
+
+(* A packet already on the wire when its link fails is lost; one sent
+   after the repair arrives. *)
+let test_fabric_in_flight_drop () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g ~uid:(uid 0x10) in
+  let s1 = Graph.add_switch g ~uid:(uid 0x11) in
+  let l = Graph.connect g (s0, 1) (s1, 2) in
+  let engine = Autonet_sim.Engine.create () in
+  let f =
+    Fabric.create ~engine ~graph:g ~params:Params.fast
+      ~rng:(Autonet_sim.Rng.create ~seed:1L)
+  in
+  let received = ref [] in
+  Fabric.attach_switch f s1 ~rx:(fun ~port _ -> received := port :: !received);
+  let packet = Messages.to_packet (Messages.Version_offer { version = 1 }) in
+  Fabric.switch_send f ~from:s0 ~port:1 packet;
+  (* Half way: the packet has left and not arrived. *)
+  Autonet_sim.Engine.run engine ~until:(Time.ns 500);
+  check_int "not yet delivered" 0 (List.length !received);
+  Fabric.fail_link f l;
+  Autonet_sim.Engine.run engine;
+  check_int "dropped in flight" 0 (List.length !received);
+  Fabric.repair_link f l;
+  Fabric.switch_send f ~from:s0 ~port:1 packet;
+  Autonet_sim.Engine.run engine;
+  Alcotest.(check (list int)) "delivered after the repair" [ 2 ] !received;
+  check_int "sent" 2 (Fabric.stats f).Fabric.packets_sent
+
 (* ------------------------------------------------------------------ *)
 (* Port states *)
 
@@ -343,6 +401,35 @@ let test_report_size_grows_message () =
   in
   check_bool "bigger" true (big > small + 100)
 
+(* Encoding a report message copies the report's memoized bytes once,
+   into a string of exactly the message's size: on the 256-switch torus
+   the encode allocates that string plus a few words, where growing a
+   buffer and copying it out again allocated about four times as much. *)
+let test_encode_copies_report_once () =
+  let topo =
+    Autonet_topo.Builders.attach_hosts
+      (Autonet_topo.Builders.torus ~rows:16 ~cols:16 ())
+      ~per_switch:2
+  in
+  let report = Testlib.report_of_graph topo.Autonet_topo.Builders.graph in
+  let bytes = String.length (Topology_report.wire report) in
+  let msg = Messages.Complete { epoch = Epoch.zero; seq = 1; report } in
+  ignore (Messages.encode msg);
+  let b0 = Gc.allocated_bytes () in
+  let s = Sys.opaque_identity (Messages.encode msg) in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  check_int "message length" (13 + bytes) (String.length s);
+  let bar = float_of_int (String.length s + 256) in
+  Printf.printf
+    "messages: encoding a %d-byte Complete allocates %.0f bytes (bar %.0f, \
+     OCaml %s)\n"
+    (String.length s) allocated bar Sys.ocaml_version;
+  if allocated > bar then
+    Alcotest.failf
+      "messages: encoding a %d-byte Complete allocates %.0f bytes (bar %.0f, \
+       OCaml %s)"
+      (String.length s) allocated bar Sys.ocaml_version
+
 (* ------------------------------------------------------------------ *)
 (* Event log *)
 
@@ -485,7 +572,11 @@ let () =
           QCheck_alcotest.to_alcotest skeptic_bounded_qcheck;
           QCheck_alcotest.to_alcotest skeptic_halving_qcheck ] );
       ( "fabric",
-        [ Alcotest.test_case "status table" `Quick test_fabric_status_table ] );
+        [ Alcotest.test_case "status table" `Quick test_fabric_status_table;
+          Alcotest.test_case "link ids out of range" `Quick
+            test_fabric_link_range;
+          Alcotest.test_case "in-flight packet dropped" `Quick
+            test_fabric_in_flight_drop ] );
       ( "port_state",
         [ Alcotest.test_case "transitions" `Quick test_port_state_transitions;
           Alcotest.test_case "reconfig triggers" `Quick
@@ -494,7 +585,9 @@ let () =
         [ Alcotest.test_case "roundtrips" `Quick test_message_roundtrips;
           Alcotest.test_case "packet types" `Quick test_message_packet_types;
           Alcotest.test_case "epoch_of" `Quick test_message_epoch_of;
-          Alcotest.test_case "report size" `Quick test_report_size_grows_message ] );
+          Alcotest.test_case "report size" `Quick test_report_size_grows_message;
+          Alcotest.test_case "encode copies a report once" `Quick
+            test_encode_copies_report_once ] );
       ( "event_log",
         [ Alcotest.test_case "basic" `Quick test_event_log_basic;
           Alcotest.test_case "wraps" `Quick test_event_log_wraps;

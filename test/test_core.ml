@@ -162,6 +162,33 @@ let test_tree_children () =
   check_int "children" 3 (List.length kids);
   List.iter (fun (_, _, c) -> check_int "level" 1 (Spanning_tree.level tree c)) kids
 
+(* [children] returns the list [compute] stored: asking for every
+   member's children on the 64-switch torus allocates nothing, where
+   re-sorting the members per call allocated words in proportion to
+   them. *)
+let test_tree_children_allocate_nothing () =
+  let t = B.torus ~rows:8 ~cols:8 () in
+  let tree = Spanning_tree.compute t.graph ~member:0 in
+  let members = Array.of_list (Spanning_tree.members tree) in
+  let ask () =
+    for i = 0 to Array.length members - 1 do
+      ignore (Sys.opaque_identity (Spanning_tree.children tree members.(i)))
+    done
+  in
+  ask ();
+  let w0 = Gc.minor_words () in
+  ask ();
+  let words = Gc.minor_words () -. w0 in
+  Printf.printf
+    "spanning tree: children of all %d members allocate %.0f minor words \
+     (bar 0, OCaml %s)\n"
+    (Array.length members) words Sys.ocaml_version;
+  if words > 0. then
+    Alcotest.failf
+      "spanning tree: children of all %d members allocate %.0f minor words \
+       (bar 0, OCaml %s)"
+      (Array.length members) words Sys.ocaml_version
+
 let test_tree_position_ordering () =
   let open Spanning_tree.Position in
   let p ?(root = 1) ?(level = 1) ?(parent = 1) ?(port = 1) () =
@@ -879,6 +906,8 @@ let () =
           Alcotest.test_case "parent tie break by port" `Quick
             test_tree_parent_tie_break_port;
           Alcotest.test_case "children" `Quick test_tree_children;
+          Alcotest.test_case "children allocate nothing" `Quick
+            test_tree_children_allocate_nothing;
           Alcotest.test_case "position ordering" `Quick test_tree_position_ordering;
           Alcotest.test_case "positions are stable" `Quick test_tree_matches_positions ] );
       ( "updown",

@@ -38,7 +38,9 @@ let check_topology seed =
       if Spanning_tree.level tree_f s <> tree_r.levels.(s) then
         fail "level of s%d differs" s;
       if Spanning_tree.parent tree_f s <> tree_r.parents.(s) then
-        fail "parent of s%d differs" s)
+        fail "parent of s%d differs" s;
+      if Spanning_tree.children tree_f s <> Reference.children tree_f s then
+        fail "children of s%d differ" s)
     (Spanning_tree.members tree_f);
   (* --- Orientation. --- *)
   let updown_f = Updown.orient g tree_f in
@@ -72,11 +74,22 @@ let check_topology seed =
   done;
   (* --- Forwarding tables, in both route modes: the switches built, and
      each spec at every routed key.  The constant and broadcast rows are
-     not compared; the oracle does not render them. --- *)
+     not compared; the oracle does not render them.  Every spec's
+     deadlock certification must match the entry-by-entry oracle. --- *)
   let assignment =
     Address_assign.make g
       (List.map (fun s -> (s, 1)) (Spanning_tree.members tree_f))
   in
+  let cert = Deadlock.certificate g tree_f in
+  let certifies what spec =
+    let got = Deadlock.certifies cert g updown_f spec in
+    let want = Reference.certifies g tree_f updown_f spec in
+    if got <> want then
+      fail "%s: s%d certifies %b, the oracle says %b" what (Tables.switch spec)
+        got want;
+    got
+  in
+  let built = ref [] in
   List.iter
     (fun mode ->
       let specs_f =
@@ -91,14 +104,53 @@ let check_topology seed =
             (fun ((in_port, dst), e) ->
               if not (Tables.equal_entry (Tables.lookup spec ~in_port ~dst) e)
               then fail "table spec for s%d differs" s)
-            (Reference.routed_entries ~mode routes_r tree_r assignment s))
-        specs_f)
-    [ Tables.Minimal_routes; Tables.All_legal_routes ]
+            (Reference.routed_entries ~mode routes_r tree_r assignment s);
+          ignore (certifies "built table" spec))
+        specs_f;
+      if mode = Tables.Minimal_routes then built := specs_f)
+    [ Tables.Minimal_routes; Tables.All_legal_routes ];
+  (* Unrestricted shortest-path tables break the up*/down* rule, so some
+     of them refute. *)
+  let refuted =
+    List.length
+      (List.filter
+         (fun spec -> not (certifies "shortest-path table" spec))
+         (Autonet_baseline.Alt_routing.shortest_path g tree_f assignment))
+  in
+  (* A copy of a built table whose page gets one refuting entry: the
+     U-turn from the parent back to the parent, a down-to-up dependency.
+     Once in a remote destination's page, which the build shares between
+     destinations with equal next hops, and once in the page of the
+     special addresses.  The original must still certify. *)
+  List.iter
+    (fun spec ->
+      let s = Tables.switch spec in
+      match
+        (Spanning_tree.parent tree_f s,
+         List.find_opt (( <> ) s) (Spanning_tree.members tree_f))
+      with
+      | Some p, Some d ->
+        let u_turn = { Tables.broadcast = false; ports = [ p.my_port ] } in
+        List.iter
+          (fun (what, dst) ->
+            let c = Tables.copy ~switch:s spec in
+            Tables.set c ~in_port:p.my_port ~dst u_turn;
+            if certifies what c then fail "%s: s%d still certifies" what s;
+            if not (certifies (what ^ ", original") spec) then
+              fail "%s: the original s%d no longer certifies" what s)
+          [ ("u-turn in a remote page", Address_assign.address assignment d 0);
+            ("u-turn in the special page", Autonet_net.Short_address.of_int 0xFFF5) ]
+      | _ -> ())
+    !built;
+  refuted
 
 let test_crosscheck () =
+  let refuted = ref 0 in
   for seed = 1 to n_topologies do
-    check_topology seed
-  done
+    refuted := !refuted + check_topology seed
+  done;
+  if !refuted = 0 then
+    Alcotest.fail "no shortest-path table refuted its certificate"
 
 (* --- Domain-pool parallel path. --- *)
 

@@ -226,6 +226,199 @@ let wire_qcheck =
       let r = Wire.Reader.of_string (Wire.Writer.contents w) in
       Wire.Reader.u16 r = a && Wire.Reader.u32 r = (b lsl 16) lor a)
 
+(* Every width at 0, its maximum and random values, in random order,
+   through a writer that starts too small and must grow. *)
+let wire_widths_qcheck =
+  let max_of = [| 0xFF; 0xFFFF; 0xFFFF_FFFF; 0xFFFF_FFFF_FFFF |] in
+  QCheck.Test.make
+    ~name:"wire: every width round trips at 0, its maximum and random values"
+    ~count:500
+    QCheck.(list (triple (int_bound 4) (int_bound 2) int64))
+    (fun fields ->
+      (* Width 4 is u64, the others index [max_of]; the selector picks 0,
+         the maximum or the random value masked to the width. *)
+      let value (width, sel, raw) =
+        if width = 4 then match sel with 0 -> 0L | 1 -> -1L | _ -> raw
+        else
+          Int64.of_int
+            (match sel with
+            | 0 -> 0
+            | 1 -> max_of.(width)
+            | _ -> Int64.to_int raw land max_of.(width))
+      in
+      let w = Wire.Writer.create ~initial_size:1 () in
+      List.iter
+        (fun ((width, _, _) as f) ->
+          let v = value f in
+          match width with
+          | 0 -> Wire.Writer.u8 w (Int64.to_int v)
+          | 1 -> Wire.Writer.u16 w (Int64.to_int v)
+          | 2 -> Wire.Writer.u32 w (Int64.to_int v)
+          | 3 -> Wire.Writer.u48 w (Int64.to_int v)
+          | _ -> Wire.Writer.u64 w v)
+        fields;
+      let size = [| 1; 2; 4; 6; 8 |] in
+      let s = Wire.Writer.contents w in
+      let r = Wire.Reader.of_string s in
+      String.length s = List.fold_left (fun n (k, _, _) -> n + size.(k)) 0 fields
+      && Wire.Writer.length w = String.length s
+      && List.for_all
+           (fun ((width, _, _) as f) ->
+             let v = value f in
+             match width with
+             | 0 -> Wire.Reader.u8 r = Int64.to_int v
+             | 1 -> Wire.Reader.u16 r = Int64.to_int v
+             | 2 -> Wire.Reader.u32 r = Int64.to_int v
+             | 3 -> Wire.Reader.u48 r = Int64.to_int v
+             | _ -> Int64.equal (Wire.Reader.u64 r) v)
+           fields
+      && Wire.Reader.remaining r = 0)
+
+(* Every reader, on every input one byte or more too short for it, raises
+   [Truncated] and consumes nothing.  The input starts one byte into the
+   string, so a reader that checked from offset 0 would be caught. *)
+let test_wire_truncated_consumes_nothing () =
+  let module R = Wire.Reader in
+  let readers =
+    [ ("u8", "\x01", fun r -> ignore (R.u8 r));
+      ("u16", "\x01\x02", fun r -> ignore (R.u16 r));
+      ("u32", "\x01\x02\x03\x04", fun r -> ignore (R.u32 r));
+      ("u48", "\x01\x02\x03\x04\x05\x06", fun r -> ignore (R.u48 r));
+      ("u64", "\x01\x02\x03\x04\x05\x06\x07\x08", fun r -> ignore (R.u64 r));
+      ("take 3", "abc", fun r -> ignore (R.take r 3));
+      ("lstring", "\x00\x03abc", fun r -> ignore (R.lstring r));
+      ( "list of u16",
+        "\x00\x02\x00\x01\x00\x02",
+        fun r -> ignore (R.list r (fun r -> R.u16 r)) ) ]
+  in
+  List.iter
+    (fun (name, whole, read) ->
+      let r = R.of_string ("\xAA" ^ whole) in
+      ignore (R.u8 r);
+      read r;
+      check_int (name ^ ": whole input consumed") 0 (R.remaining r);
+      for n = 0 to String.length whole - 1 do
+        let r = R.of_string ("\xAA" ^ String.sub whole 0 n) in
+        ignore (R.u8 r);
+        Alcotest.check_raises
+          (Printf.sprintf "%s on %d bytes" name n)
+          Wire.Truncated (fun () -> read r);
+        check_int (Printf.sprintf "%s on %d bytes: nothing consumed" name n) n
+          (R.remaining r)
+      done)
+    readers
+
+(* The encodings of one message per constructor, and per SRP request and
+   response, as the byte-at-a-time codec wrote them before the codec
+   moved to whole fields: the wire format must not move.  Each must also
+   decode to a message that encodes to the same bytes. *)
+module Messages = Autonet_autopilot.Messages
+module Port_state = Autonet_autopilot.Port_state
+open struct
+  open Autonet_core
+
+  let uid = Uid.of_int
+
+  let golden_report =
+    let d1 =
+      Topology_report.switch_desc ~uid:(uid 0x11) ~proposed_number:1
+        ~max_ports:4
+        [ (1, Topology_report.Switch_link { peer = uid 0x22; peer_port = 2 });
+          (3, Topology_report.Host_port) ]
+    in
+    let d2 =
+      Topology_report.switch_desc ~uid:(uid 0x22) ~proposed_number:0xFFFF
+        ~max_ports:4
+        [ (2, Topology_report.Switch_link { peer = uid 0x11; peer_port = 1 }) ]
+    in
+    Topology_report.merge
+      (Topology_report.singleton ~max_ports:4 d1)
+      (Topology_report.singleton ~max_ports:4 d2)
+
+  let golden_messages =
+    let e = Epoch.of_int64 0x0102_0304_0506_0708L in
+    let top = Epoch.of_int64 Int64.max_int in
+  [ ( Messages.Tree_position
+        { epoch = e; seq = 0xFFFF_FFFF;
+          position =
+            { Spanning_tree.Position.root = uid 0x0A0B_0C0D_0E0F;
+              level = 0xFFFF; parent = uid 0xFFFF_FFFF_FFFF; parent_port = 12 } },
+      "000102030405060708ffffffff0a0b0c0d0e0fffffffffffffffff0c" );
+    ( Messages.Tree_ack { epoch = top; seq = 0; now_my_parent = true },
+      "017fffffffffffffff0000000001" );
+    ( Messages.Stable_report { epoch = e; seq = 9; report = golden_report },
+      "0201020304050607080000000904000200000000001100010200000000002202000100000000000022ffff0002000000000011010000" );
+    ( Messages.Unstable_notice { epoch = Epoch.zero; seq = 0x8000_0001 },
+      "0c000000000000000080000001" );
+    ( Messages.Report_ack { epoch = e; seq = 0x0102_0304 },
+      "03010203040506070801020304" );
+    ( Messages.Complete { epoch = top; seq = 11; report = golden_report },
+      "047fffffffffffffff0000000b04000200000000001100010200000000002202000100000000000022ffff0002000000000011010000" );
+    ( Messages.Complete_ack { epoch = e; seq = 11 },
+      "0501020304050607080000000b" );
+    ( Messages.Conn_test
+        { token = 0xCAFE_F00D; src_uid = uid 0x8000_0000_0001; src_port = 4;
+          sw_version = 2 },
+      "06cafef00d8000000000010400000002" );
+    ( Messages.Conn_reply
+        { token = 7; orig_uid = uid 3; orig_port = 4;
+          responder_uid = uid 0xFFFF_FFFF_FFFF; responder_port = 15;
+          sw_version = 0xFFFF_FFFF },
+      "070000000700000000000304ffffffffffff0fffffffff" );
+    ( Messages.Host_query { token = 1; host_uid = uid 0x42 },
+      "0800000001000000000042" );
+    ( Messages.Host_addr { token = 0xFFFF_FFFF; address = Short_address.of_int 0xFFFC },
+      "09fffffffffffc" );
+    ( Messages.Version_offer { version = 0x0001_0000 },
+      "0d00010000" );
+    ( Messages.Srp_request
+        { route = [ 1; 2; 3 ]; reply_route = [ 15 ]; request = Messages.Get_state },
+      "0a000301020300010f00" );
+    ( Messages.Srp_request
+        { route = []; reply_route = [];
+          request = Messages.Get_log { max_entries = 0xFFFF } },
+      "0a0000000001ffff" );
+    ( Messages.Srp_request
+        { route = [ 255 ]; reply_route = [ 0 ]; request = Messages.Get_topology },
+      "0a0001ff00010002" );
+    ( Messages.Srp_response
+        { route = [ 9 ];
+          response =
+            Messages.State
+              { uid = uid 1; epoch = e; configured = true;
+                port_states =
+                  [ (1, Port_state.Switch_good); (2, Port_state.Dead);
+                    (3, Port_state.Host) ] } },
+      "0b000109000000000000010102030405060708010003010502000302" );
+    ( Messages.Srp_response
+        { route = [];
+          response =
+            Messages.Log_entries [ (0, ""); (0x7FFF_FFFF_FFFF, "epoch 3") ] },
+      "0b00000100020000000000000000000000007fffffffffff000765706f63682033" );
+    ( Messages.Srp_response
+        { route = [ 2; 2 ]; response = Messages.Topology golden_report },
+      "0b000202020204000200000000001100010200000000002202000100000000000022ffff0002000000000011010000" );
+    ( Messages.Srp_response { route = []; response = Messages.No_data },
+      "0b000003" ) ]
+end
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_wire_golden_messages () =
+  List.iter
+    (fun (msg, golden) ->
+      let name = Format.asprintf "%a" Messages.pp msg in
+      check_string name golden (hex (Messages.encode msg));
+      check_string (name ^ ", decoded and encoded again") golden
+        (hex (Messages.encode (Messages.decode (unhex golden)))))
+    golden_messages
+
 (* ------------------------------------------------------------------ *)
 (* CRC32 *)
 
@@ -427,7 +620,11 @@ let () =
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
           Alcotest.test_case "trailing" `Quick test_wire_trailing;
           QCheck_alcotest.to_alcotest wire_qcheck;
-          Alcotest.test_case "skip prefix" `Quick test_wire_skip_prefix ] );
+          Alcotest.test_case "skip prefix" `Quick test_wire_skip_prefix;
+          QCheck_alcotest.to_alcotest wire_widths_qcheck;
+          Alcotest.test_case "truncated consumes nothing" `Quick
+            test_wire_truncated_consumes_nothing;
+          Alcotest.test_case "golden messages" `Quick test_wire_golden_messages ] );
       ( "crc32",
         [ Alcotest.test_case "known values" `Quick test_crc_known_values;
           Alcotest.test_case "incremental" `Quick test_crc_incremental;
