@@ -1,6 +1,6 @@
 .PHONY: all test bench bench-smoke bench-scaling bench-gates bench-delta \
 	bench-fuzz bench-json bench-e2e bench-e2e-smoke bench-e2e-pairs chaos-smoke \
-	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke profile clean
+	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke profile explore clean
 
 all:
 	dune build @all
@@ -108,6 +108,14 @@ fuzz-smoke:
 # call-stack table (see bench/exp_profile.ml).  Not part of runtest.
 profile:
 	AUTONET_DOMAINS=1 dune exec bench/main.exe -- profile
+
+# Exploration at SEEDS fresh seeds, kept out of runtest (which pins every
+# QCheck property to seed 21): the QCheck suites, a chaos campaign and a
+# guided fuzz run per seed; each failure's command, seed and shrunk case
+# goes to _build/explore/ and the target fails (see bin/explore.sh).
+SEEDS ?= 1
+explore:
+	bash bin/explore.sh $(SEEDS)
 
 # Regenerate the committed kernel perf trajectory.
 bench-json:

@@ -16,8 +16,9 @@
    per-epoch [tree_children], [deadlock_certifies] and
    [msg_encode_complete] rows, and SRC the tree-position codec.  With
    [--json FILE] the ns/op, parallel speedups and the domain and core
-   counts are written as JSON (schema v8, which added those rows), with
-   the telemetry-overhead record and the [delta] block
+   counts are written as JSON (schema v9; v8 added those rows and v9
+   made the telemetry-overhead record two modes), with that record and
+   the [delta] block
    — full-epoch vs incremental-reconfiguration cost on the scaling torus
    after a non-tree link fault, measured by {!Exp_delta.measure}: the
    perf trajectory future changes regress against.  The kernels'
@@ -290,25 +291,19 @@ let json_of_topology buf (name, g, dia, rows) =
     (String.concat ",\n" (List.filter_map kernel_json rows))
 
 (* Since schema v3 the record includes what the telemetry subsystem
-   itself costs (E17's headline number) next to the kernel trajectory:
-   wall seconds for a boot plus one reconfiguration with instrumentation
-   compiled out, present but disabled, and counting.
-   [disabled_overhead_pct] is clamped at zero (a measured cost cannot be
-   negative); [raw_pct] keeps the signed delta so the noise floor is
-   still on record.  Since v6 the measured modes also carry causal
-   tracing (the per-switch milestone and parentage marks the causal view
-   replays), flagged by [includes_causal_tracing]. *)
+   itself costs (E17's headline number) next to the kernel trajectory.
+   Since v9 that is two modes: wall seconds for a boot plus one
+   reconfiguration with no instruments (the default) and with
+   everything counting, including causal tracing (the per-switch
+   milestone and parentage marks the causal view replays). *)
 let json_of_overhead buf (o : Exp_telemetry.overhead) =
   Printf.bprintf buf
     "  \"telemetry_overhead\": {\n\
     \    \"topology\": %S, \"repeats\": %d, \"includes_causal_tracing\": true,\n\
-    \    \"off_s\": %.4f, \"disabled_s\": %.4f, \"on_s\": %.4f,\n\
-    \    \"disabled_overhead_pct\": %.2f, \"raw_pct\": %.2f, \"on_overhead_pct\": %.2f\n\
+    \    \"disabled_s\": %.4f, \"on_s\": %.4f, \"on_overhead_pct\": %.2f\n\
     \  },\n"
-    o.Exp_telemetry.o_topo o.Exp_telemetry.o_repeats o.Exp_telemetry.o_off_s
+    o.Exp_telemetry.o_topo o.Exp_telemetry.o_repeats
     o.Exp_telemetry.o_disabled_s o.Exp_telemetry.o_on_s
-    (Exp_telemetry.disabled_pct o)
-    (Exp_telemetry.raw_disabled_pct o)
     (Exp_telemetry.on_pct o)
 
 (* Since schema v5 the record also carries the incremental
@@ -332,7 +327,7 @@ let json_of_delta buf (m : Exp_delta.meas) =
 let write_json path ~domains ~overhead ~delta topologies =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 8,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
+    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 9,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
     (quota_s ()) !smoke domains
     (Domain.recommended_domain_count ());
   json_of_overhead buf overhead;

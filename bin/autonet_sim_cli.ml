@@ -375,17 +375,36 @@ let print_fuzz_corpus entries =
 
 (* One coverage-guided (or, with [blind], blind-sampling) fuzz run in this
    process; the per-entry corpus listing and the optional corpus file are
-   both deterministic in the seed, whatever AUTONET_DOMAINS says. *)
-let fuzz_here config ~budget ~blind ~seed ~corpus_out =
+   both deterministic in the seed, whatever AUTONET_DOMAINS says.  A run
+   with failures shrinks the first, prints it to stderr as a seed file
+   (the format test/seeds/ replays) and exits 1. *)
+let fuzz_here config ~params_name ~budget ~blind ~seed ~corpus_out =
   let fcfg = { (Fuzz.default config) with Fuzz.budget; guided = not blind } in
   let r = Fuzz.run fcfg ~seed in
   Format.printf "fuzz: executed=%d distinct=%d cells=%d signatures=%d failures=%d@."
     r.Fuzz.r_executed r.Fuzz.r_distinct r.Fuzz.r_cells r.Fuzz.r_signatures
     (List.length r.Fuzz.r_failures);
   print_fuzz_corpus r.Fuzz.r_corpus;
-  match corpus_out with
+  (match corpus_out with
   | None -> ()
-  | Some path -> write_file path (Fuzz.corpus_to_string r.Fuzz.r_corpus)
+  | Some path -> write_file path (Fuzz.corpus_to_string r.Fuzz.r_corpus));
+  match r.Fuzz.r_failures with
+  | [] -> ()
+  | e :: _ ->
+    let shrunk =
+      Chaos.shrink config ~seed:e.Fuzz.e_seed ~schedule:e.Fuzz.e_schedule
+    in
+    Format.eprintf
+      "fuzz: %d failing execution(s); the first (%s), shrunk:@.%s@."
+      (List.length r.Fuzz.r_failures)
+      (String.concat "," e.Fuzz.e_violations)
+      (Fuzz.seed_file_to_string
+         { Fuzz.sf_topo = config.Chaos.topo;
+           sf_params = params_name;
+           sf_hosts = config.Chaos.hosts;
+           sf_seed = e.Fuzz.e_seed;
+           sf_schedule = shrunk });
+    exit 1
 
 (* Multi-process sharding: re-exec this binary once per shard with a
    derived seed and a per-shard slice of the budget, then merge the shard
@@ -476,7 +495,8 @@ let cmd_chaos topos schedules seed hosts params_name actions horizon_ms replay
   | Some budget, _ ->
     let topo = List.hd topos in
     if shards <= 1 then
-      fuzz_here (config topo) ~budget ~blind ~seed:seed64 ~corpus_out
+      fuzz_here (config topo) ~params_name ~budget ~blind ~seed:seed64
+        ~corpus_out
     else
       fuzz_sharded ~topo ~params_name ~hosts ~actions ~horizon_ms ~budget
         ~blind ~seed ~shards ~corpus_out

@@ -8,14 +8,13 @@ module Metrics = Autonet_telemetry.Metrics
 module Timeline = Autonet_telemetry.Timeline
 module Causal = Autonet_telemetry.Causal
 
-type telemetry_mode = [ `Off | `Disabled | `On ]
+type telemetry_mode = [ `Disabled | `On ]
 
 type t = {
   engine : Engine.t;
   fabric : Fabric.t;
   net_graph : Graph.t;
   net_params : Params.t;
-  net_rng : Rng.t;
   pilots : Autopilot.t array;
   epochs : Epoch_cache.t;
   net_metrics : Metrics.t option;
@@ -26,22 +25,19 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
     ?span_clock (topo : Autonet_topo.Builders.t) =
   let engine = Engine.create () in
   let net_rng = Rng.create ~seed in
-  let fabric =
-    Fabric.create ~engine ~graph:topo.Autonet_topo.Builders.graph ~params
-      ~rng:(Rng.split net_rng)
-  in
+  (* Advance the stream once, as the split the fabric used to take did,
+     so every clock skew drawn below stays where it was. *)
+  ignore (Rng.next64 net_rng);
   let g = topo.Autonet_topo.Builders.graph in
+  let fabric = Fabric.create ~engine ~graph:g ~params in
   let switches = Graph.switch_count g in
   let net_metrics, net_timeline =
     match telemetry with
-    | `Off -> (None, None)
-    | `Disabled -> (Some (Metrics.create ()), Some (Timeline.create ()))
-    | `On ->
-      (Some (Metrics.create ~enabled:true ()),
-       Some (Timeline.create ~enabled:true ()))
+    | `Disabled -> (None, None)
+    | `On -> (Some (Metrics.create ~enabled:true ()), Some (Timeline.create ()))
   in
-  (* Register the snapshot-time gauges up front so a disabled snapshot
-     lists the same instruments (at zero) as an enabled one. *)
+  (* Register the snapshot-time gauges up front so every snapshot lists
+     them, at zero until the first refresh. *)
   (match net_metrics with
   | Some m ->
     ignore (Metrics.gauge m "engine.events_executed");
@@ -61,14 +57,13 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
         Autopilot.create ~fabric ~epochs ~switch:s ~clock_skew
           ?metrics:net_metrics ?timeline:net_timeline ?span_clock ())
   in
-  { engine; fabric; net_graph = g; net_params = params; net_rng; pilots;
+  { engine; fabric; net_graph = g; net_params = params; pilots;
     epochs; net_metrics; net_timeline }
 
 let engine t = t.engine
 let fabric t = t.fabric
 let graph t = t.net_graph
 let params t = t.net_params
-let rng t = t.net_rng
 let autopilot t s = t.pilots.(s)
 let epoch_cache t = t.epochs
 let now t = Engine.now t.engine

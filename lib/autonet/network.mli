@@ -17,12 +17,10 @@ open Autonet_autopilot
 
 type t
 
-type telemetry_mode = [ `Off | `Disabled | `On ]
-(** [`Off]: no registry or timeline exist — the instrumentation is
-    compiled out of the pilots' paths entirely (the bench baseline).
-    [`Disabled] (the default): instruments exist but count nothing; each
-    hit costs a load and a branch.
-    [`On]: counting from the first event. *)
+type telemetry_mode = [ `Disabled | `On ]
+(** [`Disabled] (the default): no registry or timeline exist — the
+    instrumentation is compiled out of the pilots' paths entirely.
+    [`On]: a registry and a timeline count from the first event. *)
 
 val create :
   ?params:Params.t ->
@@ -41,7 +39,6 @@ val engine : t -> Autonet_sim.Engine.t
 val fabric : t -> Fabric.t
 val graph : t -> Graph.t
 val params : t -> Params.t
-val rng : t -> Autonet_sim.Rng.t
 
 val autopilot : t -> Graph.switch -> Autopilot.t
 
@@ -106,10 +103,10 @@ val pp_measure : Format.formatter -> reconfiguration_measure -> unit
 (** {1 Telemetry} *)
 
 val metrics : t -> Autonet_telemetry.Metrics.t option
-(** The registry shared by every pilot; [None] in [`Off] mode. *)
+(** The registry shared by every pilot; [None] in [`Disabled] mode. *)
 
 val timeline : t -> Autonet_telemetry.Timeline.t option
-(** The timeline shared by every pilot; [None] in [`Off] mode.  Besides
+(** The timeline shared by every pilot; [None] in [`Disabled] mode.  Besides
     the phase marks it holds one [Fault] mark per {!apply_fault} and the
     per-switch epoch milestones {!Autonet_telemetry.Causal.waves}
     replays. *)
@@ -120,7 +117,7 @@ val telemetry_snapshot : t -> Autonet_telemetry.Metrics.snapshot
     [fabric.packets_sent], [fabric.bytes_sent]) refreshed first, plus
     the wave-shape gauges ([causal.wave_depth], [causal.wave_fanout],
     [causal.wave_critical_hops]) from the timeline's most recent
-    fully-healed epoch.  Empty in [`Off] mode. *)
+    fully-healed epoch.  Empty in [`Disabled] mode. *)
 
 val recorders : t -> (int * Autonet_telemetry.Causal.recorder_entry list) list
 (** The flight recorders: for each switch with a non-empty log, ascending,

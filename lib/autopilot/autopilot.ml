@@ -3,11 +3,8 @@ open Autonet_core
 module Engine = Autonet_sim.Engine
 module Time = Autonet_sim.Time
 module Forwarding_table = Autonet_switch.Forwarding_table
-module Port_vector = Autonet_switch.Port_vector
 module Metrics = Autonet_telemetry.Metrics
 module Timeline = Autonet_telemetry.Timeline
-
-type flood_info = { fi_parent : int option; fi_children : int list }
 
 (* Counters resolved once at creation; shared across the network's pilots
    through the common registry.  [None] (no registry) compiles the
@@ -48,8 +45,7 @@ type t = {
   mutable reload_seq : int;
       (* current table reload; stale finish closures must not fire *)
   mutable retransmit_timer : Engine.handle option;
-  mutable host_enabled : bool array;
-  mutable flood : flood_info option;
+  host_enabled : bool array;
   mutable version : int;
   mutable advertised_version : int;
       (* the version probes and offers carry: lags [version] by the
@@ -146,14 +142,14 @@ let record_event t e =
       | Event.Delta_fallback _ -> Metrics.incr c.ct_delta_fallbacks
       | _ -> ())));
   match t.timeline with
-  | Some tl when Timeline.enabled tl -> (
+  | Some tl -> (
     match mark_of_event t e with
     | Some kind ->
       Timeline.mark tl ~time:(now t)
         ~epoch:(Epoch.to_int64 (current_epoch t))
         ~tid:t.sw kind
     | None -> ())
-  | _ -> ()
+  | None -> ()
 
 let send t ~port msg =
   (* Reconfiguration messages carry the sideband causal context — who is
@@ -172,104 +168,35 @@ let send t ~port msg =
   in
   Fabric.switch_send t.fabric ~from:t.sw ~port (Messages.to_packet ?trace msg)
 
-(* --- Host ports plugged in after the last reconfiguration (paper 6.5.3:
-   the local forwarding table is updated without a reconfiguration). --- *)
+(* --- Host ports (paper 6.5.3: a port that becomes s.host after a
+   reconfiguration is enabled in the local forwarding table without a new
+   one).  [host_enabled] records the ports this epoch has logged as
+   enabled.  Before the switch has a number nothing is logged: no port
+   has been enabled since the epoch began.  The rows are edited only in
+   a loaded table; a load reconciles them with the ports that are hosts
+   at that instant. --- *)
 
-let enable_host_port t q =
+let set_host_port t q ~host =
   match switch_number t with
-  | None -> () (* enabled when configuration completes *)
+  | None -> ()
   | Some number ->
-    if not t.host_enabled.(q) then begin
-      t.host_enabled.(q) <- true;
-      record_event t (Event.Host_port_enabled { port = q });
-      (* Inbound: the port behaves like the control processor (both enter
-         the network in the Up phase), so copy row 0. *)
-      if not (Forwarding_table.has_row t.table ~in_port:q) then
-        List.iter
-          (fun (addr, e) ->
-            Forwarding_table.set t.table ~in_port:q ~dst:addr e)
-          (Forwarding_table.rows_of t.table ~in_port:0);
-      (* Local specials for a host port. *)
-      Forwarding_table.set t.table ~in_port:q ~dst:Short_address.local_switch
-        { vector = Port_vector.singleton 0; broadcast = false };
-      (* The control processor's own assigned address: in_port 0 carries no
-         row for it (the CP never table-routes to itself), so copying row 0
-         above leaves host-to-local-CP traffic blackholed.  A host does not
-         know its destination shares its switch, so the assigned address
-         must work too.  (Found by the chaos campaign.) *)
-      Forwarding_table.set t.table ~in_port:q
-        ~dst:(Short_address.assigned ~switch_number:number ~port:0)
-        { vector = Port_vector.singleton 0; broadcast = false };
-      Forwarding_table.set t.table ~in_port:q ~dst:Short_address.loopback
-        { vector = Port_vector.singleton q; broadcast = false };
-      (* Delivery of the port's own address from every receiving port. *)
-      let addr = Short_address.assigned ~switch_number:number ~port:q in
-      let deliver =
-        { Forwarding_table.vector = Port_vector.singleton q; broadcast = false }
-      in
-      for in_port = 0 to Forwarding_table.max_ports t.table do
-        Forwarding_table.set t.table ~in_port ~dst:addr deliver
-      done;
-      (* Include the port in the down-phase broadcast delivery sets. *)
-      match t.flood with
-      | None -> ()
-      | Some { fi_parent; fi_children } ->
-        let down_rows =
-          match fi_parent with
-          | Some pp -> [ pp ]
-          | None -> 0 :: fi_children (* at the root, origination floods *)
-        in
-        List.iter
-          (fun in_port ->
-            List.iter
-              (fun dst ->
-                let e = Forwarding_table.lookup t.table ~in_port ~dst in
-                if e.Forwarding_table.broadcast then
-                  Forwarding_table.set t.table ~in_port ~dst
-                    { e with
-                      Forwarding_table.vector =
-                        Port_vector.add q e.Forwarding_table.vector })
-              [ Short_address.broadcast_all; Short_address.broadcast_hosts ])
-          down_rows
+    if t.host_enabled.(q) <> host then begin
+      t.host_enabled.(q) <- host;
+      record_event t
+        (if host then Event.Host_port_enabled { port = q }
+         else Event.Host_port_disabled { port = q })
+    end;
+    if configured t then begin
+      let spec = Forwarding_table.spec t.table in
+      if host then
+        Tables.add_host_port spec
+          ~max_ports:(Forwarding_table.max_ports t.table) ~number ~port:q
+      else Tables.remove_host_port spec ~number ~port:q
     end
-
-let disable_host_port t q =
-  if q < Array.length t.host_enabled && t.host_enabled.(q) then begin
-    t.host_enabled.(q) <- false;
-    record_event t (Event.Host_port_disabled { port = q });
-    (match switch_number t with
-    | Some number ->
-      let addr = Short_address.assigned ~switch_number:number ~port:q in
-      for in_port = 0 to Forwarding_table.max_ports t.table do
-        Forwarding_table.unset t.table ~in_port ~dst:addr
-      done
-    | None -> ());
-    List.iter
-      (fun (addr, _) -> Forwarding_table.unset t.table ~in_port:q ~dst:addr)
-      (Forwarding_table.rows_of t.table ~in_port:q);
-    (* Remove from broadcast delivery sets wherever it appears. *)
-    for in_port = 0 to Forwarding_table.max_ports t.table do
-      List.iter
-        (fun dst ->
-          let e = Forwarding_table.lookup t.table ~in_port ~dst in
-          if e.Forwarding_table.broadcast
-             && Port_vector.mem q e.Forwarding_table.vector
-          then
-            Forwarding_table.set t.table ~in_port ~dst
-              { e with
-                Forwarding_table.vector =
-                  Port_vector.remove q e.Forwarding_table.vector })
-        [ Short_address.broadcast_all; Short_address.broadcast_hosts ]
-    done
-  end
 
 (* --- Reconfiguration wiring --- *)
 
-let host_ports_now t =
-  let g = Fabric.graph t.fabric in
-  List.filter
-    (fun p -> Port_state.equal (port_state t ~port:p) Port_state.Host)
-    (List.init (Graph.max_ports g) (fun i -> i + 1))
+let is_host t q = Port_state.equal (port_state t ~port:q) Port_state.Host
 
 let snapshot_and_start t ?join ?via reason =
   if t.is_powered then begin
@@ -300,9 +227,11 @@ let snapshot_and_start t ?join ?via reason =
           origin = latest_fault () });
     record_event t (Event.Reconfig_started { reason });
     Array.fill t.host_enabled 0 (Array.length t.host_enabled) false;
-    t.flood <- None;
     Reconfig.start_epoch (reconfig_exn t) ?join ~usable
-      ~host_ports:(host_ports_now t) ()
+      ~host_ports:
+        (List.filter (is_host t)
+           (List.init (Forwarding_table.max_ports t.table) (fun i -> i + 1)))
+      ()
   end
 
 let initiate_reconfiguration t ~reason = snapshot_and_start t reason
@@ -339,15 +268,16 @@ let make_callbacks t =
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_constant t.table));
     cb_load_tables =
-      (fun spec ~parent ~children ->
+      (fun spec ->
         record_event t (Event.Table_loading { constant = false });
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_spec t.table spec;
-            (* Remember the flood structure for late host-port enables. *)
-            t.flood <- Some { fi_parent = parent; fi_children = children };
             Reconfig.note_configured (reconfig_exn t);
-            (* Hosts that appeared after the epoch snapshot. *)
-            List.iter (fun q -> enable_host_port t q) (host_ports_now t)));
+            (* The spec holds the epoch snapshot's host ports: enable the
+               ports that became hosts since and drop those that left. *)
+            for q = 1 to Forwarding_table.max_ports t.table do
+              set_host_port t q ~host:(is_host t q)
+            done));
     cb_configured =
       (fun () ->
         t.st_configs <- t.st_configs + 1;
@@ -575,12 +505,12 @@ let on_transition t (tr : Port_monitor.transition) =
         (Printf.sprintf "port %d %s -> %s" tr.Port_monitor.port
            (Port_state.to_string tr.Port_monitor.from_state)
            (Port_state.to_string tr.Port_monitor.into_state))
-    else begin
-      if Port_state.equal tr.Port_monitor.into_state Port_state.Host then
-        enable_host_port t tr.Port_monitor.port;
-      if Port_state.equal tr.Port_monitor.from_state Port_state.Host then
-        disable_host_port t tr.Port_monitor.port
-    end
+    else if
+      Port_state.equal tr.Port_monitor.into_state Port_state.Host
+      || Port_state.equal tr.Port_monitor.from_state Port_state.Host
+    then
+      set_host_port t tr.Port_monitor.port
+        ~host:(Port_state.equal tr.Port_monitor.into_state Port_state.Host)
   end
 
 (* --- Lifecycle --- *)
@@ -623,7 +553,6 @@ let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
       reload_seq = 0;
       retransmit_timer = None;
       host_enabled = Array.make (Graph.max_ports g + 1) false;
-      flood = None;
       version = 1;
       advertised_version = 1;
       st_reconfigs = 0;

@@ -18,7 +18,14 @@
 
     Forwarding-table reloads are destructive: while a reload is in
     progress, packets arriving at this switch are lost, reproducing the
-    cost the paper attributes to the reset-coupled reload. *)
+    cost the paper attributes to the reset-coupled reload.
+
+    A port that becomes s.host after a reconfiguration is enabled in the
+    loaded table without a new one (paper 6.5.3), and a port that stops
+    being one is disabled, each by one {!Tables.add_host_port} or
+    {!Tables.remove_host_port} on the live table's spec.  A table load
+    reconciles the loaded rows with the ports that are hosts at that
+    instant: the epoch's snapshot drew its own host ports. *)
 
 open Autonet_net
 open Autonet_core

@@ -179,21 +179,16 @@ type outcome = {
   report : Topology_report.t;
   assignment : Address_assign.t;
   number : int option;
-  parent : Graph.port option;
-  children : Graph.port list;
   table : Tables.spec;
   fallback : string option;
   delta : Delta.stats option;
   verdict : (Deadlock.result * int) option;
 }
 
-let outcome_at report tree me assignment table =
+let outcome_at report me assignment table =
   { report;
     assignment;
     number = Address_assign.number assignment me;
-    parent =
-      Option.map (fun p -> p.Spanning_tree.my_port) (Spanning_tree.parent tree me);
-    children = List.map (fun (p, _, _) -> p) (Spanning_tree.children tree me);
     table;
     fallback = None;
     delta = None;
@@ -226,7 +221,7 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
     in
     let full fallback =
       let a = canonical t e in
-      { (outcome_at e.report e.tree me e.assignment a.all.(me)) with
+      { (outcome_at e.report me e.assignment a.all.(me)) with
         fallback;
         verdict = (if root then Some (a.verdict, Array.length a.all) else None) }
     in
@@ -247,7 +242,7 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
                 Some (a.verdict, Array.length a.all))
           else None
         in
-        { (outcome_at e.report e.tree me e.assignment table) with
+        { (outcome_at e.report me e.assignment table) with
           delta = Some stats;
           verdict }
       | Some (Delta.Structural reason, _) -> full (Some reason)
@@ -286,7 +281,7 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
       else None
     in
     release t prev;
-    ( { (outcome_at report tree me assignment table) with fallback; verdict },
+    ( { (outcome_at report me assignment table) with fallback; verdict },
       None )
   in
   match find t report with

@@ -44,8 +44,6 @@ type outcome = {
           switch keeps as its complete report *)
   assignment : Address_assign.t;
   number : int option;  (** this switch's number *)
-  parent : Graph.port option;  (** its spanning-tree ports *)
-  children : Graph.port list;
   table : Tables.spec;
       (** the table to load; shared with the entry, never to be edited *)
   fallback : string option;

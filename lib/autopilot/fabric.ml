@@ -39,7 +39,6 @@ type t = {
   engine : Engine.t;
   graph : Graph.t;
   params : Params.t;
-  rng : Autonet_sim.Rng.t;
   stations : station array;
   cables : cable array array; (* per switch, per port 0..max_ports *)
   failed : Bytes.t; (* per link id 0..max_link_id: '\001' when failed *)
@@ -49,7 +48,7 @@ type t = {
   mutable st_reflections : int;
 }
 
-let create ~engine ~graph ~params ~rng =
+let create ~engine ~graph ~params =
   let n = Graph.switch_count graph in
   let stations =
     Array.init n (fun _ ->
@@ -71,7 +70,7 @@ let create ~engine ~graph ~params ~rng =
       let sa, pa = l.a and sb, pb = l.b in
       cables.(sa).(pa) <- To_switch { id = l.id; peer = sb; peer_port = pb };
       cables.(sb).(pb) <- To_switch { id = l.id; peer = sa; peer_port = pa });
-  { engine; graph; params; rng; stations; cables;
+  { engine; graph; params; stations; cables;
     failed = Bytes.make (Graph.max_link_id graph + 1) '\000';
     st_sent = 0; st_bytes = 0; st_dropped = 0; st_reflections = 0 }
 

@@ -26,8 +26,7 @@ open Autonet_core
 type t
 
 val create :
-  engine:Autonet_sim.Engine.t -> graph:Graph.t -> params:Params.t ->
-  rng:Autonet_sim.Rng.t -> t
+  engine:Autonet_sim.Engine.t -> graph:Graph.t -> params:Params.t -> t
 (** Snapshots what every port's cable reaches: the fabric carries the
     graph as it is at creation, so cable changes after [create] are not
     seen (the simulated cabling is fixed; faults fail links instead). *)

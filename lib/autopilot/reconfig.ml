@@ -5,7 +5,7 @@ module Position = Spanning_tree.Position
 type callbacks = {
   cb_send : port:int -> Messages.t -> unit;
   cb_load_constant : unit -> unit;
-  cb_load_tables : Tables.spec -> parent:int option -> children:int list -> unit;
+  cb_load_tables : Tables.spec -> unit;
   cb_configured : unit -> unit;
   cb_log : Event.t -> unit;
   cb_span : name:string -> dur_s:float -> unit;
@@ -212,7 +212,6 @@ let finish_configuration t report =
       t.delta_spec <-
         Option.map (fun _ -> o.Epoch_cache.table) o.Epoch_cache.delta;
       t.callbacks.cb_load_tables o.Epoch_cache.table
-        ~parent:o.Epoch_cache.parent ~children:o.Epoch_cache.children
   end;
   (* Flood the complete topology to every claiming child that has not
      acknowledged it yet — including children whose claim arrived after we

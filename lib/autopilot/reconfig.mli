@@ -33,10 +33,8 @@ type callbacks = {
   cb_send : port:int -> Messages.t -> unit;
   cb_load_constant : unit -> unit;
       (** begin the step-1 destructive reload *)
-  cb_load_tables : Tables.spec -> parent:int option -> children:int list -> unit;
-      (** begin the step-5 destructive reload; [parent] and [children] are
-          this switch's spanning-tree ports, the flood structure a late
-          host-port enable extends *)
+  cb_load_tables : Tables.spec -> unit;
+      (** begin the step-5 destructive reload *)
   cb_configured : unit -> unit;
       (** the step-5 reload finished; open for business *)
   cb_log : Event.t -> unit;

@@ -120,14 +120,17 @@ let run_campaign ?pool ?hook config ~seed ~schedules =
 
 let labels vs = List.sort_uniq compare (List.map Oracle.label vs)
 
-let shrink ?hook ?(budget = 128) config ~seed ~schedule =
+(* The most re-runs one shrink may spend. *)
+let shrink_budget = 128
+
+let shrink ?hook config ~seed ~schedule =
   let _, vs0 = run_schedule ?hook config ~seed ~schedule in
   let target = labels vs0 in
   if target = [] then schedule
   else begin
     let runs = ref 0 in
     let still_fails cand =
-      !runs < budget
+      !runs < shrink_budget
       && begin
            incr runs;
            let _, vs = run_schedule ?hook config ~seed ~schedule:cand in

@@ -87,15 +87,13 @@ val run_campaign :
 
 val shrink :
   ?hook:hook ->
-  ?budget:int ->
   config ->
   seed:int64 ->
   schedule:Faults.schedule ->
   Faults.schedule
 (** Greedily drop schedule items while the original violation labels all
-    persist, restarting the scan after every successful drop; [budget]
-    (default 128) caps the number of re-runs.  Returns the input unchanged
-    if it does not fail. *)
+    persist, restarting the scan after every successful drop, in at most
+    128 re-runs.  Returns the input unchanged if it does not fail. *)
 
 type artifact = {
   a_config : config;

@@ -172,11 +172,6 @@ let receiving_ports g updown s =
   in
   0 :: external_ports
 
-let is_host_port g s p = p <> 0 && Graph.host_at g (s, p) <> None
-
-let host_ports g s =
-  List.filter (fun p -> is_host_port g s p) (Graph.used_ports g s)
-
 let add_entry t ~in_port ~addr e =
   if e.ports <> [] then begin
     let k = key ~in_port ~addr in
@@ -227,18 +222,12 @@ let fold t ~init ~f =
   done;
   !acc
 
-(* The constant (0x0000, one-hop, loopback) and broadcast rows: a few
+let to_cp = { broadcast = false; ports = [ 0 ] }
+
+(* The constant (one-hop) and broadcast rows of the switch's receiving
+   ports other than its host ports, which [add_host_rows] adds: a few
    dozen entries, never the hot part of a build. *)
 let constant_and_broadcast_entries g tree s ~spec ~in_ports =
-  List.iter
-    (fun p ->
-      if is_host_port g s p then begin
-        add_entry spec ~in_port:p ~addr:Short_address.local_switch
-          { broadcast = false; ports = [ 0 ] };
-        add_entry spec ~in_port:p ~addr:Short_address.loopback
-          { broadcast = false; ports = [ p ] }
-      end)
-    in_ports;
   for k = 1 to Graph.max_ports g do
     let addr = Short_address.one_hop ~port:k in
     List.iter
@@ -250,7 +239,7 @@ let constant_and_broadcast_entries g tree s ~spec ~in_ports =
           | Some _ ->
             add_entry spec ~in_port ~addr { broadcast = false; ports = [ k ] }
           | None -> ())
-        else add_entry spec ~in_port ~addr { broadcast = false; ports = [ 0 ] })
+        else add_entry spec ~in_port ~addr to_cp)
       in_ports
   done;
   (* --- Broadcast flooding over the spanning tree. --- *)
@@ -262,33 +251,22 @@ let constant_and_broadcast_entries g tree s ~spec ~in_ports =
     | Some pr -> Some pr.my_port
     | None -> None
   in
-  let local_delivery addr_cls =
-    match addr_cls with
-    | `All -> 0 :: host_ports g s
-    | `Switches -> [ 0 ]
-    | `Hosts -> host_ports g s
-  in
-  let tree_child_port p = List.mem p children_ports in
   List.iter
-    (fun (addr, cls) ->
+    (fun (addr, local_delivery) ->
       List.iter
         (fun in_port ->
           let entry_ports =
-            if in_port = 0 || is_host_port g s in_port then
-              (* Origination: head for the root, or flood if we are it. *)
+            if in_port = 0 || List.mem in_port children_ports then
+              (* Origination, or a child's packet heading for the root:
+                 up to the parent, or flood if we are the root — down
+                 every child (including the arrival child, whose subtree
+                 has not seen the packet on the way down) plus local
+                 delivery. *)
               match parent_port with
               | Some pp -> [ pp ]
-              | None -> children_ports @ local_delivery cls
-            else if tree_child_port in_port then
-              match parent_port with
-              | Some pp -> [ pp ]
-              | None ->
-                (* Root: flood down every child (including the arrival
-                   child, whose subtree has not seen the packet on the way
-                   down) plus local delivery. *)
-                children_ports @ local_delivery cls
+              | None -> children_ports @ local_delivery
             else if parent_port = Some in_port then
-              children_ports @ local_delivery cls
+              children_ports @ local_delivery
             else [] (* non-tree link: broadcasts never travel here *)
           in
           (* The sender receives its own broadcast too (at the root the
@@ -298,9 +276,115 @@ let constant_and_broadcast_entries g tree s ~spec ~in_ports =
           let ports = List.sort_uniq Int.compare entry_ports in
           add_entry spec ~in_port ~addr { broadcast = true; ports })
         in_ports)
-    [ (Short_address.broadcast_all, `All);
-      (Short_address.broadcast_switches, `Switches);
-      (Short_address.broadcast_hosts, `Hosts) ]
+    [ (Short_address.broadcast_all, [ 0 ]);
+      (Short_address.broadcast_switches, [ 0 ]);
+      (Short_address.broadcast_hosts, []) ]
+
+(* --- Host ports (paper 6.5.3) ---  What [build] gives a host port, as
+   edits of a spec (see the interface).  The loopback row at a port marks
+   it as a host port. *)
+
+let is_host_port t q =
+  lookup t ~in_port:q ~dst:Short_address.loopback != discard
+
+(* Map [f] over the broadcast-all and broadcast-hosts ports of every
+   in-port whose broadcast-all row delivers to the control processor: the
+   floods that deliver locally. *)
+let map_local_delivery t f =
+  for i = 0 to 15 do
+    if List.mem 0 (lookup t ~in_port:i ~dst:Short_address.broadcast_all).ports
+    then
+      List.iter
+        (fun dst ->
+          set t ~in_port:i ~dst
+            { broadcast = true; ports = f (lookup t ~in_port:i ~dst).ports })
+        [ Short_address.broadcast_all; Short_address.broadcast_hosts ]
+  done
+
+(* Rewrite in-port [q]'s column of every page [keep] selects to [entry
+   page a] at address [a].  A page this spec owns is written in place;
+   any other is copied once however many address blocks share it, and
+   the copy replaces it in all of them, still shared and so not owned. *)
+let recolumn t ~port:q ~keep ~entry =
+  let memo = ref [] in
+  let redo ~owned page =
+    match List.assq_opt page !memo with
+    | Some r -> r
+    | None ->
+      let page' = if owned then page else Array.copy page in
+      let n = ref 0 and changed = ref false in
+      for a = 0 to 15 do
+        let i = (a lsl 4) lor q and e = entry page a in
+        if e != page.(i) then begin
+          changed := true;
+          if page.(i) != discard then decr n;
+          if e != discard then incr n;
+          page'.(i) <- e
+        end
+      done;
+      let r = if !changed then Some (page', !n) else None in
+      memo := (page, r) :: !memo;
+      r
+  in
+  let update ~owned page install =
+    if page != empty_page then
+      match redo ~owned page with
+      | Some (page', n) ->
+        install page';
+        t.count <- t.count + n
+      | None -> ()
+  in
+  Array.iteri
+    (fun p page ->
+      if keep p then
+        update ~owned:(Bytes.get t.owned p <> '\000') page (fun page' ->
+            t.pages.(p) <- page'))
+    t.pages;
+  if keep top_page then
+    update ~owned:t.top_owned t.top (fun top -> t.top <- top)
+
+(* Give host ports [qs] of switch number [number] their rows, in-port 0's
+   column copied in the pages [copied] selects: [build] renders the remote
+   pages' host columns itself and adds all its host ports in one call. *)
+let add_host_rows t ~max_ports ~number ~ports:qs ~copied =
+  let own p = Short_address.assigned ~switch_number:number ~port:p in
+  map_local_delivery t (fun ports -> List.sort_uniq Int.compare (qs @ ports));
+  (* A host port's address is delivered wherever the control processor's
+     is: at every receiving in-port. *)
+  List.iter
+    (fun q ->
+      let deliver = { broadcast = false; ports = [ q ] } in
+      for i = 0 to 15 do
+        if lookup t ~in_port:i ~dst:(own 0) != discard then
+          add_entry t ~in_port:i ~addr:(own q) deliver
+      done)
+    qs;
+  List.iter
+    (fun q ->
+      (* Packets from [q] go where the control processor's go: both enter
+         in the Up phase. *)
+      recolumn t ~port:q ~keep:copied ~entry:(fun page a -> page.(a lsl 4));
+      add_entry t ~in_port:q ~addr:Short_address.loopback
+        { broadcast = false; ports = [ q ] };
+      add_entry t ~in_port:q ~addr:Short_address.local_switch to_cp;
+      for k = 1 to max_ports do
+        add_entry t ~in_port:q ~addr:(Short_address.one_hop ~port:k) to_cp
+      done)
+    qs
+
+let add_host_port t ~max_ports ~number ~port:q =
+  if not (is_host_port t q) then
+    add_host_rows t ~max_ports ~number ~ports:[ q ] ~copied:(fun p -> p <> 0)
+
+let remove_host_port t ~number ~port:q =
+  if is_host_port t q then begin
+    recolumn t ~port:q ~keep:(fun _ -> true) ~entry:(fun _ _ -> discard);
+    for i = 0 to 15 do
+      remove t ~in_port:i
+        ~dst:(Short_address.assigned ~switch_number:number ~port:q)
+    done;
+    map_local_delivery t (List.filter (( <> ) q))
+  end
 
 (* Per-task scratch for the builder, drawn from the per-domain arena so a
    pool worker reuses it across every switch of every epoch: the in-port
@@ -372,26 +456,22 @@ let place t p (page, n) =
 let number_of assignment d =
   Short_address.to_int (Address_assign.address assignment d 0) lsr 4
 
-let build ?(mode = Minimal_routes) g tree updown routes assignment s =
-  if not (Spanning_tree.mem tree s) then
-    invalid_arg "Tables.build: switch not in the configured component";
-  let spec = make_spec ~switch:s ~pages:(pages_for assignment) in
-  let in_ports = receiving_ports g updown s in
-  let next_hops = next_hops_of mode routes in
-  (* --- Assigned unicast destinations. ---
-     Every port address of every member switch gets an entry at remote
-     switches (the route depends only on the destination switch), so a
-     host plugged in after this reconfiguration is already reachable from
-     afar; delivery at the destination switch itself happens only for the
-     control processor and the ports known to hold hosts ("if the address
-     is not in use the packet is discarded").
+(* --- Assigned unicast destinations. ---
+   Every port address of every member switch gets an entry at remote
+   switches (the route depends only on the destination switch), so a host
+   plugged in after this reconfiguration is already reachable from afar;
+   delivery at the destination switch itself happens only for the control
+   processor and the ports known to hold hosts ("if the address is not in
+   use the packet is discarded").
 
-     The route out of [s] depends only on the arrival phase and the
-     destination switch, so a remote destination's whole 16-address block
-     is one page holding (at most) two distinct entries, and destinations
-     with equal next-hop sets share that page.  The in-port array and the
-     per-in-port phase selector come from the per-domain arena (reused
-     across tasks and epochs). *)
+   The route out of [s] depends only on the arrival phase and the
+   destination switch, so a remote destination's whole 16-address block is
+   one page holding (at most) two distinct entries, and destinations with
+   equal next-hop sets share that page.  The in-port array and the
+   per-in-port phase selector come from the per-domain arena (reused
+   across tasks and epochs).  [place_remote] installs the blocks of
+   [dests] other than [s] itself. *)
+let place_remote spec ~next_hops g ~in_ports routes assignment s dests =
   let arena = Arena.get () in
   let nip = List.length in_ports in
   let ip = Arena.ints arena slot_ip ~len:(Stdlib.max 1 nip) in
@@ -401,31 +481,44 @@ let build ?(mode = Minimal_routes) g tree updown routes assignment s =
   let intern = Hashtbl.create 16 in
   List.iter
     (fun d ->
-      if s = d then begin
-        let hosts_of_d = host_ports g d in
-        for q = 0 to max_ports do
-          if q = 0 || List.mem q hosts_of_d then begin
-            let addr = Address_assign.address assignment d q in
-            let e = { broadcast = false; ports = [ q ] } in
-            for i = 0 to nip - 1 do
-              add_entry spec ~in_port:ip.(i) ~addr e
-            done
-          end
-        done
-      end
-      else
+      if s <> d then
         match
           remote_page intern ~max_ports ~nip ~ip ~sel
             (remote_entries next_hops s d)
         with
         | Some pc -> place spec (number_of assignment d) pc
         | None -> ())
-    (Spanning_tree.members tree);
-  constant_and_broadcast_entries g tree s ~spec ~in_ports;
+    dests
+
+let build ?(mode = Minimal_routes) g tree updown routes assignment s =
+  if not (Spanning_tree.mem tree s) then
+    invalid_arg "Tables.build: switch not in the configured component";
+  let spec = make_spec ~switch:s ~pages:(pages_for assignment) in
+  let in_ports = receiving_ports g updown s in
+  place_remote spec ~next_hops:(next_hops_of mode routes) g ~in_ports routes
+    assignment s (Spanning_tree.members tree);
+  (* The switch's own rows: the control processor's address delivered
+     from every receiving port, the constant and broadcast rows, then each
+     host port's rows exactly as a host port enabled later gets them. *)
+  let hosts, switch_ports =
+    List.partition (fun p -> p <> 0 && Graph.host_at g (s, p) <> None) in_ports
+  in
+  List.iter
+    (fun in_port ->
+      add_entry spec ~in_port
+        ~addr:(Address_assign.address assignment s 0)
+        to_cp)
+    switch_ports;
+  constant_and_broadcast_entries g tree s ~spec ~in_ports:switch_ports;
+  let number = number_of assignment s in
+  add_host_rows spec ~max_ports:(Graph.max_ports g) ~number ~ports:hosts
+    ~copied:(fun p -> p = number || p = top_page);
   spec
 
-let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
-    ~switch:s ~removed_numbers ~added_dests =
+let patch g updown routes assignment ~prev ~switch:s ~removed_numbers
+    ~added_dests =
+  if List.mem s added_dests then
+    invalid_arg "Tables.patch: a switch cannot gain itself as a dest";
   (* [s] is the switch's index in [g]; [prev.spec_switch] was its index in
      the previous epoch's graph, which membership changes may have
      shifted.  The copied table content is keyed by switch number, which
@@ -443,26 +536,9 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
   (* Add the address blocks of brand-new destinations, exactly as [build]
      renders a remote destination; a number beyond the copied pages grows
      the page array. *)
-  if added_dests <> [] then begin
-    let in_ports = receiving_ports g updown s in
-    let next_hops = next_hops_of mode routes in
-    let nip = List.length in_ports in
-    let ip = Array.make nip 0 and sel = Array.make nip 0 in
-    fill_selectors routes s in_ports ~ip ~sel;
-    let max_ports = Graph.max_ports g in
-    let intern = Hashtbl.create 16 in
-    List.iter
-      (fun d ->
-        if d = s then
-          invalid_arg "Tables.patch: a switch cannot gain itself as a dest";
-        match
-          remote_page intern ~max_ports ~nip ~ip ~sel
-            (remote_entries next_hops s d)
-        with
-        | Some pc -> place spec (number_of assignment d) pc
-        | None -> ())
-      added_dests
-  end;
+  if added_dests <> [] then
+    place_remote spec ~next_hops:(Routes.next_hops routes) g
+      ~in_ports:(receiving_ports g updown s) routes assignment s added_dests;
   spec
 
 let equal_spec a b =

@@ -18,8 +18,8 @@
 
     A {!spec} is keyed by the hardware index [(address lsl 4) lor in_port],
     and it is also the switch's storage format: the switch's forwarding
-    table loads a spec by {!copy} and edits it in place with {!set} and
-    {!remove}.
+    table loads a spec by {!copy} and edits it in place with {!set},
+    {!add_host_port} and {!remove_host_port}.
 
     {b Storage.}  A spec holds its keys in copy-on-write pages of 256:
     page [p] is switch number [p]'s 16-address block at all 16 in-ports,
@@ -69,8 +69,6 @@ val set : spec -> in_port:Graph.port -> dst:Short_address.t -> entry -> unit
 (** Replace one entry in place; an entry with empty [ports] removes it.
     [in_port] must be in 0..15. *)
 
-val remove : spec -> in_port:Graph.port -> dst:Short_address.t -> unit
-
 val row : spec -> in_port:Graph.port -> (Short_address.t * entry) list
 (** The entries of one receiving port, ascending by address. *)
 
@@ -107,8 +105,27 @@ val build :
     vectors per destination switch are computed once and shared across
     the whole address block, not once per (in-port, address) pair. *)
 
+val add_host_port :
+  spec -> max_ports:int -> number:int -> port:Graph.port -> unit
+(** Give [port] of switch number [number] (of [max_ports] ports) exactly
+    the rows {!build} gives a host port, in place (paper 6.5.3):
+    - at [port], the Up-phase rows of every remote destination, copied
+      from in-port 0 once per physically distinct page, so pages that
+      address blocks share stay shared;
+    - at [port], the local-switch, loopback, one-hop and broadcast
+      origination rows and the switch's own delivered addresses;
+    - delivery of [port]'s address from every in-port that delivers the
+      control processor's;
+    - [port] in every local-delivery broadcast set (the rows whose
+      broadcast-all entry holds port 0).
+    A port whose loopback row is present is left as it is. *)
+
+val remove_host_port : spec -> number:int -> port:Graph.port -> unit
+(** The inverse of {!add_host_port}: every row received on [port], the
+    delivery of its address and its place in the broadcast sets go.  A
+    port without a loopback row is left as it is. *)
+
 val patch :
-  ?mode:route_mode ->
   Graph.t -> Updown.t -> Routes.t -> Address_assign.t ->
   prev:spec -> switch:Graph.switch ->
   removed_numbers:int list -> added_dests:Graph.switch list ->

@@ -7,7 +7,7 @@ let discard_entry = { vector = Port_vector.empty; broadcast = true }
 
 (* The table is held in the synthesis format itself, so a load is a
    [Tables.copy]: the page pointers, with the pages shared copy-on-write
-   (the one-hop rows and host-port enables then copy just the pages they
+   (the one-hop rows and host-port edits then copy just the pages they
    write).  The holder does not know its switch index: the spec keeps the
    index of the last one loaded. *)
 type t = { ports : int; mutable spec : Tables.spec; mutable gen : int }
@@ -32,18 +32,9 @@ let check_port t fn in_port =
 let of_tables (e : Tables.entry) =
   { vector = Port_vector.of_list e.Tables.ports; broadcast = e.Tables.broadcast }
 
-let set t ~in_port ~dst e =
-  check_port t "set" in_port;
-  Tables.set t.spec ~in_port ~dst
-    { Tables.broadcast = e.broadcast; ports = Port_vector.to_list e.vector }
-
 let lookup t ~in_port ~dst =
   check_port t "lookup" in_port;
   of_tables (Tables.lookup t.spec ~in_port ~dst)
-
-let unset t ~in_port ~dst =
-  check_port t "unset" in_port;
-  Tables.remove t.spec ~in_port ~dst
 
 let has_row t ~in_port =
   check_port t "has_row" in_port;

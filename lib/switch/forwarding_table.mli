@@ -18,7 +18,9 @@
     {!Autonet_core.Tables.copy}: the switch shares the spec's
     copy-on-write pages (one per switch number) instead of copying
     entries, and row reads and edits work on its own copy in place —
-    an edit copies only the page it touches. *)
+    an edit copies only the page it touches.  Host ports are enabled
+    and disabled on {!spec}, by {!Autonet_core.Tables.add_host_port}
+    and {!Autonet_core.Tables.remove_host_port}. *)
 
 open Autonet_net
 
@@ -44,14 +46,7 @@ val spec : t -> Autonet_core.Tables.spec
     loaded spec.  Later edits mutate it: take a
     {!Autonet_core.Tables.copy} to keep it. *)
 
-val set : t -> in_port:int -> dst:Short_address.t -> entry -> unit
-(** An empty vector removes the entry: it reads as discard and does not
-    count in {!entry_count}. *)
-
 val lookup : t -> in_port:int -> dst:Short_address.t -> entry
-
-val unset : t -> in_port:int -> dst:Short_address.t -> unit
-(** Remove one entry (it reverts to discard). *)
 
 val has_row : t -> in_port:int -> bool
 (** Whether any entry exists for this receiving port. *)

@@ -42,24 +42,18 @@ type span = {
 }
 
 type t = {
-  on : bool;
   mutable rev_marks : mark list;
   mutable rev_spans : span list;
   mutable n_faults : int;
 }
 
-let create ?(enabled = false) () =
-  { on = enabled; rev_marks = []; rev_spans = []; n_faults = 0 }
-
-let enabled t = t.on
+let create () = { rev_marks = []; rev_spans = []; n_faults = 0 }
 
 let mark t ~time ~epoch ~tid kind =
-  if t.on then begin
-    (match kind with Fault _ -> t.n_faults <- t.n_faults + 1 | _ -> ());
-    t.rev_marks <-
-      { m_time = time; m_epoch = epoch; m_tid = tid; m_kind = kind }
-      :: t.rev_marks
-  end
+  (match kind with Fault _ -> t.n_faults <- t.n_faults + 1 | _ -> ());
+  t.rev_marks <-
+    { m_time = time; m_epoch = epoch; m_tid = tid; m_kind = kind }
+    :: t.rev_marks
 
 let marks t = List.rev t.rev_marks
 let faults t = t.n_faults
@@ -72,11 +66,10 @@ let phase_marks t =
     (marks t)
 
 let span t ?(wall = true) ~time ~epoch ~tid ~name ~dur_ns () =
-  if t.on then
-    t.rev_spans <-
-      { sp_time = time; sp_epoch = epoch; sp_tid = tid; sp_name = name;
-        sp_dur_ns = dur_ns; sp_wall = wall }
-      :: t.rev_spans
+  t.rev_spans <-
+    { sp_time = time; sp_epoch = epoch; sp_tid = tid; sp_name = name;
+      sp_dur_ns = dur_ns; sp_wall = wall }
+    :: t.rev_spans
 
 let spans t = List.rev t.rev_spans
 

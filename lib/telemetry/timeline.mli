@@ -58,10 +58,8 @@ type mark = {
 
 type t
 
-val create : ?enabled:bool -> unit -> t
-(** Disabled by default; a disabled {!mark} is a load and a branch. *)
-
-val enabled : t -> bool
+val create : unit -> t
+(** An empty timeline; it records every {!mark} and {!span}. *)
 
 val mark : t -> time:Autonet_sim.Time.t -> epoch:int64 -> tid:int -> kind -> unit
 

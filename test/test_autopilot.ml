@@ -155,7 +155,7 @@ let test_fabric_status_table () =
   Graph.attach_host g ~host_uid:(uid 0xA1) ~host_port:0 (s0, 8);
   let f =
     Fabric.create ~engine:(Autonet_sim.Engine.create ()) ~graph:g
-      ~params:Params.fast ~rng:(Autonet_sim.Rng.create ~seed:1L)
+      ~params:Params.fast
   in
   Fabric.fail_link f failed;
   Fabric.set_port_flow f s1 ~port:3 Fabric.Flow_idhy;
@@ -198,7 +198,7 @@ let test_fabric_link_range () =
   let l = Graph.connect g (s0, 1) (s1, 1) in
   let f =
     Fabric.create ~engine:(Autonet_sim.Engine.create ()) ~graph:g
-      ~params:Params.fast ~rng:(Autonet_sim.Rng.create ~seed:1L)
+      ~params:Params.fast
   in
   let beyond = Graph.max_link_id g + 1 in
   List.iter
@@ -230,7 +230,6 @@ let test_fabric_in_flight_drop () =
   let engine = Autonet_sim.Engine.create () in
   let f =
     Fabric.create ~engine ~graph:g ~params:Params.fast
-      ~rng:(Autonet_sim.Rng.create ~seed:1L)
   in
   let received = ref [] in
   Fabric.attach_switch f s1 ~rx:(fun ~port _ -> received := port :: !received);

@@ -359,6 +359,39 @@ let test_churn_short () =
     && again.Fuzz.ch_max_heal = report.Fuzz.ch_max_heal
     && again.Fuzz.ch_metrics = report.Fuzz.ch_metrics)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle *)
+
+(* A host powered on after convergence is enabled without a
+   reconfiguration (paper 6.5.3) and must then reach, and be reached from,
+   every other endpoint: on line:3 with two hosts per switch, s0.p2 off at
+   boot and on once the network converged.  Its port turns s.host 232 ms
+   after power-on; with [reconfigure_after] a reconfiguration starts
+   before that, so the port turns s.host while the epoch that missed it
+   is still loading its tables. *)
+let test_late_host_reaches_everyone ?reconfigure_after () =
+  let net =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:5L
+      (Builders.attach_hosts ~dual_homed:false (Builders.line ~n:3 ())
+         ~per_switch:2)
+  in
+  let late = (0, 2) in
+  Autonet_autopilot.Fabric.power_off_host (N.fabric net) late;
+  N.start net;
+  check_bool "converged" true (N.run_until_converged net <> None);
+  Autonet_autopilot.Fabric.power_on_host (N.fabric net) late;
+  Option.iter
+    (fun dt ->
+      N.run_for net dt;
+      Autopilot.initiate_reconfiguration (N.autopilot net 1) ~reason:"test")
+    reconfigure_after;
+  N.run_for net (Time.s 3);
+  match Oracle.check net with
+  | [] -> ()
+  | vs ->
+    Alcotest.failf "%d violations, first: %a" (List.length vs)
+      Oracle.pp_violation (List.hd vs)
+
 let () =
   Alcotest.run "chaos"
     [ ( "seeds",
@@ -380,6 +413,13 @@ let () =
             test_check_raised_artifact;
           Alcotest.test_case "all switches down times out" `Quick
             test_all_switches_down_times_out ] );
+      ( "oracle",
+        [ Alcotest.test_case "late host reaches everyone" `Quick
+            (test_late_host_reaches_everyone ?reconfigure_after:None);
+          Alcotest.test_case "host turning s.host mid-epoch reaches everyone"
+            `Quick
+            (test_late_host_reaches_everyone
+               ~reconfigure_after:(Time.ms 200)) ] );
       ( "fuzz",
         [ Alcotest.test_case "deterministic across pools" `Slow
             test_fuzz_deterministic_across_pools;

@@ -15,17 +15,21 @@ let spec_to_list spec =
         ((in_port, Autonet_net.Short_address.to_int dst), e) :: acc)
     |> List.rev )
 
-let check_topology seed =
+(* The crosscheck's random topology for [seed], two hosts per switch.
+   Every third topology loses a random link first, so the crosscheck also
+   covers adjacency-cache invalidation and disconnected ids. *)
+let crosscheck_graph seed =
   let rng = Rng.create ~seed:(Int64.of_int seed) in
-  let topo = Testlib.random_topology rng ~max_n:9 in
-  let g = topo.Autonet_topo.Builders.graph in
-  (* Every third topology loses a random link first, so the crosscheck
-     also covers adjacency-cache invalidation and disconnected ids. *)
+  let g = (Testlib.random_topology rng ~max_n:9).Autonet_topo.Builders.graph in
   if seed mod 3 = 0 then begin
     let links = Graph.links g in
     let l = List.nth links (Rng.int rng (List.length links)) in
     Graph.disconnect g l.Graph.id
   end;
+  g
+
+let check_topology seed =
+  let g = crosscheck_graph seed in
   let fail fmt = Alcotest.failf ("seed %d: " ^^ fmt) seed in
   (* --- Spanning tree. --- *)
   let tree_f = Spanning_tree.compute g ~member:0 in
@@ -368,7 +372,7 @@ let test_iter_neighbors_matches_list () =
    switch.  Indices are reassigned in the same order a fresh topology
    report would produce them, which is exactly what the classifier's
    UID alignment is for. *)
-let rebuild_graph ?drop_link ?drop_switch g =
+let rebuild_graph ?drop_link ?drop_switch ?drop_host g =
   let keep s = drop_switch <> Some s in
   let g' = Graph.create ~max_ports:(Graph.max_ports g) () in
   let map = Hashtbl.create 16 in
@@ -386,11 +390,75 @@ let rebuild_graph ?drop_link ?drop_switch g =
     (Graph.links g);
   List.iter
     (fun (att : Graph.host_attachment) ->
-      if keep att.switch then
+      if keep att.switch && drop_host <> Some (att.switch, att.switch_port) then
         Graph.attach_host g' ~host_uid:att.host_uid ~host_port:att.host_port
           (Hashtbl.find map att.switch, att.switch_port))
     (Graph.hosts g);
   g'
+
+(* --- Host ports: one renderer. ---
+   On every crosscheck topology, for every member switch and every port
+   cabled to a host, in both route modes: adding the port's rows to the
+   table built without its host gives the table built with it, and
+   removing them from the table built with it gives the table built
+   without it.  Adding a port already there, or removing one that is
+   not, changes nothing, and neither edit reaches the table it copied. *)
+let test_host_port_rows () =
+  let edits = ref 0 in
+  for seed = 1 to n_topologies do
+    let g = crosscheck_graph seed in
+    let fail fmt = Alcotest.failf ("host seed %d: " ^^ fmt) seed in
+    let build ?(mode = Tables.Minimal_routes) g s =
+      let tree = Spanning_tree.compute g ~member:0 in
+      let updown = Updown.orient g tree in
+      let routes = Routes.compute g tree updown in
+      let assignment =
+        Address_assign.make g
+          (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
+      in
+      ( Tables.build ~mode g tree updown routes assignment s,
+        Option.get (Address_assign.number assignment s) )
+    in
+    let max_ports = Graph.max_ports g in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun (q, mode) ->
+            let g' = rebuild_graph ~drop_host:(s, q) g in
+            let with_q, number = build ~mode g s in
+            let without_q, number' = build ~mode g' s in
+            if number <> number' then fail "s%d: numbers differ" s;
+            let edited f spec =
+              let c = Tables.copy ~switch:s spec in
+              f c;
+              c
+            in
+            let add = Tables.add_host_port ~max_ports ~number ~port:q in
+            let remove = Tables.remove_host_port ~number ~port:q in
+            incr edits;
+            if not (Tables.equal_spec (edited add without_q) with_q) then
+              fail "s%d.p%d: adding its rows is not the build with it" s q;
+            if not (Tables.equal_spec (edited remove with_q) without_q) then
+              fail "s%d.p%d: removing its rows is not the build without it" s q;
+            if not (Tables.equal_spec (edited add with_q) with_q) then
+              fail "s%d.p%d: adding it twice changed the table" s q;
+            if not (Tables.equal_spec (edited remove without_q) without_q)
+            then fail "s%d.p%d: removing it twice changed the table" s q;
+            if
+              not
+                (Tables.equal_spec without_q (fst (build ~mode g' s))
+                && Tables.equal_spec with_q (fst (build ~mode g s)))
+            then fail "s%d.p%d: an edit reached the copied table" s q)
+          (List.concat_map
+             (fun (att : Graph.host_attachment) ->
+               if att.switch = s then
+                 [ (att.switch_port, Tables.Minimal_routes);
+                   (att.switch_port, Tables.All_legal_routes) ]
+               else [])
+             (Graph.hosts g)))
+      (Spanning_tree.members (Spanning_tree.compute g ~member:0))
+  done;
+  if !edits = 0 then Alcotest.fail "no host port was edited"
 
 type full_epoch = {
   f_graph : Graph.t;
@@ -837,6 +905,13 @@ let () =
       ( "graph",
         [ Alcotest.test_case "iter_neighbors matches the list API" `Quick
             test_iter_neighbors_matches_list ] );
+      ( "host ports",
+        [ Alcotest.test_case
+            (Printf.sprintf
+               "added and removed rows equal the builds with and without \
+                the host on %d random topologies"
+               n_topologies)
+            `Quick test_host_port_rows ] );
       ( "delta",
         [ QCheck_alcotest.to_alcotest delta_qcheck;
           Alcotest.test_case "the property run took the fast path" `Quick

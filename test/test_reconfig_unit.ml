@@ -36,7 +36,6 @@ let make_net topo =
   let engine = Autonet_sim.Engine.create () in
   let fabric =
     Fabric.create ~engine ~graph:g ~params:Autonet_autopilot.Params.fast
-      ~rng:(Autonet_sim.Rng.create ~seed:1L)
   in
   let epochs = Autonet_autopilot.Epoch_cache.create () in
   let nodes = Array.make (Graph.switch_count g) None in
@@ -61,7 +60,7 @@ let make_net topo =
                        Queue.add (peer_port, msg) (node_of peer).inbox));
                cb_load_constant = (fun () -> ());
                cb_load_tables =
-                 (fun spec ~parent:_ ~children:_ ->
+                 (fun spec ->
                    let n = Lazy.force node in
                    n.loaded <- Some spec;
                    Reconfig.note_configured n.rc);

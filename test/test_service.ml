@@ -288,7 +288,33 @@ let test_late_host_enabled_without_reconfiguration () =
   in
   check_bool "delivery entry installed" true
     (Autonet_switch.Port_vector.mem late.Graph.switch_port
-       entry.Autonet_switch.Forwarding_table.vector)
+       entry.Autonet_switch.Forwarding_table.vector);
+  (* A datagram from the late host reaches a host on the other switch. *)
+  let ps =
+    PS.create ~engine:(N.engine net) g ~tables:(fun s ->
+        AP.forwarding_table (N.autopilot net s))
+  in
+  let far =
+    List.find (fun h -> h.Graph.switch <> late.Graph.switch) (Graph.hosts g)
+  in
+  let far_ep = (far.Graph.switch, far.Graph.switch_port) in
+  let far_addr =
+    Short_address.assigned
+      ~switch_number:
+        (Option.get (AP.switch_number (N.autopilot net far.Graph.switch)))
+      ~port:far.Graph.switch_port
+  in
+  let got = ref 0 in
+  PS.set_host_rx ps far_ep (fun _ -> incr got);
+  PS.send ps ~from:late_ep
+    (Packet.client ~dst:far_addr ~src:addr
+       (Eth.make ~dst:far.Graph.host_uid ~src:late.Graph.host_uid
+          ~ethertype:0x0800 ~payload:"late"));
+  N.run_for net (Time.ms 5);
+  check_int
+    (Printf.sprintf "datagram from s%d.p%d reached s%d.p%d" late.Graph.switch
+       late.Graph.switch_port far.Graph.switch far.Graph.switch_port)
+    1 !got
 
 let test_version_rollout () =
   (* Release v2 at one switch: it sweeps the network, every switch reboots

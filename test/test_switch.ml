@@ -48,6 +48,14 @@ let pv_qcheck =
 
 let addr = Short_address.of_int
 
+(* The switch edits its live table through its spec. *)
+let set t ~in_port ~dst (e : FT.entry) =
+  Autonet_core.Tables.set (FT.spec t) ~in_port ~dst
+    { Autonet_core.Tables.broadcast = e.FT.broadcast;
+      ports = PV.to_list e.FT.vector }
+
+let unset t ~in_port ~dst = set t ~in_port ~dst FT.discard_entry
+
 let test_ft_default_discard () =
   let t = FT.create ~max_ports:12 in
   let e = FT.lookup t ~in_port:3 ~dst:(addr 0x100) in
@@ -55,7 +63,7 @@ let test_ft_default_discard () =
 
 let test_ft_set_lookup () =
   let t = FT.create ~max_ports:12 in
-  FT.set t ~in_port:2 ~dst:(addr 0x123)
+  set t ~in_port:2 ~dst:(addr 0x123)
     { FT.vector = PV.of_list [ 4; 5 ]; broadcast = false };
   let e = FT.lookup t ~in_port:2 ~dst:(addr 0x123) in
   Alcotest.(check (list int)) "ports" [ 4; 5 ] (PV.to_list e.FT.vector);
@@ -86,11 +94,11 @@ let test_ft_generation_bumps () =
 
 let test_ft_unset_and_rows () =
   let t = FT.create ~max_ports:12 in
-  FT.set t ~in_port:1 ~dst:(addr 0x10) { FT.vector = PV.singleton 2; broadcast = false };
-  FT.set t ~in_port:1 ~dst:(addr 0x20) { FT.vector = PV.singleton 3; broadcast = false };
+  set t ~in_port:1 ~dst:(addr 0x10) { FT.vector = PV.singleton 2; broadcast = false };
+  set t ~in_port:1 ~dst:(addr 0x20) { FT.vector = PV.singleton 3; broadcast = false };
   check_bool "has row" true (FT.has_row t ~in_port:1);
   check_int "rows" 2 (List.length (FT.rows_of t ~in_port:1));
-  FT.unset t ~in_port:1 ~dst:(addr 0x10);
+  unset t ~in_port:1 ~dst:(addr 0x10);
   check_int "one left" 1 (List.length (FT.rows_of t ~in_port:1));
   check_bool "no row elsewhere" false (FT.has_row t ~in_port:2)
 
@@ -102,13 +110,10 @@ let test_ft_rejects_bad_ports () =
   raises "create 0" (fun () -> ignore (FT.create ~max_ports:0));
   raises "create 16" (fun () -> ignore (FT.create ~max_ports:16));
   let t = FT.create ~max_ports:12 in
-  let e = { FT.vector = PV.singleton 2; broadcast = false } in
   List.iter
     (fun in_port ->
       let at = Printf.sprintf " in_port %d" in_port in
-      raises ("set" ^ at) (fun () -> FT.set t ~in_port ~dst:(addr 0x10) e);
       raises ("lookup" ^ at) (fun () -> ignore (FT.lookup t ~in_port ~dst:(addr 0x10)));
-      raises ("unset" ^ at) (fun () -> FT.unset t ~in_port ~dst:(addr 0x10));
       raises ("has_row" ^ at) (fun () -> ignore (FT.has_row t ~in_port));
       raises ("rows_of" ^ at) (fun () -> ignore (FT.rows_of t ~in_port)))
     [ -1; 13; 16 ]
@@ -117,7 +122,7 @@ let test_ft_set_empty_is_discard () =
   let t = FT.create ~max_ports:12 in
   FT.load_constant t;
   let n = FT.entry_count t in
-  FT.set t ~in_port:2 ~dst:(addr 0x30) { FT.vector = PV.empty; broadcast = false };
+  set t ~in_port:2 ~dst:(addr 0x30) { FT.vector = PV.empty; broadcast = false };
   let e = FT.lookup t ~in_port:2 ~dst:(addr 0x30) in
   check_bool "discard" true (e = FT.discard_entry);
   check_int "entry_count unchanged" n (FT.entry_count t);
@@ -188,17 +193,17 @@ let ft_load_spec_equivalent =
           in
           let in_port = seed mod (max_ports + 1) in
           List.iter
-            (fun (dst, _) -> FT.unset t ~in_port ~dst)
+            (fun (dst, _) -> unset t ~in_port ~dst)
             (FT.rows_of t ~in_port);
           let agree_emptied = rows_agree () && not (FT.has_row t ~in_port) in
           (* One entry in switch number 1's page, at any address of its
              block, then one in the special addresses' page. *)
           let e = { FT.vector = PV.singleton 1; broadcast = false } in
           let dst = Short_address.of_int (0x10 + (seed mod 16)) in
-          FT.set t ~in_port ~dst e;
+          set t ~in_port ~dst e;
           let agree_block = rows_agree () in
-          FT.unset t ~in_port ~dst;
-          FT.set t ~in_port ~dst:Short_address.loopback e;
+          unset t ~in_port ~dst;
+          set t ~in_port ~dst:Short_address.loopback e;
           let all_rows =
             List.concat_map
               (fun in_port -> FT.rows_of t ~in_port)

@@ -293,7 +293,7 @@ let test_metrics_to_json_parses () =
 (* Timeline: phase derivation and trace export *)
 
 let mk_timeline marks =
-  let tl = Timeline.create ~enabled:true () in
+  let tl = Timeline.create () in
   List.iter
     (fun (time, epoch, tid, kind) -> Timeline.mark tl ~time ~epoch ~tid kind)
     marks;
@@ -318,11 +318,6 @@ let full_epoch_marks =
     (Time.us 500, 3L, 1, Timeline.Configured);
     (Time.us 505, 3L, 2, Timeline.Configured);
     (Time.us 510, 3L, 0, Timeline.Configured) ]
-
-let test_timeline_disabled_records_nothing () =
-  let tl = Timeline.create () in
-  Timeline.mark tl ~time:Time.zero ~epoch:1L ~tid:0 (heard ());
-  check_int "no marks" 0 (List.length (Timeline.marks tl))
 
 let test_timeline_phases () =
   let tl = mk_timeline full_epoch_marks in
@@ -426,14 +421,6 @@ let test_timeline_causal_kinds_ignored () =
 
 (* ------------------------------------------------------------------ *)
 (* Causal view: timeline marks -> wave reconstruction *)
-
-let test_causal_disabled_records_nothing () =
-  let tl = Timeline.create () in
-  Timeline.mark tl ~time:Time.zero ~epoch:1L ~tid:0 (heard ());
-  Timeline.mark tl ~time:Time.zero ~epoch:(-1L) ~tid:(-1)
-    (Timeline.Fault "link_down:0");
-  check_int "no waves" 0 (List.length (Causal.waves tl));
-  check_int "no fault numbered" 0 (Timeline.faults tl)
 
 let test_causal_wave_reconstruction () =
   let tl =
@@ -580,6 +567,16 @@ let test_recorders_are_log_tail () =
         entries tail)
     recorders;
   check_bool "some log outgrew its recorder" true !wrapped
+
+(* The default mode builds no registry and no timeline: a booted network
+   has nothing to snapshot. *)
+let test_disabled_builds_nothing () =
+  let net = N.create ~params:Autonet_autopilot.Params.fast (B.line ~n:2 ()) in
+  N.start net;
+  ignore (N.run_until_converged net);
+  check_bool "no registry" true (N.metrics net = None);
+  check_bool "no timeline" true (N.timeline net = None);
+  check_int "empty snapshot" 0 (List.length (N.telemetry_snapshot net))
 
 let test_one_stream () =
   let net, fault_at = src_run_with_fault () in
@@ -732,9 +729,7 @@ let () =
           QCheck_alcotest.to_alcotest json_roundtrip_qcheck;
           Alcotest.test_case "accessors" `Quick test_json_accessors ] );
       ( "causal",
-        [ Alcotest.test_case "disabled records nothing" `Quick
-            test_causal_disabled_records_nothing;
-          Alcotest.test_case "wave reconstruction" `Quick
+        [ Alcotest.test_case "wave reconstruction" `Quick
             test_causal_wave_reconstruction;
           Alcotest.test_case "reboot overwrites" `Quick
             test_causal_reboot_overwrites;
@@ -745,11 +740,11 @@ let () =
             test_recorders_are_log_tail ] );
       ( "stream",
         [ Alcotest.test_case "subtree stability is timeline-only" `Quick
-            test_one_stream ] );
+            test_one_stream;
+          Alcotest.test_case "disabled builds nothing" `Quick
+            test_disabled_builds_nothing ] );
       ( "timeline",
-        [ Alcotest.test_case "disabled records nothing" `Quick
-            test_timeline_disabled_records_nothing;
-          Alcotest.test_case "phase derivation" `Quick test_timeline_phases;
+        [ Alcotest.test_case "phase derivation" `Quick test_timeline_phases;
           Alcotest.test_case "incomplete epoch" `Quick
             test_timeline_incomplete_epoch;
           Alcotest.test_case "trace validates" `Quick
