@@ -1,6 +1,7 @@
 .PHONY: all test bench bench-smoke bench-scaling bench-gates bench-delta \
 	bench-fuzz bench-json bench-e2e bench-e2e-smoke bench-e2e-pairs chaos-smoke \
-	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke profile explore clean
+	chaos-smoke-4 telemetry-smoke trace-smoke fuzz-smoke profile explore \
+	same-as-parent clean
 
 all:
 	dune build @all
@@ -46,12 +47,22 @@ bench-e2e:
 
 # A change against another checkout (e.g. its parent, cloned elsewhere):
 # PAIRS alternating pairs of untraced runs of one workload, each side's
-# medians and quartiles and the change's win count (bin/e2e_pairs.sh), e.g.
+# medians and quartiles, the change's win count and a no-regression
+# verdict per end-to-end metric against BENCHMARK.json's bound (ok, worse
+# or unresolved; the target fails on worse) (bin/e2e_pairs.sh), e.g.
 #   make bench-e2e-pairs PARENT=../parent WORKLOAD=torus256_flap PAIRS=10
 PAIRS ?= 10
 RUN_SECONDS ?= 18
 bench-e2e-pairs:
 	bash bin/e2e_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
+
+# Same simulation as another checkout (e.g. its parent, cloned elsewhere):
+# a fixed list of smoke, example, experiment and benchmark-smoke commands
+# at one domain on both sides, their exit status, stdout, stderr and
+# written files compared (bin/same_as_parent.sh).  Not part of runtest.
+#   make same-as-parent PARENT=../parent
+same-as-parent:
+	bash bin/same_as_parent.sh $(PARENT)
 
 # The incremental-reconfiguration gate's deterministic half: after a
 # non-tree link fault on the 256-switch torus the delta fast path must

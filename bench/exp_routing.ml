@@ -82,12 +82,12 @@ let e7 () =
     (fun spec ->
       let s = Tables.switch spec in
       Tables.fold spec ~init:() ~f:(fun () ~in_port:_ ~dst:_ e ->
-          List.iter
-            (fun p ->
+          for p = 0 to Port_vector.max_port do
+            if Port_vector.mem p (Tables.vector e) then
               match Graph.link_at c.graph (s, p) with
               | Some id -> Hashtbl.replace used id ()
-              | None -> ())
-            e.Tables.ports))
+              | None -> ()
+          done))
     c.specs;
   Printf.printf "links carrying traffic on the SRC LAN: %d of %d usable\n\n"
     (Hashtbl.length used)
@@ -162,9 +162,9 @@ let a1 () =
     List.iter
       (fun spec ->
         Tables.fold spec ~init:() ~f:(fun () ~in_port:_ ~dst e ->
-            if (not e.Tables.broadcast) && Short_address.split dst <> None
+            if (not (Tables.broadcast e)) && Short_address.split dst <> None
             then begin
-              total := !total + List.length e.Tables.ports;
+              total := !total + Port_vector.count (Tables.vector e);
               incr n
             end))
       specs;

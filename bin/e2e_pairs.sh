@@ -10,14 +10,22 @@
 # Each side builds and runs its own bench/e2e/run.sh.
 #
 # Prints every run's end-to-end metrics, then for each end-to-end metric
-# of BENCHMARK.json each side's median and quartiles and the number of
-# pairs the change won (ties count for neither), plus each side's total
-# failed operations.  A run that exits nonzero (e2e.exe does when an
-# operation fails) or prints no result is marked on its seed's line and
-# kept: its metrics, if any, still count, and a side without a result
-# drops out of that pair.  The summary always prints; the script then
-# exits 1 if any run failed.  Reads bench/e2e in both checkouts and edits
-# nothing; the runs' JSON lines go to a temporary directory.
+# of BENCHMARK.json each side's median and quartiles, the number of pairs
+# the change won (ties count for neither), the change's median relative
+# to the parent's, the metric's bound and a no-regression verdict:
+#   ok          the change's median is worse than the parent's by no more
+#               than the bound, or every change run beats every parent run;
+#   worse       it is worse by more than the bound;
+#   unresolved  the parent's interquartile range, relative to its median,
+#               exceeds the bound (and the change did not win every run),
+#               so the runs cannot tell a regression from noise.
+# Then each side's total failed operations.  A run that exits nonzero
+# (e2e.exe does when an operation fails) or prints no result is marked on
+# its seed's line and kept: its metrics, if any, still count, and a side
+# without a result drops out of that pair.  The summary always prints;
+# the script then exits 1 if any run failed or any verdict is worse.
+# Reads bench/e2e in both checkouts and edits nothing; the runs' JSON
+# lines go to a temporary directory.
 #
 #   bash bin/e2e_pairs.sh ../parent torus256_flap 10
 set -euo pipefail
@@ -38,12 +46,13 @@ for dir in "$parent" "$change"; do
   fi
 done
 
-# name:better for each end-to-end metric, in BENCHMARK.json's order.
+# name:better:bound for each end-to-end metric, in BENCHMARK.json's order.
 metrics=$(awk '
   /"end_to_end"/ { on = 1 }
   on && /"per_layer"/ { on = 0 }
   on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-  on && /"better"/ { gsub(/[",]/, "", $2); print name ":" $2 }
+  on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+  on && /"bound"/ { gsub(/[",]/, "", $2); print name ":" better ":" $2 }
 ' "$change/BENCHMARK.json")
 
 out=$(mktemp -d)
@@ -95,14 +104,16 @@ for seed in $(seq 1 "$pairs"); do
   echo "$line"
 done
 
-printf '\n%-14s %-7s %-32s %-32s %s\n' metric better \
-  "parent median [q1, q3]" "change median [q1, q3]" "change wins"
+printf '\n%-14s %-7s %-32s %-32s %-6s %-8s %-6s %s\n' metric better \
+  "parent median [q1, q3]" "change median [q1, q3]" wins median bound verdict
 for m in $metrics; do
   name=${m%%:*}
-  better=${m##*:}
+  better=${m#*:}
+  bound=${better#*:}
+  better=${better%%:*}
   for seed in $(seq 1 "$pairs"); do
     echo "$(value "$out/parent-$seed.json" "$name") $(value "$out/change-$seed.json" "$name")"
-  done | awk -v name="$name" -v better="$better" -v n="$pairs" '
+  done | awk -v name="$name" -v better="$better" -v bound="$bound" -v n="$pairs" '
     function q(a, k, p,   x, i) { # linear-interpolated quantile of sorted a
       x = 1 + (k - 1) * p; i = int(x)
       return i >= k ? a[k] : a[i] + (x - i) * (a[i + 1] - a[i])
@@ -119,14 +130,32 @@ for m in $metrics; do
       sorted(a, s, k)
       return sprintf("%.4g [%.4g, %.4g]", q(s, k, .5), q(s, k, .25), q(s, k, .75))
     }
+    function beats(x, y) { return better == "lower" ? x < y : x > y }
     { if ($1 != "NA") p[++np] = $1 + 0
       if ($2 != "NA") c[++nc] = $2 + 0
-      if ($1 != "NA" && $2 != "NA" && \
-          (better == "lower" ? $2 + 0 < $1 + 0 : $2 + 0 > $1 + 0)) wins++ }
+      if ($1 != "NA" && $2 != "NA" && beats($2 + 0, $1 + 0)) wins++ }
     END {
-      printf "%-14s %-7s %-32s %-32s %d/%d\n", name, better,
-        summary(p, np), summary(c, nc), wins, n
-    }'
+      rel = "NA"; verdict = "unresolved"
+      if (np > 0 && nc > 0) {
+        sorted(p, ps, np); sorted(c, cs, nc)
+        pm = q(ps, np, .5)
+        # Every change run beats every parent run: the best parent run
+        # against the worst change run.
+        all = better == "lower" ? beats(cs[nc], ps[1]) : beats(cs[1], ps[np])
+        if (pm != 0) {
+          rel = (q(cs, nc, .5) - pm) / pm
+          worse_by = better == "lower" ? rel : -rel
+          spread = (q(ps, np, .75) - q(ps, np, .25)) / (pm < 0 ? -pm : pm)
+          if (all) verdict = "ok"
+          else if (spread > bound + 0) verdict = "unresolved"
+          else verdict = worse_by > bound + 0 ? "worse" : "ok"
+          rel = sprintf("%+.1f%%", 100 * rel)
+        }
+      }
+      printf "%-14s %-7s %-32s %-32s %-6s %-8s %-6s %s\n", name, better,
+        summary(p, np), summary(c, nc), (wins + 0) "/" n, rel,
+        sprintf("%.0f%%", 100 * bound), verdict
+    }' | tee -a "$out/verdicts"
 done
 
 failed() { # failed SIDE: the failed operations over all runs of a side
@@ -135,7 +164,13 @@ failed() { # failed SIDE: the failed operations over all runs of a side
 }
 echo
 echo "failed operations: parent $(failed parent), change $(failed change)"
+status=0
 if [ "$failed_runs" -gt 0 ]; then
   echo "e2e_pairs: $failed_runs run(s) failed; see the marked seeds above" >&2
-  exit 1
+  status=1
 fi
+if grep -q ' worse$' "$out/verdicts"; then
+  echo "e2e_pairs: an end-to-end metric is worse than its bound" >&2
+  status=1
+fi
+exit "$status"

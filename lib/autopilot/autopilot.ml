@@ -23,6 +23,14 @@ type tel_counters = {
   ct_delta_rebuilt : Metrics.counter;
 }
 
+type stats = {
+  reconfigurations_started : int;
+  configurations_completed : int;
+  packets_lost_to_reset : int;
+  last_epoch_started_at : Time.t option;
+  last_configured_at : Time.t option;
+}
+
 type t = {
   fabric : Fabric.t;
   epochs : Epoch_cache.t;  (* the network's; received reports intern to it *)
@@ -50,12 +58,7 @@ type t = {
   mutable advertised_version : int;
       (* the version probes and offers carry: lags [version] by the
          propagation delay after a reboot — the damping knob *)
-  (* stats *)
-  mutable st_reconfigs : int;
-  mutable st_configs : int;
-  mutable st_reset_losses : int;
-  mutable st_epoch_started : Time.t option;
-  mutable st_configured_at : Time.t option;
+  mutable stats : stats;
 }
 
 let params t = Fabric.params t.fabric
@@ -88,20 +91,7 @@ let complete_report t = Reconfig.complete_report (reconfig_exn t)
 let delta_spec t = Reconfig.delta_spec (reconfig_exn t)
 let root_verdict t = Reconfig.root_verdict (reconfig_exn t)
 
-type stats = {
-  reconfigurations_started : int;
-  configurations_completed : int;
-  packets_lost_to_reset : int;
-  last_epoch_started_at : Time.t option;
-  last_configured_at : Time.t option;
-}
-
-let stats t =
-  { reconfigurations_started = t.st_reconfigs;
-    configurations_completed = t.st_configs;
-    packets_lost_to_reset = t.st_reset_losses;
-    last_epoch_started_at = t.st_epoch_started;
-    last_configured_at = t.st_configured_at }
+let stats t = t.stats
 
 let current_epoch t =
   match t.reconfig with Some r -> Reconfig.epoch r | None -> Epoch.zero
@@ -121,9 +111,22 @@ let mark_of_event t = function
 
 (* The one recorder: every event — from the monitor, the reconfig
    instance or the pilot itself — funnels through here into the circular
-   log, the metrics registry and the phase timeline.  [Subtree_stable]
-   is a timeline milestone only. *)
+   log, the stats, the metrics registry and the phase timeline, and no
+   other code counts an event.  [Subtree_stable] is a timeline milestone
+   only. *)
 let record_event t e =
+  (match e with
+  | Event.Reconfig_started _ ->
+    t.stats <-
+      { t.stats with
+        reconfigurations_started = t.stats.reconfigurations_started + 1;
+        last_epoch_started_at = Some (now t) }
+  | Event.Configured _ ->
+    t.stats <-
+      { t.stats with
+        configurations_completed = t.stats.configurations_completed + 1;
+        last_configured_at = Some (now t) }
+  | _ -> ());
   (match e with
   | Event.Subtree_stable -> ()
   | _ -> (
@@ -133,6 +136,8 @@ let record_event t e =
     | Some c ->
       Metrics.incr c.ct_events;
       (match e with
+      | Event.Reconfig_started _ -> Metrics.incr c.ct_reconfigs
+      | Event.Configured _ -> Metrics.incr c.ct_configs
       | Event.Port_transition _ -> Metrics.incr c.ct_transitions
       | Event.Skeptic_backoff _ -> Metrics.incr c.ct_backoffs
       | Event.Malformed_packet _ -> Metrics.incr c.ct_malformed
@@ -201,11 +206,6 @@ let is_host t q = Port_state.equal (port_state t ~port:q) Port_state.Host
 let snapshot_and_start t ?join ?via reason =
   if t.is_powered then begin
     let usable = Port_monitor.good_ports (monitor_exn t) in
-    t.st_reconfigs <- t.st_reconfigs + 1;
-    t.st_epoch_started <- Some (now t);
-    (match t.counters with
-    | Some c -> Metrics.incr c.ct_reconfigs
-    | None -> ());
     (* Causal context for the new epoch: an initiator starts a fresh wave
        at hop 0 traced to the latest fault; a joiner inherits origin and
        hop from the message that carried the larger epoch.  It must be
@@ -280,11 +280,6 @@ let make_callbacks t =
             done));
     cb_configured =
       (fun () ->
-        t.st_configs <- t.st_configs + 1;
-        t.st_configured_at <- Some (now t);
-        (match t.counters with
-        | Some c -> Metrics.incr c.ct_configs
-        | None -> ());
         record_event t
           (Event.Configured
              { number = Option.value ~default:(-1) (switch_number t) }));
@@ -449,7 +444,8 @@ let on_receive t ~port packet =
   if not t.is_powered then ()
   else if now t < t.loading_until then begin
     (* The data path is resetting: the packet is destroyed. *)
-    t.st_reset_losses <- t.st_reset_losses + 1;
+    t.stats <-
+      { t.stats with packets_lost_to_reset = t.stats.packets_lost_to_reset + 1 };
     match t.counters with
     | Some c -> Metrics.incr c.ct_reset_losses
     | None -> ()
@@ -555,11 +551,10 @@ let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
       host_enabled = Array.make (Graph.max_ports g + 1) false;
       version = 1;
       advertised_version = 1;
-      st_reconfigs = 0;
-      st_configs = 0;
-      st_reset_losses = 0;
-      st_epoch_started = None;
-      st_configured_at = None }
+      stats =
+        { reconfigurations_started = 0; configurations_completed = 0;
+          packets_lost_to_reset = 0; last_epoch_started_at = None;
+          last_configured_at = None } }
   in
   let monitor =
     Port_monitor.create ~fabric ~switch ~uid:t.sw_uid

@@ -37,7 +37,7 @@ let with_unicast_scheme g assignment specs ~next_ports =
       let kept =
         Tables.fold spec ~init:[] ~f:(fun acc ~in_port ~dst e ->
             let keep =
-              e.Tables.broadcast
+              Tables.broadcast e
               ||
               match Address_assign.resolve assignment dst with
               | Some (d, _) -> d = s
@@ -69,7 +69,9 @@ let with_unicast_scheme g assignment specs ~next_ports =
                       if ports = [] then None
                       else
                         Some
-                          ((in_port, dst), { Tables.broadcast = false; ports }))
+                          ( (in_port, dst),
+                            Tables.entry ~broadcast:false
+                              (Autonet_net.Port_vector.of_list ports) ))
                     in_ports)
                 (List.init (Graph.max_ports g + 1) Fun.id))
           (Address_assign.alist assignment)
@@ -104,7 +106,6 @@ let tree_only g tree assignment =
         (fun (port, _, peer, _) ->
           if dist.(peer).(dst) = dist.(at).(dst) - 1 then Some port else None)
         (tree_neighbors at)
-      |> List.sort_uniq Int.compare
   in
   with_unicast_scheme g assignment (base_specs g tree assignment) ~next_ports
 
@@ -118,7 +119,6 @@ let shortest_path g tree assignment =
         (fun (port, _, peer, _) ->
           if dist.(peer).(dst) = dist.(at).(dst) - 1 then Some port else None)
         (Graph.neighbors g at)
-      |> List.sort_uniq Int.compare
   in
   with_unicast_scheme g assignment (base_specs g tree assignment) ~next_ports
 

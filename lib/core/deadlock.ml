@@ -73,7 +73,8 @@ let slot_dfs_si = Arena.register ()
 (* Fill switch [s]'s share of the call-level buffers: [out_ch] gets the
    port -> out-channel map in the slice [s * (mp+1) ..], [head.(c)] tags
    every channel [c] into [s] with [s], and [mask.(c)] accumulates the
-   continuation out-port bitmask for those channels.  All writes are
+   port vectors of the entries received on those channels (stitching
+   keeps the ports that have an out-channel).  All writes are
    confined to data owned by [s], so tasks for distinct switches never
    touch the same cell. *)
 let fill_switch_deps g ~mp ~mask ~head ~out_ch spec =
@@ -106,14 +107,10 @@ let fill_switch_deps g ~mp ~mask ~head ~out_ch spec =
         end)
   done;
   Tables.iter spec ~f:(fun ~in_port ~dst:_ entry ->
-      if (not entry.Tables.broadcast) && in_port > 0 && in_port <= mp then begin
+      if (not (Tables.broadcast entry)) && in_port > 0 && in_port <= mp then begin
         let c1 = se_in.(in_port) in
         if c1 >= 0 then
-          List.iter
-            (fun p ->
-              if p > 0 && p <= mp && out_ch.(base + p) >= 0 then
-                mask.(c1) <- mask.(c1) lor (1 lsl p))
-            entry.Tables.ports
+          mask.(c1) <- mask.(c1) lor (Tables.vector entry :> int)
       end)
 
 (* Stitch the filled buffers into a CSR adjacency over channels.  Rows
@@ -281,13 +278,12 @@ let certifies cert g updown spec =
     if x >= 0 && x < Array.length cert.cert_rank then cert.cert_rank.(x)
     else -1
   in
-  (* Per-port channel keys.  [has_*] mirrors the edge-generation rule of
-     [fill_switch_deps]: any cabled non-loop link carries channels and
-     therefore edges, usable or not; but only usable links between
-     ranked members get a finite key, so an edge over anything else
-     (correctly) fails to certify. *)
-  let has_in = Array.make (mp + 1) false in
-  let has_out = Array.make (mp + 1) false in
+  (* Per-port channel keys.  [linked] (a port-vector mask) mirrors the
+     edge-generation rule of [fill_switch_deps]: any cabled non-loop link
+     carries channels and therefore edges, usable or not; but only usable
+     links between ranked members get a finite key, so an edge over
+     anything else (correctly) fails to certify. *)
+  let linked = ref 0 in
   let in_key = Array.make (mp + 1) min_int in
   let out_key = Array.make (mp + 1) min_int in
   for p = 1 to mp do
@@ -298,8 +294,7 @@ let certifies cert g updown spec =
       | None -> ()
       | Some l ->
         if not (Graph.is_loop l) then begin
-          has_in.(p) <- true;
-          has_out.(p) <- true;
+          linked := !linked lor (1 lsl p);
           match Updown.up_end updown l_id with
           | None -> ()
           | Some up ->
@@ -316,15 +311,16 @@ let certifies cert g updown spec =
   done;
   (* An entry's verdict depends on its in-port and ports alone, so the
      scan can skip every page it has already seen. *)
+  let linked = !linked in
   not
     (Tables.exists_entry spec ~f:(fun ~in_port entry ->
-         (not entry.Tables.broadcast)
-         && in_port > 0 && in_port <= mp
-         && has_in.(in_port)
+         (not (Tables.broadcast entry))
+         && linked land (1 lsl in_port) <> 0
          &&
          let ki = in_key.(in_port) in
-         List.exists
-           (fun p ->
-             p > 0 && p <= mp && has_out.(p)
-             && (ki = min_int || ki >= out_key.(p)))
-           entry.Tables.ports))
+         let outs = (Tables.vector entry :> int) land linked in
+         let rec refutes p =
+           p <= mp
+           && ((outs lsr p) land 1 = 1 && ki >= out_key.(p) || refutes (p + 1))
+         in
+         outs <> 0 && (ki = min_int || refutes 1)))

@@ -1,10 +1,16 @@
 open Autonet_net
+module PV = Port_vector
 
-type entry = { broadcast : bool; ports : int list }
+(* The hardware word: the port vector in bits 0..15, the broadcast flag in
+   bit 16 — [discard] is the flag alone. *)
+type entry = int
 
-let discard = { broadcast = true; ports = [] }
-
-let equal_entry a b = a.broadcast = b.broadcast && a.ports = b.ports
+let discard = 1 lsl 16
+let entry ~broadcast (v : PV.t) = (v :> int) lor if broadcast then discard else 0
+let vector e = PV.of_int (e land 0xFFFF)
+let broadcast e = e land discard <> 0
+let has_ports e = e land 0xFFFF <> 0
+let unicast v = entry ~broadcast:false v
 
 (* Entries are keyed by the int [(address lsl 4) lor in_port]: ports fit
    in 4 bits (max_ports <= 15, port 0 is the control processor) and
@@ -24,9 +30,8 @@ let key ~in_port ~addr = (Short_address.to_int addr lsl 4) lor in_port
    copied.  [copy] copies the page pointers and clears the marks on both
    sides, a build interns equal remote blocks without owning them, and
    [empty_page] — standing for every block without entries — is never
-   owned, so it is never written.  The [discard] record doubles as the
-   "absent" sentinel by physical equality: [add_entry] and [set] never
-   store an empty-port entry, so no entry can alias it. *)
+   owned, so it is never written.  A slot holding [discard] is absent:
+   [add_entry] and [set] never store a word without ports. *)
 let page_size = 256
 
 let top_page = 0xFFF
@@ -105,7 +110,7 @@ let writable t p =
 
 let page_count page =
   if page == empty_page then 0
-  else Array.fold_left (fun n e -> if e != discard then n + 1 else n) 0 page
+  else Array.fold_left (fun n e -> if e <> discard then n + 1 else n) 0 page
 
 let lookup t ~in_port ~dst =
   let k = key ~in_port ~addr:dst in
@@ -118,7 +123,7 @@ let iter t ~f =
     if page != empty_page then
       for i = 0 to page_size - 1 do
         let e = Array.unsafe_get page i in
-        if e != discard then
+        if e <> discard then
           f ~in_port:(i land 0xF)
             ~dst:(Short_address.of_int ((p lsl 4) lor (i lsr 4)))
             e
@@ -139,7 +144,7 @@ let exists_entry t ~f =
   let rec scan_from page i =
     i < page_size
     && (let e = Array.unsafe_get page i in
-        (e != discard && f ~in_port:(i land 0xF) e) || scan_from page (i + 1))
+        (e <> discard && f ~in_port:(i land 0xF) e) || scan_from page (i + 1))
   in
   let scan page =
     page != empty_page
@@ -173,30 +178,30 @@ let receiving_ports g updown s =
   0 :: external_ports
 
 let add_entry t ~in_port ~addr e =
-  if e.ports <> [] then begin
+  if has_ports e then begin
     let k = key ~in_port ~addr in
     let page = writable t (k lsr 8) and i = k land 0xFF in
-    if page.(i) == discard then t.count <- t.count + 1;
+    if page.(i) = discard then t.count <- t.count + 1;
     page.(i) <- e
   end
 
 let remove t ~in_port ~dst =
   let k = key ~in_port ~addr:dst in
-  if (page_at t (k lsr 8)).(k land 0xFF) != discard then begin
+  if (page_at t (k lsr 8)).(k land 0xFF) <> discard then begin
     (writable t (k lsr 8)).(k land 0xFF) <- discard;
     t.count <- t.count - 1
   end
 
 let set t ~in_port ~dst e =
-  if e.ports = [] then remove t ~in_port ~dst
-  else add_entry t ~in_port ~addr:dst e
+  if has_ports e then add_entry t ~in_port ~addr:dst e
+  else remove t ~in_port ~dst
 
 let row t ~in_port =
   let acc = ref [] in
   let add p page =
     for q = 15 downto 0 do
       let e = page.((q lsl 4) lor in_port) in
-      if e != discard then
+      if e <> discard then
         acc := (Short_address.of_int ((p lsl 4) lor q), e) :: !acc
     done
   in
@@ -209,7 +214,7 @@ let row t ~in_port =
 
 let has_row t ~in_port =
   let in_page page =
-    let rec scan i = i < page_size && (page.(i) != discard || scan (i + 16)) in
+    let rec scan i = i < page_size && (page.(i) <> discard || scan (i + 16)) in
     page != empty_page && scan in_port
   in
   Array.exists in_page t.pages || in_page t.top
@@ -222,7 +227,7 @@ let fold t ~init ~f =
   done;
   !acc
 
-let to_cp = { broadcast = false; ports = [ 0 ] }
+let to_cp = unicast (PV.singleton 0)
 
 (* The constant (one-hop) and broadcast rows of the switch's receiving
    ports other than its host ports, which [add_host_rows] adds: a few
@@ -236,15 +241,14 @@ let constant_and_broadcast_entries g tree s ~spec ~in_ports =
           (* From the control processor: out the numbered local port, when
              that port is cabled to something that can hear us. *)
           (match Graph.link_at g (s, k) with
-          | Some _ ->
-            add_entry spec ~in_port ~addr { broadcast = false; ports = [ k ] }
+          | Some _ -> add_entry spec ~in_port ~addr (unicast (PV.singleton k))
           | None -> ())
         else add_entry spec ~in_port ~addr to_cp)
       in_ports
   done;
   (* --- Broadcast flooding over the spanning tree. --- *)
-  let children_ports =
-    List.map (fun (p, _, _) -> p) (Spanning_tree.children tree s)
+  let children =
+    PV.of_list (List.map (fun (p, _, _) -> p) (Spanning_tree.children tree s))
   in
   let parent_port =
     match Spanning_tree.parent tree s with
@@ -253,59 +257,58 @@ let constant_and_broadcast_entries g tree s ~spec ~in_ports =
   in
   List.iter
     (fun (addr, local_delivery) ->
+      let down = PV.union children local_delivery in
       List.iter
         (fun in_port ->
-          let entry_ports =
-            if in_port = 0 || List.mem in_port children_ports then
+          let ports =
+            if in_port = 0 || PV.mem in_port children then
               (* Origination, or a child's packet heading for the root:
                  up to the parent, or flood if we are the root — down
                  every child (including the arrival child, whose subtree
                  has not seen the packet on the way down) plus local
                  delivery. *)
               match parent_port with
-              | Some pp -> [ pp ]
-              | None -> children_ports @ local_delivery
-            else if parent_port = Some in_port then
-              children_ports @ local_delivery
-            else [] (* non-tree link: broadcasts never travel here *)
+              | Some pp -> PV.singleton pp
+              | None -> down
+            else if parent_port = Some in_port then down
+            else PV.empty (* non-tree link: broadcasts never travel here *)
           in
           (* The sender receives its own broadcast too (at the root the
              origination row includes the arrival port; elsewhere the copy
              returns with the down-phase flood): hosts filter by UID, as
              the paper's receiving-host rules require. *)
-          let ports = List.sort_uniq Int.compare entry_ports in
-          add_entry spec ~in_port ~addr { broadcast = true; ports })
+          add_entry spec ~in_port ~addr (entry ~broadcast:true ports))
         in_ports)
-    [ (Short_address.broadcast_all, [ 0 ]);
-      (Short_address.broadcast_switches, [ 0 ]);
-      (Short_address.broadcast_hosts, []) ]
+    [ (Short_address.broadcast_all, PV.singleton 0);
+      (Short_address.broadcast_switches, PV.singleton 0);
+      (Short_address.broadcast_hosts, PV.empty) ]
 
 (* --- Host ports (paper 6.5.3) ---  What [build] gives a host port, as
    edits of a spec (see the interface).  The loopback row at a port marks
    it as a host port. *)
 
 let is_host_port t q =
-  lookup t ~in_port:q ~dst:Short_address.loopback != discard
+  lookup t ~in_port:q ~dst:Short_address.loopback <> discard
 
 (* Map [f] over the broadcast-all and broadcast-hosts ports of every
    in-port whose broadcast-all row delivers to the control processor: the
    floods that deliver locally. *)
 let map_local_delivery t f =
   for i = 0 to 15 do
-    if List.mem 0 (lookup t ~in_port:i ~dst:Short_address.broadcast_all).ports
+    if PV.mem 0 (vector (lookup t ~in_port:i ~dst:Short_address.broadcast_all))
     then
       List.iter
         (fun dst ->
           set t ~in_port:i ~dst
-            { broadcast = true; ports = f (lookup t ~in_port:i ~dst).ports })
+            (entry ~broadcast:true (f (vector (lookup t ~in_port:i ~dst)))))
         [ Short_address.broadcast_all; Short_address.broadcast_hosts ]
   done
 
-(* Rewrite in-port [q]'s column of every page [keep] selects to [entry
+(* Rewrite in-port [q]'s column of every page [keep] selects to [word
    page a] at address [a].  A page this spec owns is written in place;
    any other is copied once however many address blocks share it, and
    the copy replaces it in all of them, still shared and so not owned. *)
-let recolumn t ~port:q ~keep ~entry =
+let recolumn t ~port:q ~keep ~word =
   let memo = ref [] in
   let redo ~owned page =
     match List.assq_opt page !memo with
@@ -314,11 +317,11 @@ let recolumn t ~port:q ~keep ~entry =
       let page' = if owned then page else Array.copy page in
       let n = ref 0 and changed = ref false in
       for a = 0 to 15 do
-        let i = (a lsl 4) lor q and e = entry page a in
-        if e != page.(i) then begin
+        let i = (a lsl 4) lor q and e = word page a in
+        if e <> page.(i) then begin
           changed := true;
-          if page.(i) != discard then decr n;
-          if e != discard then incr n;
+          if page.(i) <> discard then decr n;
+          if e <> discard then incr n;
           page'.(i) <- e
         end
       done;
@@ -348,14 +351,14 @@ let recolumn t ~port:q ~keep ~entry =
    pages' host columns itself and adds all its host ports in one call. *)
 let add_host_rows t ~max_ports ~number ~ports:qs ~copied =
   let own p = Short_address.assigned ~switch_number:number ~port:p in
-  map_local_delivery t (fun ports -> List.sort_uniq Int.compare (qs @ ports));
+  map_local_delivery t (PV.union (PV.of_list qs));
   (* A host port's address is delivered wherever the control processor's
      is: at every receiving in-port. *)
   List.iter
     (fun q ->
-      let deliver = { broadcast = false; ports = [ q ] } in
+      let deliver = unicast (PV.singleton q) in
       for i = 0 to 15 do
-        if lookup t ~in_port:i ~dst:(own 0) != discard then
+        if lookup t ~in_port:i ~dst:(own 0) <> discard then
           add_entry t ~in_port:i ~addr:(own q) deliver
       done)
     qs;
@@ -363,9 +366,9 @@ let add_host_rows t ~max_ports ~number ~ports:qs ~copied =
     (fun q ->
       (* Packets from [q] go where the control processor's go: both enter
          in the Up phase. *)
-      recolumn t ~port:q ~keep:copied ~entry:(fun page a -> page.(a lsl 4));
+      recolumn t ~port:q ~keep:copied ~word:(fun page a -> page.(a lsl 4));
       add_entry t ~in_port:q ~addr:Short_address.loopback
-        { broadcast = false; ports = [ q ] };
+        (unicast (PV.singleton q));
       add_entry t ~in_port:q ~addr:Short_address.local_switch to_cp;
       for k = 1 to max_ports do
         add_entry t ~in_port:q ~addr:(Short_address.one_hop ~port:k) to_cp
@@ -378,12 +381,12 @@ let add_host_port t ~max_ports ~number ~port:q =
 
 let remove_host_port t ~number ~port:q =
   if is_host_port t q then begin
-    recolumn t ~port:q ~keep:(fun _ -> true) ~entry:(fun _ _ -> discard);
+    recolumn t ~port:q ~keep:(fun _ -> true) ~word:(fun _ _ -> discard);
     for i = 0 to 15 do
       remove t ~in_port:i
         ~dst:(Short_address.assigned ~switch_number:number ~port:q)
     done;
-    map_local_delivery t (List.filter (( <> ) q))
+    map_local_delivery t (PV.remove q)
   end
 
 (* Per-task scratch for the builder, drawn from the per-domain arena so a
@@ -412,28 +415,26 @@ let fill_selectors routes s in_ports ~ip ~sel =
         | Routes.Down -> 1))
     in_ports
 
-(* The route out of [s] toward a remote switch [d] depends only on the
-   arrival phase: the up and the down entry. *)
-let remote_entries next_hops s d =
-  let entry_for phase =
-    let hops = next_hops ~at:s ~phase ~dst:d in
-    { broadcast = false; ports = List.sort_uniq Int.compare (List.map fst hops) }
-  in
-  (entry_for Routes.Up, entry_for Routes.Down)
+(* The route out of [s] toward a remote switch [d] in one arrival phase. *)
+let remote_entry next_hops s d phase =
+  unicast
+    (List.fold_left
+       (fun v (p, _) -> PV.add p v)
+       PV.empty (next_hops ~at:s ~phase ~dst:d))
 
 (* The page of a remote destination's address block and its entry count,
-   interned by the (up, down) pair: one switch's blocks toward all
-   destinations with equal next-hop sets share one page.  [None] when
-   the block has no entry. *)
-let remote_page intern ~max_ports ~nip ~ip ~sel (e_up, e_down) =
-  let k = (e_up.ports, e_down.ports) in
+   interned by the (up, down) word pair, packed in one int: one switch's
+   blocks toward all destinations with equal next-hop sets share one
+   page.  [None] when the block has no entry. *)
+let remote_page intern ~max_ports ~nip ~ip ~sel ~up ~down =
+  let k = (up lsl 17) lor down in
   match Hashtbl.find_opt intern k with
   | Some pc -> pc
   | None ->
     let page = Array.make page_size discard and n = ref 0 in
     for i = 0 to nip - 1 do
-      let e = if sel.(i) = 0 then e_up else e_down in
-      if e.ports <> [] then begin
+      let e = if sel.(i) = 0 then up else down in
+      if has_ports e then begin
         n := !n + max_ports + 1;
         for q = 0 to max_ports do
           page.((q lsl 4) lor ip.(i)) <- e
@@ -484,7 +485,8 @@ let place_remote spec ~next_hops g ~in_ports routes assignment s dests =
       if s <> d then
         match
           remote_page intern ~max_ports ~nip ~ip ~sel
-            (remote_entries next_hops s d)
+            ~up:(remote_entry next_hops s d Routes.Up)
+            ~down:(remote_entry next_hops s d Routes.Down)
         with
         | Some pc -> place spec (number_of assignment d) pc
         | None -> ())
@@ -541,15 +543,12 @@ let patch g updown routes assignment ~prev ~switch:s ~removed_numbers
       ~in_ports:(receiving_ports g updown s) routes assignment s added_dests;
   spec
 
+(* Absent slots hold [discard] in every page, the shared empty one too,
+   so equal entries are equal pages. *)
 let equal_spec a b =
-  a.spec_switch = b.spec_switch
-  && a.count = b.count
-  &&
-  let canon t =
-    fold t ~init:[] ~f:(fun acc ~in_port ~dst e ->
-        ((in_port, Short_address.to_int dst), e) :: acc)
-  in
-  canon a = canon b
+  let n = Stdlib.max (Array.length a.pages) (Array.length b.pages) in
+  let rec same p = p = n || (page_at a p = page_at b p && same (p + 1)) in
+  a.spec_switch = b.spec_switch && a.top = b.top && same 0
 
 let of_entries ~switch entries_list =
   let spec = empty ~switch in

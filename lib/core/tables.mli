@@ -2,11 +2,11 @@
 
     A switch's forwarding table is indexed by the incoming port number
     concatenated with the packet's destination short address; each entry
-    holds a port vector and a broadcast flag.  With [broadcast = false] the
-    vector lists {e alternative} ports (the switch sends on any free one,
-    preferring the lowest number); with [broadcast = true] it lists the
-    ports that must all forward the packet {e simultaneously}, and an empty
-    vector means discard.
+    is one hardware word holding a port vector and a broadcast flag.  With
+    the flag clear the vector names {e alternative} ports (the switch
+    sends on any free one, preferring the lowest number); with the flag
+    set it names the ports that must all forward the packet
+    {e simultaneously}, and an empty vector means discard.
 
     This module renders the routing computed by {!Routes} into concrete
     per-switch tables: minimal legal up*/down* routes for assigned unicast
@@ -25,9 +25,10 @@
     page [p] is switch number [p]'s 16-address block at all 16 in-ports,
     page 0 holds the constant and one-hop rows (addresses 0..15), and one
     more page holds the reserved and special addresses 0xFFF0..0xFFFF.  A
-    destination's block holds at most two distinct entries (one per
+    page is an array of entry words, and an absent slot holds {!discard}.
+    A destination's block holds at most two distinct entries (one per
     arrival phase), so {!build} interns a switch's remote blocks by their
-    (up, down) entry pair: destinations with equal next-hop sets share one
+    (up, down) word pair: destinations with equal next-hop sets share one
     page.  One shared empty page stands for every block without entries
     and is never written.  A spec writes a page in place only while the
     page is its own; any other page — shared by {!copy}, interned, or the
@@ -38,14 +39,18 @@
 
 open Autonet_net
 
-type entry = { broadcast : bool; ports : int list }
-(** [ports] always ascends.  A missing table entry means discard, as does
-    a broadcast entry with an empty vector. *)
+type entry = private int
+(** One table entry, the hardware word: a {!Port_vector.t} and the
+    broadcast flag.  Two entries are equal exactly when their flags and
+    port sets are, so entries compare with [=]. *)
+
+val entry : broadcast:bool -> Port_vector.t -> entry
+val vector : entry -> Port_vector.t
+val broadcast : entry -> bool
 
 val discard : entry
-(** The all-zeroes broadcast entry. *)
-
-val equal_entry : entry -> entry -> bool
+(** The broadcast flag with an empty vector: the value of every absent
+    slot.  Any entry with an empty vector discards. *)
 
 type spec
 
@@ -66,8 +71,8 @@ val lookup : spec -> in_port:Graph.port -> dst:Short_address.t -> entry
 (** Missing entries come back as {!discard}. *)
 
 val set : spec -> in_port:Graph.port -> dst:Short_address.t -> entry -> unit
-(** Replace one entry in place; an entry with empty [ports] removes it.
-    [in_port] must be in 0..15. *)
+(** Replace one entry in place; an entry with an empty vector removes it
+    (the slot reads {!discard} again).  [in_port] must be in 0..15. *)
 
 val row : spec -> in_port:Graph.port -> (Short_address.t * entry) list
 (** The entries of one receiving port, ascending by address. *)

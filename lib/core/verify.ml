@@ -1,3 +1,4 @@
+open Autonet_net
 
 type delivery = { at_switch : Graph.switch; out_port : Graph.port }
 
@@ -50,11 +51,9 @@ let walk ~choose net ~from ~dst =
       match spec_for net s with
       | None -> (Discarded s, hops)
       | Some spec -> begin
-        let entry = Tables.lookup spec ~in_port ~dst in
-        match entry.Tables.ports with
-        | [] -> (Discarded s, hops)
-        | ports ->
-          let p = choose ports in
+        match choose (Tables.vector (Tables.lookup spec ~in_port ~dst)) with
+        | None -> (Discarded s, hops)
+        | Some p ->
           if delivery_port net s p then
             (Delivered { at_switch = s; out_port = p }, hops)
           else begin
@@ -66,10 +65,12 @@ let walk ~choose net ~from ~dst =
   in
   step s0 p0 0
 
-let walk_unicast net ~from ~dst = walk ~choose:List.hd net ~from ~dst
+let walk_unicast net ~from ~dst = walk ~choose:Port_vector.lowest net ~from ~dst
 
 let walk_unicast_random net ~rng ~from ~dst =
-  walk ~choose:(fun ports -> Autonet_sim.Rng.pick rng ports) net ~from ~dst
+  walk net ~from ~dst ~choose:(fun v ->
+      if Port_vector.is_empty v then None
+      else Some (Autonet_sim.Rng.pick rng (Port_vector.to_list v)))
 
 let flood_broadcast net ~from ~dst =
   let deliveries = ref [] in
@@ -83,16 +84,16 @@ let flood_broadcast net ~from ~dst =
     match spec_for net s with
     | None -> ()
     | Some spec ->
-      let entry = Tables.lookup spec ~in_port ~dst in
-      List.iter
-        (fun p ->
+      let ports = Tables.vector (Tables.lookup spec ~in_port ~dst) in
+      for p = 0 to Port_vector.max_port do
+        if Port_vector.mem p ports then
           if delivery_port net s p then
             deliveries := { at_switch = s; out_port = p } :: !deliveries
           else
             match next_switch net s p with
             | None -> ()
-            | Some (peer, peer_port) -> Queue.add (peer, peer_port) queue)
-        entry.Tables.ports
+            | Some (peer, peer_port) -> Queue.add (peer, peer_port) queue
+      done
   done;
   List.sort compare !deliveries
 
@@ -119,6 +120,8 @@ let all_hosts_reach_all net assignment =
         host_ports)
     host_ports
 
+let all_ports = List.init (Port_vector.max_port + 1) Fun.id
+
 let no_down_then_up net updown =
   List.for_all
     (fun spec ->
@@ -137,6 +140,8 @@ let no_down_then_up net updown =
               (* Arrived moving down: no out-port may be an up traversal. *)
               List.for_all
                 (fun p ->
+                  (not (Port_vector.mem p (Tables.vector entry)))
+                  ||
                   match Graph.link_at net.graph (s, p) with
                   | None -> true
                   | Some l_out -> (
@@ -146,5 +151,5 @@ let no_down_then_up net updown =
                     | Some l, Some _ ->
                       not (Updown.goes_up updown l ~from:s)
                     | _, _ -> true))
-                entry.Tables.ports)))
+                all_ports)))
     net.specs

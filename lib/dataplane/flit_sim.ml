@@ -1,7 +1,7 @@
 open Autonet_net
 open Autonet_core
 module FT = Autonet_switch.Forwarding_table
-module PV = Autonet_switch.Port_vector
+module PV = Port_vector
 module Sch = Autonet_switch.Scheduler
 module XB = Autonet_switch.Crossbar
 
@@ -281,14 +281,14 @@ let router_pass t s =
       | Some (Begin id) when Fifo.occupancy u.rx_fifo >= 3 ->
         let pk = packet_of t id in
         let entry = FT.lookup sw.table ~in_port:p ~dst:pk.pk_dst in
-        if PV.is_empty entry.FT.vector then begin
+        if PV.is_empty (Tables.vector entry) then begin
           u.draining <- true;
           record_discard t pk
         end
         else begin
           ignore
-            (Sch.request sw.sched ~in_port:p ~vector:entry.FT.vector
-               ~broadcast:entry.FT.broadcast);
+            (Sch.request sw.sched ~in_port:p ~vector:(Tables.vector entry)
+               ~broadcast:(Tables.broadcast entry));
           u.requested <- true
         end
       | _ -> ()

@@ -3,7 +3,7 @@ open Autonet_core
 module Engine = Autonet_sim.Engine
 module Time = Autonet_sim.Time
 module FT = Autonet_switch.Forwarding_table
-module PV = Autonet_switch.Port_vector
+module PV = Port_vector
 
 type config = {
   cut_through_ns : int;
@@ -106,35 +106,37 @@ let deliver t env ~at =
 let rec arrive_at_switch t env s ~in_port =
   let now = Engine.now t.engine in
   let entry = FT.lookup (t.tables s) ~in_port ~dst:env.env_pkt.Packet.dst in
-  let ports = PV.to_list entry.FT.vector in
-  if ports = [] then t.n_discarded <- t.n_discarded + 1
+  let ports = Tables.vector entry in
+  if PV.is_empty ports then t.n_discarded <- t.n_discarded + 1
   else begin
     let earliest = Time.add now (Time.ns t.cfg.cut_through_ns) in
     let ser = serialization_ns env.env_pkt in
-    if entry.FT.broadcast then begin
+    let busy = t.port_busy.(s) in
+    if Tables.broadcast entry then begin
       (* All ports transmit simultaneously: wait for the whole set, as the
          scheduling engine's reservation does. *)
-      let start =
-        List.fold_left
-          (fun acc p -> Time.max acc t.port_busy.(s).(p))
-          earliest ports
-      in
-      List.iter (fun p -> launch t env s p ~start ~ser) ports
+      let start = ref earliest in
+      for p = 0 to PV.max_port do
+        if PV.mem p ports then start := Time.max !start busy.(p)
+      done;
+      for p = 0 to PV.max_port do
+        if PV.mem p ports then launch t env s p ~start:!start ~ser
+      done
     end
     else begin
       (* Alternative ports: the first free one, preferring low numbers;
-         otherwise the one that frees first. *)
-      let p =
-        match List.find_opt (fun p -> t.port_busy.(s).(p) <= earliest) ports with
-        | Some p -> p
-        | None ->
-          List.fold_left
-            (fun best p ->
-              if t.port_busy.(s).(p) < t.port_busy.(s).(best) then p else best)
-            (List.hd ports) ports
-      in
-      let start = Time.max earliest t.port_busy.(s).(p) in
-      launch t env s p ~start ~ser
+         otherwise the one that frees first (the lowest on a tie). *)
+      let best = ref (-1) and start = ref earliest in
+      for p = 0 to PV.max_port do
+        if PV.mem p ports then begin
+          let at = Time.max earliest busy.(p) in
+          if !best < 0 || at < !start then begin
+            best := p;
+            start := at
+          end
+        end
+      done;
+      launch t env s !best ~start:!start ~ser
     end
   end
 

@@ -23,6 +23,10 @@ let add p t =
 
 let of_list l = List.fold_left (fun acc p -> add p acc) empty l
 
+let of_int i =
+  if i < 0 || i > 0xFFFF then invalid_arg "Port_vector.of_int";
+  i
+
 let to_list t =
   let rec go p acc =
     if p < 0 then acc

@@ -4,7 +4,8 @@
     Bit [i] names port [i]; port 0 is the control processor.  The
     implementation supports up to 16 ports, covering the "32 or 64 port"
     scaling discussion only at the type level the paper's prototype
-    needs. *)
+    needs.  Every layer shares this one type: a forwarding-table entry
+    ({!Autonet_core.Tables.entry}) is a vector plus the broadcast bit. *)
 
 type t = private int
 
@@ -15,6 +16,10 @@ val full : n_ports:int -> t
 
 val singleton : int -> t
 val of_list : int list -> t
+val of_int : int -> t
+(** Bit [i] of the argument is port [i]; [Invalid_argument] outside
+    [0, 0xFFFF]. *)
+
 val to_list : t -> int list
 (** Ascending. *)
 

@@ -1,3 +1,5 @@
+open Autonet_net
+
 type t = {
   ports : int;
   source : int array; (* per output port: feeding input, or -1 *)

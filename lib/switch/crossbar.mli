@@ -6,6 +6,8 @@
     simulator moves the actual slots.  An output serves at most one input;
     an input may drive several outputs simultaneously (broadcast). *)
 
+open Autonet_net
+
 type t
 
 val create : max_ports:int -> t

@@ -1,10 +1,6 @@
 open Autonet_net
 module Tables = Autonet_core.Tables
 
-type entry = { vector : Port_vector.t; broadcast : bool }
-
-let discard_entry = { vector = Port_vector.empty; broadcast = true }
-
 (* The table is held in the synthesis format itself, so a load is a
    [Tables.copy]: the page pointers, with the pages shared copy-on-write
    (the one-hop rows and host-port edits then copy just the pages they
@@ -29,12 +25,9 @@ let check_port t fn in_port =
   if in_port < 0 || in_port > t.ports then
     invalid_arg ("Forwarding_table." ^ fn ^ ": in_port out of range")
 
-let of_tables (e : Tables.entry) =
-  { vector = Port_vector.of_list e.Tables.ports; broadcast = e.Tables.broadcast }
-
 let lookup t ~in_port ~dst =
   check_port t "lookup" in_port;
-  of_tables (Tables.lookup t.spec ~in_port ~dst)
+  Tables.lookup t.spec ~in_port ~dst
 
 let has_row t ~in_port =
   check_port t "has_row" in_port;
@@ -42,7 +35,7 @@ let has_row t ~in_port =
 
 let rows_of t ~in_port =
   check_port t "rows_of" in_port;
-  List.map (fun (a, e) -> (a, of_tables e)) (Tables.row t.spec ~in_port)
+  Tables.row t.spec ~in_port
 
 let replace t spec =
   t.spec <- spec;
@@ -52,14 +45,13 @@ let clear t = replace t (Tables.empty ~switch:(Tables.switch t.spec))
 
 (* The constant one-hop rows, wherever no computed entry holds the index. *)
 let install_one_hop t =
-  let to_cp = { Tables.broadcast = false; ports = [ 0 ] } in
   for k = 1 to t.ports do
     let dst = Short_address.one_hop ~port:k in
     for in_port = 0 to t.ports do
-      if (Tables.lookup t.spec ~in_port ~dst).Tables.ports = [] then
+      if Tables.lookup t.spec ~in_port ~dst = Tables.discard then
         Tables.set t.spec ~in_port ~dst
-          (if in_port = 0 then { Tables.broadcast = false; ports = [ k ] }
-           else to_cp)
+          (Tables.entry ~broadcast:false
+             (Port_vector.singleton (if in_port = 0 then k else 0)))
     done
   done
 

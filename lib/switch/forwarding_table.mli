@@ -1,8 +1,9 @@
 (** The hardware forwarding table of one switch (paper section 6.3).
 
     Indexed by the receiving port number concatenated with the destination
-    short address; each entry is a port vector plus a broadcast flag.  A
-    missing entry behaves as the all-zeroes broadcast entry: discard.
+    short address; each entry is one {!Autonet_core.Tables.entry} word, a
+    port vector plus a broadcast flag, and a missing entry reads as
+    {!Autonet_core.Tables.discard}.
 
     The table supports the two loading regimes of a reconfiguration: at
     step 1 every switch reloads only the constant one-hop entries (so
@@ -24,10 +25,6 @@
 
 open Autonet_net
 
-type entry = { vector : Port_vector.t; broadcast : bool }
-
-val discard_entry : entry
-
 type t
 
 val create : max_ports:int -> t
@@ -46,12 +43,14 @@ val spec : t -> Autonet_core.Tables.spec
     loaded spec.  Later edits mutate it: take a
     {!Autonet_core.Tables.copy} to keep it. *)
 
-val lookup : t -> in_port:int -> dst:Short_address.t -> entry
+val lookup : t -> in_port:int -> dst:Short_address.t -> Autonet_core.Tables.entry
+(** The stored word itself: a lookup allocates nothing. *)
 
 val has_row : t -> in_port:int -> bool
 (** Whether any entry exists for this receiving port. *)
 
-val rows_of : t -> in_port:int -> (Short_address.t * entry) list
+val rows_of :
+  t -> in_port:int -> (Short_address.t * Autonet_core.Tables.entry) list
 (** All entries for one receiving port, ascending by address. *)
 
 val clear : t -> unit

@@ -18,6 +18,8 @@
     one round run every 480 ns in the real gate array; the dataplane
     simulator enforces that rate. *)
 
+open Autonet_net
+
 type grant = {
   in_port : int;
   out_ports : Port_vector.t;

@@ -218,7 +218,8 @@ let routed_entries ?(mode = Tables.Minimal_routes) r tree assignment s =
     | Tables.All_legal_routes -> all_next_hops r
   in
   let entry ports =
-    if ports = [] then Tables.discard else { Tables.broadcast = false; ports }
+    if ports = [] then Tables.discard
+    else Tables.entry ~broadcast:false (Port_vector.of_list ports)
   in
   let in_ports = List.init (Graph.max_ports g + 1) Fun.id in
   List.concat_map
@@ -274,7 +275,7 @@ let check_tables g specs =
     (fun spec ->
       let s = Tables.switch spec in
       Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst:_ e ->
-          if (not e.Tables.broadcast) && in_port <> 0 then
+          if (not (Tables.broadcast e)) && in_port <> 0 then
             match link_on s in_port with
             | None -> ()
             | Some l_in ->
@@ -289,7 +290,7 @@ let check_tables g specs =
                       Hashtbl.add seen (c1, c2) ();
                       adj.(c1) <- c2 :: adj.(c1)
                     end)
-                e.Tables.ports))
+                (Port_vector.to_list (Tables.vector e))))
     specs;
   let colour = Array.make (max n 1) 0 and parent = Array.make (max n 1) (-1) in
   let exception Found of int * int in
@@ -355,8 +356,8 @@ let certifies g tree updown spec =
           | None -> Some (None, None)
           | Some up -> Some (key_into ~up s, key_into ~up o)))
   in
-  let refutes ~in_port (e : Tables.entry) =
-    (not e.broadcast)
+  let refutes ~in_port e =
+    (not (Tables.broadcast e))
     &&
     match keys in_port with
     | None -> false
@@ -369,7 +370,7 @@ let certifies g tree updown spec =
             match (k_in, k_out) with
             | Some a, Some b -> a >= b
             | _ -> true))
-        e.ports
+        (Port_vector.to_list (Tables.vector e))
   in
   let ok = ref true in
   Tables.iter spec ~f:(fun ~in_port ~dst:_ e ->

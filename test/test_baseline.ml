@@ -49,11 +49,11 @@ let test_tree_only_leaves_cross_links_idle () =
         let s = Tables.switch spec in
         Tables.fold spec ~init:false ~f:(fun acc ~in_port:_ ~dst e ->
             acc
-            || (not e.Tables.broadcast)
+            || (not (Tables.broadcast e))
                && Short_address.split dst <> None
                && List.exists
                     (fun p -> Graph.link_at g (s, p) = Some cross.Graph.id)
-                    e.Tables.ports))
+                    (Port_vector.to_list (Tables.vector e))))
       specs
   in
   check_bool "cross link unused" false uses_cross

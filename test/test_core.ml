@@ -604,7 +604,8 @@ let test_tables_parallel_trunk () =
   let spec = List.find (fun sp -> Tables.switch sp = s0) c.specs in
   let dst = Address_assign.address c.assignment s1 5 in
   let entry = Tables.lookup spec ~in_port:5 ~dst in
-  Alcotest.(check (list int)) "trunk ports" [ 1; 2 ] entry.Tables.ports
+  Alcotest.(check (list int)) "trunk ports" [ 1; 2 ]
+    (Port_vector.to_list (Tables.vector entry))
 
 let tables_qcheck =
   QCheck.Test.make ~name:"tables: reachability + down/up rule on random nets"
@@ -652,7 +653,7 @@ let test_tables_edit_stays_in_block () =
       List.filter
         (fun d ->
           d <> s
-          && List.exists (List.exists (fun e -> e.Tables.ports <> [])) (block spec d))
+          && List.exists (List.exists (fun e -> e <> Tables.discard)) (block spec d))
         (Graph.switches c.Testlib.graph)
     in
     List.concat_map
@@ -675,13 +676,13 @@ let test_tables_edit_stays_in_block () =
   let in_port =
     Option.value ~default:0
       (List.find_opt
-         (fun p -> (Tables.lookup spec ~in_port:p ~dst:(addr d1 3)).Tables.ports = [])
+         (fun p -> Tables.lookup spec ~in_port:p ~dst:(addr d1 3) = Tables.discard)
          (List.init 16 Fun.id))
   in
-  let e = { Tables.broadcast = true; ports = [ 1 ] } in
+  let e = Tables.entry ~broadcast:true (Port_vector.singleton 1) in
   Tables.set spec ~in_port ~dst:(addr d1 3) e;
   check_bool "the edit reads back" true
-    (Tables.equal_entry e (Tables.lookup spec ~in_port ~dst:(addr d1 3)));
+    (e = Tables.lookup spec ~in_port ~dst:(addr d1 3));
   check_bool "the twin block is unchanged" true (block spec d2 = second);
   check_int "entry count is exact"
     (Tables.fold spec ~init:0 ~f:(fun n ~in_port:_ ~dst:_ _ -> n + 1))

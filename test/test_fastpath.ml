@@ -5,6 +5,7 @@
    through Autonet_sim.Rng so every run covers the same topologies. *)
 
 open Autonet_core
+module PV = Autonet_net.Port_vector
 module Rng = Autonet_sim.Rng
 
 let n_topologies = 110
@@ -106,8 +107,8 @@ let check_topology seed =
           let s = Tables.switch spec in
           List.iter
             (fun ((in_port, dst), e) ->
-              if not (Tables.equal_entry (Tables.lookup spec ~in_port ~dst) e)
-              then fail "table spec for s%d differs" s)
+              if Tables.lookup spec ~in_port ~dst <> e then
+                fail "table spec for s%d differs" s)
             (Reference.routed_entries ~mode routes_r tree_r assignment s);
           ignore (certifies "built table" spec))
         specs_f;
@@ -134,7 +135,7 @@ let check_topology seed =
          List.find_opt (( <> ) s) (Spanning_tree.members tree_f))
       with
       | Some p, Some d ->
-        let u_turn = { Tables.broadcast = false; ports = [ p.my_port ] } in
+        let u_turn = Tables.entry ~broadcast:false (PV.singleton p.my_port) in
         List.iter
           (fun (what, dst) ->
             let c = Tables.copy ~switch:s spec in
@@ -238,7 +239,7 @@ let ring_specs n =
   let specs =
     List.init n (fun i ->
         Tables.of_entries ~switch:i
-          [ ((1, dst), { Tables.broadcast = false; ports = [ 2 ] }) ])
+          [ ((1, dst), Tables.entry ~broadcast:false (PV.singleton 2)) ])
   in
   (g, specs)
 
@@ -303,8 +304,9 @@ let test_deadlock_cyclic_tables () =
       | Some in_port, Some out_port ->
         let spec = List.find (fun sp -> Tables.switch sp = c1.to_switch) specs in
         List.exists
-          (fun (_, (e : Tables.entry)) ->
-            (not e.broadcast) && List.mem out_port e.ports)
+          (fun (_, e) ->
+            (not (Tables.broadcast e))
+            && PV.mem out_port (Tables.vector e))
           (Tables.row spec ~in_port)
       | _ -> false
     in
@@ -653,7 +655,7 @@ let test_uncertified_prev_recertifies () =
   let poisoned = Tables.copy ~switch:s all.(s) in
   Tables.set poisoned ~in_port:pp
     ~dst:(Address_assign.address full.f_asg s 0)
-    { Tables.broadcast = false; ports = [ pp ] };
+    (Tables.entry ~broadcast:false (PV.singleton pp));
   let cert = Deadlock.certificate g full.f_tree in
   check_bool "the U-turn does not certify" false
     (Deadlock.certifies cert g full.f_updown poisoned);

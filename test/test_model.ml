@@ -7,8 +7,9 @@ open Autonet_net
 module Engine = Autonet_sim.Engine
 module Pqueue = Autonet_sim.Pqueue
 module Fifo = Autonet_net.Fifo
-module PV = Autonet_switch.Port_vector
+module PV = Port_vector
 module Sch = Autonet_switch.Scheduler
+module Tables = Autonet_core.Tables
 
 
 (* ------------------------------------------------------------------ *)
@@ -200,6 +201,33 @@ let scheduler_fcfc_priority =
       | first :: _ ->
         (* Port contention (a = b): the older request (in_port 1) wins. *)
         if a = b then first.Sch.in_port = 1 else true)
+
+(* ------------------------------------------------------------------ *)
+(* Forwarding-table entries: one word holds the flag and the port set. *)
+
+let entry_word =
+  let flag_and_ports = QCheck.(pair bool (small_list (int_bound 15))) in
+  QCheck.Test.make
+    ~name:"table entry: accessors, set, absent slots and word equality"
+    ~count:300
+    QCheck.(
+      triple flag_and_ports flag_and_ports (pair (int_bound 15) (int_bound 0xFFFF)))
+    (fun ((b, ports), (b', ports'), (in_port, dst)) ->
+      let word b ports = Tables.entry ~broadcast:b (PV.of_list ports) in
+      let e = word b ports and canon = List.sort_uniq Int.compare in
+      let spec = Tables.empty ~switch:0 and dst = Short_address.of_int dst in
+      Tables.set spec ~in_port ~dst e;
+      let stored = Tables.lookup spec ~in_port ~dst in
+      let other = Tables.lookup spec ~in_port:((in_port + 1) land 15) ~dst in
+      Tables.set spec ~in_port ~dst (word b []);
+      Tables.broadcast e = b
+      && Tables.vector e = PV.of_list ports
+      && (stored = if ports = [] then Tables.discard else e)
+      && other = Tables.discard
+      && Tables.lookup spec ~in_port ~dst = Tables.discard
+      && Tables.entry_count spec = 0
+      && e = word b (List.rev ports @ ports)
+      && (e = word b' ports') = ((b, canon ports) = (b', canon ports')))
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing: arbitrary bytes never crash, only clean errors. *)
@@ -396,6 +424,7 @@ let () =
       ( "scheduler",
         [ QCheck_alcotest.to_alcotest scheduler_invariants;
           QCheck_alcotest.to_alcotest scheduler_fcfc_priority ] );
+      ( "tables", [ QCheck_alcotest.to_alcotest entry_word ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest message_fuzz;
           QCheck_alcotest.to_alcotest packet_fuzz;

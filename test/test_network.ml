@@ -376,8 +376,8 @@ let check_late_rows t (s, p) =
   in
   let forwards dst =
     not
-      (Autonet_switch.Port_vector.is_empty
-         (FT.lookup ft ~in_port:p ~dst).FT.vector)
+      (Autonet_net.Port_vector.is_empty
+         (Tables.vector (FT.lookup ft ~in_port:p ~dst)))
   in
   check_bool
     (Printf.sprintf "s%d.p%d routes to s%d's control processor" s p other)
@@ -388,12 +388,10 @@ let check_late_rows t (s, p) =
     (forwards Autonet_net.Short_address.broadcast_all)
 
 (* [loaded_spec] copies the switch's table; the reference rebuilds it entry
-   by entry from [rows_of], the conversion it replaced.  A host powered on
-   after convergence and a host port forced dead exercise the in-place
-   edits. *)
+   by entry from [rows_of].  A host powered on after convergence and a
+   host port forced dead exercise the in-place edits. *)
 let test_loaded_spec_matches_rows () =
   let module FT = Autonet_switch.Forwarding_table in
-  let module PV = Autonet_switch.Port_vector in
   let module Fabric = Autonet_autopilot.Fabric in
   let module PS = Autonet_autopilot.Port_state in
   let t =
@@ -423,12 +421,7 @@ let test_loaded_spec_matches_rows () =
       let entries =
         List.concat_map
           (fun in_port ->
-            List.map
-              (fun (addr, (e : FT.entry)) ->
-                ( (in_port, addr),
-                  { Tables.broadcast = e.FT.broadcast;
-                    ports = PV.to_list e.FT.vector } ))
-              (FT.rows_of ft ~in_port))
+            List.map (fun (addr, e) -> ((in_port, addr), e)) (FT.rows_of ft ~in_port))
           (List.init (FT.max_ports ft + 1) Fun.id)
       in
       check_bool

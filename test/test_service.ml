@@ -287,8 +287,7 @@ let test_late_host_enabled_without_reconfiguration () =
     Autonet_switch.Forwarding_table.lookup table ~in_port:0 ~dst:addr
   in
   check_bool "delivery entry installed" true
-    (Autonet_switch.Port_vector.mem late.Graph.switch_port
-       entry.Autonet_switch.Forwarding_table.vector);
+    (Port_vector.mem late.Graph.switch_port (Tables.vector entry));
   (* A datagram from the late host reaches a host on the other switch. *)
   let ps =
     PS.create ~engine:(N.engine net) g ~tables:(fun s ->

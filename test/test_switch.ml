@@ -2,8 +2,9 @@
    table, the first-come first-considered scheduler and the crossbar. *)
 
 open Autonet_net
-module PV = Autonet_switch.Port_vector
+module PV = Port_vector
 module FT = Autonet_switch.Forwarding_table
+module Tables = Autonet_core.Tables
 module Sch = Autonet_switch.Scheduler
 module XB = Autonet_switch.Crossbar
 
@@ -49,28 +50,26 @@ let pv_qcheck =
 let addr = Short_address.of_int
 
 (* The switch edits its live table through its spec. *)
-let set t ~in_port ~dst (e : FT.entry) =
-  Autonet_core.Tables.set (FT.spec t) ~in_port ~dst
-    { Autonet_core.Tables.broadcast = e.FT.broadcast;
-      ports = PV.to_list e.FT.vector }
+let set t ~in_port ~dst e = Tables.set (FT.spec t) ~in_port ~dst e
 
-let unset t ~in_port ~dst = set t ~in_port ~dst FT.discard_entry
+let unset t ~in_port ~dst = set t ~in_port ~dst Tables.discard
+
+let unicast v = Tables.entry ~broadcast:false v
 
 let test_ft_default_discard () =
   let t = FT.create ~max_ports:12 in
   let e = FT.lookup t ~in_port:3 ~dst:(addr 0x100) in
-  check_bool "discard" true (e.FT.broadcast && PV.is_empty e.FT.vector)
+  check_bool "discard" true (Tables.broadcast e && PV.is_empty (Tables.vector e))
 
 let test_ft_set_lookup () =
   let t = FT.create ~max_ports:12 in
-  set t ~in_port:2 ~dst:(addr 0x123)
-    { FT.vector = PV.of_list [ 4; 5 ]; broadcast = false };
+  set t ~in_port:2 ~dst:(addr 0x123) (unicast (PV.of_list [ 4; 5 ]));
   let e = FT.lookup t ~in_port:2 ~dst:(addr 0x123) in
-  Alcotest.(check (list int)) "ports" [ 4; 5 ] (PV.to_list e.FT.vector);
-  check_bool "not broadcast" false e.FT.broadcast;
+  Alcotest.(check (list int)) "ports" [ 4; 5 ] (PV.to_list (Tables.vector e));
+  check_bool "not broadcast" false (Tables.broadcast e);
   (* A different in-port does not see the entry. *)
   let e' = FT.lookup t ~in_port:3 ~dst:(addr 0x123) in
-  check_bool "per in-port" true (PV.is_empty e'.FT.vector)
+  check_bool "per in-port" true (PV.is_empty (Tables.vector e'))
 
 let test_ft_one_hop_constant () =
   let t = FT.create ~max_ports:12 in
@@ -78,11 +77,11 @@ let test_ft_one_hop_constant () =
   (* From the control processor, one-hop address k goes out port k. *)
   for k = 1 to 12 do
     let e = FT.lookup t ~in_port:0 ~dst:(Short_address.one_hop ~port:k) in
-    Alcotest.(check (list int)) "out k" [ k ] (PV.to_list e.FT.vector)
+    Alcotest.(check (list int)) "out k" [ k ] (PV.to_list (Tables.vector e))
   done;
   (* From any other port it goes to the control processor. *)
   let e = FT.lookup t ~in_port:7 ~dst:(Short_address.one_hop ~port:3) in
-  Alcotest.(check (list int)) "to cp" [ 0 ] (PV.to_list e.FT.vector)
+  Alcotest.(check (list int)) "to cp" [ 0 ] (PV.to_list (Tables.vector e))
 
 let test_ft_generation_bumps () =
   let t = FT.create ~max_ports:12 in
@@ -94,8 +93,8 @@ let test_ft_generation_bumps () =
 
 let test_ft_unset_and_rows () =
   let t = FT.create ~max_ports:12 in
-  set t ~in_port:1 ~dst:(addr 0x10) { FT.vector = PV.singleton 2; broadcast = false };
-  set t ~in_port:1 ~dst:(addr 0x20) { FT.vector = PV.singleton 3; broadcast = false };
+  set t ~in_port:1 ~dst:(addr 0x10) (unicast (PV.singleton 2));
+  set t ~in_port:1 ~dst:(addr 0x20) (unicast (PV.singleton 3));
   check_bool "has row" true (FT.has_row t ~in_port:1);
   check_int "rows" 2 (List.length (FT.rows_of t ~in_port:1));
   unset t ~in_port:1 ~dst:(addr 0x10);
@@ -122,12 +121,46 @@ let test_ft_set_empty_is_discard () =
   let t = FT.create ~max_ports:12 in
   FT.load_constant t;
   let n = FT.entry_count t in
-  set t ~in_port:2 ~dst:(addr 0x30) { FT.vector = PV.empty; broadcast = false };
+  set t ~in_port:2 ~dst:(addr 0x30) (unicast PV.empty);
   let e = FT.lookup t ~in_port:2 ~dst:(addr 0x30) in
-  check_bool "discard" true (e = FT.discard_entry);
+  check_bool "discard" true (e = Tables.discard);
   check_int "entry_count unchanged" n (FT.entry_count t);
   check_bool "no row" false
     (List.exists (fun (a, _) -> a = addr 0x30) (FT.rows_of t ~in_port:2))
+
+(* A lookup returns the stored word itself.  Every in-port of switch 0's
+   loaded table on a 16x16 torus with 2 hosts per switch, against 200
+   destinations: one address on each of switch numbers 1..200, at port
+   [i mod 16] (so some slots are absent). *)
+let test_ft_lookup_allocates_nothing () =
+  let module B = Autonet_topo.Builders in
+  let c =
+    Testlib.configure (B.attach_hosts (B.torus ~rows:16 ~cols:16 ()) ~per_switch:2)
+  in
+  let max_ports = Autonet_core.Graph.max_ports c.Testlib.graph in
+  let ft = FT.create ~max_ports in
+  FT.load_spec ft (List.hd c.Testlib.specs);
+  let dsts = Array.init 200 (fun i -> addr (((i + 1) lsl 4) lor (i land 15))) in
+  let ask () =
+    for in_port = 0 to max_ports do
+      for i = 0 to Array.length dsts - 1 do
+        ignore (Sys.opaque_identity (FT.lookup ft ~in_port ~dst:dsts.(i)))
+      done
+    done
+  in
+  ask ();
+  let w0 = Gc.minor_words () in
+  ask ();
+  let words = Gc.minor_words () -. w0 in
+  let lookups = (max_ports + 1) * Array.length dsts in
+  let report =
+    Printf.sprintf
+      "forwarding table: %.2f minor words per lookup over %d lookups \
+       (bar 0, OCaml %s)"
+      (words /. float_of_int lookups) lookups Sys.ocaml_version
+  in
+  print_endline report;
+  if words > 0. then Alcotest.fail report
 
 (* After [load_spec] the table reads back exactly what the old
    insert-everything load produced: the constant one-hop rows for every
@@ -147,15 +180,11 @@ let ft_load_spec_equivalent =
             let dst = Short_address.one_hop ~port:k in
             for in_port = 0 to max_ports do
               Hashtbl.replace expected (in_port, dst)
-                { FT.vector = PV.singleton (if in_port = 0 then k else 0);
-                  broadcast = false }
+                (unicast (PV.singleton (if in_port = 0 then k else 0)))
             done
           done;
-          Autonet_core.Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
-              Hashtbl.replace expected (in_port, dst)
-                { FT.vector = PV.of_list e.Autonet_core.Tables.ports;
-                  broadcast = e.Autonet_core.Tables.broadcast });
-          let module Tables = Autonet_core.Tables in
+          Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
+              Hashtbl.replace expected (in_port, dst) e);
           let entries sp =
             Tables.fold sp ~init:[] ~f:(fun acc ~in_port ~dst e ->
                 ((in_port, dst), e) :: acc)
@@ -198,7 +227,7 @@ let ft_load_spec_equivalent =
           let agree_emptied = rows_agree () && not (FT.has_row t ~in_port) in
           (* One entry in switch number 1's page, at any address of its
              block, then one in the special addresses' page. *)
-          let e = { FT.vector = PV.singleton 1; broadcast = false } in
+          let e = unicast (PV.singleton 1) in
           let dst = Short_address.of_int (0x10 + (seed mod 16)) in
           set t ~in_port ~dst e;
           let agree_block = rows_agree () in
@@ -259,6 +288,19 @@ let test_sched_queue_jumping () =
     check_int "younger jumped" 2 g.Sch.in_port;
     check_int "older still queued" 1 (Sch.pending s)
   | _ -> Alcotest.fail "one grant expected"
+
+let test_sched_fcfs_blocks () =
+  (* The strict ablation: a younger request waits behind an older one even
+     when its own port is free. *)
+  let s = Sch.create () in
+  ignore (Sch.request s ~in_port:1 ~vector:(PV.singleton 5) ~broadcast:false);
+  ignore (Sch.request s ~in_port:2 ~vector:(PV.singleton 6) ~broadcast:false);
+  check_int "no grant" 0 (List.length (Sch.round_fcfs s ~free:(PV.singleton 6)));
+  match Sch.round_fcfs s ~free:(PV.of_list [ 5; 6 ]) with
+  | [ a; b ] ->
+    check_int "older first" 1 a.Sch.in_port;
+    check_int "then younger" 2 b.Sch.in_port
+  | gs -> Alcotest.failf "expected two grants, got %d" (List.length gs)
 
 let test_sched_broadcast_accumulates () =
   let s = Sch.create () in
@@ -369,12 +411,15 @@ let () =
           Alcotest.test_case "rejects bad ports" `Quick test_ft_rejects_bad_ports;
           Alcotest.test_case "set empty is discard" `Quick
             test_ft_set_empty_is_discard;
+          Alcotest.test_case "lookup allocates nothing" `Quick
+            test_ft_lookup_allocates_nothing;
           QCheck_alcotest.to_alcotest ft_load_spec_equivalent ] );
       ( "scheduler",
         [ Alcotest.test_case "alternative lowest" `Quick test_sched_alternative_lowest;
           Alcotest.test_case "head of line" `Quick test_sched_head_of_line;
           Alcotest.test_case "fcfc order" `Quick test_sched_fcfc_order;
           Alcotest.test_case "queue jumping" `Quick test_sched_queue_jumping;
+          Alcotest.test_case "strict fcfs blocks" `Quick test_sched_fcfs_blocks;
           Alcotest.test_case "broadcast accumulates" `Quick
             test_sched_broadcast_accumulates;
           Alcotest.test_case "broadcast reserves" `Quick
