@@ -1,9 +1,9 @@
 (* The bench-scaling gate: a quick wall-clock assertion that the domain
    pool never makes the two pooled kernels — table synthesis and the
    deadlock check — slower than the serial path on the 256-switch 16x16
-   torus.  This is the regression the batched dispatch and arena reuse
-   exist to prevent: an earlier pool dispatched one task per
-   switch and lost 31% on exactly this workload.
+   torus.  This is the regression the batched dispatch exists to
+   prevent: an earlier pool dispatched one task per switch and lost 31%
+   on exactly this workload.
 
    Runs under `dune build @bench-scaling` (attached to runtest) with a
    smoke budget, and exits 1 on a slowdown, so a dispatch regression
@@ -16,8 +16,8 @@
    domains only time-slice, so parallel speedup is unmeasurable; the
    gate instead bounds the pool's {e extra CPU} — batch setup, cursor
    traffic, the round barrier — at 0.75x on the deadlock check, whose
-   arena-backed inner loop barely allocates and therefore measures
-   dispatch and nothing else (the loose bar leaves ~10% headroom over
+   inner loop allocates only a few small arrays per task and therefore
+   measures dispatch and little else (the loose bar leaves ~10% headroom over
    the measurement's own jitter while still flagging the 0.69x cost of
    the one-task-per-switch dispatch this pool replaced).  The allocation-heavy table build is
    printed for information but not gated there: its single-core cost is
@@ -125,9 +125,9 @@ let run () =
   let target_sample_s = if !smoke then 0.3 else 0.8 in
   List.iter
     (fun (name, serial, pooled, gated_single_core) ->
-      (* Warm code paths and the pool's per-domain arenas before timing
-         (the gate prices steady-state epochs, not the first touch), and
-         size the per-sample iteration count off the warm serial run. *)
+      (* Warm code paths and the heap before timing (the gate prices
+         steady-state epochs, not the first touch), and size the
+         per-sample iteration count off the warm serial run. *)
       serial ();
       pooled ();
       let t0 = Unix.gettimeofday () in

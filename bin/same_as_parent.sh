@@ -9,8 +9,9 @@
 # temporary directory, the two sides of a command side by side.  For each
 # command it compares the exit status, stdout, stderr and every file the
 # run wrote.  It prints how many commands were identical, or names each
-# command that differs and its first differing stream, and exits 1 on
-# any difference (2 on a usage or build error).
+# command that differs and its first differing stream, followed by the
+# first lines of that stream's diff (parent lines `<`, change lines `>`),
+# and exits 1 on any difference (2 on a usage or build error).
 #
 # The list: every smoke command of bin/dune, the boot, crash and srp
 # logs, a route query, the five examples, the bench experiments that run
@@ -113,6 +114,12 @@ run() {
   echo "$status" > "$work/status"
 }
 
+# The first lines of a diff, indented under its command's line.
+diff_lines=12
+show_diff() {
+  diff "$@" 2>&1 | sed "s|$out/||g" | head -n "$diff_lines" | sed 's/^/    /'
+}
+
 same=0
 differ=0
 for i in "${!commands[@]}"; do
@@ -123,9 +130,11 @@ for i in "${!commands[@]}"; do
   p=$out/parent-$i
   c=$out/change-$i
   first=""
+  shown=()
   for stream in status stdout stderr; do
     if ! cmp -s "$p/$stream" "$c/$stream"; then
       first=$stream
+      shown=("$p/$stream" "$c/$stream")
       [ "$stream" = status ] &&
         first="status (parent $(cat "$p/status"), change $(cat "$c/status"))"
       break
@@ -133,13 +142,17 @@ for i in "${!commands[@]}"; do
   done
   if [ -z "$first" ]; then
     files=$(diff -rq "$p/files" "$c/files" | head -n 1)
-    [ -n "$files" ] && first="files: ${files//$out\//}"
+    if [ -n "$files" ]; then
+      first="files: ${files//$out\//}"
+      shown=(-r "$p/files" "$c/files")
+    fi
   fi
   if [ -z "$first" ]; then
     same=$((same + 1))
   else
     differ=$((differ + 1))
     echo "differs: $cmd  [first: $first]"
+    show_diff "${shown[@]}"
   fi
 done
 

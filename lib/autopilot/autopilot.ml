@@ -193,9 +193,7 @@ let set_host_port t q ~host =
     end;
     if configured t then begin
       let spec = Forwarding_table.spec t.table in
-      if host then
-        Tables.add_host_port spec
-          ~max_ports:(Forwarding_table.max_ports t.table) ~number ~port:q
+      if host then Tables.add_host_port spec ~number ~port:q
       else Tables.remove_host_port spec ~number ~port:q
     end
 

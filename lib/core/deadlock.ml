@@ -43,32 +43,14 @@ let max_channel g = 2 * (Graph.max_link_id g + 1)
    [q]".  Setting a bit both deduplicates and replaces the old
    [(c1, c2)] pair-hashtable.
 
-   The parallel fan-out writes those masks straight into preallocated
-   call-level buffers indexed by channel (plus a per-switch slice of the
+   The parallel fan-out writes those masks straight into call-level
+   buffers indexed by channel (plus a per-switch slice of the
    port->out-channel map): each task's writes are confined to the
    channels into — and the port slice of — its own switch, so the merge
    is the identity and the CSR below is stitched serially from the
-   filled buffers with zero intermediate per-switch records. *)
-
-module Arena = Autonet_parallel.Pool.Arena
-
-(* Per-task scratch (port -> in-channel map of the switch being scanned). *)
-let slot_task_in = Arena.register ()
-
-(* Call-level buffers, owned by the calling domain's arena and reused
-   across epochs (workers write into them during the round; the barrier
-   orders those writes before the caller's reads). *)
-let slot_mask = Arena.register ()
-let slot_head = Arena.register ()
-let slot_out = Arena.register ()
-
-(* CSR + DFS scratch, likewise reused across calls. *)
-let slot_off = Arena.register ()
-let slot_adj = Arena.register ()
-let slot_dfs_state = Arena.register ()
-let slot_dfs_parent = Arena.register ()
-let slot_dfs_sv = Arena.register ()
-let slot_dfs_si = Arena.register ()
+   filled buffers with zero intermediate per-switch records.  Workers
+   write the buffers during the round; the barrier orders those writes
+   before the caller's reads. *)
 
 (* Fill switch [s]'s share of the call-level buffers: [out_ch] gets the
    port -> out-channel map in the slice [s * (mp+1) ..], [head.(c)] tags
@@ -76,12 +58,10 @@ let slot_dfs_si = Arena.register ()
    port vectors of the entries received on those channels (stitching
    keeps the ports that have an out-channel).  All writes are
    confined to data owned by [s], so tasks for distinct switches never
-   touch the same cell. *)
+   touch the same cell.  [se_in] maps a port to its in-channel. *)
 let fill_switch_deps g ~mp ~mask ~head ~out_ch spec =
   let s = Tables.switch spec in
-  let arena = Arena.get () in
-  let se_in = Arena.ints arena slot_task_in ~len:(mp + 1) in
-  Array.fill se_in 0 (mp + 1) (-1);
+  let se_in = Array.make (mp + 1) (-1) in
   let base = s * (mp + 1) in
   for p = 1 to mp do
     match Graph.link_at g (s, p) with
@@ -106,12 +86,17 @@ let fill_switch_deps g ~mp ~mask ~head ~out_ch spec =
           head.(c_in) <- s
         end)
   done;
-  Tables.iter spec ~f:(fun ~in_port ~dst:_ entry ->
-      if (not (Tables.broadcast entry)) && in_port > 0 && in_port <= mp then begin
-        let c1 = se_in.(in_port) in
-        if c1 >= 0 then
-          mask.(c1) <- mask.(c1) lor (Tables.vector entry :> int)
-      end)
+  (* A mask is an OR that ignores the address, so each distinct page is
+     read once: the walk answers [false] and never stops early. *)
+  ignore
+    (Tables.exists_entry spec ~f:(fun ~in_port entry ->
+         if (not (Tables.broadcast entry)) && in_port > 0 && in_port <= mp
+         then begin
+           let c1 = se_in.(in_port) in
+           if c1 >= 0 then
+             mask.(c1) <- mask.(c1) lor (Tables.vector entry :> int)
+         end;
+         false))
 
 (* Stitch the filled buffers into a CSR adjacency over channels.  Rows
    are walked in ascending channel order and filled in ascending
@@ -119,9 +104,8 @@ let fill_switch_deps g ~mp ~mask ~head ~out_ch spec =
    is identical however the per-switch fills were scheduled — and
    because rows are visited in CSR order, one running cursor replaces
    the per-row cursor array. *)
-let stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch =
-  let off = Arena.ints arena slot_off ~len:(n + 1) in
-  Array.fill off 0 (n + 1) 0;
+let stitch_csr ~n ~mp ~mask ~head ~out_ch =
+  let off = Array.make (n + 1) 0 in
   for c = 0 to n - 1 do
     let m = mask.(c) in
     if m <> 0 then begin
@@ -136,7 +120,7 @@ let stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch =
   for c = 1 to n do
     off.(c) <- off.(c) + off.(c - 1)
   done;
-  let adj = Arena.ints arena slot_adj ~len:(Stdlib.max 1 off.(n)) in
+  let adj = Array.make off.(n) 0 in
   let cur = ref 0 in
   for c = 0 to n - 1 do
     let m = mask.(c) in
@@ -158,15 +142,10 @@ let stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch =
    bounded by memory rather than the native stack (a single dependency
    chain of 100k+ channels used to overflow it). *)
 let find_cycle_csr g ~off ~adj n =
-  let cap = Stdlib.max n 1 in
-  let arena = Arena.get () in
-  let state = Arena.ints arena slot_dfs_state ~len:cap in
-  Array.fill state 0 cap 0;
-  (* [parent], and the stack arrays, are only read after being written
-     this call, so stale contents are fine. *)
-  let parent = Arena.ints arena slot_dfs_parent ~len:cap in
-  let stack_v = Arena.ints arena slot_dfs_sv ~len:cap in
-  let stack_i = Arena.ints arena slot_dfs_si ~len:cap in
+  let state = Array.make n 0 in
+  let parent = Array.make n 0 in
+  let stack_v = Array.make n 0 in
+  let stack_i = Array.make n 0 in
   let found_v = ref (-1) and found_w = ref (-1) in
   let exception Found in
   try
@@ -215,21 +194,16 @@ let check_tables ?(pool = Autonet_parallel.Pool.serial) g specs =
   let n = max_channel g in
   let mp = Graph.max_ports g in
   let ns = Graph.switch_count g in
-  let arena = Arena.get () in
-  let cap = Stdlib.max n 1 in
-  let mask = Arena.ints arena slot_mask ~len:cap in
-  Array.fill mask 0 cap 0;
-  let head = Arena.ints arena slot_head ~len:cap in
-  let out_len = Stdlib.max 1 (ns * (mp + 1)) in
-  let out_ch = Arena.ints arena slot_out ~len:out_len in
-  Array.fill out_ch 0 out_len (-1);
+  let mask = Array.make n 0 in
+  let head = Array.make n 0 in
+  let out_ch = Array.make (ns * (mp + 1)) (-1) in
   (* One fill task per spec.  The specs must be for distinct switches,
      which every caller satisfies: tasks rely on per-switch write
      ownership of the buffers. *)
   let arr = Array.of_list specs in
   Autonet_parallel.Pool.parallel_for pool ~n:(Array.length arr) (fun i ->
       fill_switch_deps g ~mp ~mask ~head ~out_ch arr.(i));
-  let off, adj = stitch_csr ~arena ~n ~mp ~mask ~head ~out_ch in
+  let off, adj = stitch_csr ~n ~mp ~mask ~head ~out_ch in
   find_cycle_csr g ~off ~adj n
 
 (* --- Order certificate for incremental (delta-epoch) verification. ---

@@ -118,20 +118,6 @@ let lookup t ~in_port ~dst =
 
 let entry_count t = t.count
 
-let iter t ~f =
-  let iter_page p page =
-    if page != empty_page then
-      for i = 0 to page_size - 1 do
-        let e = Array.unsafe_get page i in
-        if e <> discard then
-          f ~in_port:(i land 0xF)
-            ~dst:(Short_address.of_int ((p lsl 4) lor (i lsr 4)))
-            e
-      done
-  in
-  Array.iteri iter_page t.pages;
-  iter_page top_page t.top
-
 (* Scan each physically distinct page once: [f] ignores the address, so
    a page's verdict does not depend on which blocks share it.  Builds
    intern remote blocks, so a table usually holds a few distinct pages;
@@ -229,24 +215,28 @@ let fold t ~init ~f =
 
 let to_cp = unicast (PV.singleton 0)
 
-(* The constant (one-hop) and broadcast rows of the switch's receiving
-   ports other than its host ports, which [add_host_rows] adds: a few
-   dozen entries, never the hot part of a build. *)
-let constant_and_broadcast_entries g tree s ~spec ~in_ports =
-  for k = 1 to Graph.max_ports g do
+(* The constant block of the paper's address table, the same at every
+   switch and in every table it loads: one-hop address k (1..max_ports)
+   goes out port k from the control processor and to the control
+   processor from every other in-port, cabled or not. *)
+let draw_constant t ~max_ports =
+  for k = 1 to max_ports do
     let addr = Short_address.one_hop ~port:k in
-    List.iter
-      (fun in_port ->
-        if in_port = 0 then
-          (* From the control processor: out the numbered local port, when
-             that port is cabled to something that can hear us. *)
-          (match Graph.link_at g (s, k) with
-          | Some _ -> add_entry spec ~in_port ~addr (unicast (PV.singleton k))
-          | None -> ())
-        else add_entry spec ~in_port ~addr to_cp)
-      in_ports
-  done;
-  (* --- Broadcast flooding over the spanning tree. --- *)
+    add_entry t ~in_port:0 ~addr (unicast (PV.singleton k));
+    for in_port = 1 to max_ports do
+      add_entry t ~in_port ~addr to_cp
+    done
+  done
+
+let constant ~switch ~max_ports =
+  let t = make_spec ~switch ~pages:1 in
+  draw_constant t ~max_ports;
+  t
+
+(* Broadcast flooding over the spanning tree: the rows of the switch's
+   receiving ports other than its host ports, which [add_host_rows] adds.
+   A few dozen entries, never the hot part of a build. *)
+let broadcast_entries tree s ~spec ~in_ports =
   let children =
     PV.of_list (List.map (fun (p, _, _) -> p) (Spanning_tree.children tree s))
   in
@@ -349,7 +339,7 @@ let recolumn t ~port:q ~keep ~word =
 (* Give host ports [qs] of switch number [number] their rows, in-port 0's
    column copied in the pages [copied] selects: [build] renders the remote
    pages' host columns itself and adds all its host ports in one call. *)
-let add_host_rows t ~max_ports ~number ~ports:qs ~copied =
+let add_host_rows t ~number ~ports:qs ~copied =
   let own p = Short_address.assigned ~switch_number:number ~port:p in
   map_local_delivery t (PV.union (PV.of_list qs));
   (* A host port's address is delivered wherever the control processor's
@@ -369,19 +359,20 @@ let add_host_rows t ~max_ports ~number ~ports:qs ~copied =
       recolumn t ~port:q ~keep:copied ~word:(fun page a -> page.(a lsl 4));
       add_entry t ~in_port:q ~addr:Short_address.loopback
         (unicast (PV.singleton q));
-      add_entry t ~in_port:q ~addr:Short_address.local_switch to_cp;
-      for k = 1 to max_ports do
-        add_entry t ~in_port:q ~addr:(Short_address.one_hop ~port:k) to_cp
-      done)
+      add_entry t ~in_port:q ~addr:Short_address.local_switch to_cp)
     qs
 
-let add_host_port t ~max_ports ~number ~port:q =
+(* Page 0 holds the constant block at every in-port and, at a host port,
+   the local-switch row: the only page-0 row an add writes or a removal
+   clears. *)
+let add_host_port t ~number ~port:q =
   if not (is_host_port t q) then
-    add_host_rows t ~max_ports ~number ~ports:[ q ] ~copied:(fun p -> p <> 0)
+    add_host_rows t ~number ~ports:[ q ] ~copied:(fun p -> p <> 0)
 
 let remove_host_port t ~number ~port:q =
   if is_host_port t q then begin
-    recolumn t ~port:q ~keep:(fun _ -> true) ~word:(fun _ _ -> discard);
+    recolumn t ~port:q ~keep:(fun p -> p <> 0) ~word:(fun _ _ -> discard);
+    remove t ~in_port:q ~dst:Short_address.local_switch;
     for i = 0 to 15 do
       remove t ~in_port:i
         ~dst:(Short_address.assigned ~switch_number:number ~port:q)
@@ -389,31 +380,21 @@ let remove_host_port t ~number ~port:q =
     map_local_delivery t (PV.remove q)
   end
 
-(* Per-task scratch for the builder, drawn from the per-domain arena so a
-   pool worker reuses it across every switch of every epoch: the in-port
-   list as a flat array and the arrival-phase selector per in-port. *)
-module Arena = Autonet_parallel.Pool.Arena
-
-let slot_ip = Arena.register ()
-let slot_sel = Arena.register ()
-
 let next_hops_of mode routes =
   match mode with
   | Minimal_routes -> Routes.next_hops routes
   | All_legal_routes -> Routes.all_next_hops routes
 
-(* The in-ports as [ip.(0 .. nip-1)] and each one's arrival phase as
-   [sel.(i)] (0 up, 1 down): a property of the in-port alone, computed
-   once per switch rather than once per destination. *)
-let fill_selectors routes s in_ports ~ip ~sel =
-  List.iteri
-    (fun i p ->
-      ip.(i) <- p;
-      sel.(i) <-
-        (match Routes.phase_of_arrival routes ~at:s ~in_port:p with
-        | Routes.Up -> 0
-        | Routes.Down -> 1))
-    in_ports
+(* The arrival phase of each in-port of [ip] (0 up, 1 down): a property
+   of the in-port alone, computed once per switch rather than once per
+   destination. *)
+let selectors routes s ip =
+  Array.map
+    (fun p ->
+      match Routes.phase_of_arrival routes ~at:s ~in_port:p with
+      | Routes.Up -> 0
+      | Routes.Down -> 1)
+    ip
 
 (* The route out of [s] toward a remote switch [d] in one arrival phase. *)
 let remote_entry next_hops s d phase =
@@ -426,13 +407,13 @@ let remote_entry next_hops s d phase =
    interned by the (up, down) word pair, packed in one int: one switch's
    blocks toward all destinations with equal next-hop sets share one
    page.  [None] when the block has no entry. *)
-let remote_page intern ~max_ports ~nip ~ip ~sel ~up ~down =
+let remote_page intern ~max_ports ~ip ~sel ~up ~down =
   let k = (up lsl 17) lor down in
   match Hashtbl.find_opt intern k with
   | Some pc -> pc
   | None ->
     let page = Array.make page_size discard and n = ref 0 in
-    for i = 0 to nip - 1 do
+    for i = 0 to Array.length ip - 1 do
       let e = if sel.(i) = 0 then up else down in
       if has_ports e then begin
         n := !n + max_ports + 1;
@@ -468,23 +449,18 @@ let number_of assignment d =
    The route out of [s] depends only on the arrival phase and the
    destination switch, so a remote destination's whole 16-address block is
    one page holding (at most) two distinct entries, and destinations with
-   equal next-hop sets share that page.  The in-port array and the
-   per-in-port phase selector come from the per-domain arena (reused
-   across tasks and epochs).  [place_remote] installs the blocks of
-   [dests] other than [s] itself. *)
+   equal next-hop sets share that page.  [place_remote] installs the
+   blocks of [dests] other than [s] itself. *)
 let place_remote spec ~next_hops g ~in_ports routes assignment s dests =
-  let arena = Arena.get () in
-  let nip = List.length in_ports in
-  let ip = Arena.ints arena slot_ip ~len:(Stdlib.max 1 nip) in
-  let sel = Arena.ints arena slot_sel ~len:(Stdlib.max 1 nip) in
-  fill_selectors routes s in_ports ~ip ~sel;
+  let ip = Array.of_list in_ports in
+  let sel = selectors routes s ip in
   let max_ports = Graph.max_ports g in
   let intern = Hashtbl.create 16 in
   List.iter
     (fun d ->
       if s <> d then
         match
-          remote_page intern ~max_ports ~nip ~ip ~sel
+          remote_page intern ~max_ports ~ip ~sel
             ~up:(remote_entry next_hops s d Routes.Up)
             ~down:(remote_entry next_hops s d Routes.Down)
         with
@@ -511,9 +487,10 @@ let build ?(mode = Minimal_routes) g tree updown routes assignment s =
         ~addr:(Address_assign.address assignment s 0)
         to_cp)
     switch_ports;
-  constant_and_broadcast_entries g tree s ~spec ~in_ports:switch_ports;
+  draw_constant spec ~max_ports:(Graph.max_ports g);
+  broadcast_entries tree s ~spec ~in_ports:switch_ports;
   let number = number_of assignment s in
-  add_host_rows spec ~max_ports:(Graph.max_ports g) ~number ~ports:hosts
+  add_host_rows spec ~number ~ports:hosts
     ~copied:(fun p -> p = number || p = top_page);
   spec
 

@@ -16,9 +16,11 @@
     forward from a "down" in-link to an "up" out-link are never generated,
     so a corrupted address cannot produce an illegal route.
 
-    A {!spec} is keyed by the hardware index [(address lsl 4) lor in_port],
-    and it is also the switch's storage format: the switch's forwarding
-    table loads a spec by {!copy} and edits it in place with {!set},
+    It renders the switch's whole hardware table.  A {!spec} is keyed by
+    the hardware index [(address lsl 4) lor in_port], and it is also the
+    switch's storage format: the switch's forwarding table loads a
+    computed spec by {!copy} and the step-1 table by {!constant}, writes
+    no entry of its own, and edits the loaded table in place with {!set},
     {!add_host_port} and {!remove_host_port}.
 
     {b Storage.}  A spec holds its keys in copy-on-write pages of 256:
@@ -85,17 +87,23 @@ val entry_count : spec -> int
 
 val fold : spec -> init:'a -> f:('a -> in_port:Graph.port -> dst:Short_address.t -> entry -> 'a) -> 'a
 
-val iter : spec -> f:(in_port:Graph.port -> dst:Short_address.t -> entry -> unit) -> unit
-(** Like {!fold} but in unspecified order and without building or sorting
-    an intermediate list — the iteration the deadlock checker's edge
-    generation runs on every entry of every spec. *)
-
 val exists_entry : spec -> f:(in_port:Graph.port -> entry -> bool) -> bool
 (** Whether [f] holds for some entry.  [f] sees the in-port and the
     entry but not the address, so each physically distinct page is
     scanned once however many address blocks share it: on a built table
     that is the few interned (up, down) pages, not one page per switch
-    number.  The deadlock certificate's check runs on this. *)
+    number.  The readers that ignore the address run on this: the
+    deadlock checker's edge generation (an [f] that always answers
+    [false] visits every distinct page), its certificate and
+    {!Verify.no_down_then_up}. *)
+
+val constant : switch:Graph.switch -> max_ports:int -> spec
+(** The constant block of the paper's address table, alone: one-hop
+    address [k] (1..[max_ports]) from in-port 0 goes out port [k], and
+    from every other in-port 1..[max_ports] to the control processor.
+    {!build} draws the same block at every in-port, cabled or not.  Each
+    call renders a fresh spec, so tables on different domains never share
+    it. *)
 
 type route_mode =
   | Minimal_routes  (** only minimal-length legal routes (paper's choice) *)
@@ -108,17 +116,19 @@ val build :
 (** The table for one member switch of the configured component.  The
     arrival phase of each in-port and the (at most two) next-hop port
     vectors per destination switch are computed once and shared across
-    the whole address block, not once per (in-port, address) pair. *)
+    the whole address block, not once per (in-port, address) pair.  Page
+    0 holds the {!constant} block at every in-port 0..max_ports and the
+    local-switch rows of the host ports. *)
 
-val add_host_port :
-  spec -> max_ports:int -> number:int -> port:Graph.port -> unit
-(** Give [port] of switch number [number] (of [max_ports] ports) exactly
-    the rows {!build} gives a host port, in place (paper 6.5.3):
+val add_host_port : spec -> number:int -> port:Graph.port -> unit
+(** Give [port] of switch number [number] exactly the rows {!build}
+    gives a host port, in place (paper 6.5.3):
     - at [port], the Up-phase rows of every remote destination, copied
       from in-port 0 once per physically distinct page, so pages that
       address blocks share stay shared;
-    - at [port], the local-switch, loopback, one-hop and broadcast
-      origination rows and the switch's own delivered addresses;
+    - at [port], the local-switch, loopback and broadcast origination
+      rows and the switch's own delivered addresses (its one-hop rows
+      are the {!constant} block's, already there);
     - delivery of [port]'s address from every in-port that delivers the
       control processor's;
     - [port] in every local-delivery broadcast set (the rows whose
@@ -126,9 +136,12 @@ val add_host_port :
     A port whose loopback row is present is left as it is. *)
 
 val remove_host_port : spec -> number:int -> port:Graph.port -> unit
-(** The inverse of {!add_host_port}: every row received on [port], the
-    delivery of its address and its place in the broadcast sets go.  A
-    port without a loopback row is left as it is. *)
+(** The exact inverse of {!add_host_port}: [port]'s column on every page
+    but page 0, its local-switch row, the delivery of its address and
+    its place in the broadcast sets go, and page 0's constant rows stay.
+    Adding and removing a port therefore undo each other on a built table
+    and on a loaded one alike.  A port without a loopback row is left as
+    it is. *)
 
 val patch :
   Graph.t -> Updown.t -> Routes.t -> Address_assign.t ->

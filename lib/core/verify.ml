@@ -126,30 +126,29 @@ let no_down_then_up net updown =
   List.for_all
     (fun spec ->
       let s = Tables.switch spec in
-      Tables.fold spec ~init:true ~f:(fun acc ~in_port ~dst:_ entry ->
-          acc
-          &&
-          (* Only check entries whose in-port is a "down" link arrival. *)
-          match Graph.link_at net.graph (s, in_port) with
-          | None -> true
-          | Some l_in -> (
-            match Updown.up_end updown l_in with
-            | None -> true
-            | Some up when up = s -> true (* arrived moving up *)
-            | Some _ ->
-              (* Arrived moving down: no out-port may be an up traversal. *)
-              List.for_all
-                (fun p ->
-                  (not (Port_vector.mem p (Tables.vector entry)))
-                  ||
-                  match Graph.link_at net.graph (s, p) with
-                  | None -> true
-                  | Some l_out -> (
-                    match
-                      (Graph.link net.graph l_out, Updown.up_end updown l_out)
-                    with
-                    | Some l, Some _ ->
-                      not (Updown.goes_up updown l ~from:s)
-                    | _, _ -> true))
-                all_ports)))
+      (* A verdict ignores the address: each distinct page is read once. *)
+      not
+        (Tables.exists_entry spec ~f:(fun ~in_port entry ->
+             (* Only entries whose in-port is a "down" link arrival. *)
+             match Graph.link_at net.graph (s, in_port) with
+             | None -> false
+             | Some l_in -> (
+               match Updown.up_end updown l_in with
+               | None -> false
+               | Some up when up = s -> false (* arrived moving up *)
+               | Some _ ->
+                 (* Arrived moving down: no out-port may be an up traversal. *)
+                 List.exists
+                   (fun p ->
+                     Port_vector.mem p (Tables.vector entry)
+                     &&
+                     match Graph.link_at net.graph (s, p) with
+                     | None -> false
+                     | Some l_out -> (
+                       match
+                         (Graph.link net.graph l_out, Updown.up_end updown l_out)
+                       with
+                       | Some l, Some _ -> Updown.goes_up updown l ~from:s
+                       | _, _ -> false))
+                   all_ports))))
     net.specs

@@ -21,54 +21,6 @@
 
 module Metrics = Autonet_telemetry.Metrics
 
-(* --- Per-domain scratch arenas. ---
-
-   Leaf computations of the pipeline (table synthesis, deadlock edge
-   generation) need small scratch arrays per task and medium ones per
-   call.  Allocating them per task is what used to eat the fan-out win,
-   so each domain owns an arena of reusable int-array slots, grown
-   monotonically and kept for the domain's lifetime — a pool worker
-   therefore reuses its scratch across every round of every epoch.
-
-   Slots are registered once per use site (module initialization), so
-   two modules never collide.  The arrays come back uncleared and
-   possibly longer than requested: callers fill the prefix they need and
-   must carry lengths explicitly.  An arena slot must only be used by
-   leaf code that does not re-enter the pool while the array is live —
-   a nested combinator call on the same domain would hand the same slot
-   out again. *)
-
-module Arena = struct
-  type slot = int
-
-  let next_slot = Atomic.make 0
-
-  let register () = Atomic.fetch_and_add next_slot 1
-
-  type t = { mutable ints : int array array }
-
-  let key = Domain.DLS.new_key (fun () -> { ints = [||] })
-
-  let get () = Domain.DLS.get key
-
-  let ints a slot ~len =
-    let n_slots = Array.length a.ints in
-    if slot >= n_slots then begin
-      let grown = Array.make (slot + 8) [||] in
-      Array.blit a.ints 0 grown 0 n_slots;
-      a.ints <- grown
-    end;
-    let cur = a.ints.(slot) in
-    if Array.length cur >= len then cur
-    else begin
-      (* Monotonic growth with slack, so alternating sizes don't
-         reallocate every call. *)
-      let fresh = Array.make (Stdlib.max len (2 * Array.length cur)) 0 in
-      a.ints.(slot) <- fresh;
-      fresh
-    end
-end
-
 let batches_per_domain = 4
 
 type t = {

@@ -14,7 +14,9 @@
     Work closures must only read shared data (or write disjoint,
     caller-indexed slots): the pool adds no synchronization around the
     user's data.  Lazily-built caches (e.g. {!Graph.iter_neighbors}'s
-    adjacency snapshot) must be forced before fanning out. *)
+    adjacency snapshot) must be forced before fanning out.  The pool
+    keeps no scratch for its callers: a kernel allocates its working
+    arrays per call or per task. *)
 
 type t
 
@@ -64,43 +66,6 @@ val shutdown : t -> unit
 val default : unit -> t
 (** The process-wide shared pool, created on first use with [create ()]
     (honouring [AUTONET_DOMAINS]). *)
-
-(** {1 Per-domain scratch arenas}
-
-    Every domain owns an arena of reusable [int array] slots, grown
-    monotonically and kept for the domain's lifetime — pool workers
-    therefore reuse their scratch across every round of every epoch, and
-    the configuration pipeline's per-task allocations drop to zero once
-    the arenas are warm.
-
-    A use site calls {!Arena.register} once (at module initialization)
-    per logical scratch array, then {!Arena.get}/{!Arena.ints} inside the
-    task.  Returned arrays are uncleared and may be longer than
-    requested: fill the prefix you need and carry lengths explicitly.
-
-    Arena slots are strictly for {e leaf} computations: code holding a
-    live arena array must not re-enter the pool (a nested combinator on
-    the same domain would hand the same slot out again).  Safe from any
-    domain, including concurrent nested pipelines on different workers —
-    each domain sees only its own arena. *)
-
-module Arena : sig
-  type slot
-
-  val register : unit -> slot
-  (** Allocate a fresh process-wide slot id.  Call once per scratch
-      array, at module initialization. *)
-
-  type t
-
-  val get : unit -> t
-  (** The calling domain's arena. *)
-
-  val ints : t -> slot -> len:int -> int array
-  (** [ints a slot ~len] returns the slot's cached array, reallocated
-      (with slack) only when smaller than [len].  Contents are
-      unspecified — typically the previous use's data. *)
-end
 
 (** {1 Telemetry}
 

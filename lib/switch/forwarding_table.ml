@@ -1,21 +1,19 @@
-open Autonet_net
 module Tables = Autonet_core.Tables
 
-(* The table is held in the synthesis format itself, so a load is a
-   [Tables.copy]: the page pointers, with the pages shared copy-on-write
-   (the one-hop rows and host-port edits then copy just the pages they
-   write).  The holder does not know its switch index: the spec keeps the
+(* The table is held in the synthesis format itself, and [Tables] renders
+   every entry of it: a load is a [Tables.copy] of a computed spec (the
+   page pointers, with the pages shared copy-on-write) or a fresh
+   [Tables.constant], and host-port edits then copy just the pages they
+   write.  The holder does not know its switch index: the spec keeps the
    index of the last one loaded. *)
-type t = { ports : int; mutable spec : Tables.spec; mutable gen : int }
+type t = { ports : int; mutable spec : Tables.spec }
 
 let create ~max_ports =
   if max_ports < 1 || max_ports > 15 then
     invalid_arg "Forwarding_table.create: max_ports must be in 1..15";
-  { ports = max_ports; spec = Tables.empty ~switch:0; gen = 0 }
+  { ports = max_ports; spec = Tables.empty ~switch:0 }
 
 let max_ports t = t.ports
-
-let generation t = t.gen
 
 let spec t = t.spec
 
@@ -37,30 +35,11 @@ let rows_of t ~in_port =
   check_port t "rows_of" in_port;
   Tables.row t.spec ~in_port
 
-let replace t spec =
-  t.spec <- spec;
-  t.gen <- t.gen + 1
-
-let clear t = replace t (Tables.empty ~switch:(Tables.switch t.spec))
-
-(* The constant one-hop rows, wherever no computed entry holds the index. *)
-let install_one_hop t =
-  for k = 1 to t.ports do
-    let dst = Short_address.one_hop ~port:k in
-    for in_port = 0 to t.ports do
-      if Tables.lookup t.spec ~in_port ~dst = Tables.discard then
-        Tables.set t.spec ~in_port ~dst
-          (Tables.entry ~broadcast:false
-             (Port_vector.singleton (if in_port = 0 then k else 0)))
-    done
-  done
+let clear t = t.spec <- Tables.empty ~switch:(Tables.switch t.spec)
 
 let load_constant t =
-  clear t;
-  install_one_hop t
+  t.spec <- Tables.constant ~switch:(Tables.switch t.spec) ~max_ports:t.ports
 
-let load_spec t spec =
-  replace t (Tables.copy ~switch:(Tables.switch spec) spec);
-  install_one_hop t
+let load_spec t spec = t.spec <- Tables.copy ~switch:(Tables.switch spec) spec
 
 let entry_count t = Tables.entry_count t.spec

@@ -10,18 +10,21 @@
     reconfiguration packets can still travel between neighbours and to the
     control processor), and at step 5 it loads the complete table computed
     from the topology.  As in the real switch, a (re)load resets the
-    data path — the dataplane simulator destroys in-flight packets when it
-    happens, reproducing the cost discussed in section 7.
+    data path: the Autopilot drops the control packets that reach the
+    switch during the reset ([Autopilot.on_receive], until its
+    [loading_until]), reproducing the cost discussed in section 7.
 
     The switch stores its table in the synthesis format,
     {!Autonet_core.Tables.spec}, whose key is exactly the hardware index
-    [(address lsl 4) lor in_port].  Loading a computed table is a
-    {!Autonet_core.Tables.copy}: the switch shares the spec's
-    copy-on-write pages (one per switch number) instead of copying
-    entries, and row reads and edits work on its own copy in place —
-    an edit copies only the page it touches.  Host ports are enabled
-    and disabled on {!spec}, by {!Autonet_core.Tables.add_host_port}
-    and {!Autonet_core.Tables.remove_host_port}. *)
+    [(address lsl 4) lor in_port], and {!Autonet_core.Tables} renders
+    every entry of it: this module only holds the table.  Loading a
+    computed table is a {!Autonet_core.Tables.copy} that writes no entry:
+    the switch shares the spec's copy-on-write pages (one per switch
+    number) instead of copying entries, and row reads and edits work on
+    its own copy in place — an edit copies only the page it touches.
+    Host ports are enabled and disabled on {!spec}, by
+    {!Autonet_core.Tables.add_host_port} and
+    {!Autonet_core.Tables.remove_host_port}. *)
 
 open Autonet_net
 
@@ -33,10 +36,6 @@ val create : max_ports:int -> t
     0..[max_ports] with [Invalid_argument]. *)
 
 val max_ports : t -> int
-
-val generation : t -> int
-(** Bumped by every {!clear}, {!load_constant} and {!load_spec}; the
-    dataplane watches it to detect resets. *)
 
 val spec : t -> Autonet_core.Tables.spec
 (** The live table storage, tagged with the switch index of the last
@@ -57,14 +56,14 @@ val clear : t -> unit
 (** Empty the table completely (everything discards). *)
 
 val load_constant : t -> unit
-(** Clear, then install only the constant one-hop entries: address [k]
-    (1..max_ports) from port 0 goes out port [k]; from any other port it
-    goes to the control processor. *)
+(** Replace the table with a fresh {!Autonet_core.Tables.constant}: only
+    the constant one-hop entries, address [k] (1..max_ports) from port 0
+    out port [k] and from any other port to the control processor. *)
 
 val load_spec : t -> Autonet_core.Tables.spec -> unit
-(** Replace the table with a copy of the computed spec — O(max switch
-    number) page pointers; the spec itself is never written — then add
-    the constant one-hop entries wherever the spec has none (computed
-    entries take precedence). *)
+(** Replace the table with a {!Autonet_core.Tables.copy} of the computed
+    spec — O(max switch number) page pointers, and no entry written; the
+    spec itself is never written.  A built spec already holds the
+    constant one-hop entries. *)
 
 val entry_count : t -> int

@@ -321,7 +321,7 @@ let check_tables g specs =
    certifies when every dependency edge of every unicast entry strictly
    increases the key; an edge over a channel without a key (a link the
    orientation does not cover) refutes.  Entry by entry over
-   [Tables.iter], with the ranking recomputed from the public tree. --- *)
+   [Tables.fold], with the ranking recomputed from the public tree. --- *)
 
 let certifies g tree updown spec =
   let ranked = Array.of_list (Spanning_tree.members tree) in
@@ -372,10 +372,8 @@ let certifies g tree updown spec =
             | _ -> true))
         (Port_vector.to_list (Tables.vector e))
   in
-  let ok = ref true in
-  Tables.iter spec ~f:(fun ~in_port ~dst:_ e ->
-      if refutes ~in_port e then ok := false);
-  !ok
+  Tables.fold spec ~init:true ~f:(fun ok ~in_port ~dst:_ e ->
+      ok && not (refutes ~in_port e))
 
 (* --- Convergence: the definition [Network.converged] walks in place,
    recomputed over a copy of the live graph.  Each live component of

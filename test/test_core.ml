@@ -476,10 +476,17 @@ let test_tables_all_hosts_reach_all () =
   Alcotest.(check int) "no failed pairs" 0
     (List.length (Verify.all_hosts_reach_all c.net c.assignment))
 
+(* The checker also refutes: unrestricted shortest-path tables on the
+   same torus forward some down-link arrivals back up. *)
 let test_tables_no_down_then_up () =
   let t = B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2 in
   let c = Testlib.configure t in
-  check_bool "rule holds" true (Verify.no_down_then_up c.net c.updown)
+  check_bool "rule holds" true (Verify.no_down_then_up c.net c.updown);
+  let shortest =
+    Autonet_baseline.Alt_routing.shortest_path c.graph c.tree c.assignment
+  in
+  check_bool "shortest paths break it" false
+    (Verify.no_down_then_up (Verify.make c.graph shortest) c.updown)
 
 let test_tables_broadcast_coverage () =
   let t = B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2 in

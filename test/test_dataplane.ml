@@ -402,6 +402,49 @@ let test_ps_cleared_tables_discard () =
   check_int "discarded" 1 (PS.discarded_count ps2);
   check_int "not delivered" 0 (PS.delivered_count ps2)
 
+(* Alternative ports that are equally early go to the lowest.  Two
+   parallel links join s0 (ports 2 and 3) to s1, and s1 delivers what
+   arrives on port 2 to its host and what arrives on port 3 to its
+   control processor, so each delivery names the link its packet took.
+   Three hosts on s0 send at once: the first packet finds both links free
+   (a tie at the cut-through time), the second only port 3, and the third
+   both links busy until the same instant (a later tie). *)
+let test_ps_tie_takes_lowest_port () =
+  let g = Graph.create () in
+  let s0 = Graph.add_switch g ~uid:(Uid.of_int 0x10) in
+  let s1 = Graph.add_switch g ~uid:(Uid.of_int 0x20) in
+  ignore (Graph.connect g (s0, 2) (s1, 2));
+  ignore (Graph.connect g (s0, 3) (s1, 3));
+  let srcs = [ (s0, 1); (s0, 4); (s0, 5) ] in
+  List.iteri
+    (fun i ep ->
+      Graph.attach_host g ~host_uid:(Uid.of_int (0x100 + i)) ~host_port:0 ep)
+    ((s1, 1) :: srcs);
+  let dst = SA.assigned ~switch_number:2 ~port:1 in
+  let table rows =
+    let ft = FT.create ~max_ports:(Graph.max_ports g) in
+    List.iter
+      (fun (in_port, ports) ->
+        Tables.set (FT.spec ft) ~in_port ~dst
+          (Tables.entry ~broadcast:false (Port_vector.of_list ports)))
+      rows;
+    ft
+  in
+  let t0 = table (List.map (fun (_, p) -> (p, [ 2; 3 ])) srcs)
+  and t1 = table [ (2, [ 1 ]); (3, [ 0 ]) ] in
+  let engine = Autonet_sim.Engine.create () in
+  let ps = PS.create ~engine g ~tables:(fun s -> if s = s0 then t0 else t1) in
+  let pkt =
+    Packet.make ~dst ~src:(SA.assigned ~switch_number:1 ~port:1)
+      ~typ:Packet.Client ~body:(String.make 100 'x') ()
+  in
+  List.iter (fun src -> PS.send ps ~from:src pkt) srcs;
+  Autonet_sim.Engine.run engine;
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "links taken: port 2 (tie), port 3, port 2 (tie)"
+    [ ((s0, 1), (s1, 1)); ((s0, 4), (s1, 0)); ((s0, 5), (s1, 1)) ]
+    (List.sort compare (List.map (fun d -> (d.PS.src, d.PS.at)) (PS.deliveries ps)))
+
 let test_ps_host_rx_callback () =
   let c = Testlib.configure (B.attach_hosts (B.line ~n:2 ()) ~per_switch:2) in
   let engine, ps = make_ps c in
@@ -446,4 +489,6 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_ps_broadcast;
           Alcotest.test_case "cleared tables discard" `Quick
             test_ps_cleared_tables_discard;
-          Alcotest.test_case "host rx callback" `Quick test_ps_host_rx_callback ] ) ]
+          Alcotest.test_case "host rx callback" `Quick test_ps_host_rx_callback;
+          Alcotest.test_case "equally early ports take the lowest" `Quick
+            test_ps_tie_takes_lowest_port ] ) ]

@@ -403,7 +403,9 @@ let rebuild_graph ?drop_link ?drop_switch ?drop_host g =
    cabled to a host, in both route modes: adding the port's rows to the
    table built without its host gives the table built with it, and
    removing them from the table built with it gives the table built
-   without it.  Adding a port already there, or removing one that is
+   without it.  The same holds for the tables a switch loads: after
+   [Forwarding_table.load_spec] of one build, the edit gives a fresh load
+   of the other.  Adding a port already there, or removing one that is
    not, changes nothing, and neither edit reaches the table it copied. *)
 let test_host_port_rows () =
   let edits = ref 0 in
@@ -422,6 +424,11 @@ let test_host_port_rows () =
         Option.get (Address_assign.number assignment s) )
     in
     let max_ports = Graph.max_ports g in
+    let load spec =
+      let ft = Autonet_switch.Forwarding_table.create ~max_ports in
+      Autonet_switch.Forwarding_table.load_spec ft spec;
+      Autonet_switch.Forwarding_table.spec ft
+    in
     List.iter
       (fun s ->
         List.iter
@@ -435,13 +442,23 @@ let test_host_port_rows () =
               f c;
               c
             in
-            let add = Tables.add_host_port ~max_ports ~number ~port:q in
+            let add = Tables.add_host_port ~number ~port:q in
             let remove = Tables.remove_host_port ~number ~port:q in
+            let loaded f spec =
+              let live = load spec in
+              f live;
+              live
+            in
             incr edits;
             if not (Tables.equal_spec (edited add without_q) with_q) then
               fail "s%d.p%d: adding its rows is not the build with it" s q;
             if not (Tables.equal_spec (edited remove with_q) without_q) then
               fail "s%d.p%d: removing its rows is not the build without it" s q;
+            if not (Tables.equal_spec (loaded add without_q) (load with_q))
+            then fail "s%d.p%d: adding it to a loaded table is not a load" s q;
+            if not (Tables.equal_spec (loaded remove with_q) (load without_q))
+            then
+              fail "s%d.p%d: removing it from a loaded table is not a load" s q;
             if not (Tables.equal_spec (edited add with_q) with_q) then
               fail "s%d.p%d: adding it twice changed the table" s q;
             if not (Tables.equal_spec (edited remove without_q) without_q)

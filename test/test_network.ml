@@ -361,10 +361,10 @@ let test_host_ports_classified () =
         (st = Autonet_autopilot.Port_state.Host))
     (Graph.hosts g)
 
-(* A late host port's rows that a table load alone does not give it: the
-   load writes one-hop rows at every in-port, so a row there proves
-   nothing.  Port [p] of switch [s] must reach another switch's control
-   processor and originate broadcasts. *)
+(* A late host port's rows that a table load alone does not give it:
+   every table holds the constant one-hop rows at every in-port, so a
+   row there proves nothing.  Port [p] of switch [s] must reach another
+   switch's control processor and originate broadcasts. *)
 let check_late_rows t (s, p) =
   let module FT = Autonet_switch.Forwarding_table in
   let ft = AP.forwarding_table (N.autopilot t s) in
@@ -413,8 +413,13 @@ let test_loaded_spec_matches_rows () =
   check_bool "late host enabled" true (state late = PS.Host);
   check_bool "gone host disabled" true (state gone <> PS.Host);
   check_late_rows t late;
-  let has_row (s, p) = FT.has_row (AP.forwarding_table (N.autopilot t s)) ~in_port:p in
-  check_bool "gone row removed" false (has_row gone);
+  let gone_ft = AP.forwarding_table (N.autopilot t (fst gone)) in
+  let constant =
+    Tables.constant ~switch:(fst gone) ~max_ports:(FT.max_ports gone_ft)
+  in
+  check_bool "gone port holds exactly the constant rows" true
+    (FT.rows_of gone_ft ~in_port:(snd gone)
+    = Tables.row constant ~in_port:(snd gone));
   List.iter
     (fun s ->
       let ft = AP.forwarding_table (N.autopilot t s) in

@@ -2,8 +2,8 @@
    edge cases of [parallel_for] (n = 0, n < domains), a property over
    random sizes and domain counts for the one batching rule, failure
    propagation out of a worker mid-round (and pool usability
-   afterwards), the per-domain scratch arenas, and the split between the
-   deterministic metrics snapshot and the scheduling snapshot. *)
+   afterwards), and the split between the deterministic metrics snapshot
+   and the scheduling snapshot. *)
 
 module Pool = Autonet_parallel.Pool
 module Metrics = Autonet_telemetry.Metrics
@@ -113,21 +113,6 @@ let test_worker_failure_propagates () =
       Alcotest.(check (array int)) "map after failures"
         (Array.init 16 (fun i -> i * 2)) got)
 
-let test_arena_reuse () =
-  let s1 = Pool.Arena.register () in
-  let s2 = Pool.Arena.register () in
-  let a = Pool.Arena.get () in
-  let x = Pool.Arena.ints a s1 ~len:4 in
-  Alcotest.(check bool) "len honoured" true (Array.length x >= 4);
-  x.(0) <- 42;
-  let y = Pool.Arena.ints a s1 ~len:2 in
-  Alcotest.(check bool) "smaller request reuses the array" true (x == y);
-  Alcotest.(check int) "contents survive (uncleared)" 42 y.(0);
-  let z = Pool.Arena.ints a s1 ~len:100 in
-  Alcotest.(check bool) "growth reallocates" true (Array.length z >= 100);
-  let w = Pool.Arena.ints a s2 ~len:4 in
-  Alcotest.(check bool) "slots are distinct" true (not (w == y))
-
 (* The deterministic snapshot must render byte-identically for the same
    workload at every domain count; the scheduling snapshot is allowed to
    differ but its worker totals must be internally consistent. *)
@@ -189,9 +174,6 @@ let () =
         [ Alcotest.test_case
             "worker exception propagates; pool stays usable" `Quick
             test_worker_failure_propagates ] );
-      ( "arena",
-        [ Alcotest.test_case "slots grow monotonically and are reused"
-            `Quick test_arena_reuse ] );
       ( "metrics",
         [ Alcotest.test_case
             "deterministic snapshot identical at any domain count" `Quick

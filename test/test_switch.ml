@@ -83,14 +83,6 @@ let test_ft_one_hop_constant () =
   let e = FT.lookup t ~in_port:7 ~dst:(Short_address.one_hop ~port:3) in
   Alcotest.(check (list int)) "to cp" [ 0 ] (PV.to_list (Tables.vector e))
 
-let test_ft_generation_bumps () =
-  let t = FT.create ~max_ports:12 in
-  let g0 = FT.generation t in
-  FT.load_constant t;
-  check_bool "bumped" true (FT.generation t > g0);
-  FT.clear t;
-  check_bool "bumped again" true (FT.generation t > g0 + 1)
-
 let test_ft_unset_and_rows () =
   let t = FT.create ~max_ports:12 in
   set t ~in_port:1 ~dst:(addr 0x10) (unicast (PV.singleton 2));
@@ -162,12 +154,60 @@ let test_ft_lookup_allocates_nothing () =
   print_endline report;
   if words > 0. then Alcotest.fail report
 
-(* After [load_spec] the table reads back exactly what the old
-   insert-everything load produced: the constant one-hop rows for every
-   (in-port, port) pair, overridden by every entry the spec folds over. *)
+(* The tables a switch loads stay what the older two-renderer design
+   loaded: the spec's entries plus the constant one-hop block wherever
+   the spec had none.  On the nine families of [autonet-topo check] and
+   torus:16,16, with 0 and 2 hosts per switch, every loaded table must
+   equal that rule's output, every one-hop slot at in-ports 0..max_ports
+   must already be the spec's (the build draws the whole block), and no
+   built entry may differ from the block. *)
+let test_ft_loads_keep_one_hop_rule () =
+  let module B = Autonet_topo.Builders in
+  let slots = ref 0 and held = ref 0 and conflicts = ref 0 in
+  List.iter
+    (fun topo ->
+      List.iter
+        (fun hosts ->
+          let c = Testlib.configure (B.of_spec topo ~seed:1L ~hosts) in
+          let max_ports = Autonet_core.Graph.max_ports c.Testlib.graph in
+          let block = Tables.constant ~switch:0 ~max_ports in
+          List.iter
+            (fun spec ->
+              let rule = Tables.copy ~switch:(Tables.switch spec) spec in
+              for in_port = 0 to max_ports do
+                for k = 1 to max_ports do
+                  let dst = Short_address.one_hop ~port:k in
+                  let e = Tables.lookup spec ~in_port ~dst
+                  and want = Tables.lookup block ~in_port ~dst in
+                  incr slots;
+                  if e = Tables.discard then Tables.set rule ~in_port ~dst want
+                  else begin
+                    incr held;
+                    if e <> want then incr conflicts
+                  end
+                done
+              done;
+              let ft = FT.create ~max_ports in
+              FT.load_spec ft spec;
+              if not (Tables.equal_spec (FT.spec ft) rule) then
+                Alcotest.failf "%s, %d hosts: s%d's loaded table breaks the rule"
+                  topo hosts (Tables.switch spec))
+            c.Testlib.specs)
+        [ 0; 2 ])
+    [ "src"; "figure9"; "line:5"; "ring:6"; "star:4"; "tree:2,3"; "mesh:3,4";
+      "torus:4,8"; "random:16,8"; "torus:16,16" ];
+  Printf.printf "one-hop slots: %d, held by the build: %d, conflicts: %d\n"
+    !slots !held !conflicts;
+  check_int "one-hop slots" 119_184 !slots;
+  check_int "held by the build" !slots !held;
+  check_int "conflicts" 0 !conflicts
+
+(* [load_spec] writes no entry: the table reads back exactly the entries
+   the spec folds over, the constant one-hop rows being the built spec's
+   own. *)
 let ft_load_spec_equivalent =
   QCheck.Test.make
-    ~name:"load_spec reads back the spec over the one-hop rows; has_row agrees"
+    ~name:"load_spec reads back the spec only; has_row agrees"
     ~count:40 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Autonet_sim.Rng.create ~seed:(Int64.of_int seed) in
@@ -176,13 +216,6 @@ let ft_load_spec_equivalent =
       List.for_all
         (fun spec ->
           let expected = Hashtbl.create 256 in
-          for k = 1 to max_ports do
-            let dst = Short_address.one_hop ~port:k in
-            for in_port = 0 to max_ports do
-              Hashtbl.replace expected (in_port, dst)
-                (unicast (PV.singleton (if in_port = 0 then k else 0)))
-            done
-          done;
           Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
               Hashtbl.replace expected (in_port, dst) e);
           let entries sp =
@@ -406,13 +439,14 @@ let () =
         [ Alcotest.test_case "default discard" `Quick test_ft_default_discard;
           Alcotest.test_case "set/lookup" `Quick test_ft_set_lookup;
           Alcotest.test_case "one-hop constant" `Quick test_ft_one_hop_constant;
-          Alcotest.test_case "generation" `Quick test_ft_generation_bumps;
           Alcotest.test_case "unset and rows" `Quick test_ft_unset_and_rows;
           Alcotest.test_case "rejects bad ports" `Quick test_ft_rejects_bad_ports;
           Alcotest.test_case "set empty is discard" `Quick
             test_ft_set_empty_is_discard;
           Alcotest.test_case "lookup allocates nothing" `Quick
             test_ft_lookup_allocates_nothing;
+          Alcotest.test_case "loads keep the one-hop rule on 10 specs" `Quick
+            test_ft_loads_keep_one_hop_rule;
           QCheck_alcotest.to_alcotest ft_load_spec_equivalent ] );
       ( "scheduler",
         [ Alcotest.test_case "alternative lowest" `Quick test_sched_alternative_lowest;
