@@ -8,10 +8,11 @@
 # commands once per side, at AUTONET_DOMAINS=1, each run in its own empty
 # temporary directory, the two sides of a command side by side.  For each
 # command it compares the exit status, stdout, stderr and every file the
-# run wrote.  It prints how many commands were identical, or names each
-# command that differs and its first differing stream, followed by the
-# first lines of that stream's diff (parent lines `<`, change lines `>`),
-# and exits 1 on any difference (2 on a usage or build error).
+# run wrote.  It prints how many commands were identical, and names each
+# command that differs with every stream that differs under it: the two
+# exit statuses, and for stdout, stderr and the written files the first
+# lines of the diff (parent lines `<`, change lines `>`).  It exits 1 on
+# any difference (2 on a usage or build error).
 #
 # The list: every smoke command of bin/dune, the boot, crash and srp
 # logs, a route query, the five examples, the bench experiments that run
@@ -56,6 +57,7 @@ commands=(
   "@topo check --hosts 2 --topo tree:2,3"
   "@topo check --hosts 2 --topo mesh:3,4"
   "@topo check --hosts 2 --topo torus:4,8"
+  "@topo check --hosts 2 --topo torus:16,16"
   "@topo check --hosts 2 --topo random:16,8"
   "@sim chaos --topo figure9 --topo star:4 --topo tree:2,2 --topo mesh:3,3 --schedules 10 --seed 42"
   "@sim chaos --topo torus:3,3 --seed 42 --replay 0"
@@ -114,7 +116,7 @@ run() {
   echo "$status" > "$work/status"
 }
 
-# The first lines of a diff, indented under its command's line.
+# The first lines of a diff, indented under its stream's line.
 diff_lines=12
 show_diff() {
   diff "$@" 2>&1 | sed "s|$out/||g" | head -n "$diff_lines" | sed 's/^/    /'
@@ -129,30 +131,21 @@ for i in "${!commands[@]}"; do
   wait
   p=$out/parent-$i
   c=$out/change-$i
-  first=""
-  shown=()
-  for stream in status stdout stderr; do
-    if ! cmp -s "$p/$stream" "$c/$stream"; then
-      first=$stream
-      shown=("$p/$stream" "$c/$stream")
-      [ "$stream" = status ] &&
-        first="status (parent $(cat "$p/status"), change $(cat "$c/status"))"
-      break
-    fi
+  report=""
+  cmp -s "$p/status" "$c/status" ||
+    report+="  status: parent $(cat "$p/status"), change $(cat "$c/status")"$'\n'
+  for stream in stdout stderr; do
+    cmp -s "$p/$stream" "$c/$stream" ||
+      report+="  $stream:"$'\n'"$(show_diff "$p/$stream" "$c/$stream")"$'\n'
   done
-  if [ -z "$first" ]; then
-    files=$(diff -rq "$p/files" "$c/files" | head -n 1)
-    if [ -n "$files" ]; then
-      first="files: ${files//$out\//}"
-      shown=(-r "$p/files" "$c/files")
-    fi
-  fi
-  if [ -z "$first" ]; then
+  diff -rq "$p/files" "$c/files" > /dev/null ||
+    report+="  files:"$'\n'"$(show_diff -r "$p/files" "$c/files")"$'\n'
+  if [ -z "$report" ]; then
     same=$((same + 1))
   else
     differ=$((differ + 1))
-    echo "differs: $cmd  [first: $first]"
-    show_diff "${shown[@]}"
+    echo "differs: $cmd"
+    printf '%s' "$report"
   fi
 done
 

@@ -138,47 +138,39 @@ let component_endpoints net comp =
    graph ([Topology_report.to_graph]), whose indices are report-local, not
    the physical simulation indices.  Translate through UIDs, which both
    graphs share. *)
-let check_component net live vnet comp acc =
+let check_component net live vnet comp =
   match comp with
-  | [] -> acc
+  | [] -> []
   | first :: _ -> (
     let pilot = N.autopilot net first in
     match (Autopilot.assignment pilot, Autopilot.complete_report pilot) with
-    | None, _ | _, None -> Reference_mismatch :: acc
+    | None, _ | _, None -> [ Reference_mismatch ]
     | Some asg, Some report ->
       let rg = Topology_report.to_graph report in
-      let addr_of ds dp =
-        match Graph.switch_of_uid rg (Graph.uid live ds) with
-        | Some rs -> Some (Address_assign.address asg rs dp)
-        | None -> None
-      in
       let endpoints = component_endpoints net comp in
-      List.fold_left
-        (fun acc (src : Graph.endpoint) ->
-          List.fold_left
-            (fun acc ((ds, dp) as dst : Graph.endpoint) ->
-              if src = dst then acc
-              else
-                match addr_of ds dp with
-                | None ->
-                  Unreachable
-                    { src; dst; outcome = "destination not in the report" }
-                  :: acc
-                | Some addr -> (
-                  match Verify.walk_unicast vnet ~from:src ~dst:addr with
-                  | Verify.Delivered { at_switch; out_port }, _
-                    when at_switch = ds && out_port = dp ->
-                    acc
-                  | outcome, _ ->
-                    Unreachable
-                      { src;
-                        dst;
-                        outcome =
-                          Format.asprintf "%a" Verify.pp_outcome outcome
-                      }
-                    :: acc))
-            acc endpoints)
-        acc endpoints)
+      let addressed, missing =
+        List.partition_map
+          (fun ((ds, dp) as dst) ->
+            match Graph.switch_of_uid rg (Graph.uid live ds) with
+            | Some rs -> Either.Left (dst, Address_assign.address asg rs dp)
+            | None -> Either.Right dst)
+          endpoints
+      in
+      let unreachable src dst outcome = Unreachable { src; dst; outcome } in
+      (* The endpoints ascend, so source-major order is pair order. *)
+      List.merge compare
+        (List.map
+           (fun (src, dst, o) ->
+             unreachable src dst (Format.asprintf "%a" Verify.pp_outcome o))
+           (Verify.undelivered vnet ~sources:endpoints ~dsts:addressed))
+        (List.concat_map
+           (fun src ->
+             List.filter_map
+               (fun dst ->
+                 if dst = src then None
+                 else Some (unreachable src dst "destination not in the report"))
+               missing)
+           endpoints))
 
 (* Every switch that committed this epoch through the delta fast path must
    have loaded *exactly* what the full recompute of its complete report
@@ -257,12 +249,7 @@ let check ?pool net =
         [ Table_deadlock (Format.asprintf "%a" Deadlock.pp_result c) ]
     in
     let vnet = Verify.make live specs in
-    let unreachable =
-      List.rev
-        (List.fold_left
-           (fun acc comp -> check_component net live vnet comp acc)
-           [] comps)
-    in
+    let unreachable = List.concat_map (check_component net live vnet) comps in
     reference @ deadlock @ unreachable @ check_delta net @ check_skeptics net
     @ check_queue net
   end

@@ -10,8 +10,9 @@
       topology reports, agreeing with the pure reference computation;
     - the loaded tables are deadlock-free (Dally & Seitz, {!Deadlock});
     - every surviving pair of attachment points (control processors, and
-      host ports in the [Host] state) can reach each other by walking the
-      loaded tables ({!Verify});
+      host ports in the [Host] state) is delivered by the loaded tables
+      whichever alternative ports the switches choose
+      ({!Verify.undelivered}, one pass per destination);
     - every switch that took the incremental (delta) reconfiguration path
       loaded exactly what the full recompute of its complete report
       yields — table, switch number and root deadlock verdict;
@@ -35,7 +36,9 @@ type violation =
   | Unreachable of {
       src : Graph.endpoint;
       dst : Graph.endpoint;
-      outcome : string;  (** pretty-printed {!Verify.outcome} *)
+      outcome : string;
+          (** the witness walk along the first failing alternative,
+              pretty-printed ({!Verify.pp_outcome}) *)
     }
   | Skeptic_unbounded of {
       switch : Graph.switch;

@@ -13,87 +13,123 @@ let pp_outcome ppf = function
   | Discarded s -> Format.fprintf ppf "discarded at s%d" s
   | Looped -> Format.pp_print_string ppf "looped"
 
-type net = { graph : Graph.t; specs : Tables.spec list }
+(* A (switch, port) pair is the int [(s lsl 4) lor p]: ports fit in 4
+   bits.  [specs.(s)] is the first spec tagged [s], or an empty one;
+   [next.(out)] is the state (switch, in-port) that out-port [out] leads
+   to, or [delivers] (port 0, a host port, or an uncabled port the packet
+   falls off at). *)
+type net = { graph : Graph.t; specs : Tables.spec array; next : int array }
 
-let make graph specs = { graph; specs }
+let delivers = -1
 
-let spec_for net s =
-  List.find_opt (fun spec -> Tables.switch spec = s) net.specs
-
-(* Is this out-port a final delivery (control processor or host port) rather
-   than another switch hop? *)
-let delivery_port net s p =
-  if p = 0 then true
-  else
-    match Graph.host_at net.graph (s, p) with
-    | Some _ -> true
-    | None -> (
-      match Graph.link_at net.graph (s, p) with
-      | Some _ -> false
-      | None -> true (* unconnected port: the packet falls off the network *))
-
-let next_switch net s p =
-  match Graph.link_at net.graph (s, p) with
-  | None -> None
-  | Some l_id -> (
-    match Graph.link net.graph l_id with
-    | None -> None
-    | Some l ->
+let make graph specs =
+  let n = Graph.switch_count graph in
+  let index = Array.init n (fun s -> Tables.empty ~switch:s) in
+  List.iter
+    (fun spec ->
+      let s = Tables.switch spec in
+      if s >= 0 && s < n then index.(s) <- spec)
+    (List.rev specs);
+  let next out =
+    let s = out lsr 4 in
+    match Graph.link_at graph (s, out land 15) with
+    | None -> delivers
+    | Some id ->
+      let l = Option.get (Graph.link graph id) in
       let peer, peer_port = Graph.other_end l s in
-      Some (peer, peer_port))
-
-let walk ~choose net ~from ~dst =
-  let s0, p0 = from in
-  let max_hops = 4 * Graph.switch_count net.graph in
-  let rec step s in_port hops =
-    if hops > max_hops then (Looped, hops)
-    else
-      match spec_for net s with
-      | None -> (Discarded s, hops)
-      | Some spec -> begin
-        match choose (Tables.vector (Tables.lookup spec ~in_port ~dst)) with
-        | None -> (Discarded s, hops)
-        | Some p ->
-          if delivery_port net s p then
-            (Delivered { at_switch = s; out_port = p }, hops)
-          else begin
-            match next_switch net s p with
-            | None -> (Discarded s, hops)
-            | Some (peer, peer_port) -> step peer peer_port (hops + 1)
-          end
-      end
+      (peer lsl 4) lor peer_port
   in
-  step s0 p0 0
+  { graph; specs = index; next = Array.init (n lsl 4) next }
 
-let walk_unicast net ~from ~dst = walk ~choose:Port_vector.lowest net ~from ~dst
+let entry net state ~dst =
+  Tables.vector
+    (Tables.lookup net.specs.(state lsr 4) ~in_port:(state land 15) ~dst)
 
-let walk_unicast_random net ~rng ~from ~dst =
-  walk net ~from ~dst ~choose:(fun v ->
-      if Port_vector.is_empty v then None
-      else Some (Autonet_sim.Rng.pick rng (Port_vector.to_list v)))
+(* The walk that leaves each state by the port [choose] picks from its
+   entry.  It is deterministic, so one longer than the number of states
+   revisits a state: a loop. *)
+let walk net ~choose ~dst state =
+  let rec step state hops =
+    let s = state lsr 4 in
+    match choose state (entry net state ~dst) with
+    | None -> (Discarded s, hops)
+    | Some p ->
+      let h = net.next.((s lsl 4) lor p) in
+      if h = delivers then (Delivered { at_switch = s; out_port = p }, hops)
+      else if hops >= Array.length net.next then (Looped, hops)
+      else step h (hops + 1)
+  in
+  step state 0
 
-let flood_broadcast net ~from ~dst =
+let walk_unicast net ~from:(s, p) ~dst =
+  walk net ~choose:(fun _ -> Port_vector.lowest) ~dst ((s lsl 4) lor p)
+
+(* Sweep verdicts.  The sweep marks a state [stamp lor verdict], with a
+   stamp per destination, so it never clears the marks. *)
+let pending = 1
+let good = 2
+let bad = 3
+
+let undelivered net ~sources ~dsts =
+  let marks = Array.make (Array.length net.next) 0 in
+  let failed = ref [] in
+  List.iteri
+    (fun i (((ds, dp) as dst), addr) ->
+      let target = (ds lsl 4) lor dp and stamp = (i + 1) lsl 2 in
+      (* A state is good when every port of its entry delivers at [dst]
+         or leads to a good state; one met again while pending is on a
+         cycle.  [all_good out b] reads the entry's bits [b] from
+         out-port [out] up. *)
+      let rec good_from state =
+        let m = marks.(state) in
+        if m land lnot 3 = stamp then m land 3 = good
+        else begin
+          marks.(state) <- stamp lor pending;
+          let b = (entry net state ~dst:addr :> int) in
+          let ok = b <> 0 && all_good (state land lnot 15) b in
+          marks.(state) <- stamp lor (if ok then good else bad);
+          ok
+        end
+      and all_good out b =
+        b = 0 || (b land 1 = 0 || port_good out) && all_good (out + 1) (b lsr 1)
+      and port_good out =
+        let h = net.next.(out) in
+        if h = delivers then out = target else good_from h
+      in
+      (* The sweep judged every port of a bad state up to its first bad
+         one, so [port_good] only reads verdicts here. *)
+      let first_bad state v =
+        List.find_opt
+          (fun p -> not (port_good ((state land lnot 15) lor p)))
+          (Port_vector.to_list v)
+      in
+      List.iteri
+        (fun k ((s, p) as src) ->
+          let state = (s lsl 4) lor p in
+          if state <> target && not (good_from state) then
+            let witness, _ = walk net ~choose:first_bad ~dst:addr state in
+            failed := ((k, i), (src, dst, witness)) :: !failed)
+        sources)
+    dsts;
+  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !failed)
+
+let flood_broadcast net ~from:(s0, p0) ~dst =
   let deliveries = ref [] in
   let max_steps = 64 * Graph.switch_count net.graph in
   let steps = ref 0 in
   let queue = Queue.create () in
-  Queue.add from queue;
+  Queue.add ((s0 lsl 4) lor p0) queue;
   while (not (Queue.is_empty queue)) && !steps < max_steps do
     incr steps;
-    let s, in_port = Queue.pop queue in
-    match spec_for net s with
-    | None -> ()
-    | Some spec ->
-      let ports = Tables.vector (Tables.lookup spec ~in_port ~dst) in
-      for p = 0 to Port_vector.max_port do
-        if Port_vector.mem p ports then
-          if delivery_port net s p then
-            deliveries := { at_switch = s; out_port = p } :: !deliveries
-          else
-            match next_switch net s p with
-            | None -> ()
-            | Some (peer, peer_port) -> Queue.add (peer, peer_port) queue
-      done
+    let state = Queue.pop queue in
+    let s = state lsr 4 and ports = entry net state ~dst in
+    for p = 0 to Port_vector.max_port do
+      if Port_vector.mem p ports then
+        let h = net.next.((s lsl 4) lor p) in
+        if h = delivers then
+          deliveries := { at_switch = s; out_port = p } :: !deliveries
+        else Queue.add h queue
+    done
   done;
   List.sort compare !deliveries
 
@@ -102,23 +138,14 @@ let all_hosts_reach_all net assignment =
     List.map (fun (h : Graph.host_attachment) -> (h.switch, h.switch_port))
       (Graph.hosts net.graph)
   in
-  List.concat_map
-    (fun src ->
-      List.filter_map
-        (fun (d, q) ->
-          if src = (d, q) then None
-          else
-            match Address_assign.number assignment d with
-            | None -> None
-            | Some _ ->
-              let dst = Address_assign.address assignment d q in
-              let outcome, _ = walk_unicast net ~from:src ~dst in
-              (match outcome with
-              | Delivered { at_switch; out_port }
-                when at_switch = d && out_port = q -> None
-              | Delivered _ | Discarded _ | Looped -> Some (src, (d, q))))
-        host_ports)
-    host_ports
+  let numbered =
+    List.filter (fun (d, _) -> Address_assign.number assignment d <> None)
+      host_ports
+  in
+  let address ((d, q) as dst) = (dst, Address_assign.address assignment d q) in
+  List.map
+    (fun (src, dst, _) -> (src, dst))
+    (undelivered net ~sources:host_ports ~dsts:(List.map address numbered))
 
 let all_ports = List.init (Port_vector.max_port + 1) Fun.id
 
@@ -151,4 +178,4 @@ let no_down_then_up net updown =
                        | Some l, Some _ -> Updown.goes_up updown l ~from:s
                        | _, _ -> false))
                    all_ports))))
-    net.specs
+    (Array.to_list net.specs)

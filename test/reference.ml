@@ -436,3 +436,49 @@ let converged net =
   match Autonet.Network.live net with
   | _, [] -> false
   | live, comps -> List.for_all (component_converged live) comps
+
+(* --- Delivery: a pair fails when some choice of alternative ports
+   takes its packet to a switch without a route, out any delivery port
+   but the destination's (port 0, a host port or an uncabled one), or
+   around a cycle.  Each pair is a depth-first search of its own over
+   (switch, in-port) states, with its own visited list; no verdict is
+   shared between pairs or destinations. --- *)
+
+let undelivered g specs ~sources ~dsts =
+  let ports s ~in_port ~dst =
+    match List.find_opt (fun spec -> Tables.switch spec = s) specs with
+    | None -> []
+    | Some spec ->
+      Port_vector.to_list (Tables.vector (Tables.lookup spec ~in_port ~dst))
+  in
+  let fails (dst, addr) src =
+    let finished = ref [] in
+    let rec bad path state =
+      if List.mem state path then true
+      else if List.mem state !finished then false
+      else begin
+        let s, in_port = state in
+        let out = ports s ~in_port ~dst:addr in
+        let b =
+          out = [] || List.exists (fun p -> port_bad (state :: path) s p) out
+        in
+        if not b then finished := state :: !finished;
+        b
+      end
+    and port_bad path s p =
+      match (Graph.host_at g (s, p), Graph.link_at g (s, p)) with
+      | None, Some id -> (
+        match Graph.link g id with
+        | Some l -> bad path (Graph.other_end l s)
+        | None -> true)
+      | Some _, _ | None, None -> (s, p) <> dst
+    in
+    bad [] src
+  in
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun ((dst, _) as d) ->
+          if src <> dst && fails d src then Some (src, dst) else None)
+        dsts)
+    sources

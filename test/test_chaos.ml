@@ -392,6 +392,98 @@ let test_late_host_reaches_everyone ?reconfigure_after () =
     Alcotest.failf "%d violations, first: %a" (List.length vs)
       Oracle.pp_violation (List.hd vs)
 
+(* The oracle refutes a corrupted loaded table.  On a converged torus:3,3
+   with two hosts per switch, one remote entry of one switch's loaded
+   table is overwritten (the load shares its pages copy-on-write, so the
+   epoch cache's spec stays as it was) with
+   (a) its ports plus a dead-end port above the lowest,
+   (b) its ports plus the port the packet arrived on, where the upstream
+       switch sends it straight back, and
+   (c) no port.
+   Each names an unreachable pair and its witness; a walk along the
+   lowest port alone misses (a) and (b). *)
+let test_oracle_refutes () =
+  let module G = Autonet_core.Graph in
+  let module Tables = Autonet_core.Tables in
+  let module PV = Autonet_net.Port_vector in
+  let net =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:5L
+      (Builders.attach_hosts (Builders.torus ~rows:3 ~cols:3 ()) ~per_switch:2)
+  in
+  N.start net;
+  check_bool "converged" true (N.run_until_converged net <> None);
+  check_bool "clean before" true (Oracle.check net = []);
+  let g = N.graph net and pilot = N.autopilot net in
+  let table s =
+    Autonet_switch.Forwarding_table.spec (Autopilot.forwarding_table (pilot s))
+  in
+  let host s =
+    (List.find (fun (h : G.host_attachment) -> h.switch = s) (G.hosts g))
+      .switch_port
+  in
+  let address (d, q) =
+    Autonet_net.Short_address.assigned
+      ~switch_number:(Option.get (Autopilot.switch_number (pilot d)))
+      ~port:q
+  in
+  let ports s ~in_port dst =
+    Tables.vector (Tables.lookup (table s) ~in_port ~dst:(address dst))
+  in
+  (* Oracle.check with [s]'s entry at ([in_port], [dst]) set to [v]. *)
+  let check_with s ~in_port dst v =
+    let dst = address dst in
+    let old = Tables.lookup (table s) ~in_port ~dst in
+    Tables.set (table s) ~in_port ~dst (Tables.entry ~broadcast:false v);
+    let vs = Oracle.check net in
+    Tables.set (table s) ~in_port ~dst old;
+    vs
+  in
+  let unreachable src dst outcome = Oracle.Unreachable { src; dst; outcome } in
+  let src = (0, host 0) and dst = (8, host 8) in
+  let v = ports 0 ~in_port:(host 0) dst in
+  let dead_end = Option.get (G.free_port g 0) in
+  check_bool "dead end above the lowest" true
+    (dead_end > Option.get (PV.lowest v));
+  check_bool "(a) dead end" true
+    (check_with 0 ~in_port:(host 0) dst (PV.add dead_end v)
+    = [ unreachable src dst (Printf.sprintf "delivered at s0.p%d" dead_end) ]);
+  check_bool "(c) no port" true
+    (check_with 0 ~in_port:(host 0) dst PV.empty
+    = [ unreachable src dst "discarded at s0" ]);
+  (* (b): switch [k] sends [dst] from its host port over its port [kp] to
+     switch [s], and sends back over [kp] what arrives there; [s] gets
+     the port [sp] it received on, above its lowest, as one more
+     alternative. *)
+  let u_turn =
+    List.find_map
+      (fun k ->
+        List.find_map
+          (fun (kp, _, s, sp) ->
+            List.find_map
+              (fun d ->
+                let dst = (d, host d) in
+                let at_s = ports s ~in_port:sp dst in
+                if
+                  d <> s
+                  && PV.mem kp (ports k ~in_port:(host k) dst)
+                  && PV.mem kp (ports k ~in_port:kp dst)
+                  && Option.fold ~none:false ~some:(fun p -> p < sp)
+                       (PV.lowest at_s)
+                then Some (k, s, sp, dst, at_s)
+                else None)
+              (G.switches g))
+          (G.neighbors g k))
+      (G.switches g)
+  in
+  match u_turn with
+  | None -> Alcotest.fail "no switch sends a packet straight back"
+  | Some (k, s, sp, dst, at_s) ->
+    check_bool "(b) loop" true
+      (List.mem
+         (unreachable (k, host k) dst "looped")
+         (check_with s ~in_port:sp dst (PV.add sp at_s)));
+    check_bool "clean after" true (Oracle.check net = [])
+
 let () =
   Alcotest.run "chaos"
     [ ( "seeds",
@@ -419,7 +511,9 @@ let () =
           Alcotest.test_case "host turning s.host mid-epoch reaches everyone"
             `Quick
             (test_late_host_reaches_everyone
-               ~reconfigure_after:(Time.ms 200)) ] );
+               ~reconfigure_after:(Time.ms 200));
+          Alcotest.test_case "corrupted entries are refuted" `Quick
+            test_oracle_refutes ] );
       ( "fuzz",
         [ Alcotest.test_case "deterministic across pools" `Slow
             test_fuzz_deterministic_across_pools;

@@ -625,6 +625,41 @@ let tables_qcheck =
       Verify.all_hosts_reach_all c.net c.assignment = []
       && Verify.no_down_then_up c.net c.updown)
 
+(* The sweep judges delivery exactly as the per-pair reference does, on
+   tables with one unicast entry overwritten at random: a random switch,
+   receiving port and host address, and a random vector (each port with
+   probability 1/4, half the time added to the entry's own ports). *)
+let undelivered_qcheck =
+  QCheck.Test.make ~name:"sweep equals the per-pair reference" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Rng = Autonet_sim.Rng in
+      let rng = Rng.create ~seed:(Int64.of_int (seed + 29)) in
+      let c = Testlib.configure (Testlib.random_topology rng ~max_n:8) in
+      let g = c.graph in
+      let hosts = Testlib.host_endpoints g in
+      let endpoints = List.map (fun s -> (s, 0)) (Graph.switches g) @ hosts in
+      let address (d, q) = Address_assign.address c.assignment d q in
+      let dsts = List.map (fun e -> (e, address e)) endpoints in
+      let spec = Rng.pick rng c.specs in
+      let in_port = Rng.pick rng (0 :: Graph.used_ports g (Tables.switch spec)) in
+      let dst = address (Rng.pick rng hosts) in
+      let bits = 1 lsl (Graph.max_ports g + 1) in
+      let v = Port_vector.of_int (Rng.int rng bits land Rng.int rng bits) in
+      let v =
+        if Rng.bool rng then
+          Port_vector.union v (Tables.vector (Tables.lookup spec ~in_port ~dst))
+        else v
+      in
+      Tables.set spec ~in_port ~dst (Tables.entry ~broadcast:false v);
+      let swept = Verify.undelivered c.net ~sources:endpoints ~dsts in
+      List.map (fun (src, dst, _) -> (src, dst)) swept
+      = Reference.undelivered g c.specs ~sources:endpoints ~dsts
+      && List.for_all
+           (fun (_, (ds, dp), witness) ->
+             witness <> Verify.Delivered { at_switch = ds; out_port = dp })
+           swept)
+
 let test_tables_late_host_remote_reachability () =
   (* Remote switches carry entries for every port address of every member
      switch, so a host plugged in after the reconfiguration is reachable
@@ -963,7 +998,8 @@ let () =
             test_tables_edit_stays_in_block;
           Alcotest.test_case "tree link count" `Quick
             test_spanning_tree_is_tree_link;
-          QCheck_alcotest.to_alcotest tables_qcheck ] );
+          QCheck_alcotest.to_alcotest tables_qcheck;
+          QCheck_alcotest.to_alcotest undelivered_qcheck ] );
       ( "deadlock",
         [ Alcotest.test_case "up*/down* acyclic" `Quick test_deadlock_updown_acyclic;
           Alcotest.test_case "shortest path cycles" `Quick

@@ -175,29 +175,29 @@ let test_network_deterministic () =
   let a = run () and b = run () in
   check_bool "same convergence time and log length" true (a = b)
 
-let test_verify_multipath_random_choice () =
-  (* Random-choice walking still always delivers (multipath safety). *)
+(* Every choice among alternative ports delivers, between every pair of
+   endpoints, control processors included, on a torus whose tables do
+   offer alternatives. *)
+let test_verify_every_alternative () =
   let c = Testlib.configure (B.attach_hosts (B.torus ~rows:3 ~cols:3 ()) ~per_switch:2) in
-  let rng = Rng.create ~seed:123L in
-  let hosts = host_eps c.Testlib.graph in
-  let ok = ref true in
-  List.iter
-    (fun src ->
-      List.iter
-        (fun (d, q) ->
-          if src <> (d, q) then begin
-            let dst = Address_assign.address c.Testlib.assignment d q in
-            for _ = 1 to 3 do
-              match Verify.walk_unicast_random c.Testlib.net ~rng ~from:src ~dst with
-              | Verify.Delivered del, _ ->
-                if not (del.Verify.at_switch = d && del.Verify.out_port = q) then
-                  ok := false
-              | _ -> ok := false
-            done
-          end)
-        hosts)
-    hosts;
-  check_bool "all random walks deliver" true !ok
+  let g = c.Testlib.graph in
+  check_bool "tables offer alternatives" true
+    (List.exists
+       (fun spec ->
+         Tables.exists_entry spec ~f:(fun ~in_port:_ e ->
+             (not (Tables.broadcast e)) && Port_vector.count (Tables.vector e) > 1))
+       c.Testlib.specs);
+  let endpoints = List.map (fun s -> (s, 0)) (Graph.switches g) @ host_eps g in
+  let dsts =
+    List.map
+      (fun ((d, q) as ep) -> (ep, Address_assign.address c.Testlib.assignment d q))
+      endpoints
+  in
+  match Verify.undelivered c.Testlib.net ~sources:endpoints ~dsts with
+  | [] -> ()
+  | ((ss, sp), (ds, dp), o) :: _ as failed ->
+    Alcotest.failf "%d pairs fail, first s%d.p%d -> s%d.p%d: %a"
+      (List.length failed) ss sp ds dp Verify.pp_outcome o
 
 let () =
   Alcotest.run "crosscheck"
@@ -210,5 +210,5 @@ let () =
         [ Alcotest.test_case "flit replay" `Quick test_flit_deterministic;
           Alcotest.test_case "network replay" `Quick test_network_deterministic ] );
       ( "multipath",
-        [ Alcotest.test_case "random-choice walks deliver" `Quick
-            test_verify_multipath_random_choice ] ) ]
+        [ Alcotest.test_case "every alternative delivers" `Quick
+            test_verify_every_alternative ] ) ]
