@@ -16,22 +16,15 @@ type configured = {
 }
 
 let configure ?mode ?pool (t : B.t) =
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
+  let c = Configuration.boot t.B.graph in
   (* Experiments take the multicore path by default (AUTONET_DOMAINS,
      falling back to the machine); the specs are bit-identical to the
      serial build, so every experiment's output is unchanged. *)
   let pool =
     match pool with Some p -> p | None -> Autonet_parallel.Pool.default ()
   in
-  let specs = Tables.build_all ?mode ~pool g tree updown routes assignment in
-  { graph = g; tree; updown; routes; assignment; specs }
+  { graph = c.graph; tree = c.tree; updown = c.updown; routes = c.routes;
+    assignment = c.assignment; specs = Configuration.tables ?mode ~pool c }
 
 let host_eps g =
   List.map (fun (h : Graph.host_attachment) -> (h.switch, h.switch_port))

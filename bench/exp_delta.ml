@@ -108,12 +108,10 @@ let die fmt = Printf.ksprintf (fun s -> print_endline s; exit 1) fmt
 let checked_kernels (t : B.t) =
   let g = t.B.graph in
   (* Epoch 1: the full pipeline, committed for reuse. *)
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let proposals = List.map (fun s -> (s, 1)) (Spanning_tree.members tree) in
-  let assignment = Address_assign.make g proposals in
-  let all = Tables.build_all g tree updown routes assignment in
+  let { Configuration.tree; updown; routes; assignment; _ } as c =
+    Configuration.boot g
+  in
+  let all = Configuration.tables c in
   let me = Spanning_tree.root tree in
   let own = List.find (fun sp -> Tables.switch sp = me) all in
   let prev =
@@ -148,11 +146,8 @@ let checked_kernels (t : B.t) =
      between holding the complete report and handing tables off: tree,
      addresses, routes, every member's table, the deadlock verdict. *)
   let full_kernel () =
-    let tree2 = Spanning_tree.compute g2 ~member:0 in
-    let updown2 = Updown.orient g2 tree2 in
-    let routes2 = Routes.compute g2 tree2 updown2 in
-    let asg2 = Address_assign.make g2 proposals2 in
-    let all2 = Tables.build_all g2 tree2 updown2 routes2 asg2 in
+    let c2 = Configuration.make g2 ~proposals:proposals2 in
+    let all2 = Configuration.tables c2 in
     (all2, Deadlock.check_tables g2 all2)
   in
   let delta_kernel () =

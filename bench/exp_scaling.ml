@@ -83,24 +83,16 @@ let run () =
      this line and ~0.78x without it, on identical code). *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let t = B.attach_hosts (B.torus ~rows:16 ~cols:16 ()) ~per_switch:2 in
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
-  let specs = Tables.build_all g tree updown routes assignment in
+  let c = Configuration.boot t.B.graph in
+  let g = c.graph and specs = Configuration.tables c in
   let pool = Pool.create ~domains:2 () in
   (* The last flag: whether the kernel is still gated on a single core.
      See the header — only the allocation-light deadlock check gives a
      stable dispatch-overhead signal there. *)
   let kernels =
     [ ( "tables_all_switches",
-        (fun () -> ignore (Tables.build_all g tree updown routes assignment)),
-        (fun () ->
-          ignore (Tables.build_all ~pool g tree updown routes assignment)),
+        (fun () -> ignore (Configuration.tables c)),
+        (fun () -> ignore (Configuration.tables ~pool c)),
         false );
       ( "deadlock_check",
         (fun () -> ignore (Deadlock.check_tables g specs)),

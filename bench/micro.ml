@@ -46,16 +46,10 @@ type ctx = {
 }
 
 let make_ctx (t : B.t) =
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
-  let specs = Tables.build_all g tree updown routes assignment in
-  { topo_name = t.B.name; g; tree; updown; routes; assignment; specs }
+  let c = Configuration.boot t.B.graph in
+  { topo_name = t.B.name; g = c.graph; tree = c.tree; updown = c.updown;
+    routes = c.routes; assignment = c.assignment;
+    specs = Configuration.tables c }
 
 (* The kernels every topology measures; table synthesis and the deadlock
    check also run serially and on the 4-domain pool. *)

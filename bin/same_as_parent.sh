@@ -59,7 +59,7 @@ commands=(
   "@topo check --hosts 2 --topo torus:4,8"
   "@topo check --hosts 2 --topo torus:16,16"
   "@topo check --hosts 2 --topo random:16,8"
-  "@sim chaos --topo figure9 --topo star:4 --topo tree:2,2 --topo mesh:3,3 --schedules 10 --seed 42"
+  "@sim chaos --topo figure9 --topo star:4 --topo tree:2,2 --topo mesh:3,3 --topo torus:8,8 --schedules 10 --seed 42"
   "@sim chaos --topo torus:3,3 --seed 42 --replay 0"
   "bash @usage @sim @topo"
   "@sim srp --route 1,0 --params fast"

@@ -12,26 +12,17 @@ open Autonet_net
 module B = Autonet_topo.Builders
 open Cmdliner
 
-let configure topo =
-  let g = topo.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
-  (g, tree, updown, routes, assignment)
+let configure topo = Configuration.boot topo.B.graph
 
 let cmd_graph topo =
   Format.printf "%a@." B.pp topo
 
 let cmd_tree topo =
-  let g, tree, updown, _, _ = configure topo in
+  let { Configuration.graph = g; tree; updown; _ } = configure topo in
   Format.printf "%a@.%a@." (Spanning_tree.pp g) tree (Updown.pp g) updown
 
 let cmd_addresses topo =
-  let g, _, _, _, assignment = configure topo in
+  let { Configuration.graph = g; assignment; _ } = configure topo in
   Format.printf "%a@." Address_assign.pp assignment;
   List.iter
     (fun (h : Graph.host_attachment) ->
@@ -41,7 +32,7 @@ let cmd_addresses topo =
     (Graph.hosts g)
 
 let cmd_route topo src dst =
-  let g, _, updown, routes, _ = configure topo in
+  let { Configuration.graph = g; updown; routes; _ } = configure topo in
   match Routes.distance routes ~src ~dst with
   | None -> Format.printf "s%d cannot reach s%d@." src dst
   | Some d ->
@@ -63,10 +54,11 @@ let cmd_route topo src dst =
     walk src Routes.Up
 
 let cmd_check topo =
-  let g, tree, updown, routes, assignment = configure topo in
+  let c = configure topo in
+  let { Configuration.graph = g; updown; assignment; _ } = c in
   let pool = Autonet_parallel.Pool.default () in
   Autonet_parallel.Pool.set_metrics_enabled pool true;
-  let specs = Tables.build_all ~pool g tree updown routes assignment in
+  let specs = Configuration.tables ~pool c in
   let net = Verify.make g specs in
   Format.printf "switches: %d, links: %d, host ports: %d@."
     (Graph.switch_count g) (Graph.link_count g)

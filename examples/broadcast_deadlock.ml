@@ -12,15 +12,8 @@ module B = Autonet_topo.Builders
 module FS = Autonet_dataplane.Flit_sim
 
 let configure (t : B.t) =
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let asg =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
-  (g, asg, Tables.build_all g tree updown routes asg)
+  let c = Configuration.boot t.B.graph in
+  (c.graph, c.assignment, Configuration.tables c)
 
 let scenario ~fifo ~ignore_stop =
   let topo, (a, b, c) = B.figure9 () in

@@ -79,13 +79,12 @@ val skeptic_holds : t -> (int * Autonet_sim.Time.t * Autonet_sim.Time.t) list
 
 val forwarding_table : t -> Autonet_switch.Forwarding_table.t
 val switch_number : t -> int option
-val assignment : t -> Address_assign.t option
 val complete_report : t -> Topology_report.t option
 
 val delta_spec : t -> Tables.spec option
-(** This switch's table for the current epoch {e if} the epoch took the
-    incremental (delta) path; [None] when the full path ran.  See
-    {!Reconfig.delta_spec}. *)
+(** This switch's table for the current epoch when its own delta
+    classification passed; [None] does not mean the full path built it.
+    See {!Reconfig.delta_spec}. *)
 
 val root_verdict : t -> Deadlock.result option
 (** The deadlock verdict this switch computed as root for the current

@@ -177,7 +177,6 @@ let release t = function
 
 type outcome = {
   report : Topology_report.t;
-  assignment : Address_assign.t;
   number : int option;
   table : Tables.spec;
   fallback : string option;
@@ -187,7 +186,6 @@ type outcome = {
 
 let outcome_at report me assignment table =
   { report;
-    assignment;
     number = Address_assign.number assignment me;
     table;
     fallback = None;

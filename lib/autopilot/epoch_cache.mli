@@ -42,14 +42,16 @@ type outcome = {
   report : Topology_report.t;
       (** the entry's report, [equal] to the one looked up: the value the
           switch keeps as its complete report *)
-  assignment : Address_assign.t;
   number : int option;  (** this switch's number *)
   table : Tables.spec;
       (** the table to load; shared with the entry, never to be edited *)
   fallback : string option;
       (** why the delta path was refused, when it was tried *)
   delta : Delta.stats option;
-      (** [Some]: this switch took the delta path, with these statistics *)
+      (** [Some]: this switch's own delta classification passed, with
+          these statistics.  [None] does not mean [table] was built in
+          full: a fallback or a first commit gets the entry's canonical
+          tables, which a plan's apply may have built. *)
   verdict : (Deadlock.result * int) option;
       (** at the root: the deadlock verdict and the number of tables it
           covers *)

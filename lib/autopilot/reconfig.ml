@@ -48,7 +48,6 @@ type t = {
   mutable configured : bool;
   mutable report_state : report_state;
   mutable my_number : int option;
-  mutable last_assignment : Address_assign.t option;
   mutable complete : Topology_report.t option;
   mutable complete_done : bool; (* tables computed and handed off this epoch *)
   epochs : Epoch_cache.t;  (* the network's, shared by all its switches *)
@@ -56,7 +55,7 @@ type t = {
       (* last committed epoch's reusable state; survives start_epoch so the
          next epoch can try the delta fast path, dies with [stop] *)
   mutable delta_spec : Tables.spec option;
-      (* our table when this epoch took the delta path (None: full path) *)
+      (* our table when our own delta classification passed this epoch *)
   mutable root_verdict : Deadlock.result option;
       (* the root's deadlock verdict for this epoch, whichever path ran *)
 }
@@ -76,7 +75,6 @@ let create ~fabric ~epochs ~switch ~uid ~callbacks () =
     configured = false;
     report_state = Nothing_sent;
     my_number = None;
-    last_assignment = None;
     complete = None;
     complete_done = false;
     epochs;
@@ -90,7 +88,6 @@ let stable t = t.stable
 let configured t = t.configured
 let proposed_number t = Option.value ~default:1 t.my_number
 let switch_number t = t.my_number
-let assignment t = t.last_assignment
 let complete_report t = t.complete
 let delta_spec t = t.delta_spec
 let root_verdict t = t.root_verdict
@@ -181,7 +178,6 @@ let finish_configuration t report =
       t.complete <- Some o.Epoch_cache.report;
       t.committed <- committed;
       t.my_number <- o.Epoch_cache.number;
-      t.last_assignment <- Some o.Epoch_cache.assignment;
       Option.iter
         (fun reason -> event t (Event.Delta_fallback { reason }))
         o.Epoch_cache.fallback;
@@ -483,7 +479,6 @@ let stop t =
   t.configured <- false;
   t.report_state <- Nothing_sent;
   t.my_number <- None;
-  t.last_assignment <- None;
   t.complete <- None;
   t.complete_done <- false;
   Epoch_cache.release t.epochs t.committed;

@@ -72,16 +72,16 @@ val proposed_number : t -> int
     assignment, or 1 before any). *)
 
 val switch_number : t -> int option
-val assignment : t -> Address_assign.t option
-(** The address assignment of the last completed epoch. *)
 
 val complete_report : t -> Topology_report.t option
 
 val delta_spec : t -> Tables.spec option
-(** The table this switch loaded in the current epoch {e if} the epoch
-    took the incremental (delta) path; [None] when the full path ran.
-    The chaos oracle cross-checks it bit-for-bit against a from-scratch
-    recompute of the same complete report. *)
+(** The table this switch loaded in the current epoch when its own delta
+    classification passed.  [None] does not mean the full path built the
+    table: a switch that fell back, or had no previous commit, loads its
+    entry's canonical tables, which a delta apply may have built.  Only
+    bench/e2e's capture and tests read it; the chaos oracle checks every
+    loaded table whatever its path. *)
 
 val root_verdict : t -> Deadlock.result option
 (** The deadlock verdict this switch computed as root for the current

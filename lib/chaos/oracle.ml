@@ -22,7 +22,7 @@ type violation =
       cap : Time.t;
     }
   | Event_queue_leak of { pending : int; bound : int; queue : int }
-  | Delta_mismatch of { switch : Graph.switch; what : string }
+  | Configuration_mismatch of { switch : Graph.switch; what : string }
   | Check_raised of string
 
 let label = function
@@ -32,7 +32,7 @@ let label = function
   | Unreachable _ -> "unreachable"
   | Skeptic_unbounded _ -> "skeptic-cap"
   | Event_queue_leak _ -> "event-leak"
-  | Delta_mismatch _ -> "delta-mismatch"
+  | Configuration_mismatch _ -> "configuration-mismatch"
   | Check_raised _ -> "check-raised"
 
 let pp_violation ppf = function
@@ -51,9 +51,9 @@ let pp_violation ppf = function
     Format.fprintf ppf
       "engine holds %d pending events (bound %d, queue incl. cancelled %d)"
       pending bound queue
-  | Delta_mismatch { switch; what } ->
-    Format.fprintf ppf
-      "s%d: delta fast path diverged from the full recompute: %s" switch what
+  | Configuration_mismatch { switch; what } ->
+    Format.fprintf ppf "s%d: %s differs from its component's reference" switch
+      what
   | Check_raised exn ->
     Format.fprintf ppf "an invariant check raised instead of reporting: %s"
       exn
@@ -134,103 +134,60 @@ let component_endpoints net comp =
       (s, 0) :: hosts)
     comp
 
-(* The assignment a switch loads is keyed by the switches of its *report*
-   graph ([Topology_report.to_graph]), whose indices are report-local, not
-   the physical simulation indices.  Translate through UIDs, which both
-   graphs share. *)
-let check_component net live vnet comp =
-  match comp with
-  | [] -> []
-  | first :: _ -> (
-    let pilot = N.autopilot net first in
-    match (Autopilot.assignment pilot, Autopilot.complete_report pilot) with
-    | None, _ | _, None -> [ Reference_mismatch ]
-    | Some asg, Some report ->
-      let rg = Topology_report.to_graph report in
-      let endpoints = component_endpoints net comp in
-      let addressed, missing =
-        List.partition_map
-          (fun ((ds, dp) as dst) ->
-            match Graph.switch_of_uid rg (Graph.uid live ds) with
-            | Some rs -> Either.Left (dst, Address_assign.address asg rs dp)
-            | None -> Either.Right dst)
-          endpoints
-      in
-      let unreachable src dst outcome = Unreachable { src; dst; outcome } in
-      (* The endpoints ascend, so source-major order is pair order. *)
-      List.merge compare
-        (List.map
-           (fun (src, dst, o) ->
-             unreachable src dst (Format.asprintf "%a" Verify.pp_outcome o))
-           (Verify.undelivered vnet ~sources:endpoints ~dsts:addressed))
-        (List.concat_map
-           (fun src ->
-             List.filter_map
-               (fun dst ->
-                 if dst = src then None
-                 else Some (unreachable src dst "destination not in the report"))
-               missing)
-           endpoints))
+(* Every surviving pair of the component's endpoints, addressed by the
+   reference assignment.  Its switches are those of the report graph
+   ([Topology_report.to_graph]), whose indices are report-local, not the
+   physical simulation indices: translate through UIDs, which both graphs
+   share.  The endpoints ascend, so source-major order is pair order. *)
+let check_delivery net live vnet (comp, _, (c : Configuration.t)) =
+  let endpoints = component_endpoints net comp in
+  let address ((ds, dp) as dst) =
+    let rs = Option.get (Graph.switch_of_uid c.graph (Graph.uid live ds)) in
+    (dst, Address_assign.address c.assignment rs dp)
+  in
+  List.map
+    (fun (src, dst, o) ->
+      Unreachable
+        { src; dst; outcome = Format.asprintf "%a" Verify.pp_outcome o })
+    (Verify.undelivered vnet ~sources:endpoints
+       ~dsts:(List.map address endpoints))
 
-(* Every switch that committed this epoch through the delta fast path must
-   have loaded *exactly* what the full recompute of its complete report
-   yields — same forwarding table bit for bit, same switch number, and (at
-   the root) the same deadlock verdict.  This is the oracle half of the
-   delta path's correctness argument: the classifier only has to be sound,
-   and any divergence at all surfaces here as a violation. *)
-let check_delta net =
-  let g = N.graph net in
-  let out = ref [] in
-  for s = Graph.switch_count g - 1 downto 0 do
+(* Every member computes its table from the component's one complete
+   report (paper 6.6.4), so one configuration is every member's
+   reference.  A member must hold its reference table as a load leaves it
+   (copied to the switch, the ports that are s.host now enabled and the
+   rest removed) and its reference number, and a root verdict must agree
+   with the reference tables' — whichever path produced them. *)
+let check_configuration ?pool net (comp, loaded, (c : Configuration.t)) =
+  let max_ports = Graph.max_ports (N.graph net) in
+  let tables = Array.of_list (Configuration.tables ?pool c) in
+  let verdict =
+    lazy (Deadlock.check_tables ?pool c.graph (Array.to_list tables))
+  in
+  let member s spec =
     let pilot = N.autopilot net s in
-    if Autopilot.powered pilot then begin
-      match Autopilot.delta_spec pilot with
-      | None -> ()
-      | Some spec -> (
-        match Autopilot.complete_report pilot with
-        | None ->
-          out :=
-            Delta_mismatch { switch = s; what = "no complete report" } :: !out
-        | Some report -> (
-          let rg = Topology_report.to_graph report in
-          match Graph.switch_of_uid rg (Autopilot.uid pilot) with
-          | None ->
-            out :=
-              Delta_mismatch { switch = s; what = "not in own report" } :: !out
-          | Some me ->
-            let tree = Spanning_tree.compute rg ~member:me in
-            let updown = Updown.orient rg tree in
-            let routes = Routes.compute rg tree updown in
-            let assignment =
-              Address_assign.make rg (Topology_report.proposals report rg)
-            in
-            let full = Tables.build rg tree updown routes assignment me in
-            if not (Tables.equal_spec full spec) then
-              out :=
-                Delta_mismatch { switch = s; what = "forwarding table" }
-                :: !out;
-            if Autopilot.switch_number pilot <> Address_assign.number assignment me
-            then
-              out :=
-                Delta_mismatch { switch = s; what = "switch number" } :: !out;
-            (match Autopilot.root_verdict pilot with
-            | None -> ()
-            | Some v ->
-              let all = Tables.build_all rg tree updown routes assignment in
-              let fv = Deadlock.check_tables rg all in
-              let agree =
-                match (v, fv) with
-                | Deadlock.Acyclic, Deadlock.Acyclic
-                | Deadlock.Cycle _, Deadlock.Cycle _ -> true
-                | _ -> false
-              in
-              if not agree then
-                out :=
-                  Delta_mismatch { switch = s; what = "deadlock verdict" }
-                  :: !out)))
-    end
-  done;
-  !out
+    let me = Option.get (Graph.switch_of_uid c.graph (Autopilot.uid pilot)) in
+    let number = Option.get (Address_assign.number c.assignment me) in
+    let expected = Tables.copy ~switch:s tables.(me) in
+    for port = 1 to max_ports do
+      if Port_state.equal (Autopilot.port_state pilot ~port) Port_state.Host
+      then Tables.add_host_port expected ~number ~port
+      else Tables.remove_host_port expected ~number ~port
+    done;
+    let verdict_agrees =
+      match Autopilot.root_verdict pilot with
+      | None -> true
+      | Some v ->
+        (v = Deadlock.Acyclic) = (Lazy.force verdict = Deadlock.Acyclic)
+    in
+    List.filter_map
+      (fun (ok, what) ->
+        if ok then None else Some (Configuration_mismatch { switch = s; what }))
+      [ (Tables.equal_spec spec expected, "forwarding table");
+        (Autopilot.switch_number pilot = Some number, "switch number");
+        (verdict_agrees, "deadlock verdict") ]
+  in
+  List.concat (List.map2 member comp loaded)
 
 let check ?pool net =
   if not (N.converged net) then [ Not_converged ]
@@ -239,9 +196,19 @@ let check ?pool net =
       if N.verify_against_reference net then [] else [ Reference_mismatch ]
     in
     let live, comps = N.live net in
-    let specs =
-      List.concat_map (List.map (fun s -> N.loaded_spec net s)) comps
+    (* [converged]: a component's members share one complete report, and
+       it names every member. *)
+    let comps =
+      List.map
+        (fun comp ->
+          let pilot = N.autopilot net (List.hd comp) in
+          ( comp,
+            List.map (N.loaded_spec net) comp,
+            Configuration.of_report
+              (Option.get (Autopilot.complete_report pilot)) ))
+        comps
     in
+    let specs = List.concat_map (fun (_, loaded, _) -> loaded) comps in
     let deadlock =
       match Deadlock.check_tables ?pool live specs with
       | Deadlock.Acyclic -> []
@@ -249,7 +216,8 @@ let check ?pool net =
         [ Table_deadlock (Format.asprintf "%a" Deadlock.pp_result c) ]
     in
     let vnet = Verify.make live specs in
-    let unreachable = List.concat_map (check_component net live vnet) comps in
-    reference @ deadlock @ unreachable @ check_delta net @ check_skeptics net
+    let unreachable = List.concat_map (check_delivery net live vnet) comps in
+    let configuration = List.concat_map (check_configuration ?pool net) comps in
+    reference @ deadlock @ unreachable @ configuration @ check_skeptics net
     @ check_queue net
   end

@@ -13,9 +13,11 @@
       host ports in the [Host] state) is delivered by the loaded tables
       whichever alternative ports the switches choose
       ({!Verify.undelivered}, one pass per destination);
-    - every switch that took the incremental (delta) reconfiguration path
-      loaded exactly what the full recompute of its complete report
-      yields — table, switch number and root deadlock verdict;
+    - every member holds its component's reference configuration (one
+      {!Autonet_core.Configuration.of_report} per component): the loaded
+      table as a load of the reference table leaves it, the reference
+      switch number, and a root verdict that agrees with the reference
+      tables' — whichever path, full or delta, the switch took;
     - no skeptic hold-down escaped its configured cap;
     - the engine's pending-event count is bounded (no leaked timers).
 
@@ -49,10 +51,9 @@ type violation =
   | Event_queue_leak of { pending : int; bound : int; queue : int }
       (** [pending] live events exceeded [bound]; [queue] includes the
           lazily-cancelled backlog, for diagnosis *)
-  | Delta_mismatch of { switch : Graph.switch; what : string }
-      (** the switch committed this epoch through the delta fast path and
-          what it loaded differs from a full from-scratch recompute of
-          its complete report — [what] names the diverging artifact
+  | Configuration_mismatch of { switch : Graph.switch; what : string }
+      (** what the switch holds differs from its component's reference
+          configuration — [what] names the diverging artifact
           ("forwarding table", "switch number", "deadlock verdict") *)
   | Check_raised of string
       (** an invariant check (the oracle itself, or a campaign hook)

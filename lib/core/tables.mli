@@ -161,8 +161,8 @@ val patch :
 
 val equal_spec : spec -> spec -> bool
 (** Lookup equivalence: same switch and same non-discard entries,
-    regardless of how pages are shared.  The delta-equivalence
-    oracle and tests compare specs with this. *)
+    regardless of how pages are shared.  The chaos oracle and tests
+    compare specs with this. *)
 
 val of_entries :
   switch:Graph.switch ->

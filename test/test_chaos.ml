@@ -309,10 +309,11 @@ let test_seed_corpus () =
 (* Delta frontier: the fuzzer as a cross-check amplifier *)
 
 (* A pinned 200-schedule guided corpus replayed at 1, 2 and 4 domains:
-   the oracle's per-switch delta-vs-full cross-check runs after every
-   converged schedule, so any Delta_mismatch the mutated frontier can
-   reach would land in r_failures; the three corpora must also be
-   byte-identical (the shard-merge determinism story). *)
+   the oracle compares every switch with its component's reference
+   configuration after every converged schedule, so any delta path
+   diverging from the full recompute on the mutated frontier would land
+   in r_failures as a Configuration_mismatch; the three corpora must also
+   be byte-identical (the shard-merge determinism story). *)
 let test_fuzz_delta_frontier () =
   let cfg =
     { (Fuzz.default tiny) with Fuzz.budget = 200; batch = 8; max_span = 4 }
@@ -335,8 +336,8 @@ let test_fuzz_delta_frontier () =
     (List.tl runs);
   List.iter
     (fun (e : Fuzz.entry) ->
-      if List.mem "delta-mismatch" e.Fuzz.e_violations then
-        Alcotest.failf "delta mismatch on seed 0x%016Lx" e.Fuzz.e_seed)
+      if List.mem "configuration-mismatch" e.Fuzz.e_violations then
+        Alcotest.failf "configuration mismatch on seed 0x%016Lx" e.Fuzz.e_seed)
     (List.concat_map (fun (r : Fuzz.result) -> r.Fuzz.r_failures) runs)
 
 (* ------------------------------------------------------------------ *)
@@ -398,10 +399,14 @@ let test_late_host_reaches_everyone ?reconfigure_after () =
    epoch cache's spec stays as it was) with
    (a) its ports plus a dead-end port above the lowest,
    (b) its ports plus the port the packet arrived on, where the upstream
-       switch sends it straight back, and
-   (c) no port.
-   Each names an unreachable pair and its witness; a walk along the
-   lowest port alone misses (a) and (b). *)
+       switch sends it straight back,
+   (c) no port, and
+   (d) on a switch whose epoch did not take the delta path, its ports
+       less the lowest, where each port left is a legal alternative.
+   (a) to (c) each name an unreachable pair and its witness, and in
+   every input the edited switch's table differs from its reference: a
+   walk along the lowest port alone misses (a) and (b), and only the
+   comparison with the reference sees (d). *)
 let test_oracle_refutes () =
   let module G = Autonet_core.Graph in
   let module Tables = Autonet_core.Tables in
@@ -439,6 +444,9 @@ let test_oracle_refutes () =
     vs
   in
   let unreachable src dst outcome = Oracle.Unreachable { src; dst; outcome } in
+  let edited s =
+    Oracle.Configuration_mismatch { switch = s; what = "forwarding table" }
+  in
   let src = (0, host 0) and dst = (8, host 8) in
   let v = ports 0 ~in_port:(host 0) dst in
   let dead_end = Option.get (G.free_port g 0) in
@@ -446,10 +454,32 @@ let test_oracle_refutes () =
     (dead_end > Option.get (PV.lowest v));
   check_bool "(a) dead end" true
     (check_with 0 ~in_port:(host 0) dst (PV.add dead_end v)
-    = [ unreachable src dst (Printf.sprintf "delivered at s0.p%d" dead_end) ]);
+    = [ unreachable src dst (Printf.sprintf "delivered at s0.p%d" dead_end);
+        edited 0 ]);
   check_bool "(c) no port" true
     (check_with 0 ~in_port:(host 0) dst PV.empty
-    = [ unreachable src dst "discarded at s0" ]);
+    = [ unreachable src dst "discarded at s0"; edited 0 ]);
+  (* (d): a switch whose epoch did not take the delta path loses the
+     lowest of its legal alternatives toward a host; every pair still
+     delivers and the tables stay acyclic. *)
+  (match
+     List.find_map
+       (fun s ->
+         if Autopilot.delta_spec (pilot s) <> None then None
+         else
+           List.find_map
+             (fun d ->
+               let v = ports s ~in_port:(host s) (d, host d) in
+               if PV.count v >= 2 then Some (s, d, v) else None)
+             (G.switches g))
+       (G.switches g)
+   with
+  | None -> Alcotest.fail "no full-path switch has two alternatives"
+  | Some (s, d, v) ->
+    check_bool "(d) dropped alternative" true
+      (check_with s ~in_port:(host s) (d, host d)
+         (PV.remove (Option.get (PV.lowest v)) v)
+      = [ edited s ]));
   (* (b): switch [k] sends [dst] from its host port over its port [kp] to
      switch [s], and sends back over [kp] what arrives there; [s] gets
      the port [sp] it received on, above its lowest, as one more
@@ -478,10 +508,10 @@ let test_oracle_refutes () =
   match u_turn with
   | None -> Alcotest.fail "no switch sends a packet straight back"
   | Some (k, s, sp, dst, at_s) ->
+    let vs = check_with s ~in_port:sp dst (PV.add sp at_s) in
     check_bool "(b) loop" true
-      (List.mem
-         (unreachable (k, host k) dst "looped")
-         (check_with s ~in_port:sp dst (PV.add sp at_s)));
+      (List.mem (unreachable (k, host k) dst "looped") vs);
+    check_bool "(b) edited table" true (List.mem (edited s) vs);
     check_bool "clean after" true (Oracle.check net = [])
 
 let () =

@@ -490,14 +490,10 @@ type full_epoch = {
 }
 
 let full_epoch g ~proposals =
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let asg = Address_assign.make g proposals in
-  let all = Tables.build_all g tree updown routes asg in
-  let verdict = Deadlock.check_tables g all in
-  { f_graph = g; f_tree = tree; f_updown = updown; f_routes = routes;
-    f_asg = asg; f_all = all; f_verdict = verdict }
+  let c = Configuration.make g ~proposals in
+  let all = Configuration.tables c in
+  { f_graph = g; f_tree = c.tree; f_updown = c.updown; f_routes = c.routes;
+    f_asg = c.assignment; f_all = all; f_verdict = Deadlock.check_tables g all }
 
 (* Next-epoch proposals the way the protocol makes them: every survivor
    proposes the number it holds, newcomers propose 1. *)

@@ -637,18 +637,11 @@ let test_one_stream () =
 (* Pool metric determinism across domain counts *)
 
 let pooled_snapshot ~domains (t : B.t) =
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
+  let c = Configuration.boot t.B.graph in
   let pool = Pool.create ~domains () in
   Pool.set_metrics_enabled pool true;
-  let specs = Tables.build_all ~pool g tree updown routes assignment in
-  let result = Deadlock.check_tables ~pool g specs in
+  let specs = Configuration.tables ~pool c in
+  let result = Deadlock.check_tables ~pool c.graph specs in
   let render = Metrics.render (Pool.metrics_snapshot pool) in
   Pool.shutdown pool;
   (specs, result, render)
@@ -677,18 +670,10 @@ let pool_snapshot_qcheck =
 let test_pool_counts_consistent () =
   let _, _, _ = pooled_snapshot ~domains:2 (B.src_service_lan ()) in
   (* Re-run keeping the pool to inspect the snapshot structurally. *)
-  let t = B.src_service_lan () in
-  let g = t.B.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let assignment =
-    Address_assign.make g
-      (List.map (fun s -> (s, 1)) (Spanning_tree.members tree))
-  in
+  let c = Configuration.boot (B.src_service_lan ()).B.graph in
   let pool = Pool.create ~domains:2 () in
   Pool.set_metrics_enabled pool true;
-  ignore (Tables.build_all ~pool g tree updown routes assignment);
+  ignore (Configuration.tables ~pool c);
   let s = Pool.metrics_snapshot pool in
   let counter name =
     match Metrics.find s name with

@@ -15,15 +15,10 @@ type configured = {
 (* Run the full pure reconfiguration pipeline on a topology, proposing
    switch number 1 for everyone (the fresh-boot case). *)
 let configure ?mode (t : Autonet_topo.Builders.t) =
-  let g = t.graph in
-  let tree = Spanning_tree.compute g ~member:0 in
-  let updown = Updown.orient g tree in
-  let routes = Routes.compute g tree updown in
-  let proposals = List.map (fun s -> (s, 1)) (Spanning_tree.members tree) in
-  let assignment = Address_assign.make g proposals in
-  let specs = Tables.build_all ?mode g tree updown routes assignment in
-  { graph = g; tree; updown; routes; assignment; specs;
-    net = Verify.make g specs }
+  let c = Configuration.boot t.graph in
+  let specs = Configuration.tables ?mode c in
+  { graph = c.graph; tree = c.tree; updown = c.updown; routes = c.routes;
+    assignment = c.assignment; specs; net = Verify.make c.graph specs }
 
 let host_endpoints g =
   List.map
