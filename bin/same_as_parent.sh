@@ -14,7 +14,8 @@
 # lines of the diff (parent lines `<`, change lines `>`).  It exits 1 on
 # any difference (2 on a usage or build error).
 #
-# The list: every smoke command of bin/dune, the boot, crash and srp
+# The list: every smoke command of bin/dune, a fuzz run in the end-to-end
+# benchmark's fuzz_random configuration, the boot, crash and srp
 # logs, a route query, the five examples, the bench experiments that run
 # the packet and flit simulators (both schedulers), the deadlock checker,
 # the address audit and the table sizes, and the end-to-end benchmark's
@@ -68,6 +69,7 @@ commands=(
   "@sim trace --topo torus:16,16 --params fast --json --check"
   "@sim chaos --topo torus:3,3 --fuzz 60 --seed 7 --corpus-out fuzz.corpus"
   "@sim chaos --topo torus:3,3 --fuzz 60 --shards 2 --seed 7 --corpus-out fuzz-shards.corpus"
+  "@sim chaos --topo random:8,4 --fuzz 100 --seed 1"
   "@sim chaos --topo torus:3,3 --churn 20 --seed 7"
   "@sim chaos --topo src --hosts 2 --schedules 20 --seed 42"
   "@sim boot --topo src --hosts 2 --params fast --log"

@@ -19,6 +19,11 @@ type t = {
   epochs : Epoch_cache.t;
   net_metrics : Metrics.t option;
   net_timeline : Timeline.t option;
+  (* [converged]'s last answer, and the fabric's status version and the
+     sum of the pilots' change counts it was computed under *)
+  mutable verdict : bool;
+  mutable verdict_status : int;
+  mutable verdict_changes : int;
 }
 
 let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
@@ -58,7 +63,8 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
           ?metrics:net_metrics ?timeline:net_timeline ?span_clock ())
   in
   { engine; fabric; net_graph = g; net_params = params; pilots;
-    epochs; net_metrics; net_timeline }
+    epochs; net_metrics; net_timeline;
+    verdict = false; verdict_status = -1; verdict_changes = -1 }
 
 let engine t = t.engine
 let fabric t = t.fabric
@@ -216,7 +222,7 @@ let component_converged t seen stack first =
    first answers exactly as the components would while an epoch is still
    running.  The walk then reads [net_graph] in place; [live_graph]'s copy
    serves only [live] and its once-per-reconfiguration callers. *)
-let converged t =
+let walk t =
   Array.for_all
     (fun p -> (not (Autopilot.powered p)) || Autopilot.configured p)
     t.pilots
@@ -232,6 +238,20 @@ let converged t =
     incr s
   done;
   !ok && !components > 0
+
+(* The walk reads link failures and switch power, which move the fabric's
+   status version, and each pilot's epoch, configured flag and complete
+   report, which move its change count; the counts only grow, so their
+   sum moves with any of them.  While neither moves the answer stands. *)
+let converged t =
+  let status = Fabric.status_version t.fabric
+  and changes = Array.fold_left (fun n p -> n + Autopilot.changes p) 0 t.pilots in
+  if status <> t.verdict_status || changes <> t.verdict_changes then begin
+    t.verdict <- walk t;
+    t.verdict_status <- status;
+    t.verdict_changes <- changes
+  end;
+  t.verdict
 
 let run_until_converged ?(timeout = Time.s 60) t =
   let deadline = Time.add (now t) timeout in

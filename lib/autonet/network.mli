@@ -61,8 +61,12 @@ val converged : t -> bool
     reports; and that report names exactly the component's switches and
     describes each one's live switch-to-switch links, port by port (host
     ports are not compared).  At least one switch must be powered.
-    Walks the physical graph in place, allocating a few words per switch:
-    {!run_until_converged} polls it every 2 ms of simulated time. *)
+    {!run_until_converged} polls it every 2 ms of simulated time.  It
+    reuses its last verdict while neither {!Fabric.status_version} (link
+    failures, switch power) nor any pilot's {!Autopilot.changes} (epoch,
+    configured flag, complete report) has moved since it was computed, and
+    then allocates nothing; otherwise it walks the physical graph in place,
+    allocating a few words per switch. *)
 
 val run_until_converged :
   ?timeout:Autonet_sim.Time.t -> t -> Autonet_sim.Time.t option

@@ -87,6 +87,7 @@ let port_state t ~port = Port_monitor.state (monitor_exn t) ~port
 let skeptic_holds t = Port_monitor.skeptic_holds (monitor_exn t)
 let switch_number t = Reconfig.switch_number (reconfig_exn t)
 let complete_report t = Reconfig.complete_report (reconfig_exn t)
+let changes t = Reconfig.changes (reconfig_exn t)
 let delta_spec t = Reconfig.delta_spec (reconfig_exn t)
 let root_verdict t = Reconfig.root_verdict (reconfig_exn t)
 

@@ -81,6 +81,13 @@ val forwarding_table : t -> Autonet_switch.Forwarding_table.t
 val switch_number : t -> int option
 val complete_report : t -> Topology_report.t option
 
+val changes : t -> int
+(** A count that moves whenever {!epoch}, {!complete_report} or the
+    configured flag behind {!configured} may have changed: every epoch
+    start, complete report, finished table load and power-off bumps it.
+    {!powered}, the other input of {!configured}, moves
+    {!Fabric.status_version} instead. *)
+
 val delta_spec : t -> Tables.spec option
 (** This switch's table for the current epoch when its own delta
     classification passed; [None] does not mean the full path built it.

@@ -42,6 +42,8 @@ type t = {
   stations : station array;
   cables : cable array array; (* per switch, per port 0..max_ports *)
   failed : Bytes.t; (* per link id 0..max_link_id: '\001' when failed *)
+  mutable status_version : int;
+      (* bumped by every call that can change an answer of [sample_port] *)
   mutable st_sent : int;
   mutable st_bytes : int;
   mutable st_dropped : int;
@@ -72,11 +74,14 @@ let create ~engine ~graph ~params =
       cables.(sb).(pb) <- To_switch { id = l.id; peer = sa; peer_port = pa });
   { engine; graph; params; stations; cables;
     failed = Bytes.make (Graph.max_link_id graph + 1) '\000';
+    status_version = 0;
     st_sent = 0; st_bytes = 0; st_dropped = 0; st_reflections = 0 }
 
 let engine t = t.engine
 let graph t = t.graph
 let params t = t.params
+let status_version t = t.status_version
+let status_moved t = t.status_version <- t.status_version + 1
 
 let attach_switch t s ~rx = t.stations.(s).sw_rx <- Some rx
 
@@ -99,7 +104,8 @@ let attach_host_port t ep ~rx = (host_station t ep).h_rx <- Some rx
 let set_failed t what id v =
   if id < 0 || id >= Bytes.length t.failed then
     invalid_arg (Printf.sprintf "Fabric.%s: no link %d" what id);
-  Bytes.set t.failed id v
+  Bytes.set t.failed id v;
+  status_moved t
 
 let fail_link t id = set_failed t "fail_link" id '\001'
 let repair_link t id = set_failed t "repair_link" id '\000'
@@ -111,15 +117,29 @@ let power_off_switch t s =
   let st = t.stations.(s) in
   st.sw_powered <- false;
   Queue.clear st.rx_queue;
-  st.busy <- false
+  st.busy <- false;
+  status_moved t
 
-let power_on_switch t s = t.stations.(s).sw_powered <- true
+let power_on_switch t s =
+  t.stations.(s).sw_powered <- true;
+  status_moved t
+
 let switch_powered t s = t.stations.(s).sw_powered
 
-let power_off_host t ep = (host_station t ep).h_powered <- false
-let power_on_host t ep = (host_station t ep).h_powered <- true
+let power_off_host t ep =
+  (host_station t ep).h_powered <- false;
+  status_moved t
 
-let set_port_flow t s ~port mode = t.stations.(s).flow.(port) <- mode
+let power_on_host t ep =
+  (host_station t ep).h_powered <- true;
+  status_moved t
+
+let set_port_flow t s ~port mode =
+  let flow = t.stations.(s).flow in
+  if flow.(port) <> mode then begin
+    flow.(port) <- mode;
+    status_moved t
+  end
 
 (* --- Delivery --- *)
 

@@ -96,6 +96,13 @@ type status =
 val sample_port : t -> Graph.switch -> port:int -> status
 (** The port's status right now. *)
 
+val status_version : t -> int
+(** A count that moves whenever an answer of {!sample_port} may have
+    changed: {!fail_link}, {!repair_link}, switch and host power off and
+    on, and {!set_port_flow} when the mode changes (not when it is set
+    again).  While it stands still every port reads the status it last
+    read, so the status sampler skips the ports whose state ignores it. *)
+
 (** {1 Accounting} *)
 
 type stats = {

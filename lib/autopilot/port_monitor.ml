@@ -37,6 +37,12 @@ type t = {
   on_transition : transition -> unit;
   log : Event.t -> unit;
   ports : port_info array; (* index 1..max_ports *)
+  active : bool array;
+      (* per port: its last sample left a state that can act on an
+         unchanged status *)
+  mutable swept : int;
+      (* the fabric's status version at the last full sweep; -1 forces
+         the next tick to sweep every port *)
   mutable next_token : int;
   mutable sample_timer : Engine.handle option;
   mutable probe_timer : Engine.handle option;
@@ -71,6 +77,8 @@ let create ~fabric ~switch ~uid ~send ~sw_version ~on_transition ~log () =
     on_transition;
     log;
     ports = Array.init (n + 1) (fun _ -> mk ());
+    active = Array.make (n + 1) true;
+    swept = -1;
     next_token = 1;
     sample_timer = None;
     probe_timer = None;
@@ -144,10 +152,23 @@ let force_dead t ~port = to_dead t port ~relapse:true
 
 (* --- Status sampler --- *)
 
+(* Whether a sample that reads [status] again can act on the port: every
+   (state, status) pair does but these four, where the sampler waits for
+   the status to change. *)
+let can_act info status =
+  match (info.state, status) with
+  | Port_state.Dead, Fabric.Errors -> Option.is_some info.clean_since
+  | Port_state.Checking, Fabric.Idhy
+  | Port_state.Host, (Fabric.Clean | Fabric.Host)
+  | ( (Port_state.Switch_who | Port_state.Switch_loop | Port_state.Switch_good),
+      Fabric.Clean ) ->
+    false
+  | _, _ -> true
+
 let sample_one t port =
   let info = t.ports.(port) in
   let status = Fabric.sample_port t.fabric t.switch ~port in
-  match info.state with
+  (match info.state with
   | Port_state.Dead -> (
     match status with
     | Fabric.Errors -> info.clean_since <- None
@@ -178,11 +199,24 @@ let sample_one t port =
          behind a previously reflecting cable): recycle through s.dead —
          Figure 8's only road to s.host — without a skeptic penalty. *)
       to_dead t port ~relapse:false
-    | Fabric.Clean -> ())
+    | Fabric.Clean -> ()));
+  t.active.(port) <- can_act info status
 
+(* Every port when any status may have moved since the last full sweep
+   (the version is read before sampling, so a sample's own flow change
+   counts too); otherwise only the ports that can act on the status they
+   read last.  Outside the sampler, the connectivity monitor moves ports
+   only among the [Switch_*] states, which [can_act] treats alike; a
+   demotion into s.dead changes the port's flow, and one of a port
+   already there leaves a waiting port waiting; [reset] forces a full
+   sweep.  So the skipped samples are exactly the ones that would do
+   nothing. *)
 let sample_all t =
+  let version = Fabric.status_version t.fabric in
+  let full = version <> t.swept in
+  t.swept <- version;
   for port = 1 to Array.length t.ports - 1 do
-    sample_one t port
+    if full || t.active.(port) then sample_one t port
   done
 
 (* --- Connectivity monitor --- *)
@@ -338,6 +372,7 @@ let rec schedule_probe t =
              end))
 
 let reset t =
+  t.swept <- -1;
   for port = 1 to Array.length t.ports - 1 do
     let info = t.ports.(port) in
     info.state <- Port_state.Dead;

@@ -13,7 +13,16 @@
 
     The monitor announces every state change through [on_transition]; the
     owning Autopilot triggers a network-wide reconfiguration when the
-    change touches [Switch_good]. *)
+    change touches [Switch_good].
+
+    The sampler's tick reads every port when {!Fabric.status_version} has
+    moved since its last full sweep, or after {!reset}.  Otherwise it reads
+    only the ports its last sample left able to act on an unchanged
+    status: every port except those in s.dead reading errors with no
+    clean interval under way, in s.checking reading idhy, in s.host
+    reading clean or host, and in an s.switch state reading clean.  A
+    skipped read would have returned the same status and done nothing, so
+    every transition lands at the same instant as with a full sweep. *)
 
 open Autonet_net
 open Autonet_core

@@ -58,6 +58,8 @@ type t = {
       (* our table when our own delta classification passed this epoch *)
   mutable root_verdict : Deadlock.result option;
       (* the root's deadlock verdict for this epoch, whichever path ran *)
+  mutable changes : int;
+      (* bumped at every write of [epoch], [configured] or [complete] *)
 }
 
 let create ~fabric ~epochs ~switch ~uid ~callbacks () =
@@ -80,7 +82,8 @@ let create ~fabric ~epochs ~switch ~uid ~callbacks () =
     epochs;
     committed = None;
     delta_spec = None;
-    root_verdict = None }
+    root_verdict = None;
+    changes = 0 }
 
 let epoch t = t.epoch
 let position t = t.position
@@ -91,6 +94,7 @@ let switch_number t = t.my_number
 let complete_report t = t.complete
 let delta_spec t = t.delta_spec
 let root_verdict t = t.root_verdict
+let changes t = t.changes
 
 let fresh_seq t =
   t.seq_counter <- t.seq_counter + 1;
@@ -166,6 +170,7 @@ let finish_configuration t report =
   if not t.complete_done then begin
     t.complete_done <- true;
     t.complete <- Some report;
+    t.changes <- t.changes + 1;
     match
       Epoch_cache.finish t.epochs report ~uid:t.uid ~root:(is_root t)
         ~prev:t.committed ~clock:t.callbacks.cb_clock
@@ -324,6 +329,7 @@ let start_epoch t ?join ~usable ~host_ports () =
   t.complete_done <- false;
   t.delta_spec <- None;
   t.root_verdict <- None;
+  t.changes <- t.changes + 1;
   (* t.committed survives: it is exactly what the delta path reuses. *)
   event t
     (Event.Epoch_started { epoch = e; usable_links = List.length t.peers });
@@ -440,6 +446,7 @@ let handle_message t ~port msg =
 
 let note_configured t =
   t.configured <- true;
+  t.changes <- t.changes + 1;
   t.callbacks.cb_configured ()
 
 let on_retransmit_timer t =
@@ -484,4 +491,5 @@ let stop t =
   Epoch_cache.release t.epochs t.committed;
   t.committed <- None;
   t.delta_spec <- None;
-  t.root_verdict <- None
+  t.root_verdict <- None;
+  t.changes <- t.changes + 1

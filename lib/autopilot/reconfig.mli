@@ -87,6 +87,11 @@ val root_verdict : t -> Deadlock.result option
 (** The deadlock verdict this switch computed as root for the current
     epoch, whichever path produced it; [None] off-root or mid-epoch. *)
 
+val changes : t -> int
+(** A count that moves whenever {!epoch}, {!configured} or
+    {!complete_report} may have changed: {!start_epoch}, the arrival of
+    the complete report, {!note_configured} and {!stop} bump it. *)
+
 val start_epoch :
   t ->
   ?join:Epoch.t ->

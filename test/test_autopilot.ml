@@ -247,6 +247,131 @@ let test_fabric_in_flight_drop () =
   Alcotest.(check (list int)) "delivered after the repair" [ 2 ] !received;
   check_int "sent" 2 (Fabric.stats f).Fabric.packets_sent
 
+(* The status sampler reads only ports whose state can act on an
+   unchanged status until the fabric's status version moves, so every
+   call that changes a status must move it.  On a converged torus:3,3
+   with 2 hosts, each change below is applied on its own and the engine
+   is stepped until the observing port leaves its state; the delays (and
+   the transitions) are the ones a sampler reading every port at every
+   tick produces.  Each change that only a version bump can reveal is
+   set up so that no other bump comes first: the link failure and repair
+   and the neighbour's forced-dead port; a neighbour whose ports were all
+   still dead when it powered off coming back (no port's flow changes);
+   a neighbour powering off while the observing port waits in s.checking
+   for its idhy to stop; and a host powering on behind a port the sampler
+   took for a reflecting cable.  A host powering off changes nothing the
+   sampler acts on: its port stays in s.host. *)
+let test_status_inputs_seen () =
+  let module N = Autonet.Network in
+  let module AP = Autopilot in
+  let module Engine = Autonet_sim.Engine in
+  let t =
+    N.create ~params:Params.fast ~seed:1L
+      (Autonet_topo.Builders.of_spec "torus:3,3" ~seed:1L ~hosts:2)
+  in
+  N.start t;
+  let converge () =
+    if N.run_until_converged t = None then Alcotest.fail "did not converge"
+  in
+  converge ();
+  let g = N.graph t and f = N.fabric t in
+  let a = 0 in
+  let pa, link, b, pb = List.hd (Graph.neighbors g a) in
+  let hp =
+    (List.find (fun (h : Graph.host_attachment) -> h.switch = a) (Graph.hosts g))
+      .switch_port
+  in
+  let state s port = AP.port_state (N.autopilot t s) ~port in
+  let expect_state what s port want =
+    if not (Port_state.equal (state s port) want) then
+      Alcotest.failf "%s: s%d.p%d is %s, not %s" what s port
+        (Port_state.to_string (state s port))
+        (Port_state.to_string want)
+  in
+  (* Step the engine until [cond] holds, for at most 3 simulated
+     seconds; whether it holds. *)
+  let step_until cond =
+    let deadline = Time.add (N.now t) (Time.s 3) in
+    while (not (cond ())) && N.now t < deadline && Engine.step (N.engine t) do
+      ()
+    done;
+    cond ()
+  in
+  let seen = ref [] in
+  (* Apply [change], then step until s.port leaves its state. *)
+  let observe what (s, port) change =
+    let before = state s port and since = N.now t in
+    change ();
+    ignore (step_until (fun () -> not (Port_state.equal (state s port) before)));
+    seen :=
+      (if Port_state.equal (state s port) before then
+         Printf.sprintf "%s: s%d.p%d stays %s" what s port
+           (Port_state.to_string before)
+       else
+         Printf.sprintf "%s: s%d.p%d %s -> %s after %d ns" what s port
+           (Port_state.to_string before)
+           (Port_state.to_string (state s port))
+           (Time.sub (N.now t) since))
+      :: !seen
+  in
+  observe "link fails" (a, pa) (fun () -> Fabric.fail_link f link);
+  converge ();
+  observe "link repaired" (a, pa) (fun () -> Fabric.repair_link f link);
+  converge ();
+  observe "neighbour off" (a, pa) (fun () -> AP.power_off (N.autopilot t b));
+  converge ();
+  N.run_for t (Time.s 2);
+  expect_state "reflecting cable" a pa Port_state.Switch_loop;
+  observe "neighbour on" (a, pa) (fun () -> AP.start (N.autopilot t b));
+  (* Off again while every port of [b] is still in s.dead: its next boot
+     changes no port's flow. *)
+  observe "neighbour off in probation" (a, pa) (fun () ->
+      AP.power_off (N.autopilot t b));
+  converge ();
+  N.run_for t (Time.s 2);
+  expect_state "reflecting cable again" a pa Port_state.Switch_loop;
+  observe "neighbour on, all ports dead" (a, pa) (fun () ->
+      AP.start (N.autopilot t b));
+  (* [b]'s fresh skeptic lets pb through s.dead before [a]'s relapsed
+     one: pb waits in s.checking while pa still sends idhy. *)
+  if not (step_until (fun () -> Port_state.equal (state b pb) Port_state.Checking))
+  then Alcotest.failf "s%d.p%d never reaches s.checking" b pb;
+  N.run_for t (Time.ms 30);
+  expect_state "waiting for idhy to stop" b pb Port_state.Checking;
+  if Fabric.sample_port f b ~port:pb <> Fabric.Idhy then
+    Alcotest.failf "s%d.p%d does not read idhy" b pb;
+  observe "neighbour off, port checking" (b, pb) (fun () ->
+      AP.power_off (N.autopilot t a));
+  AP.start (N.autopilot t a);
+  converge ();
+  observe "host off" (a, hp) (fun () -> Fabric.power_off_host f (a, hp));
+  AP.force_port_dead (N.autopilot t a) ~port:hp;
+  N.run_for t (Time.s 2);
+  expect_state "host port reflects" a hp Port_state.Switch_loop;
+  observe "host on" (a, hp) (fun () -> Fabric.power_on_host f (a, hp));
+  N.run_for t (Time.s 2);
+  expect_state "host port" a hp Port_state.Host;
+  observe "neighbour port forced dead" (a, pa) (fun () ->
+      AP.force_port_dead (N.autopilot t b) ~port:pb);
+  converge ();
+  Alcotest.(check (list string))
+    "first transitions"
+    [ "link fails: s0.p1 s.switch.good -> s.dead after 7200000 ns";
+      "link repaired: s0.p1 s.dead -> s.checking after 421200000 ns";
+      "neighbour off: s0.p1 s.switch.good -> s.switch.who after 294404992 ns";
+      "neighbour on: s0.p1 s.switch.loop -> s.dead after 6395008 ns";
+      "neighbour off in probation: s0.p1 s.dead -> s.checking after 820800000 \
+       ns";
+      "neighbour on, all ports dead: s0.p1 s.switch.loop -> s.dead after \
+       8800000 ns";
+      "neighbour off, port checking: s1.p1 s.checking -> s.switch.who after \
+       2400000 ns";
+      "host off: s0.p5 stays s.host";
+      "host on: s0.p5 s.switch.loop -> s.dead after 10800000 ns";
+      "neighbour port forced dead: s0.p1 s.switch.good -> s.dead after 8800000 \
+       ns" ]
+    (List.rev !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Port states *)
 
@@ -599,4 +724,10 @@ let () =
           Alcotest.test_case "merge ties stable" `Quick
             test_event_log_merge_ties_stable ] );
       ( "report_closure",
-        [ Alcotest.test_case "closure" `Quick test_report_closure ] ) ]
+        [ Alcotest.test_case "closure" `Quick test_report_closure ] );
+      (* Last: the only case that runs a whole network, whose step-5 pool
+         starts worker domains, which the allocation guard above must not
+         share its process with. *)
+      ( "status_sampler",
+        [ Alcotest.test_case "each status input is seen at the next tick"
+            `Quick test_status_inputs_seen ] ) ]

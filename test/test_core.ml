@@ -679,6 +679,82 @@ let test_tables_late_host_remote_reachability () =
     check_bool "made hops" true (hops > 0)
   | o, _ -> Alcotest.failf "unexpected: %a" Verify.pp_outcome o
 
+(* [Tables.equal_spec] skips a page pair that is one physical page or
+   repeats the previous pair; the reference compares every entry [fold]
+   lists.  Bases: a copy (every page shared) and an equal rebuild (no
+   page shared), each as it is, with one slot changed on page 0, on a
+   remote block equal to the block before it (which a build interns to
+   the same page), beyond the other table's last page and on the
+   special addresses' page, and with the remote slot changed and
+   restored (equal, on a page of its own). *)
+let test_tables_equal_spec () =
+  let topo () = B.attach_hosts (B.torus ~rows:4 ~cols:4 ()) ~per_switch:2 in
+  let c = Testlib.configure (topo ())
+  and rebuilt = Testlib.configure (topo ()) in
+  let addr n q = Short_address.of_int ((n lsl 4) lor q) in
+  let block sp n =
+    List.init 256 (fun k ->
+        Tables.lookup sp ~in_port:(k land 15) ~dst:(addr n (k lsr 4)))
+  in
+  let last = Address_assign.max_number c.assignment in
+  let spec, spec', n =
+    match
+      List.find_map
+        (fun (sp, sp') ->
+          let own = Address_assign.number c.assignment (Tables.switch sp) in
+          List.find_opt
+            (fun n ->
+              Some n <> own
+              && Some (n - 1) <> own
+              && List.exists (fun e -> e <> Tables.discard) (block sp n)
+              && block sp n = block sp (n - 1))
+            (List.init (last - 1) (fun i -> i + 2))
+          |> Option.map (fun n -> (sp, sp', n)))
+        (List.combine c.specs rebuilt.specs)
+    with
+    | Some pick -> pick
+    | None -> Alcotest.fail "no table with two equal consecutive remote blocks"
+  in
+  let s = Tables.switch spec in
+  let flip sp ~in_port ~dst =
+    Tables.set sp ~in_port ~dst
+      (if Tables.lookup sp ~in_port ~dst = Tables.discard then
+         Tables.entry ~broadcast:false (Port_vector.singleton 1)
+       else Tables.discard)
+  in
+  let entries sp =
+    Tables.fold sp ~init:[] ~f:(fun acc ~in_port ~dst e ->
+        (in_port, dst, e) :: acc)
+  in
+  let reference a b =
+    Tables.switch a = Tables.switch b && entries a = entries b
+  in
+  let remote sp = flip sp ~in_port:3 ~dst:(addr n 1) in
+  let at_port_0 number sp = flip sp ~in_port:0 ~dst:(addr number 1) in
+  let edits =
+    [ ("as it is", true, ignore);
+      ("page 0", false, at_port_0 0);
+      ("shared remote page", false, remote);
+      ("beyond the last page", false, at_port_0 (last + 1));
+      ("special-address page", false, at_port_0 0xFFF);
+      ("remote slot restored", true, fun sp -> remote sp; remote sp) ]
+  in
+  List.iter
+    (fun (base, copy) ->
+      List.iter
+        (fun (edit, equal, apply) ->
+          let b = copy () in
+          apply b;
+          List.iter
+            (fun (order, x, y) ->
+              let what = Printf.sprintf "%s, %s, %s" base edit order in
+              check_bool (what ^ ": reference") equal (reference x y);
+              check_bool what equal (Tables.equal_spec x y))
+            [ ("table first", spec, b); ("table second", b, spec) ])
+        edits)
+    [ ("copy", fun () -> Tables.copy ~switch:s spec);
+      ("rebuild", fun () -> Tables.copy ~switch:s spec') ]
+
 (* Remote blocks with equal next-hop sets share one page: an edit to one
    block must stay inside it, keep the count exact and miss earlier
    copies. *)
@@ -996,6 +1072,8 @@ let () =
             test_tables_late_host_remote_reachability;
           Alcotest.test_case "edit stays in its block" `Quick
             test_tables_edit_stays_in_block;
+          Alcotest.test_case "equal_spec equals the entry-wise reference" `Quick
+            test_tables_equal_spec;
           Alcotest.test_case "tree link count" `Quick
             test_spanning_tree_is_tree_link;
           QCheck_alcotest.to_alcotest tables_qcheck;
