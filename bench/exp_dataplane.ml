@@ -163,7 +163,7 @@ let e5 () =
     (fun l_km ->
       let w_sim_slots =
         Channel.delay_of_length_km l_km
-        + FS.default_config.FS.port_pipeline_slots
+        + FS.port_pipeline_slots
       in
       let formula_n =
         (* N >= (S - 1 + 2W) / f, rounded up with a small framing margin. *)

@@ -23,7 +23,8 @@ esac
 root=$PWD
 out=$root/_build/explore
 suites="test_autopilot test_core test_crosscheck test_fastpath test_model \
-test_net test_network test_parallel test_switch test_telemetry test_topo"
+test_net test_network test_parallel test_sim test_switch test_telemetry \
+test_topo"
 targets=./bin/autonet_sim_cli.exe
 for s in $suites; do targets="$targets ./test/$s.exe"; done
 # shellcheck disable=SC2086

@@ -18,8 +18,10 @@
 # benchmark's fuzz_random configuration, the boot, crash and srp
 # logs, a route query, the five examples, the bench experiments that run
 # the packet and flit simulators (both schedulers), the deadlock checker,
-# the address audit and the table sizes, and the end-to-end benchmark's
-# smoke at one domain.  None of them reads a wall clock into its output.
+# the address audit and the table sizes, the experiments that stop and
+# restart switch timers (a flapping link, a switch powered off under a
+# dual-homed host, rollout reboots inside a packet handler), and the
+# end-to-end benchmark's smoke at one domain.  None of them reads a wall clock into its output.
 # Edits nothing in either checkout but their _build directories.
 #
 #   bash bin/same_as_parent.sh ../parent
@@ -85,7 +87,10 @@ commands=(
   "@bench e4"
   "@bench e6"
   "@bench e7"
+  "@bench e8"
+  "@bench e10"
   "@bench e13"
+  "@bench e15"
   "@bench a1"
   "@bench a2"
   "@bench a3"

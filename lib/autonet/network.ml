@@ -53,15 +53,28 @@ let create ?(params = Params.tuned) ?(seed = 1L) ?(telemetry = `Disabled)
     ignore (Metrics.gauge m "causal.wave_fanout");
     ignore (Metrics.gauge m "causal.wave_critical_hops")
   | None -> ());
-  let epochs = Epoch_cache.create () in
-  let pilots =
+  (* A step-5 compute span is stamped with the sim time, the switch
+     whose lookup ran the computation and that switch's epoch; the
+     pilots, which need the cache, are filled in below. *)
+  let pilots = ref [||] in
+  let on_span tl ~uid ~name ~dur_s =
+    let s = Option.get (Graph.switch_of_uid g uid) in
+    Timeline.span tl ~wall:(Option.is_none span_clock) ~time:(Engine.now engine)
+      ~epoch:(Epoch.to_int64 (Autopilot.epoch !pilots.(s)))
+      ~tid:s ~name ~dur_ns:(int_of_float (dur_s *. 1e9)) ()
+  in
+  let epochs =
+    Epoch_cache.create ?clock:span_clock
+      ?on_span:(Option.map on_span net_timeline) ()
+  in
+  pilots :=
     Array.init switches (fun s ->
         (* Real switch clocks drift; skews make the merged-log tooling
            meaningful. *)
         let clock_skew = Time.us (Rng.int net_rng 200) - Time.us 100 in
         Autopilot.create ~fabric ~epochs ~switch:s ~clock_skew
-          ?metrics:net_metrics ?timeline:net_timeline ?span_clock ())
-  in
+          ?metrics:net_metrics ?timeline:net_timeline ());
+  let pilots = !pilots in
   { engine; fabric; net_graph = g; net_params = params; pilots;
     epochs; net_metrics; net_timeline;
     verdict = false; verdict_status = -1; verdict_changes = -1 }

@@ -30,10 +30,13 @@ val create :
   Autonet_topo.Builders.t ->
   t
 (** [params] defaults to {!Params.tuned}; [seed] (default 1) drives clock
-    skews and any stochastic behaviour.  [span_clock] replaces the wall
-    clock the delta compute spans are measured on; inject a
-    deterministic tick and the recorded spans are byte-identical across
-    runs and domain counts. *)
+    skews and any stochastic behaviour.  With [`On] telemetry the
+    network's {!Epoch_cache} records a compute span for each step-5
+    computation it runs, stamped with the sim time, the switch whose
+    lookup ran it and that switch's epoch.  [span_clock] replaces the
+    wall clock those spans are measured on; inject a deterministic tick
+    and the recorded spans are byte-identical across runs and domain
+    counts. *)
 
 val engine : t -> Autonet_sim.Engine.t
 val fabric : t -> Fabric.t

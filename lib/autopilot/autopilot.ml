@@ -40,8 +40,6 @@ type t = {
   log : Event_log.t;
   counters : tel_counters option;
   timeline : Timeline.t option;
-  span_clock : (unit -> float) option;
-      (* when set, compute spans read this instead of the wall clock *)
   mutable heard : Timeline.heard;
       (* how we entered the current epoch; its hop count and origin fault
          ride outgoing reconfiguration messages as the sideband trace
@@ -281,37 +279,9 @@ let make_callbacks t =
         record_event t
           (Event.Configured
              { number = Option.value ~default:(-1) (switch_number t) }));
-    cb_log = (fun e -> record_event t e);
-    cb_span =
-      (fun ~name ~dur_s ->
-        match t.timeline with
-        | None -> ()
-        | Some tl ->
-          Timeline.span tl
-            ~wall:(Option.is_none t.span_clock)
-            ~time:(now t)
-            ~epoch:(Epoch.to_int64 (Reconfig.epoch (reconfig_exn t)))
-            ~tid:t.sw ~name
-            ~dur_ns:(int_of_float (dur_s *. 1e9))
-            ());
-    cb_clock =
-      (match t.span_clock with Some f -> f | None -> Unix.gettimeofday) }
+    cb_log = (fun e -> record_event t e) }
 
 (* --- Lifecycle --- *)
-
-let rec schedule_retransmit t =
-  if t.is_powered then
-    t.retransmit_timer <-
-      Some
-        (Engine.schedule (Fabric.engine t.fabric)
-           ~delay:
-             (Params.round_to_timer (params t)
-                (params t).Params.retransmit_interval)
-           (fun () ->
-             if t.is_powered then begin
-               Reconfig.on_retransmit_timer (reconfig_exn t);
-               schedule_retransmit t
-             end))
 
 let start t =
   if not t.is_powered then begin
@@ -320,7 +290,13 @@ let start t =
     Forwarding_table.load_constant t.table;
     record_event t Event.Boot;
     Port_monitor.start (monitor_exn t);
-    schedule_retransmit t;
+    t.retransmit_timer <-
+      Some
+        (Engine.every (Fabric.engine t.fabric)
+           ~period:
+             (Params.round_to_timer (params t)
+                (params t).Params.retransmit_interval)
+           (fun () -> Reconfig.on_retransmit_timer (reconfig_exn t)));
     (* Enter epoch 1 immediately: an isolated switch configures itself;
        links found later trigger further epochs. *)
     snapshot_and_start t "boot"
@@ -510,7 +486,7 @@ let on_transition t (tr : Port_monitor.transition) =
 (* --- Lifecycle --- *)
 
 let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
-    ?timeline ?span_clock () =
+    ?timeline () =
   let g = Fabric.graph fabric in
   let counters =
     Option.map
@@ -538,7 +514,6 @@ let create ~fabric ~epochs ~switch ?(clock_skew = Time.zero) ?metrics
       log = Event_log.create ~clock_skew ();
       counters;
       timeline;
-      span_clock;
       heard = { Timeline.parent = -1; via_port = -1; hop = 0; origin = 0 };
       monitor = None;
       reconfig = None;

@@ -39,7 +39,6 @@ val create :
   ?clock_skew:Autonet_sim.Time.t ->
   ?metrics:Autonet_telemetry.Metrics.t ->
   ?timeline:Autonet_telemetry.Timeline.t ->
-  ?span_clock:(unit -> float) ->
   unit ->
   t
 (** Builds the instance and registers its receive handler with the fabric;
@@ -49,10 +48,13 @@ val create :
     (also shared) receives the milestone marks — phase boundaries plus
     the per-switch epoch parentage and sim-time milestones that
     {!Autonet_telemetry.Causal} replays.  Omitting them compiles the
-    instrumentation out of this pilot entirely.  [span_clock] replaces
-    the wall clock the delta compute spans are measured on — inject a
-    deterministic tick and the span durations become byte-identical
-    across runs. *)
+    instrumentation out of this pilot entirely.  The pilot times no
+    compute of its own: step 5 runs in [epochs], which records its
+    compute spans ({!Epoch_cache.create}).
+
+    Its periodic tasks — the status sampler, the connectivity probes
+    and the retransmissions — are {!Autonet_sim.Engine.every} timers,
+    started by {!start} and cancelled by {!power_off}. *)
 
 val start : t -> unit
 (** Power-on: all ports in s.dead, epoch zero, begin monitoring. *)

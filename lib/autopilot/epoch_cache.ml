@@ -43,15 +43,30 @@ type t = {
   mutable hits : int;
   mutable fulls : int;
   mutable deltas : int;
+  clock : unit -> float;
+  on_span : (uid:Autonet_net.Uid.t -> name:string -> dur_s:float -> unit) option;
 }
 
-let create () =
+let create ?(clock = Unix.gettimeofday) ?on_span () =
   { entries = [];
     next_id = 0;
     lookups = 0;
     hits = 0;
     fulls = 0;
-    deltas = 0 }
+    deltas = 0;
+    clock;
+    on_span }
+
+(* Every computation the cache runs goes through here, charged to the
+   switch [uid] whose lookup ran it. *)
+let timed t uid name f =
+  match t.on_span with
+  | None -> f ()
+  | Some record ->
+    let c0 = t.clock () in
+    let x = f () in
+    record ~uid ~name ~dur_s:(t.clock () -. c0);
+    x
 
 let stats t =
   { live = List.length t.entries;
@@ -97,11 +112,11 @@ let full t e =
        ~own ~all:(Some all))
     verdict
 
-let canonical t e =
+let canonical t uid e =
   match e.canonical with
   | Some a -> a
   | None ->
-    let a = full t e in
+    let a = timed t uid "full_build" (fun () -> full t e) in
     e.canonical <- Some a;
     a
 
@@ -112,7 +127,12 @@ let own_view p =
   let c = p.adopted.commit in
   if p.as_root then c else { c with Delta.c_all = None; c_cert = None }
 
-let plan e p =
+(* The switch's own classification from [p], as it would run it alone. *)
+let classify_own t uid p graph tree assignment me =
+  timed t uid "delta_classify" (fun () ->
+      Delta.classify ~prev:(own_view p) ~graph ~tree ~assignment ~me)
+
+let plan t uid e p =
   match List.assoc_opt p.entry.id e.plans with
   | Some pl -> pl
   | None ->
@@ -123,22 +143,24 @@ let plan e p =
     in
     let pl =
       { cls =
-          Delta.classify ~prev:p.adopted.commit ~graph:e.graph
-            ~tree:e.tree ~assignment:e.assignment ~me;
+          timed t uid "delta_classify" (fun () ->
+              Delta.classify ~prev:p.adopted.commit ~graph:e.graph
+                ~tree:e.tree ~assignment:e.assignment ~me);
         applied = None }
     in
     e.plans <- (p.entry.id, pl) :: e.plans;
     pl
 
-let apply t e pl p ch =
+let apply t uid e pl p ch =
   match pl.applied with
   | Some r -> r
   | None ->
     t.deltas <- t.deltas + 1;
     let commit, stats =
-      Delta.apply ~pool:(Pool.default ())
-        ~prev:p.adopted.commit ~graph:e.graph ~tree:e.tree
-        ~assignment:e.assignment ~me:(Spanning_tree.root e.tree) ch
+      timed t uid "delta_apply" (fun () ->
+          Delta.apply ~pool:(Pool.default ())
+            ~prev:p.adopted.commit ~graph:e.graph ~tree:e.tree
+            ~assignment:e.assignment ~me:(Spanning_tree.root e.tree) ch)
     in
     (* A root-shaped apply always reaches a verdict. *)
     let a = root_shaped commit (Option.get stats.Delta.st_verdict) in
@@ -192,13 +214,7 @@ let outcome_at report me assignment table =
     delta = None;
     verdict = None }
 
-let finish t report ~uid ~root ~prev ~clock ~on_span =
-  let timed name f =
-    let c0 = clock () in
-    let x = f () in
-    on_span name (clock () -. c0);
-    x
-  in
+let finish t report ~uid ~root ~prev =
   t.lookups <- t.lookups + 1;
   let work = t.next_id + t.fulls + t.deltas in
   let delta_on = Delta.enabled () in
@@ -208,48 +224,32 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
       match prev with
       | Some p when delta_on ->
         let cls =
-          timed "delta_classify" (fun () ->
-              if at_root then
-                Delta.classify ~prev:(own_view p) ~graph:e.graph ~tree:e.tree
-                  ~assignment:e.assignment ~me
-              else (plan e p).cls)
+          if at_root then classify_own t uid p e.graph e.tree e.assignment me
+          else (plan t uid e p).cls
         in
         Some (cls, p)
       | Some _ | None -> None
     in
-    let full fallback =
-      let a = canonical t e in
+    (* Our table from [a], with [a]'s verdict when [judge]. *)
+    let take a judge =
       { (outcome_at e.report me e.assignment a.all.(me)) with
-        fallback;
-        verdict = (if root then Some (a.verdict, Array.length a.all) else None) }
+        verdict = (if judge then Some (a.verdict, Array.length a.all) else None) }
     in
     let o =
       match cls with
       | Some (Delta.Tree_preserving ch, p) ->
-        let a, stats =
-          timed "delta_routes" (fun () -> apply t e (plan e p) p ch)
-        in
-        let table, stats =
-          timed "delta_tables" (fun () ->
-              ( a.all.(me),
-                if at_root then stats else Delta.non_root_stats ch stats me ))
-        in
-        let verdict =
-          if at_root then
-            timed "delta_deadlock" (fun () ->
-                Some (a.verdict, Array.length a.all))
-          else None
-        in
-        { (outcome_at e.report me e.assignment table) with
-          delta = Some stats;
-          verdict }
-      | Some (Delta.Structural reason, _) -> full (Some reason)
-      | None -> full None
+        let a, stats = apply t uid e (plan t uid e p) p ch in
+        { (take a at_root) with
+          delta =
+            Some (if at_root then stats else Delta.non_root_stats ch stats me) }
+      | Some (Delta.Structural reason, _) ->
+        { (take (canonical t uid e) root) with fallback = Some reason }
+      | None -> take (canonical t uid e) root
     in
     if t.next_id + t.fulls + t.deltas = work then t.hits <- t.hits + 1;
     e.refs <- e.refs + 1;
     release t prev;
-    (o, Some { entry = e; adopted = canonical t e; as_root = root })
+    (o, Some { entry = e; adopted = canonical t uid e; as_root = root })
   in
   (* A closed report can still describe several components: the protocol
      never floods one, but a report is wire input.  Nobody shares it, and
@@ -259,24 +259,22 @@ let finish t report ~uid ~root ~prev ~clock ~on_span =
     let fallback =
       match prev with
       | Some p when delta_on -> (
-        match
-          timed "delta_classify" (fun () ->
-              Delta.classify ~prev:(own_view p) ~graph:g ~tree ~assignment ~me)
-        with
+        match classify_own t uid p g tree assignment me with
         | Delta.Structural reason -> Some reason
         | Delta.Tree_preserving _ -> assert false)
       | Some _ | None -> None
     in
-    let updown = Updown.orient g tree in
-    let routes = Routes.compute g tree updown in
-    let table = Tables.build g tree updown routes assignment me in
-    let verdict =
-      if root then begin
-        let pool = Pool.default () in
-        let all = Tables.build_all ~pool g tree updown routes assignment in
-        Some (Deadlock.check_tables ~pool g all, List.length all)
-      end
-      else None
+    let table, verdict =
+      timed t uid "full_build" (fun () ->
+          let updown = Updown.orient g tree in
+          let routes = Routes.compute g tree updown in
+          let table = Tables.build g tree updown routes assignment me in
+          if root then begin
+            let pool = Pool.default () in
+            let all = Tables.build_all ~pool g tree updown routes assignment in
+            (table, Some (Deadlock.check_tables ~pool g all, List.length all))
+          end
+          else (table, None))
     in
     release t prev;
     ( { (outcome_at report me assignment table) with fallback; verdict },

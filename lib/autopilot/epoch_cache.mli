@@ -28,8 +28,25 @@ open Autonet_core
 
 type t
 
-val create : unit -> t
-(** One per network, shared by all its switches. *)
+val create :
+  ?clock:(unit -> float) ->
+  ?on_span:(uid:Uid.t -> name:string -> dur_s:float -> unit) ->
+  unit ->
+  t
+(** One per network, shared by all its switches.
+
+    With [on_span], the cache times each computation it runs on [clock]
+    (default [Unix.gettimeofday]; inject a deterministic tick and the
+    durations are byte-identical across runs and domain counts) and
+    reports it as [on_span ~uid ~name ~dur_s], where [uid] is the switch
+    whose {!finish} ran it:
+    - [full_build]: a new entry's canonical tables and verdict, or the
+      step 5 of a report that is not one component;
+    - [delta_classify]: a plan's classification, or a root's own;
+    - [delta_apply]: a plan's apply.
+
+    A lookup that finds the work already done reports nothing.  Without
+    [on_span] nothing is timed. *)
 
 type commit
 (** A switch's reference to the entry it last adopted. *)
@@ -63,21 +80,16 @@ val finish :
   uid:Uid.t ->
   root:bool ->
   prev:commit option ->
-  clock:(unit -> float) ->
-  on_span:(string -> float -> unit) ->
   (outcome * commit option) option
-(** [finish t report ~uid ~root ~prev ~clock ~on_span] is switch [uid]'s
-    step 5 on the complete [report]; [root] says whether the switch
-    believes itself the epoch's root and [prev] is its last commit.  The
-    outcome equals what the switch would compute alone from [prev]:
-    with {!Delta.enabled} and a [prev], the delta path is tried and
-    reported exactly as that switch's own classification and apply
-    would, with the compute spans [delta_classify], [delta_routes],
-    [delta_tables] and (at the tree root) [delta_deadlock] each measured
-    on [clock] around this switch's share of the work; the switch that
-    first needs a plan carries its whole cost in [delta_routes].  The
-    root (by [root] on the full path, by the tree on the delta path, only
-    when its own classification passed) gets a verdict.
+(** [finish t report ~uid ~root ~prev] is switch [uid]'s step 5 on the
+    complete [report]; [root] says whether the switch believes itself the
+    epoch's root and [prev] is its last commit.  The outcome equals what
+    the switch would compute alone from [prev]: with {!Delta.enabled} and
+    a [prev], the delta path is tried and reported exactly as that
+    switch's own classification and apply would.  The root (by [root] on
+    the full path, by the tree on the delta path, only when its own
+    classification passed) gets a verdict.  Whatever this call computes
+    rather than finds (see {!create}) is reported as [uid]'s.
 
     Returns [None], changing nothing, when [report] does not describe
     [uid].  Otherwise [prev] is released and the switch's new commit is

@@ -44,9 +44,8 @@ type t = {
       (* the fabric's status version at the last full sweep; -1 forces
          the next tick to sweep every port *)
   mutable next_token : int;
-  mutable sample_timer : Engine.handle option;
-  mutable probe_timer : Engine.handle option;
-  mutable running : bool;
+  mutable timers : Engine.handle list;
+      (* the sampler's and the prober's; [] while stopped *)
 }
 
 let params t = Fabric.params t.fabric
@@ -80,9 +79,7 @@ let create ~fabric ~switch ~uid ~send ~sw_version ~on_transition ~log () =
     active = Array.make (n + 1) true;
     swept = -1;
     next_token = 1;
-    sample_timer = None;
-    probe_timer = None;
-    running = false }
+    timers = [] }
 
 let state t ~port = t.ports.(port).state
 
@@ -345,32 +342,6 @@ let handle_message t ~port msg =
   | Messages.Conn_reply _ -> handle_conn_reply t ~port msg
   | _ -> false
 
-(* --- Periodic tasks --- *)
-
-let rec schedule_sample t =
-  if t.running then
-    t.sample_timer <-
-      Some
-        (Engine.schedule (Fabric.engine t.fabric)
-           ~delay:(Params.round_to_timer (params t) (params t).Params.status_sample_interval)
-           (fun () ->
-             if t.running then begin
-               sample_all t;
-               schedule_sample t
-             end))
-
-let rec schedule_probe t =
-  if t.running then
-    t.probe_timer <-
-      Some
-        (Engine.schedule (Fabric.engine t.fabric)
-           ~delay:(Params.round_to_timer (params t) (params t).Params.conn_probe_fast_interval)
-           (fun () ->
-             if t.running then begin
-               probe_all t;
-               schedule_probe t
-             end))
-
 let reset t =
   t.swept <- -1;
   for port = 1 to Array.length t.ports - 1 do
@@ -389,17 +360,20 @@ let reset t =
   done
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if t.timers = [] then begin
     (* Boot: every port dead, idhy outbound, nothing remembered. *)
     reset t;
-    schedule_sample t;
-    schedule_probe t
+    let p = params t in
+    let every interval task =
+      Engine.every (Fabric.engine t.fabric)
+        ~period:(Params.round_to_timer p interval) (fun () -> task t)
+    in
+    (* The sampler first: same-instant ticks keep their order. *)
+    let sampler = every p.Params.status_sample_interval sample_all in
+    let prober = every p.Params.conn_probe_fast_interval probe_all in
+    t.timers <- [ sampler; prober ]
   end
 
 let stop t =
-  t.running <- false;
-  (match t.sample_timer with Some h -> Engine.cancel h | None -> ());
-  (match t.probe_timer with Some h -> Engine.cancel h | None -> ());
-  t.sample_timer <- None;
-  t.probe_timer <- None
+  List.iter Engine.cancel t.timers;
+  t.timers <- []

@@ -49,10 +49,11 @@ val create :
   t
 
 val start : t -> unit
-(** Begin sampling and probing.  All ports boot in [Dead] and send idhy. *)
+(** Begin sampling and probing, each an {!Autonet_sim.Engine.every}
+    timer.  All ports boot in [Dead] and send idhy. *)
 
 val stop : t -> unit
-(** Cancel the periodic tasks (switch power-off). *)
+(** Cancel both timers (switch power-off). *)
 
 val reset : t -> unit
 (** Return every port to the boot state — s.dead, idhy outbound, skeptics

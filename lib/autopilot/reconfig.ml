@@ -8,10 +8,6 @@ type callbacks = {
   cb_load_tables : Tables.spec -> unit;
   cb_configured : unit -> unit;
   cb_log : Event.t -> unit;
-  cb_span : name:string -> dur_s:float -> unit;
-  cb_clock : unit -> float;
-      (* the clock the compute spans are measured on: wall clock for the
-         benches, an injected deterministic tick for smoke runs *)
 }
 
 (* What we last told the parent about our subtree. *)
@@ -173,8 +169,7 @@ let finish_configuration t report =
     t.changes <- t.changes + 1;
     match
       Epoch_cache.finish t.epochs report ~uid:t.uid ~root:(is_root t)
-        ~prev:t.committed ~clock:t.callbacks.cb_clock
-        ~on_span:(fun name dur_s -> t.callbacks.cb_span ~name ~dur_s)
+        ~prev:t.committed
     with
     | None -> log t "complete report does not mention us!"
     | Some (o, committed) ->

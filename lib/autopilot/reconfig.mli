@@ -20,9 +20,9 @@
        and reopens for host traffic.  In the paper each switch computes
        them itself; they are pure functions of the report (and, on the
        delta path, of the previous commit), so here the network's
-       {!Epoch_cache} computes them once for all its switches and each
-       switch reports the events, statistics and compute spans its own
-       computation would have produced.
+       {!Epoch_cache} computes them once for all its switches (and
+       times what it computes) and each switch reports the events and
+       statistics its own computation would have produced.
 
     The instance reports progress through the [callbacks]. *)
 
@@ -40,16 +40,8 @@ type callbacks = {
   cb_log : Event.t -> unit;
       (** everything the instance reports; the owner stamps time, epoch
           and switch id, and derives its phase-timeline marks from these
-          events *)
-  cb_span : name:string -> dur_s:float -> unit;
-      (** compute sub-phases of the delta fast path ([delta_classify],
-          [delta_routes], [delta_tables], [delta_deadlock]), measured on
-          {!cb_clock}; the owner stamps sim time, epoch and switch id *)
-  cb_clock : unit -> float;
-      (** the clock the compute spans read — [Unix.gettimeofday] for the
-          benches, or an injected deterministic tick so the spans (and
-          hence the telemetry smoke output) are byte-identical across
-          runs and domain counts *)
+          events.  The instance times nothing: the {!Epoch_cache} records
+          the compute spans of step 5 where it runs them. *)
 }
 
 type t

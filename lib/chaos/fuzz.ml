@@ -103,14 +103,18 @@ type config = {
   budget : int;
   batch : int;
   guided : bool;
-  blind_pct : int;
-  max_mutations : int;
   max_span : int;
 }
 
 let default chaos =
-  { chaos; budget = 200; batch = 8; guided = true; blind_pct = 10;
-    max_mutations = 4; max_span = 128 }
+  { chaos; budget = 200; batch = 8; guided = true; max_span = 128 }
+
+(* Percentage of candidates drawn blind even when guided, so the mutator
+   cannot starve exploration (AFL's "havoc vs. import"). *)
+let blind_pct = 10
+
+(* Operators stacked per focused phase of a mutated candidate. *)
+let max_mutations = 4
 
 (* --- The fuzz loop ---------------------------------------------------- *)
 
@@ -135,7 +139,7 @@ let blind_candidate cfg rng =
   (seed, Chaos.schedule_for cfg.chaos ~seed)
 
 (* One mutated candidate: pick a corpus entry (recency-biased, the AFL
-   habit), stack 1..max_mutations operators on its schedule.  The entry's
+   habit), stack 1..[max_mutations] operators on its schedule.  The entry's
    network seed is kept, so the topology the ids refer to is the one the
    candidate replays on; splice partners are fresh random schedules drawn
    on that same topology for the same reason. *)
@@ -196,7 +200,7 @@ let mutated_candidate cfg rng corpus ncorpus =
      generation per axis. *)
   let phase s =
     let op = operators.(Rng.int rng (Array.length operators)) in
-    let k = 1 + Rng.int rng cfg.max_mutations in
+    let k = 1 + Rng.int rng max_mutations in
     let rec go s k = if k = 0 then s else go (apply s op) (k - 1) in
     go s k
   in
@@ -231,7 +235,7 @@ let run ?pool cfg ~seed =
     let candidates =
       Array.init n (fun _ ->
           if (not cfg.guided) || !ncorpus = 0
-             || Rng.int rng 100 < cfg.blind_pct
+             || Rng.int rng 100 < blind_pct
           then blind_candidate cfg rng
           else mutated_candidate cfg rng !corpus_arr !ncorpus)
     in

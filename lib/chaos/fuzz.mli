@@ -77,11 +77,11 @@ type config = {
   chaos : Chaos.config;
   budget : int;  (** total schedule executions *)
   batch : int;  (** executions fanned to the pool per round *)
-  guided : bool;  (** [false] = pure blind sampling (the baseline) *)
-  blind_pct : int;
-      (** percentage of candidates drawn blind even when guided, so the
-          mutator cannot starve exploration (AFL's "havoc vs. import") *)
-  max_mutations : int;  (** operators stacked per mutated candidate *)
+  guided : bool;
+      (** [false] = pure blind sampling (the baseline).  When guided, 10%
+          of candidates are still drawn blind, so the mutator cannot
+          starve exploration (AFL's "havoc vs. import"), and a mutated
+          candidate stacks up to 4 operators per phase. *)
   max_span : int;
       (** [stretch] retires once the schedule spans this many horizons —
           the knob that bounds how expensive a mutated schedule can get

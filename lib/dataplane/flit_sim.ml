@@ -7,26 +7,24 @@ module XB = Autonet_switch.Crossbar
 
 type config = {
   fifo_capacity : int;
-  threshold_free_fraction : float;
   link_length_km : float;
   broadcast_ignore_stop : bool;
-  router_cycle_slots : int;
-  port_pipeline_slots : int;
-  fc_period : int;
-  deadlock_window : int;
   strict_fifo_scheduler : bool;
 }
 
 let default_config =
   { fifo_capacity = 4096;
-    threshold_free_fraction = 0.5;
     link_length_km = 0.1;
     broadcast_ignore_stop = true;
-    router_cycle_slots = 6;
-    port_pipeline_slots = 18;
-    fc_period = Command.flow_control_period;
-    deadlock_window = 8192;
     strict_fifo_scheduler = false }
+
+(* Slots between scheduling passes (480 ns). *)
+let router_cycle_slots = 6
+
+let port_pipeline_slots = 18
+
+(* Slots without progress, packets in flight, before a deadlock. *)
+let deadlock_window = 8192
 
 type packet_id = int
 
@@ -119,8 +117,7 @@ let latency_slots d = d.delivered_slot - d.injected_slot
 
 let mk_unit cfg () =
   { rx_fifo =
-      Fifo.create ~threshold_free_fraction:cfg.threshold_free_fraction
-        ~capacity:cfg.fifo_capacity ~zero:Idle ();
+      Fifo.create ~capacity:cfg.fifo_capacity ~zero:Idle ();
     tx_allowed = true;
     requested = false;
     draining = false;
@@ -142,8 +139,7 @@ let create ?(config = default_config) g specs =
           xbar = XB.create ~max_ports })
   in
   let delay =
-    Channel.delay_of_length_km config.link_length_km
-    + config.port_pipeline_slots
+    Channel.delay_of_length_km config.link_length_km + port_pipeline_slots
   in
   let max_link =
     List.fold_left (fun acc (l : Graph.link) -> max acc (l.id + 1)) 0
@@ -262,7 +258,7 @@ let record_discard t pk =
   settle t pk;
   progress t
 
-let is_fc_slot t = t.slot_now mod t.cfg.fc_period = 0
+let is_fc_slot t = t.slot_now mod Command.flow_control_period = 0
 
 let packet_of t id = Hashtbl.find t.packets id
 
@@ -486,7 +482,7 @@ let is_payload = function Begin _ | Byte _ | End _ -> true | Idle | Fc _ -> fals
 let tick t =
   let fc_tick = is_fc_slot t in
   (* Router passes. *)
-  if t.slot_now mod t.cfg.router_cycle_slots = 0 then
+  if t.slot_now mod router_cycle_slots = 0 then
     for s = 0 to Array.length t.switches - 1 do
       router_pass t s
     done;
@@ -533,10 +529,8 @@ let tick t =
   done;
   t.slot_now <- t.slot_now + 1;
   (* Deadlock watchdog: traffic exists but nothing moved for a window. *)
-  if
-    t.n_in_flight > 0
-    && t.slot_now - t.last_progress > t.cfg.deadlock_window
-  then t.is_deadlocked <- true
+  if t.n_in_flight > 0 && t.slot_now - t.last_progress > deadlock_window then
+    t.is_deadlocked <- true
 
 let run t ~slots =
   let stop = t.slot_now + slots in

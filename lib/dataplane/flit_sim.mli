@@ -25,23 +25,24 @@ open Autonet_core
 
 type config = {
   fifo_capacity : int;            (** cells per receive FIFO (paper: 4096) *)
-  threshold_free_fraction : float; (** the paper's f (0.5) *)
   link_length_km : float;
   broadcast_ignore_stop : bool;   (** the broadcast-deadlock fix (6.6.6) *)
-  router_cycle_slots : int;       (** slots between scheduling passes (6) *)
-  port_pipeline_slots : int;
-      (** fixed receive-path pipeline per port (TAXI decode, sync,
-          elastic buffering): with the router and FIFO stages this yields
-          the paper's 26-32 cycle switch transit *)
-  fc_period : int;                (** slots between flow-control slots (256) *)
-  deadlock_window : int;
-      (** slots without any progress while packets are in flight before the
-          run is declared deadlocked *)
   strict_fifo_scheduler : bool;
       (** ablation A2: strict FCFS instead of first-come first-considered *)
 }
+(** The rest is fixed: the FIFO's stop threshold at half full (the
+    paper's f = 0.5), a flow-control slot every
+    {!Autonet_net.Command.flow_control_period} (256) slots, a scheduling
+    pass every 6 slots, {!port_pipeline_slots}, and a run declared
+    deadlocked after 8192 slots without progress while packets are in
+    flight. *)
 
 val default_config : config
+
+val port_pipeline_slots : int
+(** Fixed receive-path pipeline per port, 18 slots (TAXI decode, sync,
+    elastic buffering): with the router and FIFO stages this yields the
+    paper's 26-32 cycle switch transit. *)
 
 type t
 

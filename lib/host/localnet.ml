@@ -96,7 +96,7 @@ let refresh_stale_entry t dst_uid current_addr =
   let asked_at = now t in
   send_arp_request t ~to_addr:current_addr ~target:dst_uid;
   ignore
-    (Engine.schedule t.engine ~delay:(Uid_cache.freshness_window t.uid_cache)
+    (Engine.schedule t.engine ~delay:Uid_cache.freshness_window
        (fun () ->
          if not (Uid_cache.updated_since t.uid_cache dst_uid asked_at) then
            Uid_cache.expire t.uid_cache dst_uid))

@@ -9,31 +9,27 @@ type entry = {
   updated_at : Time.t;
 }
 
-type t = {
-  window : Time.t;
-  table : (int, entry) Hashtbl.t; (* keyed by Uid.to_int *)
-}
+type t = (int, entry) Hashtbl.t (* keyed by Uid.to_int *)
 
-let create ?(freshness_window = Time.s 2) () =
-  { window = freshness_window; table = Hashtbl.create 64 }
+let create () = Hashtbl.create 64
 
-let freshness_window t = t.window
+let freshness_window = Time.s 2
 
 let learn ?(network = Autonet) t ~uid ~address ~now =
-  Hashtbl.replace t.table (Uid.to_int uid) { address; network; updated_at = now }
+  Hashtbl.replace t (Uid.to_int uid) { address; network; updated_at = now }
 
-let find t uid = Hashtbl.find_opt t.table (Uid.to_int uid)
+let find t uid = Hashtbl.find_opt t (Uid.to_int uid)
 
 let lookup_for_send t uid ~now =
   match find t uid with
   | Some e ->
-    let fresh = Time.sub now e.updated_at <= t.window in
+    let fresh = Time.sub now e.updated_at <= freshness_window in
     (e.address, if fresh then `Fresh else `Stale)
   | None ->
     (* "A new cache entry is created giving the short address for this UID
        as FFFF" — created stale-but-broadcast: there is no one to ARP yet,
        so report it fresh; learning happens from the reply. *)
-    Hashtbl.replace t.table (Uid.to_int uid)
+    Hashtbl.replace t (Uid.to_int uid)
       { address = Short_address.broadcast_hosts;
         network = Autonet;
         updated_at = now };
@@ -46,13 +42,13 @@ let expire t uid =
   match find t uid with
   | None -> ()
   | Some e ->
-    Hashtbl.replace t.table (Uid.to_int uid)
+    Hashtbl.replace t (Uid.to_int uid)
       { e with address = Short_address.broadcast_hosts }
 
 let network_of t uid = Option.map (fun e -> e.network) (find t uid)
 
-let size t = Hashtbl.length t.table
+let size t = Hashtbl.length t
 
 let entries t =
-  Hashtbl.fold (fun k e acc -> (Uid.of_int k, e) :: acc) t.table []
+  Hashtbl.fold (fun k e acc -> (Uid.of_int k, e) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> Uid.compare a b)

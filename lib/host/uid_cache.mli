@@ -22,10 +22,10 @@ type entry = {
 
 type t
 
-val create : ?freshness_window:Autonet_sim.Time.t -> unit -> t
-(** [freshness_window] defaults to 2 s. *)
+val create : unit -> t
 
-val freshness_window : t -> Autonet_sim.Time.t
+val freshness_window : Autonet_sim.Time.t
+(** The paper's two seconds. *)
 
 val learn :
   ?network:network ->

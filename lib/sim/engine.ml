@@ -1,4 +1,8 @@
-type handle = { mutable live : bool; action : unit -> unit; counter : int ref }
+(* A [Queued] handle is counted in its engine's live count; a [Running]
+   one's action is under way. *)
+type state = Queued | Running | Dead
+
+type handle = { mutable state : state; action : unit -> unit; counter : int ref }
 (* [counter] is shared with the owning engine so that [cancel] can keep the
    live-event count accurate without a back-pointer to the engine. *)
 
@@ -21,35 +25,55 @@ let create () =
 
 let now t = t.clock
 
+let enqueue t ~time h =
+  h.state <- Queued;
+  Pqueue.add t.queue ~time ~seq:t.next_seq h;
+  t.next_seq <- t.next_seq + 1;
+  incr t.live_count;
+  let len = Pqueue.length t.queue in
+  if len > t.max_queue then t.max_queue <- len
+
 let schedule_at t ~time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
          t.clock);
-  let h = { live = true; action = f; counter = t.live_count } in
-  Pqueue.add t.queue ~time ~seq:t.next_seq h;
-  t.next_seq <- t.next_seq + 1;
-  incr t.live_count;
-  let len = Pqueue.length t.queue in
-  if len > t.max_queue then t.max_queue <- len;
+  let h = { state = Queued; action = f; counter = t.live_count } in
+  enqueue t ~time h;
   h
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(Time.add t.clock delay) f
 
-let cancel h =
-  if h.live then begin
-    h.live <- false;
-    decr h.counter
-  end
+(* Once [f] returns, the action queues its own handle again, where a
+   self-rescheduling loop scheduled its successor, unless it was
+   cancelled meanwhile. *)
+let every t ~period f =
+  if period <= 0 then invalid_arg "Engine.every: non-positive period";
+  let rec h =
+    { state = Queued;
+      action =
+        (fun () ->
+          f ();
+          if h.state = Running then
+            enqueue t ~time:(Time.add t.clock period) h);
+      counter = t.live_count }
+  in
+  enqueue t ~time:(Time.add t.clock period) h;
+  h
 
-let cancelled h = not h.live
+let cancel h =
+  if h.state = Queued then decr h.counter;
+  h.state <- Dead
+
+let cancelled h = h.state = Dead
 
 (* Cancelled entries are discarded lazily when they reach the head of the
    queue, which keeps [cancel] O(1). *)
 let rec drop_dead_head t =
-  if (not (Pqueue.is_empty t.queue)) && not (Pqueue.top t.queue).live then begin
+  if (not (Pqueue.is_empty t.queue)) && (Pqueue.top t.queue).state <> Queued
+  then begin
     ignore (Pqueue.take t.queue);
     drop_dead_head t
   end
@@ -58,10 +82,11 @@ let rec drop_dead_head t =
 let fire t =
   t.clock <- Pqueue.min_time t.queue;
   let h = Pqueue.take t.queue in
-  h.live <- false;
+  h.state <- Running;
   decr t.live_count;
   t.executed <- t.executed + 1;
-  h.action ()
+  h.action ();
+  if h.state = Running then h.state <- Dead
 
 let step t =
   drop_dead_head t;

@@ -24,10 +24,22 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] at absolute [time], which must not be
     in the virtual past. *)
 
+val every : t -> period:Time.t -> (unit -> unit) -> handle
+(** [every t ~period f] runs [f] at [now t + period], then every [period],
+    until the handle is {!cancel}led — from anywhere, [f] included.  After
+    each run of [f] the same handle is queued again under the next
+    sequence number, as a loop in which [f] schedules its own successor
+    last would do, so same-instant events fire in the same order and
+    {!events_executed}, {!pending}, {!queue_length} and
+    {!max_queue_length} read the same, inside [f] too.  A firing
+    allocates nothing.  [period] must be positive. *)
+
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
 val cancelled : handle -> bool
+(** The handle will not fire again: it was cancelled, or it was a
+    one-shot event that fired. *)
 
 val step : t -> bool
 (** Execute the next pending event.  Returns [false] when the queue is

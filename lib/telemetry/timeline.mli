@@ -72,9 +72,9 @@ val faults : t -> int
 
 (** {1 Compute spans}
 
-    A span records the duration of a compute step (the delta path's
-    [delta_classify], [delta_routes], [delta_tables], [delta_deadlock])
-    anchored at the sim time it ran at.  The duration is measured on
+    A span records the duration of a compute step (step 5's
+    [full_build], [delta_classify] and [delta_apply], as the epoch cache
+    runs them) anchored at the sim time it ran at.  The duration is measured on
     whatever clock the recorder injected: the wall clock for the
     benches ([sp_wall = true]), or a deterministic tick for the smoke
     runs, whose spans must be byte-identical across runs and domain

@@ -133,13 +133,12 @@ let random_connected ?uid_of ~rng ~n ~extra_links () =
   done;
   t
 
-let attach_hosts ?(dual_homed = true) ?(host_uid_base = 0x800000) t ~per_switch
-    =
+let attach_hosts ?(dual_homed = true) t ~per_switch =
   let g = t.graph in
   let n = Graph.switch_count g in
   let next_host = ref 0 in
   let fresh_host () =
-    let u = Uid.of_int (host_uid_base + !next_host) in
+    let u = Uid.of_int (0x800000 + !next_host) in
     incr next_host;
     u
   in

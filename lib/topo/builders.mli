@@ -50,13 +50,13 @@ val random_connected :
     additional random links between switches with free ports (parallel
     trunks and loops excluded). *)
 
-val attach_hosts :
-  ?dual_homed:bool -> ?host_uid_base:int -> t -> per_switch:int -> t
+val attach_hosts : ?dual_homed:bool -> t -> per_switch:int -> t
 (** Attach [per_switch] host {e ports} to every switch (ports permitting).
     With [dual_homed] (default true) consecutive port pairs across
     neighbouring switches belong to the same host controller, so each
     controller has an active and an alternate attachment; otherwise each
-    port is its own single-homed host. *)
+    port is its own single-homed host.  Host UIDs count up from
+    0x800000. *)
 
 val figure9 : unit -> t * (Graph.endpoint * Graph.endpoint * Graph.endpoint)
 (** The five-switch broadcast-deadlock scenario of the paper's Figure 9:

@@ -528,7 +528,11 @@ let test_report_size_grows_message () =
 (* Encoding a report message copies the report's memoized bytes once,
    into a string of exactly the message's size: on the 256-switch torus
    the encode allocates that string plus a few words, where growing a
-   buffer and copying it out again allocated about four times as much. *)
+   buffer and copying it out again allocated about four times as much.
+   [Gc.allocated_bytes] also takes in what other domains (the step-5
+   pool's workers, once any case has started them) allocated, which only
+   adds to a reading; every encode allocates the same bytes, so the
+   least of several readings is the encode's own. *)
 let test_encode_copies_report_once () =
   let topo =
     Autonet_topo.Builders.attach_hosts
@@ -539,9 +543,15 @@ let test_encode_copies_report_once () =
   let bytes = String.length (Topology_report.wire report) in
   let msg = Messages.Complete { epoch = Epoch.zero; seq = 1; report } in
   ignore (Messages.encode msg);
-  let b0 = Gc.allocated_bytes () in
-  let s = Sys.opaque_identity (Messages.encode msg) in
-  let allocated = Gc.allocated_bytes () -. b0 in
+  let measure () =
+    let b0 = Gc.allocated_bytes () in
+    let s = Sys.opaque_identity (Messages.encode msg) in
+    (s, Gc.allocated_bytes () -. b0)
+  in
+  let s, first = measure () in
+  let allocated =
+    List.fold_left Float.min first (List.init 4 (fun _ -> snd (measure ())))
+  in
   check_int "message length" (13 + bytes) (String.length s);
   let bar = float_of_int (String.length s + 256) in
   Printf.printf
@@ -725,9 +735,6 @@ let () =
             test_event_log_merge_ties_stable ] );
       ( "report_closure",
         [ Alcotest.test_case "closure" `Quick test_report_closure ] );
-      (* Last: the only case that runs a whole network, whose step-5 pool
-         starts worker domains, which the allocation guard above must not
-         share its process with. *)
       ( "status_sampler",
         [ Alcotest.test_case "each status input is seen at the next tick"
             `Quick test_status_inputs_seen ] ) ]

@@ -105,10 +105,10 @@ let test_flit_fifo_within_sizing_formula () =
   check_bool "no deadlock" false (FS.deadlocked fs);
   check_int "all delivered" 6 (List.length (FS.deliveries fs));
   let w =
-    Channel.delay_of_length_km cfg.FS.link_length_km + cfg.FS.port_pipeline_slots
+    Channel.delay_of_length_km cfg.FS.link_length_km + FS.port_pipeline_slots
   in
   (* +small margin for framing cells (Begin) and slot phase. *)
-  let bound = 512 + (cfg.FS.fc_period - 1) + (2 * w) + 16 in
+  let bound = 512 + (Command.flow_control_period - 1) + (2 * w) + 16 in
   List.iter
     (fun (_, p) ->
       check_bool "no overflow" false (FS.fifo_overflowed fs 0 ~port:p);

@@ -799,6 +799,118 @@ let test_complete_report_shared () =
   N.apply_fault t (F.Link_up l);
   shared "link up"
 
+(* The cache records one compute span per computation it runs and none
+   for a lookup that finds the work done.  SRC boots and loses a non-tree
+   link with telemetry on and a tick clock, watched one event at a time:
+   every new complete report a switch holds is one lookup, from the
+   report of its previous lookup.  A model of the cache counts the
+   classifications those lookups ran: a tree root classifies from its own
+   commit, and any switch's lookup classifies for a plan the first time
+   its (report, previous report) pair is looked up (a root only on the
+   delta path, where it applies the plan).  The full-build and apply
+   spans must match the cache's own counters. *)
+let test_cache_spans () =
+  let module Engine = Autonet_sim.Engine in
+  let module Timeline = Autonet_telemetry.Timeline in
+  let tick =
+    let c = ref 0 in
+    fun () ->
+      incr c;
+      float_of_int !c *. 1e-6
+  in
+  let net =
+    N.create ~params:Autonet_autopilot.Params.fast ~seed:1L ~telemetry:`On
+      ~span_clock:tick (B.src_service_lan ())
+  in
+  let n = Graph.switch_count (N.graph net) in
+  let seen = Array.make n None and held = Array.make n None in
+  let lookups = ref 0 and classifications = ref 0 and plans = ref [] in
+  let plan report prev =
+    if not (List.exists (fun (r, p) -> r == report && p == prev) !plans)
+    then begin
+      plans := (report, prev) :: !plans;
+      incr classifications
+    end
+  in
+  let observe () =
+    for s = 0 to n - 1 do
+      let ap = N.autopilot net s in
+      let cur = AP.complete_report ap in
+      if cur != seen.(s) then begin
+        seen.(s) <- cur;
+        match cur with
+        | None -> ()
+        | Some report ->
+          incr lookups;
+          (match held.(s) with
+          | Some prev when Delta.enabled () ->
+            let g = Topology_report.to_graph report in
+            let me = Option.get (Graph.switch_of_uid g (AP.uid ap)) in
+            if Spanning_tree.root (Spanning_tree.compute g ~member:me) = me
+            then begin
+              incr classifications;
+              if Option.is_some (AP.delta_spec ap) then plan report prev
+            end
+            else plan report prev
+          | Some _ | None -> ());
+          held.(s) <- Some report
+      end
+    done
+  in
+  let settle () =
+    let deadline = Time.add (N.now net) (Time.s 60) in
+    while not (N.converged net) do
+      if N.now net >= deadline then Alcotest.fail "network did not converge";
+      Engine.run (N.engine net) ~until:deadline ~max_events:1;
+      observe ()
+    done
+  in
+  N.start net;
+  settle ();
+  let boot_spans = List.length (Timeline.spans (Option.get (N.timeline net))) in
+  N.apply_fault net (F.Link_down (non_tree_link (N.graph net)).Graph.id);
+  settle ();
+  let tl = Option.get (N.timeline net) in
+  let spans = Timeline.spans tl in
+  let named name =
+    List.length (List.filter (fun sp -> sp.Timeline.sp_name = name) spans)
+  in
+  let st = EC.stats (N.epoch_cache net) in
+  Printf.printf
+    "%d lookups, %d spans (%d at boot): %d full builds, %d classifications, \
+     %d applies\n"
+    !lookups (List.length spans) boot_spans (named "full_build")
+    (named "delta_classify") (named "delta_apply");
+  check_int "every lookup observed" st.EC.lookups !lookups;
+  check_int "a span per full build" st.EC.fulls (named "full_build");
+  check_int "a span per apply" st.EC.deltas (named "delta_apply");
+  check_int "a span per classification" !classifications
+    (named "delta_classify");
+  check_int "no other span" (List.length spans)
+    (st.EC.fulls + st.EC.deltas + !classifications);
+  check_bool "the failure took the delta path" true (st.EC.deltas > 0);
+  (* Stamped with a switch and an epoch that switch had entered. *)
+  let entered =
+    List.filter_map
+      (fun (m : Timeline.mark) ->
+        match m.m_kind with
+        | Timeline.Epoch_start _ -> Some (m.m_tid, m.m_epoch, m.m_time)
+        | _ -> None)
+      (Timeline.marks tl)
+  in
+  List.iter
+    (fun (sp : Timeline.span) ->
+      if
+        not
+          (List.exists
+             (fun (tid, epoch, time) ->
+               tid = sp.sp_tid && epoch = sp.sp_epoch && time <= sp.sp_time)
+             entered)
+      then
+        Alcotest.failf "%s span at %a: switch %d never entered epoch %Ld"
+          sp.sp_name Time.pp sp.sp_time sp.sp_tid sp.sp_epoch)
+    spans
+
 (* A report equal to a live entry's but held as another value (a root
    whose new epoch rebuilt a topology some switch still commits to)
    finds that entry, and the outcome hands back the entry's value for
@@ -809,8 +921,6 @@ let test_equal_report_gets_entry_value () =
   let finish report s =
     match
       EC.finish epochs report ~uid:(Graph.uid g s) ~root:(s = 0) ~prev:None
-        ~clock:(fun () -> 0.)
-        ~on_span:(fun _ _ -> ())
     with
     | Some (o, _) -> o.EC.report
     | None -> Alcotest.fail "the report describes every switch"
@@ -1074,6 +1184,8 @@ let () =
             test_complete_report_shared;
           Alcotest.test_case "converged allocates little per switch" `Quick
             test_converged_words_per_switch;
+          Alcotest.test_case "one span per computation" `Quick
+            test_cache_spans;
           Alcotest.test_case "equal report gets the entry's value" `Quick
             test_equal_report_gets_entry_value ] );
       ( "soak",

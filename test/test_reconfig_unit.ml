@@ -71,9 +71,7 @@ let make_net topo =
                cb_log =
                  (fun e ->
                    let n = Lazy.force node in
-                   n.events <- e :: n.events);
-               cb_span = (fun ~name:_ ~dur_s:_ -> ());
-               cb_clock = (fun () -> 0.) }
+                   n.events <- e :: n.events) }
            in
            { switch = s;
              rc =

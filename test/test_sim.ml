@@ -262,6 +262,137 @@ let test_engine_max_events () =
   Engine.run e ~max_events:25;
   check_int "bounded" 25 !count
 
+(* Engine.every against the self-rescheduling loop it replaced: each
+   start of a loop gets its own running flag, and its event schedules
+   the successor after the action, unless stopped meanwhile. *)
+let every_timer e ~period f =
+  let h = Engine.every e ~period f in
+  fun () -> Engine.cancel h
+
+let loop_timer e ~period f =
+  let running = ref true and timer = ref None in
+  let rec schedule () =
+    timer :=
+      Some
+        (Engine.schedule e ~delay:period (fun () ->
+             if !running then begin
+               f ();
+               if !running then schedule ()
+             end))
+  in
+  schedule ();
+  fun () ->
+    running := false;
+    Option.iter Engine.cancel !timer
+
+type op = Stop of int | Start of int | Shot of int
+
+type program = {
+  periods : int array;
+  at : (int * op) list;  (** one-shot events: at this instant, do op *)
+  inside : (int * int * op) list;
+      (** timer i's k-th firing does op (after noting the firing) *)
+}
+
+let pp_op = function
+  | Stop i -> Printf.sprintf "stop %d" i
+  | Start i -> Printf.sprintf "start %d" i
+  | Shot d -> Printf.sprintf "shot +%d" d
+
+let pp_program p =
+  Printf.sprintf "periods [%s]; at [%s]; inside [%s]"
+    (String.concat "; " (Array.to_list (Array.map string_of_int p.periods)))
+    (String.concat "; "
+       (List.map (fun (t, op) -> Printf.sprintf "%d: %s" t (pp_op op)) p.at))
+    (String.concat "; "
+       (List.map
+          (fun (i, k, op) -> Printf.sprintf "t%d#%d: %s" i k (pp_op op))
+          p.inside))
+
+(* Few timers with short periods and instants on a small grid, so ticks,
+   one-shots, stops and restarts keep landing on the same instants. *)
+let gen_program =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun n ->
+  array_repeat n (int_range 1 5) >>= fun periods ->
+  let op =
+    frequency
+      [ (3, map (fun i -> Stop i) (int_bound (n - 1)));
+        (3, map (fun i -> Start i) (int_bound (n - 1)));
+        (2, map (fun d -> Shot d) (int_bound 6)) ]
+  in
+  list_size (int_bound 10) (pair (int_bound 30) op) >>= fun at ->
+  list_size (int_bound 10) (triple (int_bound (n - 1)) (int_range 1 6) op)
+  >>= fun inside -> return { periods; at; inside }
+
+(* Every firing, one-shot and the end of the run, each with the clock
+   and the four counters as the action (or the caller) read them. *)
+let run_program timer p =
+  let e = Engine.create () in
+  let stops = Array.map (fun _ -> None) p.periods in
+  let fired = Array.map (fun _ -> 0) p.periods in
+  let log = ref [] in
+  let note tag =
+    log :=
+      ( tag,
+        Engine.now e,
+        Engine.events_executed e,
+        Engine.pending e,
+        Engine.queue_length e,
+        Engine.max_queue_length e )
+      :: !log
+  in
+  let rec perform = function
+    | Stop i ->
+      Option.iter (fun stop -> stop ()) stops.(i);
+      stops.(i) <- None
+    | Start i ->
+      if Option.is_none stops.(i) then
+        stops.(i) <- Some (timer e ~period:p.periods.(i) (tick i))
+    | Shot d -> ignore (Engine.schedule e ~delay:d (fun () -> note "shot"))
+  and tick i () =
+    fired.(i) <- fired.(i) + 1;
+    note (Printf.sprintf "t%d" i);
+    List.iter
+      (fun (j, k, op) -> if j = i && k = fired.(i) then perform op)
+      p.inside
+  in
+  Array.iteri (fun i _ -> perform (Start i)) p.periods;
+  List.iter
+    (fun (time, op) ->
+      ignore
+        (Engine.schedule_at e ~time (fun () ->
+             note "at";
+             perform op)))
+    p.at;
+  Engine.run e ~until:40;
+  note "end";
+  List.rev !log
+
+let every_equals_loop =
+  QCheck.Test.make ~name:"every fires as the self-rescheduling loop"
+    ~count:500
+    (QCheck.make ~print:pp_program gen_program)
+    (fun p -> run_program every_timer p = run_program loop_timer p)
+
+(* The handle and its closure are made once, so a firing allocates
+   nothing.  Counted in this domain's minor words over many firings. *)
+let test_engine_every_allocates_nothing () =
+  let e = Engine.create () in
+  let n = ref 0 in
+  ignore (Engine.every e ~period:3 (fun () -> incr n));
+  ignore (Engine.every e ~period:5 (fun () -> incr n));
+  Engine.run e ~until:1_000;
+  let fired = !n and w0 = Gc.minor_words () in
+  Engine.run e ~until:100_000;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (!n - fired)
+  and bar = 0.01 in
+  Printf.printf "engine: %.4f minor words per periodic firing (bar %.2f)\n"
+    words bar;
+  if words > bar then
+    Alcotest.failf "engine: %.4f minor words per periodic firing (bar %.2f)"
+      words bar
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -352,7 +483,10 @@ let () =
             test_engine_words_per_event;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "negative delay" `Quick test_engine_past_rejected;
-          Alcotest.test_case "max events" `Quick test_engine_max_events ] );
+          Alcotest.test_case "max events" `Quick test_engine_max_events;
+          QCheck_alcotest.to_alcotest every_equals_loop;
+          Alcotest.test_case "every allocates nothing" `Quick
+            test_engine_every_allocates_nothing ] );
       ( "rng",
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
