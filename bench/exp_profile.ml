@@ -7,13 +7,18 @@
    reconfigurations each, all on the delta path).  The flaps run twice
    over the same links:
 
-   - the counted pass reads [Gc.quick_stat], the engine's event count
-     and the fabric's packet and byte counts around every
-     reconfiguration and prints their per-reconfiguration means: events,
+   - the counted pass reads the engine's event and run counts, the
+     fabric's packet and byte counts, [Gc.minor_words] and
+     [Gc.quick_stat] around the flaps and prints their
+     per-reconfiguration means: events, runs the event queue opened,
      packets, bytes, minor words, promoted words, words allocated
      directly in the major heap (major minus promoted), minor and major
      collections.  At one domain these are work counters of the binary,
-     the same on every run;
+     the same on every run.  Minor words come from [Gc.minor_words],
+     which counts the minor heap in use: [Gc.quick_stat]'s count stops
+     at the last minor collection, so it moves with the collections'
+     phase (OCAMLRUNPARAM=s=300k moved it by -5.7 k words per
+     reconfiguration with the same binary);
    - the sampled pass arms a SIGALRM interval timer and, in the handler,
      records the OCaml call stack ([Printexc.get_callstack]); the table
      ranks functions by the share of samples whose stack contains them
@@ -77,11 +82,14 @@ let counted net links =
   let reconfigs = float_of_int (2 * List.length links) in
   let engine = N.engine net and fabric = N.fabric net in
   let events0 = Engine.events_executed engine in
+  let runs0 = Engine.runs_opened engine in
   let f0 = Fabric.stats fabric in
   let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   run_flaps net links;
   let wall = Unix.gettimeofday () -. t0 in
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let f1 = Fabric.stats fabric in
   let per x = float_of_int x /. reconfigs in
@@ -92,9 +100,10 @@ let counted net links =
     reconfigs;
   let row name v = Printf.printf "  %-22s %14.1f\n" name v in
   row "events" (per (Engine.events_executed engine - events0));
+  row "event-queue runs" (per (Engine.runs_opened engine - runs0));
   row "packets" (per (f1.Fabric.packets_sent - f0.Fabric.packets_sent));
   row "bytes" (per (f1.Fabric.bytes_sent - f0.Fabric.bytes_sent));
-  row "minor words" (perf (g1.Gc.minor_words -. g0.Gc.minor_words));
+  row "minor words" (perf (w1 -. w0));
   row "promoted words" (perf promoted);
   row "direct-major words" (perf (major -. promoted));
   row "minor collections"

@@ -14,11 +14,12 @@
    switch-to-switch distance" regime) and — outside smoke mode — a
    256-switch 16x16 torus for scaling.  Every topology also times the
    per-epoch [tree_children], [deadlock_certifies] and
-   [msg_encode_complete] rows, and SRC the tree-position codec.  With
+   [msg_encode_complete] rows, and SRC the tree-position codec.  The
+   event engine is timed on two queue shapes, in ns per event.  With
    [--json FILE] the ns/op, parallel speedups and the domain and core
-   counts are written as JSON (schema v9; v8 added those rows and v9
-   made the telemetry-overhead record two modes), with that record and
-   the [delta] block
+   counts are written as JSON (schema v10; v8 added those rows, v9
+   made the telemetry-overhead record two modes and v10 added the
+   [engine] block), with that record and the [delta] block
    — full-epoch vs incremental-reconfiguration cost on the scaling torus
    after a non-tree link fault, measured by {!Exp_delta.measure}: the
    perf trajectory future changes regress against.  The kernels'
@@ -30,6 +31,8 @@ open Autonet_core
 module B = Autonet_topo.Builders
 module Pool = Autonet_parallel.Pool
 module Messages = Autonet_autopilot.Messages
+module Engine = Autonet_sim.Engine
+module Sim_time = Autonet_sim.Time
 
 (* Options, set by [main.ml] before dispatch. *)
 let json_path : string option ref = ref None
@@ -178,6 +181,58 @@ let src_extra_tests c =
     Test.make ~name:"msg_decode_tree_position"
       (Staged.stage (fun () -> Messages.decode encoded_position)) ]
 
+(* The event engine on two queue shapes.  Periodic-heavy: 768
+   [Engine.every] timers, 256 on each of [Params.fast]'s periods (status
+   sampler, retransmission, connectivity probe), every fourth firing
+   scheduling a one-shot 20 us later, as a packet it sent would arrive:
+   few instants, many events on each.  All-distinct: 2,000 one-shots at
+   random instants, each its own run, the queue's worst case. *)
+let periodic_batch = 1_000
+let distinct_events = 2_000
+
+let periodic_engine () =
+  let e = Engine.create () and fired = ref 0 in
+  let firing () =
+    incr fired;
+    if !fired land 3 = 0 then
+      ignore (Engine.schedule e ~delay:(Sim_time.us 20) ignore)
+  in
+  List.iter
+    (fun period ->
+      for _ = 1 to 256 do
+        ignore (Engine.every e ~period firing)
+      done)
+    [ Sim_time.ms 10; Sim_time.ms 60; Sim_time.ms 500 ];
+  e
+
+let distinct_delays =
+  let rng = Autonet_sim.Rng.create ~seed:1L in
+  Array.init distinct_events (fun _ -> Autonet_sim.Rng.int rng 1_000_000_000)
+
+let run_distinct e =
+  Array.iter
+    (fun delay -> ignore (Engine.schedule e ~delay ignore))
+    distinct_delays;
+  Engine.run e
+
+(* (row, events per call, its staged call, runs the queue opens per
+   event: the deterministic work counter next to the wall time). *)
+let engine_shapes () =
+  let periodic = periodic_engine () and distinct = Engine.create () in
+  let runs_per_event e =
+    float_of_int (Engine.runs_opened e)
+    /. float_of_int (Engine.events_executed e)
+  in
+  let counted = periodic_engine () and counted_distinct = Engine.create () in
+  Engine.run counted ~max_events:(100 * periodic_batch);
+  run_distinct counted_distinct;
+  [ ( "periodic_heavy", periodic_batch,
+      (fun () -> Engine.run periodic ~max_events:periodic_batch),
+      runs_per_event counted );
+    ( "all_distinct", distinct_events,
+      (fun () -> run_distinct distinct),
+      runs_per_event counted_distinct ) ]
+
 let quota_s () = if !smoke then 0.01 else 0.25
 
 (* Run one topology's tests and return (kernel name, ns/op), kernel
@@ -215,6 +270,34 @@ let measure ?(quota_mult = 1.0) tests =
       rows := (short, est) :: !rows)
     results;
   List.sort compare !rows
+
+(* Time the engine shapes and print them: (row, ns per fired event,
+   runs per event). *)
+let engine_rows () =
+  let shapes = engine_shapes () in
+  let ns =
+    measure
+      (List.map
+         (fun (name, _, call, _) -> Test.make ~name (Staged.stage call))
+         shapes)
+  in
+  let rows =
+    List.map
+      (fun (name, events, _, runs) ->
+        (name, List.assoc name ns /. float_of_int events, runs))
+      shapes
+  in
+  let r =
+    Autonet_analysis.Report.create ~title:"event engine, per fired event"
+      ~columns:[ "queue shape"; "ns/event"; "runs/event" ]
+  in
+  List.iter
+    (fun (name, ns, runs) ->
+      Autonet_analysis.Report.add_row r
+        [ name; Printf.sprintf "%.1f" ns; Printf.sprintf "%.4f" runs ])
+    rows;
+  Autonet_analysis.Report.print r;
+  rows
 
 let pp_ns ns =
   if Float.is_nan ns then "-"
@@ -318,14 +401,27 @@ let json_of_delta buf (m : Exp_delta.meas) =
     (Exp_delta.speedup m) m.Exp_delta.m_rebuilt m.Exp_delta.m_patched
     m.Exp_delta.m_reused m.Exp_delta.m_dests
 
-let write_json path ~domains ~overhead ~delta topologies =
+(* Since schema v10: the event engine's two queue shapes, ns per fired
+   event and the runs the queue opened per event. *)
+let json_of_engine buf rows =
+  Printf.bprintf buf "  \"engine\": {\n%s\n  },\n"
+    (String.concat ",\n"
+       (List.map
+          (fun (name, ns, runs) ->
+            Printf.sprintf
+              "    %S: { \"ns_per_event\": %.1f, \"runs_per_event\": %.4f }"
+              name ns runs)
+          rows))
+
+let write_json path ~domains ~overhead ~delta ~engine topologies =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
-    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 9,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
+    "{\n  \"schema\": \"autonet-bench-micro\",\n  \"version\": 10,\n  \"quota_s\": %.3f,\n  \"smoke\": %b,\n  \"domains\": %d,\n  \"cores\": %d,\n"
     (quota_s ()) !smoke domains
     (Domain.recommended_domain_count ());
   json_of_overhead buf overhead;
   json_of_delta buf delta;
+  json_of_engine buf engine;
   Buffer.add_string buf "  \"topologies\": [\n";
   List.iteri
     (fun i t ->
@@ -351,6 +447,10 @@ let run () =
            ~repeats:(if !smoke then 1 else 5)
            ~topo:"SRC" (fun () -> B.src_service_lan ()))
   in
+  (* The engine shapes run before the kernels fill the heap with their
+     tables: with those live, every word a handle allocates carries more
+     major-GC work, which hides the queue's own cost. *)
+  let engine = engine_rows () in
   let pool = Pool.create () in
   let pool4 = Pool.create ~domains:4 () in
   Printf.printf
@@ -402,7 +502,7 @@ let run () =
     in
     Exp_delta.report ~gate:false delta;
     let topo c rows = (c.topo_name, c.g, Exp_common.diameter c.g, rows) in
-    write_json path ~domains:(Pool.domains pool) ~overhead ~delta
+    write_json path ~domains:(Pool.domains pool) ~overhead ~delta ~engine
       ([ topo src src_rows; topo big big_rows ]
       @ match scaling with Some (c, rows) -> [ topo c rows ] | None -> [])
   | _ -> ());

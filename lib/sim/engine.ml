@@ -9,7 +9,6 @@ type handle = { mutable state : state; action : unit -> unit; counter : int ref 
 type t = {
   mutable clock : Time.t;
   queue : handle Pqueue.t;
-  mutable next_seq : int;
   mutable executed : int;
   mutable max_queue : int;
   live_count : int ref;
@@ -18,7 +17,6 @@ type t = {
 let create () =
   { clock = Time.zero;
     queue = Pqueue.create ();
-    next_seq = 0;
     executed = 0;
     max_queue = 0;
     live_count = ref 0 }
@@ -27,8 +25,7 @@ let now t = t.clock
 
 let enqueue t ~time h =
   h.state <- Queued;
-  Pqueue.add t.queue ~time ~seq:t.next_seq h;
-  t.next_seq <- t.next_seq + 1;
+  Pqueue.add t.queue ~time h;
   incr t.live_count;
   let len = Pqueue.length t.queue in
   if len > t.max_queue then t.max_queue <- len
@@ -42,13 +39,26 @@ let schedule_at t ~time f =
   enqueue t ~time h;
   h
 
+(* Whether now + [delay] stays within [max_int].  The clock is never
+   negative, so [max_int - clock] cannot overflow, where the sum would
+   wrap to a time in the past. *)
+let fits t delay = delay <= max_int - t.clock
+
+let after t what delay =
+  if not (fits t delay) then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: now %d + %d overflows the clock" what t.clock
+         delay);
+  Time.add t.clock delay
+
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(Time.add t.clock delay) f
+  schedule_at t ~time:(after t "schedule" delay) f
 
 (* Once [f] returns, the action queues its own handle again, where a
    self-rescheduling loop scheduled its successor, unless it was
-   cancelled meanwhile. *)
+   cancelled meanwhile or its next firing would overflow the clock;
+   [fire] then marks it dead. *)
 let every t ~period f =
   if period <= 0 then invalid_arg "Engine.every: non-positive period";
   let rec h =
@@ -56,11 +66,11 @@ let every t ~period f =
       action =
         (fun () ->
           f ();
-          if h.state = Running then
+          if h.state = Running && fits t period then
             enqueue t ~time:(Time.add t.clock period) h);
       counter = t.live_count }
   in
-  enqueue t ~time:(Time.add t.clock period) h;
+  enqueue t ~time:(after t "every" period) h;
   h
 
 let cancel h =
@@ -127,3 +137,5 @@ let queue_length t = Pqueue.length t.queue
 let max_queue_length t = t.max_queue
 
 let events_executed t = t.executed
+
+let runs_opened t = Pqueue.runs_opened t.queue

@@ -41,7 +41,7 @@ let pqueue_model =
     QCheck.(list (int_bound 500))
     (fun keys ->
       let q = Pqueue.create () in
-      List.iteri (fun i k -> Pqueue.add q ~time:k ~seq:i k) keys;
+      List.iter (fun k -> Pqueue.add q ~time:k k) keys;
       let rec drain acc =
         if Pqueue.is_empty q then List.rev acc
         else begin
@@ -79,7 +79,7 @@ let pqueue_interleaved =
         (fun op ->
           let ok =
             if op < 7 then begin
-              Pqueue.add q ~time:op ~seq:!seq (op, !seq);
+              Pqueue.add q ~time:op (op, !seq);
               model := List.merge compare !model [ (op, !seq) ];
               incr seq;
               true
@@ -89,6 +89,88 @@ let pqueue_interleaved =
           ok && Pqueue.length q = List.length !model)
         ops
       && drain ())
+
+(* The run queue against a sorted set of (time, insertion index).  Three
+   kinds of time: a few repeated instants; instants that share an index
+   slot with 7, found through [runs_opened] (0, 7, t, 7 open three runs
+   unless t and 7 share a slot, when the second 7 opens a fourth); and
+   instants drawn from a wide range, which the long interleavings use so
+   often that more distinct instants pass through the queue than the
+   index has slots.  [Add_head] adds at the head's own time while its
+   run drains. *)
+type run_op = Add of int | Add_head | Take
+
+let shares_slot a b =
+  let q = Pqueue.create () in
+  List.iter (fun time -> Pqueue.add q ~time ()) [ 0; a; b; a ];
+  Pqueue.runs_opened q <> 3
+
+let colliders =
+  7 :: List.filteri (fun i _ -> i < 4)
+         (List.filter (shares_slot 7) (List.init 5_000 (fun i -> i + 8)))
+
+let gen_run_ops =
+  let open QCheck.Gen in
+  let ops ~wide =
+    let time =
+      frequency
+        [ (4, map (fun k -> 1_000 * k) (int_bound 4));
+          (3, oneofl colliders);
+          (wide, int_bound 1_000_000) ]
+    in
+    frequency
+      [ (5, map (fun t -> Add t) time); (2, return Add_head); (3, return Take) ]
+  in
+  frequency
+    [ (4, list_size (int_bound 60) (ops ~wide:3));
+      (1, list_size (int_range 1_200 2_000) (ops ~wide:40)) ]
+
+let pp_run_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Add t -> string_of_int t | Add_head -> "head" | Take -> "take")
+       ops)
+
+module Keys = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let pqueue_runs =
+  QCheck.Test.make ~name:"run queue matches a sorted list of (time, index)"
+    ~count:200
+    (QCheck.make ~print:pp_run_ops ~shrink:QCheck.Shrink.list gen_run_ops)
+    (fun ops ->
+      if List.length colliders < 3 then
+        QCheck.Test.fail_reportf "only %d instants share 7's slot below 5,008"
+          (List.length colliders - 1);
+      let q = Pqueue.create () and model = ref Keys.empty and n = ref 0 in
+      let add time =
+        Pqueue.add q ~time (time, !n);
+        model := Keys.add (time, !n) !model;
+        incr n
+      in
+      let take () =
+        match Keys.min_elt_opt !model with
+        | None -> Pqueue.is_empty q
+        | Some ((time, _) as key) ->
+          model := Keys.remove key !model;
+          Pqueue.min_time q = time && Pqueue.top q = key && Pqueue.take q = key
+      in
+      let step = function
+        | Add t -> add t; true
+        | Add_head ->
+          if not (Pqueue.is_empty q) then add (Pqueue.min_time q);
+          true
+        | Take -> take ()
+      in
+      List.for_all
+        (fun op -> step op && Pqueue.length q = Keys.cardinal !model)
+        ops
+      && List.for_all (fun _ -> take ()) (Keys.elements !model)
+      && Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Fifo vs Queue. *)
@@ -417,7 +499,8 @@ let () =
     [ ( "engine",
         [ QCheck_alcotest.to_alcotest engine_model;
           QCheck_alcotest.to_alcotest pqueue_model;
-          QCheck_alcotest.to_alcotest pqueue_interleaved ] );
+          QCheck_alcotest.to_alcotest pqueue_interleaved;
+          QCheck_alcotest.to_alcotest pqueue_runs ] );
       ( "fifo",
         [ QCheck_alcotest.to_alcotest fifo_model;
           QCheck_alcotest.to_alcotest fifo_overflow_flag ] );
