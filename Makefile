@@ -114,11 +114,11 @@ fuzz-smoke:
 	dune build @fuzz-smoke
 
 # Where one reconfiguration's time and allocation go: a fixed torus:16,16
-# flap driver at one domain prints per-reconfiguration work counters
-# (events, packets, bytes, words, collections) and a SIGALRM-sampled
-# call-stack table (see bench/exp_profile.ml).  Not part of runtest.
+# flap workload prints per-reconfiguration work counters (events,
+# packets, bytes, words, collections) and a SIGALRM-sampled call-stack
+# table (see bench/exp_profile.ml).  Not part of runtest.
 profile:
-	AUTONET_DOMAINS=1 dune exec bench/main.exe -- profile
+	dune exec bench/main.exe -- profile
 
 # Exploration at SEEDS fresh seeds, kept out of runtest (which pins every
 # QCheck property to seed 21): the QCheck suites, a chaos campaign and a

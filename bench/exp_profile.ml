@@ -2,7 +2,7 @@
    allocation go.
 
    A fixed-work driver: the 16x16 torus with two hosts per switch,
-   [Params.fast], seed 1, one domain, booted, then [flaps] seeded
+   [Params.fast], seed 1, booted, then [flaps] seeded
    non-tree link flaps (down, reconverge, up, reconverge: two
    reconfigurations each, all on the delta path).  The flaps run twice
    over the same links:
@@ -13,8 +13,9 @@
      per-reconfiguration means: events, runs the event queue opened,
      packets, bytes, minor words, promoted words, words allocated
      directly in the major heap (major minus promoted), minor and major
-     collections.  At one domain these are work counters of the binary,
-     the same on every run.  Minor words come from [Gc.minor_words],
+     collections.  A simulated network runs on the calling domain, so
+     these are work counters of the binary, the same on every run and at
+     any [AUTONET_DOMAINS].  Minor words come from [Gc.minor_words],
      which counts the minor heap in use: [Gc.quick_stat]'s count stops
      at the last minor collection, so it moves with the collections'
      phase (OCAMLRUNPARAM=s=300k moved it by -5.7 k words per
@@ -30,10 +31,7 @@
    frame allocated when the collection started.  Wall-clock, so only a
    quiet machine gives stable shares.
 
-   Run: [make profile], or [dune exec bench/main.exe -- profile].  It
-   pins the step-5 domain pool to one domain (AUTONET_DOMAINS=1) when
-   the process has not created that pool yet, and prints the count it
-   ran at: with more domains the counters miss the workers' allocation. *)
+   Run: [make profile], or [dune exec bench/main.exe -- profile]. *)
 
 module B = Autonet_topo.Builders
 module F = Autonet_topo.Faults
@@ -180,8 +178,6 @@ let sampled net links =
     ranked
 
 let run () =
-  Unix.putenv "AUTONET_DOMAINS" "1";
-  let domains = Autonet_parallel.Pool.domains (Autonet_parallel.Pool.default ()) in
   let topo = B.attach_hosts (B.torus ~rows:16 ~cols:16 ()) ~per_switch:2 in
   let net = N.create ~params:Autonet_autopilot.Params.fast ~seed:1L topo in
   N.start net;
@@ -192,7 +188,7 @@ let run () =
   let links = flap_links (N.graph net) in
   Printf.printf
     "profile: torus:16,16, 2 hosts per switch, Params.fast, seed 1, %d \
-     domain(s), %d non-tree link flaps per pass\n"
-    domains flaps;
+     non-tree link flaps per pass\n"
+    flaps;
   counted net links;
   sampled net links

@@ -60,8 +60,8 @@ let median xs =
 
 let measure_overhead ~repeats ~topo build =
   (* Start from a compacted heap (the bechamel suite may have run just
-     before us) and warm the domain pool, the allocator and the code
-     paths once before anything is timed. *)
+     before us) and warm the allocator and the code paths once before
+     anything is timed. *)
   Gc.compact ();
   ignore (run_once ~telemetry:`Disabled build);
   let dis = ref [] and on = ref [] in

@@ -9,7 +9,11 @@
 # project (make it with `git clone` or `git archive`, not `git worktree`).
 # Each side builds and runs its own bench/e2e/run.sh.
 #
-# Prints every run's end-to-end metrics, then for each end-to-end metric
+# Prints every run's end-to-end metrics, and beside them each run's CPU
+# seconds (user+sys, its no-op build included) over its wall seconds and
+# the steal ticks (1/100 s) the cpu line of /proc/stat gained while it ran:
+# a run slowed from outside the process reads a low CPU/wall ratio or a
+# jump in steal.  Then for each end-to-end metric
 # of BENCHMARK.json each side's median and quartiles, the number of pairs
 # the change won (ties count for neither), the change's median relative
 # to the parent's, the metric's bound and a no-regression verdict:
@@ -39,6 +43,7 @@ workload=$2
 pairs=$3
 seconds=${4:-18}
 change=$PWD
+TIMEFORMAT='%U %S %R'
 for dir in "$parent" "$change"; do
   if [ ! -f "$dir/bench/e2e/run.sh" ]; then
     echo "e2e_pairs: $dir is not an autonet checkout" >&2
@@ -60,12 +65,21 @@ trap 'rm -rf "$out"' EXIT
 
 failed_runs=0
 
-# run SIDE DIR SEED: keeps the run's last stdout line; a run that exits
-# nonzero or prints no result line gets a note in SIDE-SEED.note.
+# The machine's steal ticks so far: the 8th value of /proc/stat's cpu line.
+steal() { awk '$1 == "cpu" { print $9 }' /proc/stat; }
+
+# run SIDE DIR SEED: keeps the run's last stdout line, and its CPU/wall
+# seconds and steal ticks in SIDE-SEED.load; a run that exits nonzero or
+# prints no result line gets a note in SIDE-SEED.note.
 run() {
-  local status=0
-  (cd "$2" && bash bench/e2e/run.sh --workload "$workload" --seed "$3" \
-     --seconds "$seconds" --trace 0 2>/dev/null) > "$out/$1-$3.log" || status=$?
+  local status=0 steal0 times
+  steal0=$(steal)
+  { time (cd "$2" && bash bench/e2e/run.sh --workload "$workload" --seed "$3" \
+      --seconds "$seconds" --trace 0 2>/dev/null) > "$out/$1-$3.log" \
+      || status=$?; } 2> "$out/$1-$3.time"
+  times=$(tail -n 1 "$out/$1-$3.time")
+  echo "$times $(($(steal) - steal0))" \
+    | awk '{ printf "%.1f/%.1f %d\n", $1 + $2, $3, $4 }' > "$out/$1-$3.load"
   tail -n 1 "$out/$1-$3.log" > "$out/$1-$3.json"
   local note=""
   [ "$status" -eq 0 ] || note="exit $status"
@@ -96,6 +110,9 @@ for seed in $(seq 1 "$pairs"); do
     name=${m%%:*}
     line="$line  $name $(value "$out/parent-$seed.json" "$name") -> $(value "$out/change-$seed.json" "$name")"
   done
+  read -r pcpu psteal < "$out/parent-$seed.load"
+  read -r ccpu csteal < "$out/change-$seed.load"
+  line="$line  cpu/wall $pcpu -> $ccpu s  steal $psteal -> $csteal"
   for side in parent change; do
     if [ -f "$out/$side-$seed.note" ]; then
       line="$line  [$side run failed: $(cat "$out/$side-$seed.note")]"

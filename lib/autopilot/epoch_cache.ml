@@ -1,5 +1,4 @@
 open Autonet_core
-module Pool = Autonet_parallel.Pool
 
 (* A root-shaped commit (every member's table) with the root's verdict
    on it. *)
@@ -96,21 +95,21 @@ let root_shaped commit verdict =
   | Some all -> { commit; all; verdict }
   | None -> invalid_arg "Epoch_cache: a root-shaped commit without its tables"
 
-(* The full step: every table, verified, on the domain pool. *)
+(* The full step: every table, verified through the commit's
+   certificate. *)
 let full t e =
   t.fulls <- t.fulls + 1;
-  let pool = Pool.default () in
   let g = e.graph and tree = e.tree in
   let updown = Updown.orient g tree in
   let routes = Routes.compute g tree updown in
-  let all = Tables.build_all ~pool g tree updown routes e.assignment in
-  let verdict = Deadlock.check_tables ~pool g all in
+  let all = Tables.build_all g tree updown routes e.assignment in
   let root = Spanning_tree.root tree in
   let own = List.find (fun sp -> Tables.switch sp = root) all in
-  root_shaped
-    (Delta.commit_full ~graph:g ~tree ~updown ~routes ~assignment:e.assignment
-       ~own ~all:(Some all))
-    verdict
+  let commit =
+    Delta.commit_full ~graph:g ~tree ~updown ~routes ~assignment:e.assignment
+      ~own ~all:(Some all)
+  in
+  root_shaped commit (Delta.verdict commit)
 
 let canonical t uid e =
   match e.canonical with
@@ -158,8 +157,7 @@ let apply t uid e pl p ch =
     t.deltas <- t.deltas + 1;
     let commit, stats =
       timed t uid "delta_apply" (fun () ->
-          Delta.apply ~pool:(Pool.default ())
-            ~prev:p.adopted.commit ~graph:e.graph ~tree:e.tree
+          Delta.apply ~prev:p.adopted.commit ~graph:e.graph ~tree:e.tree
             ~assignment:e.assignment ~me:(Spanning_tree.root e.tree) ch)
     in
     (* A root-shaped apply always reaches a verdict. *)
@@ -270,9 +268,8 @@ let finish t report ~uid ~root ~prev =
           let routes = Routes.compute g tree updown in
           let table = Tables.build g tree updown routes assignment me in
           if root then begin
-            let pool = Pool.default () in
-            let all = Tables.build_all ~pool g tree updown routes assignment in
-            (table, Some (Deadlock.check_tables ~pool g all, List.length all))
+            let all = Tables.build_all g tree updown routes assignment in
+            (table, Some (Deadlock.check_tables g all, List.length all))
           end
           else (table, None))
     in

@@ -11,10 +11,13 @@
     switch that finishes with it holds that value, and a received
     [Complete] carrying its bytes decodes to it ({!reports}).  Each entry
     then computes at most once, for all its switches, either the full
-    artifacts — every member's table on the domain pool, the deadlock
-    verdict on them and the order certificate — or, once per previous
-    entry, a {e plan}: the non-root {!Autonet_core.Delta.classify} and
-    one root-shaped {!Autonet_core.Delta.apply}.
+    artifacts — every member's table, the order certificate and the
+    deadlock verdict it gives ({!Autonet_core.Delta.verdict}) — or, once
+    per previous entry, a {e plan}: the non-root
+    {!Autonet_core.Delta.classify} and one root-shaped
+    {!Autonet_core.Delta.apply}.  Everything runs on the calling domain:
+    a simulated network spawns no domain, so a parked worker never adds
+    to the stop that every minor collection makes of all domains.
 
     A switch then only looks its report up: it takes its own table from
     the shared array, derives its own events and delta statistics as its

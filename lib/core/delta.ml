@@ -184,6 +184,13 @@ type stats = {
 
 let member_change ch = ch.added_switches <> [] || ch.removed_numbers <> []
 
+(* The deadlock verdict on [all]: a certificate that covers every table
+   ([certified]) proves the dependency graph acyclic, so the full checker
+   runs only without one. *)
+let judge ?pool g ~certified all =
+  if certified then Deadlock.Acyclic
+  else Deadlock.check_tables ?pool g (Array.to_list all)
+
 let apply ?(pool = Autonet_parallel.Pool.serial) ~prev ~graph:g ~tree
     ~assignment ~me ch =
   let updown =
@@ -257,25 +264,17 @@ let apply ?(pool = Autonet_parallel.Pool.serial) ~prev ~graph:g ~tree
          every table is checked.  Any failure falls back to the full
          checker — the certificate is one-sided. *)
       let cert = Deadlock.certificate g tree in
-      let certifies sp = Deadlock.certifies cert g updown sp in
       let check_all = member_change || prev.c_cert = None in
       let to_check = ref [] in
       for s = n - 1 downto 0 do
         if dirty.(s) || check_all then to_check := all.(s) :: !to_check
       done;
-      if List.for_all certifies !to_check then
-        (all.(me), Some all, false, Some Deadlock.Acyclic, Some cert)
-      else begin
-        let specs = Array.to_list all in
-        let v = Deadlock.check_tables ~pool g specs in
-        let c_cert =
-          match v with
-          | Deadlock.Acyclic ->
-            if List.for_all certifies specs then Some cert else None
-          | Deadlock.Cycle _ -> None
-        in
-        (all.(me), Some all, true, Some v, c_cert)
-      end
+      let certified =
+        List.for_all (Deadlock.certifies cert g updown) !to_check
+      in
+      ( all.(me), Some all, not certified,
+        Some (judge ~pool g ~certified all),
+        if certified then Some cert else None )
   in
   let committed =
     { c_graph = g;
@@ -333,3 +332,8 @@ let commit_full ~graph ~tree ~updown ~routes ~assignment ~own ~all =
     c_own = own;
     c_all;
     c_cert }
+
+let verdict c =
+  match c.c_all with
+  | Some all -> judge c.c_graph ~certified:(c.c_cert <> None) all
+  | None -> invalid_arg "Delta.verdict: a commit without every table"

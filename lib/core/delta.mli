@@ -18,7 +18,7 @@
     re-oriented through {!Updown.reorient}, per-destination route BFSes
     re-run only when unseated ({!Routes.recompute}), tables are rebuilt
     only for switches whose minimal next-hop sets actually changed
-    (over the domain pool at the root), and deadlock
+    (over {!apply}'s optional pool at the root), and deadlock
     freedom is re-verified incrementally through the
     {!Deadlock.certificate} order argument with a mandatory fallback to
     the full {!Deadlock.check_tables}.
@@ -139,3 +139,11 @@ val commit_full :
     additionally computes the epoch's order certificate here, which is
     what lets the next delta epoch verify deadlock freedom
     incrementally. *)
+
+val verdict : committed -> Deadlock.result
+(** The deadlock verdict on a root-shaped commit's tables ([c_all]):
+    [Acyclic] when it holds a certificate ([c_cert]), which covers every
+    table and so proves the dependency graph acyclic; otherwise
+    {!Deadlock.check_tables} of the tables, run only then.  The same rule
+    gives {!apply}'s root verdict.  Raises [Invalid_argument] on a
+    commit without [c_all]. *)

@@ -1,4 +1,5 @@
-(** A fixed-size OCaml 5 domain pool for the configuration pipeline.
+(** A fixed-size OCaml 5 domain pool for the configuration kernels and
+    the chaos campaigns.
 
     Workers are spawned once at {!create} and parked between jobs.  Both
     combinators hand out work by one rule: the index range of a call is
@@ -41,9 +42,9 @@ val parallel_for : t -> n:int -> (int -> unit) -> unit
     caller-indexed slots).
 
     Nested and concurrent use is safe: a call issued while another is in
-    flight — e.g. from inside a job body, or from a simulation running on
-    a worker domain that reaches the configuration pipeline's entry
-    points — runs all its batches on the calling domain, uncounted.
+    flight — e.g. from inside a job body, or from another domain while
+    the pool is busy — runs all its batches on the calling domain,
+    uncounted.
 
     A failure in any iteration propagates to the caller after the round
     barrier (the caller's own exception wins when several fail); the
@@ -65,7 +66,10 @@ val shutdown : t -> unit
 
 val default : unit -> t
 (** The process-wide shared pool, created on first use with [create ()]
-    (honouring [AUTONET_DOMAINS]). *)
+    (honouring [AUTONET_DOMAINS]): the pool of a campaign given none
+    ([Chaos.run_campaign], [Fuzz.run]), of [autonet-topo check] and of
+    the experiments' pure pipeline.  A simulated network never takes it:
+    its step 5 runs on the domain that steps it. *)
 
 (** {1 Telemetry}
 

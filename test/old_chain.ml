@@ -5,7 +5,6 @@
 
 open Autonet_core
 module Event = Autonet_autopilot.Event
-module Pool = Autonet_parallel.Pool
 
 type result = {
   committed : Delta.committed;  (** what this switch keeps for next time *)
@@ -41,7 +40,6 @@ let run ~prev ~root report uid =
                Option.value ~default:(-1) (Address_assign.number assignment me)
            })
     in
-    let pool = if root then Some (Pool.default ()) else None in
     let verdict tables = function
       | Deadlock.Acyclic -> emit (Event.Root_verified { tables })
       | Deadlock.Cycle _ as r ->
@@ -57,7 +55,7 @@ let run ~prev ~root report uid =
           emit (Event.Delta_fallback { reason });
           None
         | Delta.Tree_preserving ch ->
-          Some (Delta.apply ?pool ~prev ~graph:g ~tree ~assignment ~me ch))
+          Some (Delta.apply ~prev ~graph:g ~tree ~assignment ~me ch))
       | Some _ | None -> None
     in
     let committed =
@@ -82,12 +80,12 @@ let run ~prev ~root report uid =
         let own = Tables.build g tree updown routes assignment me in
         computed ();
         let all =
-          Option.map
-            (fun pool ->
-              let all = Tables.build_all ~pool g tree updown routes assignment in
-              verdict (List.length all) (Deadlock.check_tables ~pool g all);
-              all)
-            pool
+          if root then begin
+            let all = Tables.build_all g tree updown routes assignment in
+            verdict (List.length all) (Deadlock.check_tables g all);
+            Some all
+          end
+          else None
         in
         Delta.commit_full ~graph:g ~tree ~updown ~routes ~assignment ~own ~all
     in

@@ -649,26 +649,38 @@ let check_delta_matches_full ~seed ~what ~expect_hit full1 full2 =
         then fail "non_root_stats differs from the non-root apply"));
     true
 
-(* A root-shaped apply from a previous commit without a certificate may
-   not take the reused tables on trust: one of them here carries a
-   down-to-up U-turn, which no certificate admits.  The result may claim
-   a certificate only if every one of its tables certifies under it, and
-   its verdict must be the full checker's. *)
-let test_uncertified_prev_recertifies () =
-  let check_bool = Alcotest.(check bool) in
+(* A full epoch on torus:3,3, its root, and a switch [s] other than the
+   root, with [poison sp]: a copy of [s]'s table [sp] given one
+   down-to-up U-turn, from its parent back to its parent, which no
+   certificate admits. *)
+let poisonable_torus () =
   let g = rebuild_graph (Autonet_topo.Builders.torus ~rows:3 ~cols:3 ()).graph in
   let full =
     full_epoch g ~proposals:(List.map (fun s -> (s, 1)) (Graph.switches g))
   in
   let root = Spanning_tree.root full.f_tree in
-  let prev = commit_of full ~me:root ~root:true in
-  let all = Option.get prev.Delta.c_all in
   let s = if root = 0 then 1 else 0 in
   let pp = (Option.get (Spanning_tree.parent full.f_tree s)).Spanning_tree.my_port in
-  let poisoned = Tables.copy ~switch:s all.(s) in
-  Tables.set poisoned ~in_port:pp
-    ~dst:(Address_assign.address full.f_asg s 0)
-    (Tables.entry ~broadcast:false (PV.singleton pp));
+  let poison sp =
+    let poisoned = Tables.copy ~switch:s sp in
+    Tables.set poisoned ~in_port:pp
+      ~dst:(Address_assign.address full.f_asg s 0)
+      (Tables.entry ~broadcast:false (PV.singleton pp));
+    poisoned
+  in
+  (g, full, root, s, poison)
+
+(* A root-shaped apply from a previous commit without a certificate may
+   not take the reused tables on trust: one of them here carries the
+   U-turn.  The result may claim a certificate only if every one of its
+   tables certifies under it, and its verdict must be the full
+   checker's. *)
+let test_uncertified_prev_recertifies () =
+  let check_bool = Alcotest.(check bool) in
+  let g, full, root, s, poison = poisonable_torus () in
+  let prev = commit_of full ~me:root ~root:true in
+  let all = Option.get prev.Delta.c_all in
+  let poisoned = poison all.(s) in
   let cert = Deadlock.certificate g full.f_tree in
   check_bool "the U-turn does not certify" false
     (Deadlock.certifies cert g full.f_updown poisoned);
@@ -695,6 +707,33 @@ let test_uncertified_prev_recertifies () =
     check_bool "the verdict is the full checker's" true
       (same_verdict (Option.get st.Delta.st_verdict)
          (Deadlock.check_tables g (Array.to_list tables)))
+
+(* A full commit's verdict comes from its certificate, and the full
+   checker runs only when some table fails to certify: with the U-turn
+   in one table the commit holds no certificate and its verdict is the
+   checker's; without it the certificate's [Acyclic] is the checker's
+   too. *)
+let test_full_commit_verdict () =
+  let check_bool = Alcotest.(check bool) in
+  let g, full, root, s, poison = poisonable_torus () in
+  let commit all =
+    Delta.commit_full ~graph:g ~tree:full.f_tree ~updown:full.f_updown
+      ~routes:full.f_routes ~assignment:full.f_asg ~own:(spec_for full root)
+      ~all:(Some all)
+  in
+  let clean = commit full.f_all in
+  check_bool "the clean commit holds a certificate" true
+    (clean.Delta.c_cert <> None);
+  check_bool "the clean verdict is the checker's" true
+    (Delta.verdict clean = full.f_verdict);
+  let all =
+    List.map (fun sp -> if Tables.switch sp = s then poison sp else sp) full.f_all
+  in
+  let poisoned = commit all in
+  check_bool "the poisoned commit holds no certificate" true
+    (poisoned.Delta.c_cert = None);
+  check_bool "the poisoned verdict is the checker's" true
+    (Delta.verdict poisoned = Deadlock.check_tables g all)
 
 let tree_link_ids full =
   List.filter_map
@@ -937,4 +976,6 @@ let () =
             test_delta_rotation_structural;
           Alcotest.test_case "AUTONET_DELTA knob" `Quick test_delta_knob;
           Alcotest.test_case "uncertified predecessor is re-certified" `Quick
-            test_uncertified_prev_recertifies ] ) ]
+            test_uncertified_prev_recertifies;
+          Alcotest.test_case "full commit verdict falls back to the checker"
+            `Quick test_full_commit_verdict ] ) ]

@@ -572,18 +572,6 @@ let replay_converge r =
       | true, _, _ -> Alcotest.failf "s%d configured without a table" s)
     r.tables
 
-let non_tree_link g =
-  let tree = Spanning_tree.compute g ~member:0 in
-  let tree_link (l : Graph.link) =
-    List.exists
-      (fun s ->
-        match Spanning_tree.parent tree s with
-        | Some p -> Graph.link_at g (s, p.Spanning_tree.my_port) = Some l.id
-        | None -> false)
-      (Graph.switches g)
-  in
-  List.find (fun l -> not (tree_link l)) (Graph.links g)
-
 (* Boot, fail a non-tree link, heal it, reboot a switch: after every
    convergence each switch agrees with its own chain, and both paths ran. *)
 let test_cache_replays_own_chain topo () =
@@ -593,7 +581,7 @@ let test_cache_replays_own_chain topo () =
   observe r;
   replay_converge r;
   let g = N.graph net in
-  let l = (non_tree_link g).Graph.id in
+  let l = (Testlib.non_tree_link g).Graph.id in
   let v = Graph.switch_count g - 1 in
   List.iter
     (fun fault ->
@@ -619,7 +607,7 @@ let test_cache_work_counter () =
   observe r;
   replay_converge r;
   let g = N.graph net in
-  let l = (non_tree_link g).Graph.id in
+  let l = (Testlib.non_tree_link g).Graph.id in
   List.iter
     (fun fault ->
       let s0 = EC.stats (N.epoch_cache net) in
@@ -793,7 +781,7 @@ let test_complete_report_shared () =
         "%s: a Complete carrying the root's report decodes to a copy" phase
   in
   shared "boot";
-  let l = (non_tree_link g).Graph.id in
+  let l = (Testlib.non_tree_link g).Graph.id in
   N.apply_fault t (F.Link_down l);
   shared "link down";
   N.apply_fault t (F.Link_up l);
@@ -868,7 +856,8 @@ let test_cache_spans () =
   N.start net;
   settle ();
   let boot_spans = List.length (Timeline.spans (Option.get (N.timeline net))) in
-  N.apply_fault net (F.Link_down (non_tree_link (N.graph net)).Graph.id);
+  N.apply_fault net
+    (F.Link_down (Testlib.non_tree_link (N.graph net)).Graph.id);
   settle ();
   let tl = Option.get (N.timeline net) in
   let spans = Timeline.spans tl in

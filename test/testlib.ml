@@ -25,6 +25,21 @@ let host_endpoints g =
     (fun (h : Graph.host_attachment) -> (h.switch, h.switch_port))
     (Graph.hosts g)
 
+(* The first link of [g] that is not in switch 0's spanning tree: a
+   fault on it keeps the tree, so the network reconfigures on the delta
+   path. *)
+let non_tree_link g =
+  let tree = Spanning_tree.compute g ~member:0 in
+  let tree_link (l : Graph.link) =
+    List.exists
+      (fun s ->
+        match Spanning_tree.parent tree s with
+        | Some p -> Graph.link_at g (s, p.Spanning_tree.my_port) = Some l.id
+        | None -> false)
+      (Graph.switches g)
+  in
+  List.find (fun l -> not (tree_link l)) (Graph.links g)
+
 (* Random topology generator for property tests: up to [max_n] switches
    with shuffled UIDs, random extra links, and a couple of hosts. *)
 let random_topology rng ~max_n =
